@@ -248,8 +248,8 @@ def univariate_surrogate(scores, labels, base: BaseLoss, scheme: PenaltyScheme) 
 
 # ---------------------------------------------------------------------------
 # Batch paths.  The trainer evaluates whole datasets at once; these helpers
-# vectorize over instances, grouping by label pattern where the per-instance
-# index structure differs.
+# vectorize over instances.  The pairwise surrogate and the ranking loss run
+# on the one row-major label-pair list built by :func:`label_pairs`.
 # ---------------------------------------------------------------------------
 
 
@@ -310,8 +310,8 @@ def univariate_batch(scores, labels, base: BaseLoss, scheme: PenaltyScheme,
 def group_by_label_pattern(labels) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Group row indices by identical label vector.
 
-    Returns a list of ``(rows, pos, neg)`` index triples.  Real datasets have
-    few distinct patterns, so per-pattern vectorization beats a row loop.
+    Returns a list of ``(rows, pos, neg)`` index triples.  The batch losses
+    do not group rows; they run on the pair list of :func:`label_pairs`.
     """
     Y = _as_label_matrix(labels)
     _, inverse = np.unique(Y, axis=0, return_inverse=True)
@@ -324,42 +324,67 @@ def group_by_label_pattern(labels) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     return groups
 
 
-# chunk rows so the (rows, c, c) pair tensor stays within a few megabytes
-_PAIR_TENSOR_BUDGET = 2_000_000
+# most pairs one chunk of rows evaluates at once; bounds the temporaries
+_PAIR_BUDGET = 1 << 18
+
+
+def label_pairs(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major list of the (relevant, irrelevant) label pairs of a matrix.
+
+    Returns ``ptr, row, pos, neg``: row ``i`` owns pairs ``ptr[i]:ptr[i+1]``
+    (none if trivial); pair ``k`` is labels ``pos[k]`` (+1), ``neg[k]`` (-1).
+    """
+    Y = _as_label_matrix(labels)
+    a, b = label_split_sizes(Y)
+    ptr = np.concatenate(([0], np.cumsum(a * b)))
+    pos_row, pos_label = np.nonzero(Y > 0)
+    neg_label = np.nonzero(Y < 0)[1]
+    # each relevant label of row i repeats once per irrelevant label of row i;
+    # pair k of such a block takes the row's irrelevant labels in turn
+    reps = b[pos_row]
+    block_shift = np.cumsum(reps) - reps - (np.cumsum(b) - b)[pos_row]
+    neg = neg_label[np.arange(ptr[-1]) - np.repeat(block_shift, reps)]
+    return ptr, np.repeat(pos_row, reps), np.repeat(pos_label, reps), neg
+
+
+def _pair_chunks(ptr, row, pos, neg):
+    """Yield ``lo, hi, r, p, q`` for row chunks ``lo:hi`` of at most ``_PAIR_BUDGET``
+    pairs (or of one row); ``r`` is each pair's row within the chunk."""
+    lo, n = 0, ptr.size - 1
+    while lo < n:
+        hi = max(int(np.searchsorted(ptr, ptr[lo] + _PAIR_BUDGET, side="right")) - 1, lo + 1)
+        s, e = ptr[lo], ptr[hi]
+        yield lo, hi, row[s:e] - lo, pos[s:e], neg[s:e]
+        lo = hi
 
 
 def pairwise_batch_for(labels, base: BaseLoss):
     """Build a closure evaluating the pairwise surrogate on a score matrix.
 
     The returned callable maps ``F`` of shape ``(n, c)`` to values ``(n,)``
-    and gradients ``(n, c)``.  Rows must all be nontrivial.  Works on the
-    dense (pos, neg) pair tensor with a per-row mask, so the cost is one
-    vectorized O(c^2) sweep per chunk of rows with no per-pattern looping.
+    and gradients ``(n, c)``.  Rows must all be nontrivial.  Each call
+    evaluates ``ell`` on the pairs of :func:`label_pairs` only and sums the
+    results back into rows and labels with ``np.bincount``.
     """
     Y = _as_label_matrix(labels)
     n, c = Y.shape
-    npos, nneg = label_split_sizes(Y)
-    if np.any(npos == 0) or np.any(nneg == 0):
+    pairs = label_pairs(Y)
+    counts = np.diff(pairs[0])
+    if np.any(counts == 0):
         raise ValueError("pairwise surrogate is undefined on trivial label vectors")
-    # mask[i, p, q] selects the (positive p, negative q) pairs of row i,
-    # pre-scaled by the row's 1/(|S+| |S-|) normalizer
-    pos_side = (Y > 0).astype(np.float64)
-    scaled_mask = (pos_side[:, :, None] * (1.0 - pos_side)[:, None, :]
-                   / (npos * nneg)[:, None, None])
-    chunk = max(1, _PAIR_TENSOR_BUDGET // (c * c))
+    scale = 1.0 / counts
 
     def evaluate(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.empty(n)
-        grads = np.empty_like(F)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            Fb = F[lo:hi]
-            diffs = Fb[:, :, None] - Fb[:, None, :]
-            vals, derivs = base.value_and_derivative(diffs)
-            mask = scaled_mask[lo:hi]
-            values[lo:hi] = np.einsum("ipq,ipq->i", vals, mask)
-            derivs *= mask
-            grads[lo:hi] = derivs.sum(axis=2) - derivs.sum(axis=1)
+        values, grads = np.empty(n), np.empty((n, c))
+        for lo, hi, r, p, q in _pair_chunks(*pairs):
+            ip, iq = r * c + p, r * c + q
+            Fb = F[lo:hi].ravel()
+            vals, derivs = base.value_and_derivative(Fb[ip] - Fb[iq])
+            values[lo:hi] = np.bincount(r, vals, hi - lo) * scale[lo:hi]
+            derivs *= scale[lo:hi][r]
+            size = (hi - lo) * c
+            grads[lo:hi] = (np.bincount(ip, derivs, size)
+                            - np.bincount(iq, derivs, size)).reshape(hi - lo, c)
         return values, grads
 
     return evaluate
@@ -368,15 +393,11 @@ def pairwise_batch_for(labels, base: BaseLoss):
 def ranking_loss_batch(scores, labels, partial: bool = False) -> np.ndarray:
     """Per-row (partial) ranking loss for nontrivial rows; NaN on trivial ones."""
     F = np.asarray(scores, dtype=np.float64)
-    Y = _as_label_matrix(labels)
-    out = np.full(F.shape[0], np.nan)
-    for rows, pos, neg in group_by_label_pattern(Y):
-        if pos.size == 0 or neg.size == 0:
-            continue
-        diffs = F[np.ix_(rows, pos)][:, :, None] - F[np.ix_(rows, neg)][:, None, :]
-        if partial:
-            wrong = (diffs < 0.0) + 0.5 * (diffs == 0.0)
-        else:
-            wrong = diffs <= 0.0
-        out[rows] = wrong.mean(axis=(1, 2))
-    return out
+    ptr, row, pos, neg = label_pairs(labels)
+    wrong = np.empty(F.shape[0])
+    for lo, hi, r, p, q in _pair_chunks(ptr, row, pos, neg):
+        fp, fq = F[lo:hi][r, p], F[lo:hi][r, q]
+        w = (fp < fq) + 0.5 * (fp == fq) if partial else (fp <= fq).astype(np.float64)
+        wrong[lo:hi] = np.bincount(r, w, hi - lo)
+    with np.errstate(invalid="ignore"):  # 0/0 marks the trivial rows NaN
+        return wrong / np.diff(ptr)

@@ -10,9 +10,9 @@ penalty::
 
     F(W) = (1/n) sum_i L(W^T x_i, y_i) + lambda * ||W||_F^2
 
-:class:`Objective` exposes the oracle interface the optimizers consume
-(value, full gradient, per-sample gradient) plus cached snapshot hooks that
-make variance-reduced inner steps rank-one updates.
+:class:`Objective` exposes the oracle interface the optimizers consume:
+value and full gradient, plus an SVRG snapshot that caches the per-sample
+loss gradients so each variance-reduced inner step is a rank-one update.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ class Objective:
     """Regularized empirical surrogate risk of a linear model on fixed data.
 
     Implements the optimizer oracle protocol: ``n``, ``value``,
-    ``full_gradient``, ``per_sample_gradient``, ``svrg_snapshot`` and
-    ``svrg_direction``.  Per-instance index structure (pair lists, penalty
-    weights) is precomputed once.
+    ``full_gradient``, ``svrg_snapshot`` and ``svrg_direction``.
+    Per-instance index structure (the label-pair list for ``pa``, penalty
+    weights otherwise) is precomputed once.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: ObjectiveSpec):
@@ -100,39 +100,33 @@ class Objective:
         self.c = self.Y.shape[1]
         if spec.surrogate == "pa":
             self._pair_eval = losses.pairwise_batch_for(self.Y, spec.base)
+            self._ptr, _, self._pos, self._neg = losses.label_pairs(self.Y)
+            self._pair_scale = 1.0 / np.diff(self._ptr)
             self._weights = None
-            self._splits = [losses.split_labels(self.Y[i]) for i in range(self.n)]
         else:
             self._pair_eval = None
             scheme = PenaltyScheme(spec.surrogate)
             self._weights = losses.penalty_weight_matrix(scheme, self.Y)
-            self._splits = None
 
-    # -- per-sample loss pieces (no regularizer) ---------------------------
+    # -- loss pieces (no regularizer) ----------------------------------------
 
     def _loss_row(self, scores_i: np.ndarray, i: int) -> np.ndarray:
         """Gradient of the loss term of sample ``i`` with respect to scores."""
         if self._pair_eval is not None:
-            pos, neg = self._splits[i]
-            scale = 1.0 / (pos.size * neg.size)
-            diffs = scores_i[pos][:, None] - scores_i[neg][None, :]
-            derivs = self.spec.base.derivative(diffs) * scale
-            g = np.zeros(self.c)
-            g[pos] = derivs.sum(axis=1)
-            g[neg] = -derivs.sum(axis=0)
-            return g
+            s, e = self._ptr[i], self._ptr[i + 1]
+            p, q = self._pos[s:e], self._neg[s:e]
+            derivs = self.spec.base.derivative(scores_i[p] - scores_i[q]) * self._pair_scale[i]
+            return np.bincount(p, derivs, self.c) - np.bincount(q, derivs, self.c)
         y = self.Y[i]
-        w = self._weights[i]
-        return w * y * self.spec.base.derivative(y * scores_i)
+        return self._weights[i] * y * self.spec.base.derivative(y * scores_i)
 
     def _loss_batch(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         F = self.X @ W
         if self._pair_eval is not None:
             return self._pair_eval(F)
-        vals, grads = losses.univariate_batch(F, self.Y, self.spec.base,
-                                              PenaltyScheme(self.spec.surrogate),
-                                              weights=self._weights)
-        return vals, grads
+        return losses.univariate_batch(F, self.Y, self.spec.base,
+                                       PenaltyScheme(self.spec.surrogate),
+                                       weights=self._weights)
 
     # -- oracle interface ---------------------------------------------------
 
@@ -144,13 +138,8 @@ class Objective:
         _, grads = self._loss_batch(W)
         return self.X.T @ grads / self.n + 2.0 * self.spec.lam * W
 
-    def per_sample_gradient(self, W: np.ndarray, i: int) -> np.ndarray:
-        scores_i = self.X[i] @ W
-        g = self._loss_row(scores_i, i)
-        return np.outer(self.X[i], g) + 2.0 * self.spec.lam * W
-
     def svrg_snapshot(self, W: np.ndarray) -> dict[str, Any]:
-        """Cache the snapshot's full gradient and per-sample loss gradients."""
+        """Cache the snapshot's value, full gradient ``mu`` and per-sample loss gradients."""
         vals, grads = self._loss_batch(W)
         mu = self.X.T @ grads / self.n + 2.0 * self.spec.lam * W
         return {"W": W.copy(), "mu": mu, "loss_grads": grads,
@@ -203,6 +192,8 @@ def load_model(path: str) -> LinearModel:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a model file (missing {_MAGIC!r} header)")
+    if len(lines) < 7:
+        raise ValueError(f"{path}: truncated model header ({len(lines)} of 7 lines)")
     fields: dict[str, str] = {}
     for idx in range(1, 7):
         key, _, val = lines[idx].partition(" ")

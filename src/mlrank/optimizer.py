@@ -3,15 +3,13 @@
 Both minimizers consume a duck-typed *oracle* with:
 
 * ``n`` - number of summands in the empirical term,
-* ``value(W) -> float``,
-* ``full_gradient(W) -> ndarray``,
-* ``per_sample_gradient(W, i) -> ndarray``.
+* ``value(W) -> float`` and ``full_gradient(W) -> ndarray``,
+* ``svrg_snapshot(W)`` - a mapping ``snap`` holding the objective
+  ``"value"`` and the full gradient ``"mu"`` at ``W``,
+* ``svrg_direction(W, i, snap)`` - ``g_i(W) - g_i(W_snap) + mu_snap``.
 
-An oracle may additionally provide ``svrg_snapshot(W)`` and
-``svrg_direction(W, i, snap)`` to evaluate the variance-reduced direction
-``g_i(W) - g_i(W_snap) + mu_snap`` without materializing two full
-per-sample gradients; :class:`mlrank.model.Objective` does (rank-one data
-term).  A generic fallback is used otherwise.
+``minimize_batch_gd`` calls ``value`` and ``full_gradient``;
+``minimize_svrg_bb`` calls ``n`` and the two SVRG hooks, with no fallback.
 
 ``minimize_svrg_bb`` runs epochs of ``m`` inner steps on samples drawn with
 replacement, takes the last inner iterate as the next snapshot, and sets the
@@ -29,8 +27,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Any
 
 import numpy as np
 
@@ -113,35 +109,20 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
     trace = OptimizationTrace()
     t0 = time.perf_counter()
 
-    generic = not (hasattr(oracle, "svrg_snapshot") and hasattr(oracle, "svrg_direction"))
-
-    def take_snapshot(W: np.ndarray) -> Any:
-        if generic:
-            return SimpleNamespace(W=W.copy(), mu=oracle.full_gradient(W),
-                                   value=oracle.value(W))
-        snap = oracle.svrg_snapshot(W)
-        return SimpleNamespace(W=snap["W"], mu=snap["mu"], value=snap["value"],
-                               raw=snap)
-
-    def direction(W: np.ndarray, i: int, snap: Any) -> np.ndarray:
-        if generic:
-            return oracle.per_sample_gradient(W, i) - oracle.per_sample_gradient(snap.W, i) + snap.mu
-        return oracle.svrg_direction(W, i, snap.raw)
-
     W_snap = np.array(init, dtype=np.float64, copy=True)
-    snap = take_snapshot(W_snap)
-    best_W, best_value = W_snap.copy(), snap.value
-    _check_finite(snap.value, "initial objective", trace)
+    snap = oracle.svrg_snapshot(W_snap)
+    value = snap["value"]
+    best_W, best_value = W_snap.copy(), value
+    _check_finite(value, "initial objective", trace)
 
     eta = _clamp_step(cfg.initial_step, cfg)
     prev_W: np.ndarray | None = None
     prev_mu: np.ndarray | None = None
-    prev_value = snap.value
 
     for epoch in range(cfg.outer_epochs):
         if prev_W is not None:
             dW = (W_snap - prev_W).ravel()
-            dG = (snap.mu - prev_mu).ravel()
+            dG = (snap["mu"] - prev_mu).ravel()
             sq = float(dW @ dW)
             curv = float(dW @ dG)
             if curv > _CURVATURE_FLOOR * sq:
@@ -150,23 +131,23 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
 
         W = W_snap.copy()
         for i in rng.integers(n, size=m):
-            W -= eta * direction(W, int(i), snap)
+            W -= eta * oracle.svrg_direction(W, int(i), snap)
         if not np.all(np.isfinite(W)):
             raise NonFiniteObjectiveError(f"iterate became non-finite in epoch {epoch}", trace)
 
-        prev_W, prev_mu = W_snap, snap.mu
+        prev_W, prev_mu, prev_value = W_snap, snap["mu"], value
         W_snap = W
-        snap = take_snapshot(W_snap)
-        _check_finite(snap.value, f"objective after epoch {epoch}", trace)
-        if snap.value < best_value:
-            best_W, best_value = W_snap.copy(), snap.value
+        snap = oracle.svrg_snapshot(W_snap)
+        value = snap["value"]
+        _check_finite(value, f"objective after epoch {epoch}", trace)
+        if value < best_value:
+            best_W, best_value = W_snap.copy(), value
 
         elapsed = time.perf_counter() - t0
-        trace.records.append(EpochRecord(epoch, snap.value, eta,
-                                         float(np.linalg.norm(snap.mu)), elapsed))
+        trace.records.append(EpochRecord(epoch, value, eta,
+                                         float(np.linalg.norm(snap["mu"])), elapsed))
 
-        rel_change = abs(prev_value - snap.value) / max(abs(prev_value), 1.0)
-        prev_value = snap.value
+        rel_change = abs(prev_value - value) / max(abs(prev_value), 1.0)
         if rel_change < cfg.tolerance:
             trace.converged = True
             trace.stop_reason = f"relative objective change {rel_change:.3g} below tolerance"

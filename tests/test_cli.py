@@ -1,10 +1,15 @@
 """Command line driver: subcommands, config files, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlrank
 from mlrank.cli import (ExperimentConfig, config_from_text, config_hash,
                         config_to_text, main, render_runtime_svg,
                         render_summary_markdown)
@@ -114,6 +119,18 @@ def test_bounds_flags_must_match_training(tmp_path, dataset_file, capsys):
                  "--no-bias"])
     assert code == 2
     assert "match the --standardize/--bias flags" in capsys.readouterr().err
+
+
+def test_truncated_model_header_exits_2_without_traceback(tmp_path, dataset_file):
+    model = tmp_path / "m.txt"
+    model.write_text("mlrank-model 1\nd 2\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli", "bounds", "--model", str(model),
+                           "--data", str(dataset_file)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(model) in proc.stderr and "truncated" in proc.stderr
 
 
 def test_cv_writes_csv(tmp_path, dataset_file):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlrank import losses
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
                            SQUARED_HINGE, BaseLoss, LossEval, PenaltyScheme,
-                           group_by_label_pattern, label_split_sizes,
+                           group_by_label_pattern, label_pairs, label_split_sizes,
                            nontrivial_mask, pairwise_batch_for,
                            pairwise_surrogate, partial_ranking_loss,
                            penalty_weight_matrix, penalty_weights,
@@ -379,6 +380,63 @@ def test_ranking_loss_batch_matches_per_row_and_flags_trivial():
             continue
         assert r[i] == pytest.approx(ranking_loss(F[i], Y[i]))
         assert p[i] == pytest.approx(partial_ranking_loss(F[i], Y[i]))
+
+
+def _large_label_batch(rng, n=60, c=100):
+    """Sparse labels (about 2.4 relevant of 100), trivial rows and tied scores."""
+    Y = -np.ones((n, c))
+    for i, k in enumerate(np.minimum(rng.poisson(1.4, n) + 1, c - 1)):
+        Y[i, rng.choice(c, size=k, replace=False)] = 1.0
+    Y[5] = -1.0
+    Y[17] = 1.0
+    Y[40] = -1.0
+    Y[23, :50] = 1.0  # one dense row with 2500 pairs
+    # one decimal keeps many relevant/irrelevant score ties
+    F = np.round(rng.normal(size=(n, c)), 1)
+    return F, Y
+
+
+def test_label_pairs_lists_each_rows_pairs_in_order():
+    rng = np.random.default_rng(11)
+    _, Y = _large_label_batch(rng)
+    ptr, row, pos, neg = label_pairs(Y)
+    a, b = label_split_sizes(Y)
+    np.testing.assert_array_equal(np.diff(ptr), a * b)
+    for i in range(Y.shape[0]):
+        s, e = ptr[i], ptr[i + 1]
+        assert (row[s:e] == i).all()
+        p, q = np.flatnonzero(Y[i] > 0), np.flatnonzero(Y[i] < 0)
+        np.testing.assert_array_equal(pos[s:e], np.repeat(p, q.size))
+        np.testing.assert_array_equal(neg[s:e], np.tile(q, p.size))
+
+
+@pytest.mark.parametrize("budget", [None, 500])
+def test_pair_list_batches_match_per_row_references(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(losses, "_PAIR_BUDGET", budget)
+    rng = np.random.default_rng(12)
+    F, Y = _large_label_batch(rng)
+    chunks = [(lo, hi) for lo, hi, *_ in losses._pair_chunks(*label_pairs(Y))]
+    assert (len(chunks) > 1) == (budget is not None)
+    assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
+    assert chunks[0][0] == 0 and chunks[-1][1] == Y.shape[0]
+
+    r = ranking_loss_batch(F, Y)
+    p = ranking_loss_batch(F, Y, partial=True)
+    trivial = ~nontrivial_mask(Y)
+    np.testing.assert_array_equal(np.isnan(r), trivial)
+    np.testing.assert_array_equal(np.isnan(p), trivial)
+    keep = np.flatnonzero(~trivial)
+    np.testing.assert_array_equal(r[keep], [ranking_loss(F[i], Y[i]) for i in keep])
+    np.testing.assert_array_equal(p[keep], [partial_ranking_loss(F[i], Y[i]) for i in keep])
+    assert (r[keep] != p[keep]).any()  # the ties are really there
+
+    for base in ALL_BASES:
+        vals, grads = pairwise_batch_for(Y[keep], base)(F[keep])
+        for k, i in enumerate(keep):
+            ev = pairwise_surrogate(F[i], Y[i], base)
+            assert vals[k] == pytest.approx(ev.value, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(grads[k], ev.gradient, rtol=1e-12, atol=0.0)
 
 
 def test_group_by_label_pattern_partitions_rows():

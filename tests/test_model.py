@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mlrank.dataset import synthetic_linear
-from mlrank.losses import HINGE, LOGISTIC, BaseLoss
+from mlrank import losses
+from mlrank.losses import HINGE, LOGISTIC, BaseLoss, PenaltyScheme
 from mlrank.model import (Objective, ObjectiveSpec, LinearModel, build_objective,
                           load_model, objective_gradient, objective_value,
                           predict, save_model)
@@ -26,13 +27,24 @@ def test_predict_shapes_and_dim_check():
         predict(model, np.ones((2, 4)))
 
 
+def per_sample_gradient(obj, W, i):
+    """Gradient of sample ``i``'s objective term from the per-row reference loss."""
+    scores = obj.X[i] @ W
+    if obj.spec.surrogate == "pa":
+        ev = losses.pairwise_surrogate(scores, obj.Y[i], obj.spec.base)
+    else:
+        ev = losses.univariate_surrogate(scores, obj.Y[i], obj.spec.base,
+                                         PenaltyScheme(obj.spec.surrogate))
+    return np.outer(obj.X[i], ev.gradient) + 2.0 * obj.spec.lam * W
+
+
 def test_full_gradient_is_mean_of_per_sample():
     rng = np.random.default_rng(1)
     for algo in ALGOS:
         obj = make_objective(algo, lam=0.01)
         W = rng.normal(size=(obj.d, obj.c))
         full = obj.full_gradient(W)
-        mean = np.mean([obj.per_sample_gradient(W, i) for i in range(obj.n)], axis=0)
+        mean = np.mean([per_sample_gradient(obj, W, i) for i in range(obj.n)], axis=0)
         np.testing.assert_allclose(full, mean, rtol=1e-10, atol=1e-12)
 
 
@@ -72,24 +84,26 @@ def test_regularizer_contributes():
 
 def test_svrg_direction_identities():
     rng = np.random.default_rng(4)
-    obj = make_objective("u3", lam=0.02)
-    W_tilde = rng.normal(size=(obj.d, obj.c))
-    snap = obj.svrg_snapshot(W_tilde)
-    np.testing.assert_allclose(snap["mu"], obj.full_gradient(W_tilde), rtol=1e-12)
-    # at the snapshot point every direction collapses to the full gradient
-    for i in (0, 3, 7):
-        np.testing.assert_allclose(obj.svrg_direction(W_tilde, i, snap),
-                                   snap["mu"], rtol=1e-10, atol=1e-12)
-    # elsewhere it is per-sample difference plus the snapshot mean
-    W = rng.normal(size=(obj.d, obj.c))
-    for i in (1, 5):
-        expected = (obj.per_sample_gradient(W, i)
-                    - obj.per_sample_gradient(W_tilde, i) + snap["mu"])
-        np.testing.assert_allclose(obj.svrg_direction(W, i, snap), expected,
-                                   rtol=1e-10, atol=1e-12)
-    # directions average back to the full gradient
-    avg = np.mean([obj.svrg_direction(W, i, snap) for i in range(obj.n)], axis=0)
-    np.testing.assert_allclose(avg, obj.full_gradient(W), rtol=1e-10, atol=1e-12)
+    for algo in ALGOS:
+        obj = make_objective(algo, lam=0.02, c=5)
+        W_tilde = rng.normal(size=(obj.d, obj.c))
+        snap = obj.svrg_snapshot(W_tilde)
+        np.testing.assert_allclose(snap["mu"], obj.full_gradient(W_tilde), rtol=1e-12)
+        assert snap["value"] == obj.value(W_tilde)
+        # at the snapshot point every direction collapses to the full gradient
+        for i in (0, 3, 7):
+            np.testing.assert_allclose(obj.svrg_direction(W_tilde, i, snap),
+                                       snap["mu"], rtol=1e-10, atol=1e-12)
+        # elsewhere it is per-sample difference plus the snapshot mean
+        W = rng.normal(size=(obj.d, obj.c))
+        for i in range(obj.n):
+            expected = (per_sample_gradient(obj, W, i)
+                        - per_sample_gradient(obj, W_tilde, i) + snap["mu"])
+            np.testing.assert_allclose(obj.svrg_direction(W, i, snap), expected,
+                                       rtol=1e-10, atol=1e-12)
+        # directions average back to the full gradient
+        avg = np.mean([obj.svrg_direction(W, i, snap) for i in range(obj.n)], axis=0)
+        np.testing.assert_allclose(avg, obj.full_gradient(W), rtol=1e-10, atol=1e-12)
 
 
 def test_objective_rejects_trivial_rows():
