@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +36,7 @@ from . import bounds as bounds_mod
 from . import consistency as cons
 from .dataset import (DatasetFormatError, MultiLabelDataset, load_csv, load_sparse,
                       save_csv, save_sparse)
-from .losses import BASE_KINDS, BaseLoss
+from .losses import BASE_KINDS, SCHEME_KINDS, BaseLoss
 from .model import LinearModel, load_model, predict, save_model
 from .optimizer import NonFiniteObjectiveError, OptimizerConfig
 from .trainer import ALGORITHMS, CvResult, cross_validate, evaluate, prepare_data, train_with_trace
@@ -101,8 +102,7 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
 
 
-_LIST_FIELDS = {"datasets": str, "algos": str, "lambda_grid": float}
-_SCALAR_PARSERS = {int: int, float: float, str: str}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _format_value(value) -> str:
@@ -125,7 +125,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 def config_from_text(text: str, path: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
-    known = {f.name: f for f in dataclasses.fields(cfg)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -133,30 +132,38 @@ def config_from_text(text: str, path: str = "<config>") -> ExperimentConfig:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, _parse_config_value(key, value, known[key].type))
+            setattr(cfg, key, _parse_config_value(key, value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}")
     return cfg
 
 
-def _parse_config_value(key: str, value: str, _type_hint) -> object:
-    if key in _LIST_FIELDS:
-        if not value:
-            return []
-        caster = _LIST_FIELDS[key]
-        return [caster(v.strip()) for v in value.split(",")]
-    if value == "none":
-        return None
-    if value in ("true", "false"):
+def _parse_config_value(key: str, value: str) -> object:
+    """Parse ``value`` by the declared type of field ``key``; ``none`` only
+    for optional fields, ``true``/``false`` only for booleans."""
+    hint = _FIELD_TYPES[key]
+    if typing.get_origin(hint) is list:
+        item = typing.get_args(hint)[0]
+        return [_parse_scalar(key, item, v.strip()) for v in value.split(",")] if value else []
+    if type(None) in typing.get_args(hint):
+        if value == "none":
+            return None
+        hint = typing.get_args(hint)[0]
+    return _parse_scalar(key, hint, value)
+
+
+def _parse_scalar(key: str, kind: type, value: str) -> object:
+    if kind is bool:
+        if value not in ("true", "false"):
+            raise ValueError(f"{key} must be true or false, not {value!r}")
         return value == "true"
-    if key in ("label_count", "folds", "seed", "outer_epochs", "inner_steps", "workers"):
-        return int(value)
-    if key in ("initial_step", "tolerance"):
-        return float(value)
-    return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key} must be {kind.__name__}, not {value!r}") from None
 
 
 # metrics are invariant to where results land and how many workers run,
@@ -499,7 +506,7 @@ def _fraction_str(x) -> str:
 
 
 def cmd_consistency(args) -> int:
-    if args.scheme not in ("u1", "u2", "u3", "u4"):
+    if args.scheme not in SCHEME_KINDS:
         raise ConfigError(f"scheme must be one of u1..u4, not {args.scheme!r}")
     if args.base not in BASE_KINDS:
         raise ConfigError(f"unknown base loss {args.base!r}")

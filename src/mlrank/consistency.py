@@ -9,6 +9,10 @@ probability.  A :class:`PenaltyAssignment` fixes, per label vector ``y``,
 * ``beta_plus(y)`` / ``beta_minus(y)``: the per-label weights of the
   reweighted univariate surrogate.
 
+It is the one type for arbitrary weights.  :func:`scheme_assignment` builds
+the named kinds ``u1``..``u4`` from :func:`mlrank.losses.scheme_betas`, the
+function that also gives the training weights.
+
 From the pair (distribution, penalties) two families of statistics follow:
 
 * ``phi`` marginals drive the surrogate: the conditional surrogate risk is
@@ -39,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import BaseLoss
+from .losses import BaseLoss, scheme_betas
 
 MEASURES = ("ranking", "partial")
 
@@ -102,31 +106,24 @@ def _pair_normalizer(y: np.ndarray) -> float:
 
 def scheme_assignment(kind: str) -> PenaltyAssignment:
     """Penalties of the named univariate schemes against the per-pair-averaged
-    ranking measure (``alpha = 1 / (|S+| |S-|)``)."""
+    ranking measure (``alpha = 1 / (|S+| |S-|)``).
+
+    A side raises ``ValueError`` only when queried on a vector where its
+    weight is undefined, so ``u3`` keeps the side a trivial vector has.
+    """
 
     def beta(y: np.ndarray, side: int) -> float:
         a, b = _split_sizes(y)
-        c = y.size
-        if kind == "u1":
-            return 1.0 / c
-        if kind == "u2":
-            if a == 0 or b == 0:
-                raise ValueError("u2 weights are undefined on trivial label vectors")
-            return 1.0 / (a * b)
-        if kind == "u3":
-            count = a if side > 0 else b
-            if count == 0:
-                raise ValueError("u3 weight queried on an absent label side")
-            return 1.0 / count
-        if kind == "u4":
-            if a == 0 or b == 0:
-                raise ValueError("u4 weights are undefined on trivial label vectors")
-            return 1.0 / min(a, b)
-        raise ValueError(f"unknown scheme kind {kind!r}")
+        with np.errstate(divide="ignore"):
+            value = float(scheme_betas(kind, np.int64(a), np.int64(b))[side])
+        if value == np.inf:
+            raise ValueError("u3 weight queried on an absent label side" if kind == "u3"
+                             else f"{kind} weights are undefined on trivial label vectors")
+        return value
 
     return PenaltyAssignment(alpha=_pair_normalizer,
-                             beta_plus=lambda y: beta(y, +1),
-                             beta_minus=lambda y: beta(y, -1))
+                             beta_plus=lambda y: beta(y, 0),
+                             beta_minus=lambda y: beta(y, 1))
 
 
 def uniform_assignment(value: float = 1.0) -> PenaltyAssignment:
@@ -477,17 +474,9 @@ def scheme_product_ratio(kind: str, n_pos: int, c: int) -> Fraction:
     relevant labels out of ``c``, under the named scheme."""
     if not 1 <= n_pos <= c - 1:
         raise ValueError("ratio defined for nontrivial split sizes only")
-    k, b = n_pos, c - n_pos
-    pairs = k * b  # alpha = 1 / pairs
-    if kind == "u1":
-        return Fraction(pairs * pairs, c * c)
-    if kind == "u2":
-        return Fraction(1)
-    if kind == "u3":
-        return Fraction(pairs)
-    if kind == "u4":
-        return Fraction(pairs * pairs, min(k, b) ** 2)
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    pairs = n_pos * (c - n_pos)  # alpha = 1 / pairs
+    beta_plus, beta_minus = scheme_betas(kind, Fraction(n_pos), Fraction(c - n_pos))
+    return beta_plus * beta_minus * pairs * pairs
 
 
 def necessary_condition_tau(penalties, c: int) -> TauCheck:
@@ -699,12 +688,11 @@ def random_violation_search(penalties, c: int, trials: int, seed: int = 0,
     atoms_pool = enumerate_label_vectors(c)
     hi = min(len(atoms_pool), max_support)
     result = SearchResult(trials=trials)
-    tau = necessary_condition_tau(penalties if isinstance(penalties, str) else pen, c)
+    tau = necessary_condition_tau(penalties, c)
     constructive: ConditionalDistribution | None = None
     if not tau.holds:
         try:
-            constructive = tau_witness_distribution(
-                penalties if isinstance(penalties, str) else pen, c)
+            constructive = tau_witness_distribution(penalties, c)
         except ValueError:
             constructive = None  # fall back to a plain random trial 0
     for trial in range(trials):

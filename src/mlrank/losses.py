@@ -13,8 +13,8 @@ margin-based base loss ``ell``:
   irrelevant label pairs, the direct convexification of the ranking loss.
 * ``univariate_surrogate``: sums per-label penalties ``w_j * ell(y_j f_j)``
   where the weights ``w_j`` come from a :class:`PenaltyScheme`.  The four
-  named schemes rescale each instance by different functions of the label
-  split sizes; ``general`` accepts arbitrary per-instance weights.
+  schemes rescale each instance by different functions of the label split
+  sizes, all stated once by :func:`scheme_betas`.
 
 All gradients are analytic, using fixed one-sided derivatives at the hinge
 kinks so that stochastic optimizers see deterministic subgradients.
@@ -23,13 +23,12 @@ kinks so that stochastic optimizers see deterministic subgradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
 BASE_KINDS = ("exponential", "logistic", "logistic_calibrated", "hinge", "squared_hinge")
-SCHEME_KINDS = ("u1", "u2", "u3", "u4", "general")
+SCHEME_KINDS = ("u1", "u2", "u3", "u4")
 
 # exp() overflows IEEE doubles near 709; margins are clamped one notch below.
 _EXP_CLAMP = 700.0
@@ -160,7 +159,7 @@ def partial_ranking_loss(scores, labels) -> float:
 class PenaltyScheme:
     """Per-instance label weights for the univariate surrogates.
 
-    The named kinds weight label ``j`` of an instance with ``a`` relevant and
+    The kinds weight label ``j`` of an instance with ``a`` relevant and
     ``b`` irrelevant labels (``c = a + b``) as
 
     ============  =================  =================
@@ -172,20 +171,36 @@ class PenaltyScheme:
     ``u4``        1 / min(a, b)      1 / min(a, b)
     ============  =================  =================
 
-    ``general`` takes callables ``beta_plus(labels)`` / ``beta_minus(labels)``
-    returning the two weights for a whole label vector.  Only ``u1`` is
-    defined on trivial label vectors.
+    Only ``u1`` is defined on trivial label vectors.  Arbitrary weights are
+    a :class:`mlrank.consistency.PenaltyAssignment`.
     """
 
     kind: str
-    beta_plus: Callable[[np.ndarray], float] | None = None
-    beta_minus: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown penalty scheme {self.kind!r}, expected one of {SCHEME_KINDS}")
-        if self.kind == "general" and (self.beta_plus is None or self.beta_minus is None):
-            raise ValueError("general scheme requires beta_plus and beta_minus callables")
+
+
+def scheme_betas(kind: str, a, b):
+    """``(beta_plus, beta_minus)`` of scheme ``kind`` for ``a`` relevant and
+    ``b`` irrelevant labels, by the table of :class:`PenaltyScheme`.
+
+    Elementwise on count arrays (float weights, ``inf`` where a weight
+    divides by zero); exact on ``Fraction`` counts.
+    """
+    if kind == "u1":
+        w = 1 / (a + b)
+        return w, w
+    if kind == "u2":
+        w = 1 / (a * b)
+        return w, w
+    if kind == "u3":
+        return 1 / a, 1 / b
+    if kind == "u4":
+        w = 1 / np.minimum(a, b)
+        return w, w
+    raise ValueError(f"unknown penalty scheme {kind!r}, expected one of {SCHEME_KINDS}")
 
 
 U1 = PenaltyScheme("u1")
@@ -200,10 +215,6 @@ def penalty_weights(scheme: PenaltyScheme, labels) -> np.ndarray:
     c = y.size
     if scheme.kind == "u1":
         return np.full(c, 1.0 / c)
-    if scheme.kind == "general":
-        bp = float(scheme.beta_plus(y))
-        bm = float(scheme.beta_minus(y))
-        return np.where(y > 0, bp, bm)
     pos, neg = split_labels(y)
     a, b = pos.size, neg.size
     if scheme.kind == "u2":
@@ -277,19 +288,11 @@ def nontrivial_mask(labels) -> np.ndarray:
 def penalty_weight_matrix(scheme: PenaltyScheme, labels) -> np.ndarray:
     """Stacked :func:`penalty_weights` for a label matrix."""
     Y = _as_label_matrix(labels)
-    n, c = Y.shape
-    if scheme.kind == "u1":
-        return np.full((n, c), 1.0 / c)
-    if scheme.kind == "general":
-        return np.vstack([penalty_weights(scheme, Y[i]) for i in range(n)])
-    a, b = label_split_sizes(Y)
-    if np.any(a == 0) or np.any(b == 0):
+    with np.errstate(divide="ignore"):
+        beta_plus, beta_minus = scheme_betas(scheme.kind, *label_split_sizes(Y))
+    if np.isinf(beta_plus).any() or np.isinf(beta_minus).any():
         raise ValueError(f"scheme {scheme.kind} is undefined on trivial label vectors")
-    if scheme.kind == "u2":
-        return np.repeat((1.0 / (a * b))[:, None], c, axis=1)
-    if scheme.kind == "u3":
-        return np.where(Y > 0, (1.0 / a)[:, None], (1.0 / b)[:, None])
-    return np.repeat((1.0 / np.minimum(a, b))[:, None], c, axis=1)
+    return np.where(Y > 0, beta_plus[:, None], beta_minus[:, None])
 
 
 def univariate_batch(scores, labels, base: BaseLoss, scheme: PenaltyScheme,

@@ -57,8 +57,12 @@ standardize = false
 
 def test_config_errors_carry_line_numbers():
     from mlrank.cli import ConfigError
-    with pytest.raises(ConfigError, match="2"):
-        config_from_text("datasets = x\nbogus_key = 1\n")
+    # unknown keys, and values that do not parse as their field's declared type
+    for line in ("bogus_key = 1", "workers = none", "folds = none", "seed = none",
+                 "standardize = 0", "bias = off", "smoke = yes", "folds = 2.5",
+                 "tolerance = small", "lambda_grid = 1e-4,x"):
+        with pytest.raises(ConfigError, match=r"^<config>:2: "):
+            config_from_text(f"datasets = x\n{line}\n")
     with pytest.raises(ConfigError):
         config_from_text("datasets x\n")
 
@@ -131,6 +135,17 @@ def test_truncated_model_header_exits_2_without_traceback(tmp_path, dataset_file
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(model) in proc.stderr and "truncated" in proc.stderr
+
+
+def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"datasets = {dataset_file}\nworkers = none\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli", "bench", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{cfg}:2:" in proc.stderr
 
 
 def test_cv_writes_csv(tmp_path, dataset_file):

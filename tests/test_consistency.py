@@ -8,7 +8,7 @@ import pytest
 
 from mlrank import consistency as cons
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
-                           SQUARED_HINGE)
+                           SQUARED_HINGE, PenaltyScheme, penalty_weights)
 
 
 def dist_c2_with_trivial():
@@ -58,6 +58,39 @@ def test_scheme_assignment_beta_values():
     assert u4.beta_plus(y) == u4.beta_minus(y) == pytest.approx(1.0)
     # alpha is the pair normalizer shared by all schemes
     assert u1.alpha(y) == pytest.approx(1 / 3)
+
+
+# the PenaltyScheme docstring table, (beta_plus, beta_minus) for a relevant
+# and b irrelevant labels, restated in exact arithmetic
+_TABLE = {"u1": lambda a, b: (Fraction(1, a + b),) * 2,
+          "u2": lambda a, b: (Fraction(1, a * b),) * 2,
+          "u3": lambda a, b: (Fraction(1, a), Fraction(1, b)),
+          "u4": lambda a, b: (Fraction(1, min(a, b)),) * 2}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLE))
+def test_scheme_weights_agree_across_modules(kind):
+    pen = cons.scheme_assignment(kind)
+    for c in range(2, 8):
+        for bits in itertools.product((1.0, -1.0), repeat=c):
+            y = np.array(bits)
+            a = int((y > 0).sum())
+            if 0 < a < c:
+                w = penalty_weights(PenaltyScheme(kind), y)
+                assert pen.beta_plus(y) == w[np.argmax(y > 0)]
+                assert pen.beta_minus(y) == w[np.argmax(y < 0)]
+                beta_plus, beta_minus = _TABLE[kind](a, c - a)
+                assert cons.scheme_product_ratio(kind, a, c) == \
+                    beta_plus * beta_minus * (a * (c - a)) ** 2
+                continue
+            # trivial: u1 needs no split, u3 answers for the side present
+            # (which holds all c labels); u2 and u4 answer for neither side
+            for side, present in ((pen.beta_plus, a == c), (pen.beta_minus, a == 0)):
+                if kind == "u1" or (kind == "u3" and present):
+                    assert side(y) == 1.0 / c
+                else:
+                    with pytest.raises(ValueError):
+                        side(y)
 
 
 def test_stats_hand_example():

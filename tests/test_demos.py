@@ -1,0 +1,32 @@
+"""The demos and the README's Python examples run against the package."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mlrank
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_imports_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    imports = [line for block in blocks for line in block.splitlines()
+               if re.match(r"(from mlrank[\w.]* import |import mlrank)", line)]
+    assert imports
+    for line in imports:
+        exec(line, {})

@@ -174,31 +174,6 @@ def test_scheme_weights_frozen_example():
     np.testing.assert_allclose(penalty_weights(PenaltyScheme("u4"), y), 1.0)
 
 
-def test_general_scheme_matches_named():
-    rng = np.random.default_rng(1)
-    named_to_general = {
-        "u1": PenaltyScheme("general", beta_plus=lambda y: 1.0 / y.size,
-                            beta_minus=lambda y: 1.0 / y.size),
-        "u2": PenaltyScheme("general",
-                            beta_plus=lambda y: 1.0 / ((y > 0).sum() * (y < 0).sum()),
-                            beta_minus=lambda y: 1.0 / ((y > 0).sum() * (y < 0).sum())),
-        "u3": PenaltyScheme("general", beta_plus=lambda y: 1.0 / (y > 0).sum(),
-                            beta_minus=lambda y: 1.0 / (y < 0).sum()),
-        "u4": PenaltyScheme("general",
-                            beta_plus=lambda y: 1.0 / min((y > 0).sum(), (y < 0).sum()),
-                            beta_minus=lambda y: 1.0 / min((y > 0).sum(), (y < 0).sum())),
-    }
-    for _ in range(25):
-        c = rng.integers(2, 9)
-        y = random_nontrivial_labels(rng, c)
-        f = rng.normal(size=c)
-        for kind, general in named_to_general.items():
-            a = univariate_surrogate(f, y, LOGISTIC, PenaltyScheme(kind))
-            b = univariate_surrogate(f, y, LOGISTIC, general)
-            assert abs(a.value - b.value) <= 1e-15 * max(1.0, abs(a.value))
-            np.testing.assert_allclose(a.gradient, b.gradient, rtol=1e-14)
-
-
 def test_trivial_vector_scheme_behavior():
     y = np.ones(3)
     # u1's uniform weight needs no label split; the ratio schemes do
@@ -208,11 +183,6 @@ def test_trivial_vector_scheme_behavior():
             penalty_weights(PenaltyScheme(kind), y)
     with pytest.raises(ValueError):
         penalty_weight_matrix(PenaltyScheme("u2"), np.ones((2, 3)))
-
-
-def test_general_scheme_requires_callables():
-    with pytest.raises(ValueError):
-        penalty_weights(PenaltyScheme("general"), np.array([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
