@@ -23,8 +23,7 @@ from .dataset import (MultiLabelDataset, StandardizationParams, append_bias,
                       kfold_split, load_csv, load_sparse, save_csv, save_sparse,
                       standardize_apply, standardize_fit, synthetic_linear)
 from .losses import (BASE_KINDS, EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
-                     SQUARED_HINGE, BaseLoss, LossEval, PenaltyScheme,
-                     base_loss_value_and_derivative, pairwise_surrogate,
+                     SQUARED_HINGE, BaseLoss, LossEval, PenaltyScheme, pairwise_surrogate,
                      partial_ranking_loss, penalty_weights, ranking_loss,
                      univariate_surrogate)
 from .model import (LinearModel, Objective, ObjectiveSpec, load_model,

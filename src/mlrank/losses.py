@@ -102,11 +102,6 @@ class BaseLoss:
         return self.value(z), self.derivative(z)
 
 
-def base_loss_value_and_derivative(base: BaseLoss, z):
-    """Evaluate ``ell`` and ``ell'`` elementwise on ``z``."""
-    return base.value_and_derivative(z)
-
-
 EXPONENTIAL = BaseLoss("exponential")
 LOGISTIC = BaseLoss("logistic")
 LOGISTIC_CALIBRATED = BaseLoss("logistic_calibrated")

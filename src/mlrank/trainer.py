@@ -10,29 +10,28 @@ only in the surrogate objective:
 By default the grid is scored on a nested 80/20 holdout inside each fold's
 training portion, so the reported test metrics never see the selection data;
 ``select_on_test_folds=True`` swaps in the cheaper protocol that scores the
-grid on the test folds directly.  The (fold x lambda) task grid runs on an
-optional process pool; every task derives its own seed from the master seed
-and its grid coordinates, so results do not depend on scheduling order or
-pool size.
+grid on the test folds directly.  The (fold x lambda) task grid of both
+phases, selection and final scoring, runs on one task runner per call: a
+serial loop, or one forked process pool.  For the whole call numpy's bundled
+OpenBLAS runs at one thread in the calling process, which the pool's workers
+inherit, and the caller's thread count is restored afterwards.  Every task
+derives its own seed from the master seed and its grid coordinates, so
+results do not depend on scheduling order or pool size.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
+import multiprocessing
+import os
 import time
 from concurrent import futures
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - fallback when threadpoolctl is absent
-    from contextlib import contextmanager
-
-    @contextmanager
-    def threadpool_limits(limits=None):
-        yield
 
 from . import losses
 from .dataset import (MultiLabelDataset, StandardizationParams, append_bias,
@@ -149,31 +148,84 @@ def _pool_init(X: np.ndarray, Y: np.ndarray, algo: str, base_kind: str,
 
 
 def _run_task(task: _TaskSpec) -> dict:
-    # single-threaded BLAS keeps results identical across pool sizes
-    with threadpool_limits(limits=1):
-        X, Y = _POOL["X"], _POOL["Y"]
-        train_set = MultiLabelDataset(X[task.train_rows], Y[task.train_rows])
-        eval_set = MultiLabelDataset(X[task.eval_rows], Y[task.eval_rows])
-        train_set, params = prepare_data(train_set, _POOL["standardize"], _POOL["bias"])
-        eval_set, _ = prepare_data(eval_set, _POOL["standardize"], _POOL["bias"], params=params)
-        cfg = replace(_POOL["opt_cfg"], seed=task.seed)
-        t0 = time.perf_counter()
-        model = train(train_set, _POOL["algo"], task.lam, _POOL["base"], cfg)
-        seconds = time.perf_counter() - t0
-        report = evaluate(model, eval_set)
+    X, Y = _POOL["X"], _POOL["Y"]
+    train_set = MultiLabelDataset(X[task.train_rows], Y[task.train_rows])
+    eval_set = MultiLabelDataset(X[task.eval_rows], Y[task.eval_rows])
+    train_set, params = prepare_data(train_set, _POOL["standardize"], _POOL["bias"])
+    eval_set, _ = prepare_data(eval_set, _POOL["standardize"], _POOL["bias"], params=params)
+    cfg = replace(_POOL["opt_cfg"], seed=task.seed)
+    t0 = time.perf_counter()
+    model = train(train_set, _POOL["algo"], task.lam, _POOL["base"], cfg)
+    seconds = time.perf_counter() - t0
+    report = evaluate(model, eval_set)
     return {"phase": task.phase, "fold": task.fold, "lam_index": task.lam_index,
             "ranking_loss": report.ranking_loss,
             "partial_ranking_loss": report.partial_ranking_loss,
             "seconds": seconds}
 
 
-def _execute(tasks: list[_TaskSpec], workers: int, init_args: tuple) -> list[dict]:
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled scipy-openblas library, or None if it cannot be found."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*.so*")
+    for path in glob.glob(pattern):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+def _openblas_thread_calls():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS."""
+    lib = _openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        raise RuntimeError("cannot pin BLAS threads: numpy's bundled OpenBLAS "
+                           "(numpy.libs/libscipy_openblas*.so) or its thread-count "
+                           "functions were not found")
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread in this process.
+
+    Single-threaded BLAS keeps task results identical across pool sizes and
+    keeps pool workers from oversubscribing the cores.  Enter it in the
+    parent, before the pool forks: a forked worker inherits the count, while
+    any set call inside a forked worker, even to 1, restarts OpenBLAS's
+    thread server, whose thread spins on a core before it sleeps.
+    """
+    get, set_threads = _openblas_thread_calls()
+    before = get()
+    set_threads(1)
+    try:
+        if get() != 1:
+            raise RuntimeError(f"OpenBLAS runs {get()} threads after being set to 1")
+        yield
+    finally:
+        set_threads(before)
+
+
+@contextmanager
+def _task_runner(workers: int, init_args: tuple):
+    """Yield ``run(tasks) -> results``, serving every phase of one call.
+
+    A serial loop at ``workers <= 1``, otherwise one forked process pool
+    whose workers get the data once, through the initializer.
+    """
     if workers <= 1:
         _pool_init(*init_args)
-        return [_run_task(t) for t in tasks]
-    with futures.ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                     initargs=init_args) as pool:
-        return list(pool.map(_run_task, tasks))
+        yield lambda tasks: [_run_task(t) for t in tasks]
+        return
+    with futures.ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_pool_init, initargs=init_args) as pool:
+        yield lambda tasks: list(pool.map(_run_task, tasks))
 
 
 @dataclass
@@ -256,22 +308,22 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
                                           task_seed(seed, f, li, algo, "select")))
 
     init_args = (data.features, data.labels, algo, base.kind, opt_cfg, standardize, bias)
-    results = {(r["fold"], r["lam_index"]): r
-               for r in _execute(select_tasks, workers, init_args)}
-    validation = np.array([[results[(f, li)]["ranking_loss"] for li in range(len(grid))]
-                           for f in range(k)])
-    best_index = int(np.argmin(validation.mean(axis=0)))
-    best_lambda = grid[best_index]
+    with _one_blas_thread(), _task_runner(workers, init_args) as run:
+        results = {(r["fold"], r["lam_index"]): r for r in run(select_tasks)}
+        validation = np.array([[results[(f, li)]["ranking_loss"] for li in range(len(grid))]
+                               for f in range(k)])
+        best_index = int(np.argmin(validation.mean(axis=0)))
+        best_lambda = grid[best_index]
 
-    if select_on_test_folds:
-        final = [results[(f, best_index)] for f in range(k)]
-    else:
-        final_tasks = [_TaskSpec("final", f, best_index, best_lambda,
-                                 fold_rows[f][0], fold_rows[f][1],
-                                 task_seed(seed, f, best_index, algo, "final"))
-                       for f in range(k)]
-        by_fold = {r["fold"]: r for r in _execute(final_tasks, workers, init_args)}
-        final = [by_fold[f] for f in range(k)]
+        if select_on_test_folds:
+            final = [results[(f, best_index)] for f in range(k)]
+        else:
+            final_tasks = [_TaskSpec("final", f, best_index, best_lambda,
+                                     fold_rows[f][0], fold_rows[f][1],
+                                     task_seed(seed, f, best_index, algo, "final"))
+                           for f in range(k)]
+            by_fold = {r["fold"]: r for r in run(final_tasks)}
+            final = [by_fold[f] for f in range(k)]
 
     return CvResult(
         dataset=data.name, algorithm=algo, base=base.kind, lambda_grid=grid,

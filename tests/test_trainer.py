@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mlrank import trainer
 from mlrank.dataset import synthetic_linear
 from mlrank.losses import LOGISTIC
 from mlrank.model import LinearModel
@@ -135,14 +136,49 @@ def test_cross_validate_test_fold_protocol():
 
 
 def test_cross_validate_worker_pool_is_deterministic():
-    data = synthetic_linear(48, 4, 2, seed=11, noise=0.1)
     kwargs = dict(k=3, seed=3, optimizer_cfg=CV_CFG)
-    r1 = cross_validate(data, "u2", [1e-6, 1e-2], workers=1, **kwargs)
-    r2 = cross_validate(data, "u2", [1e-6, 1e-2], workers=2, **kwargs)
-    np.testing.assert_array_equal(r1.validation_losses, r2.validation_losses)
-    np.testing.assert_array_equal(r1.fold_ranking_losses, r2.fold_ranking_losses)
-    np.testing.assert_array_equal(r1.fold_partial_losses, r2.fold_partial_losses)
-    assert r1.best_lambda == r2.best_lambda
+    # the scene-like problem's gemms exceed OpenBLAS's threading threshold
+    for shape, algo in [((48, 4, 2), "u2"), ((600, 294, 6), "pa")]:
+        data = synthetic_linear(*shape, seed=11, noise=0.1)
+        r1 = cross_validate(data, algo, [1e-6, 1e-2], workers=1, **kwargs)
+        r2 = cross_validate(data, algo, [1e-6, 1e-2], workers=2, **kwargs)
+        np.testing.assert_array_equal(r1.validation_losses, r2.validation_losses)
+        np.testing.assert_array_equal(r1.fold_ranking_losses, r2.fold_ranking_losses)
+        np.testing.assert_array_equal(r1.fold_partial_losses, r2.fold_partial_losses)
+        assert r1.best_lambda == r2.best_lambda
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cross_validate_tasks_run_at_one_blas_thread(monkeypatch, workers):
+    get_threads, set_threads = trainer._openblas_thread_calls()
+    fit = trainer.train
+
+    def checked_train(*args, **kwargs):
+        threads = get_threads()
+        assert threads == 1, f"task ran at {threads} BLAS threads"
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", checked_train)
+    data = synthetic_linear(30, 3, 2, seed=14)
+    before = get_threads()
+    set_threads(2)
+    try:
+        cross_validate(data, "u1", [1e-2], k=2, optimizer_cfg=CV_CFG, workers=workers)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cross_validate_without_openblas_fails_loudly(monkeypatch, workers):
+    def untouched_train(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(trainer, "_openblas", lambda: None)
+    monkeypatch.setattr(trainer, "train", untouched_train)
+    data = synthetic_linear(30, 3, 2, seed=15)
+    with pytest.raises(RuntimeError, match="OpenBLAS"):
+        cross_validate(data, "u1", [1e-2], k=2, optimizer_cfg=CV_CFG, workers=workers)
 
 
 def test_cross_validate_sorts_grid_ascending():
