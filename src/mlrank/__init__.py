@@ -26,8 +26,7 @@ from .losses import (BASE_KINDS, EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRAT
                      SQUARED_HINGE, BaseLoss, LossEval, PenaltyScheme, pairwise_surrogate,
                      partial_ranking_loss, penalty_weights, ranking_loss,
                      univariate_surrogate)
-from .model import (LinearModel, Objective, ObjectiveSpec, load_model,
-                    objective_gradient, objective_value, predict, save_model)
+from .model import LinearModel, Objective, ObjectiveSpec, load_model, predict, save_model
 from .optimizer import (NonFiniteObjectiveError, OptimizationTrace, OptimizerConfig,
                         minimize_batch_gd, minimize_svrg_bb)
 from .trainer import (ALGORITHMS, CvResult, EvalReport, cross_validate, evaluate,

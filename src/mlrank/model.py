@@ -10,9 +10,13 @@ penalty::
 
     F(W) = (1/n) sum_i L(W^T x_i, y_i) + lambda * ||W||_F^2
 
-:class:`Objective` exposes the oracle interface the optimizers consume:
-value and full gradient, plus an SVRG snapshot that caches the per-sample
-loss gradients so each variance-reduced inner step is a rank-one update.
+:class:`Objective` implements the oracle protocol of
+:mod:`mlrank.optimizer`: ``n``, ``value``, ``full_gradient``,
+``svrg_snapshot`` (value, full gradient ``mu`` and per-sample loss
+gradients at the snapshot) and ``svrg_epoch``, which runs one epoch of SVRG
+inner steps.  Each step asks the score-space hook ``svrg_direction`` for the
+``c``-vector ``delta_i``; the step's update is ``x_i delta_i^T`` plus ``mu``
+and the ridge term, and the latter two are applied in closed form.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from typing import Any
 import numpy as np
 
 from . import losses
-from .dataset import MultiLabelDataset
 from .losses import BaseLoss, PenaltyScheme
 
 SURROGATES = ("pa", "u1", "u2", "u3", "u4")
+# svrg_epoch multiplies its scale factor into U once it falls below this
+_RESCALE_BELOW = 1e-100
 
 
 @dataclass
@@ -82,9 +87,11 @@ class Objective:
     """Regularized empirical surrogate risk of a linear model on fixed data.
 
     Implements the optimizer oracle protocol: ``n``, ``value``,
-    ``full_gradient``, ``svrg_snapshot`` and ``svrg_direction``.
-    Per-instance index structure (the label-pair list for ``pa``, penalty
-    weights otherwise) is precomputed once.
+    ``full_gradient``, ``svrg_snapshot`` and ``svrg_epoch``.  An epoch calls
+    the score-space hook ``svrg_direction(scores_i, i, snap)`` once per inner
+    step.  Per-row structure is built once: for ``pa`` each row's
+    ``(pos, neg, 1/|pairs|)`` as views of one label-pair list, otherwise the
+    signed penalty weights ``weights * Y``.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: ObjectiveSpec):
@@ -100,25 +107,15 @@ class Objective:
         self.c = self.Y.shape[1]
         if spec.surrogate == "pa":
             self._pair_eval = losses.pairwise_batch_for(self.Y, spec.base)
-            self._ptr, _, self._pos, self._neg = losses.label_pairs(self.Y)
-            self._pair_scale = 1.0 / np.diff(self._ptr)
+            ptr, _, pos, neg = losses.label_pairs(self.Y)
+            self._row_pairs = [(pos[s:e], neg[s:e], 1.0 / (e - s))
+                               for s, e in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
             self._weights = None
         else:
             self._pair_eval = None
             scheme = PenaltyScheme(spec.surrogate)
             self._weights = losses.penalty_weight_matrix(scheme, self.Y)
-
-    # -- loss pieces (no regularizer) ----------------------------------------
-
-    def _loss_row(self, scores_i: np.ndarray, i: int) -> np.ndarray:
-        """Gradient of the loss term of sample ``i`` with respect to scores."""
-        if self._pair_eval is not None:
-            s, e = self._ptr[i], self._ptr[i + 1]
-            p, q = self._pos[s:e], self._neg[s:e]
-            derivs = self.spec.base.derivative(scores_i[p] - scores_i[q]) * self._pair_scale[i]
-            return np.bincount(p, derivs, self.c) - np.bincount(q, derivs, self.c)
-        y = self.Y[i]
-        return self._weights[i] * y * self.spec.base.derivative(y * scores_i)
+            self._signed_weights = self._weights * self.Y
 
     def _loss_batch(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         F = self.X @ W
@@ -145,27 +142,51 @@ class Objective:
         return {"W": W.copy(), "mu": mu, "loss_grads": grads,
                 "value": float(vals.mean() + self.spec.lam * np.sum(W * W))}
 
-    def svrg_direction(self, W: np.ndarray, i: int, snap: dict[str, Any]) -> np.ndarray:
-        """``g_i(W) - g_i(W_snap) + mu`` using the cached snapshot pieces."""
-        x = self.X[i]
-        g = self._loss_row(x @ W, i)
-        direction = np.outer(x, g - snap["loss_grads"][i])
-        direction += snap["mu"]
-        if self.spec.lam:
-            direction += (2.0 * self.spec.lam) * (W - snap["W"])
-        return direction
+    def svrg_direction(self, scores_i: np.ndarray, i: int, snap: dict[str, Any]) -> np.ndarray:
+        """``delta_i``: loss gradient of sample ``i`` at ``scores_i`` minus the snapshot's.
 
+        The full SVRG direction is ``outer(x_i, delta_i) + mu + 2 lambda (W - W_snap)``.
+        """
+        if self._pair_eval is not None:
+            p, q, scale = self._row_pairs[i]
+            derivs = self.spec.base.derivative(scores_i[p] - scores_i[q]) * scale
+            g = np.bincount(p, derivs, self.c) - np.bincount(q, derivs, self.c)
+        else:
+            g = self._signed_weights[i] * self.spec.base.derivative(self.Y[i] * scores_i)
+        return g - snap["loss_grads"][i]
 
-def build_objective(data: MultiLabelDataset, spec: ObjectiveSpec) -> Objective:
-    return Objective(data.features, data.labels, spec)
+    def svrg_epoch(self, snap: dict[str, Any], eta: float, rows: np.ndarray) -> np.ndarray:
+        """Run the inner steps ``W -= eta * (outer(x_i, delta_i) + mu + 2 lambda (W - W_snap))``
+        from ``W = W_snap`` over ``rows``; returns the last iterate.
 
+        ``W`` is held as ``s U - r K`` with ``K = eta (mu - 2 lambda W_snap)``:
+        a step scales ``s`` by ``a = 1 - 2 eta lambda``, sets ``r = a r + 1``
+        and adds the rank-one term to ``U`` in place, so it costs one
+        BLAS ``dgemv`` for the row's scores ``s x_i U - r x_i K`` and one
+        ``dger``.
+        """
+        # imported here, not with the module: scipy.linalg takes about 80 ms
+        # and 6 MB to import, which runs that never train need not pay
+        from scipy.linalg.blas import dgemv, dger
 
-def objective_value(model: LinearModel, data: MultiLabelDataset, spec: ObjectiveSpec) -> float:
-    return build_objective(data, spec).value(model.weights)
-
-
-def objective_gradient(model: LinearModel, data: MultiLabelDataset, spec: ObjectiveSpec) -> np.ndarray:
-    return build_objective(data, spec).full_gradient(model.weights)
+        lam = self.spec.lam
+        a = 1.0 - 2.0 * eta * lam
+        K = eta * (snap["mu"] - (2.0 * lam) * snap["W"])
+        XK = self.X @ K
+        U = np.array(snap["W"], dtype=np.float64, order="F")
+        s, r = 1.0, 0.0
+        X, direction = self.X, self.svrg_direction
+        for i in rows.tolist():
+            x = X[i]
+            delta = direction(dgemv(s, U, x, beta=-r, y=XK[i], trans=1), i, snap)
+            s *= a
+            r = a * r + 1.0
+            if abs(s) < _RESCALE_BELOW:
+                # fold s into U before dividing by it; s is 0 once a = 0
+                U *= s
+                s = 1.0
+            U = dger(-eta / s, x, delta, a=U, overwrite_a=True)
+        return np.subtract(s * U, r * K, order="C")
 
 
 # -- serialization ----------------------------------------------------------

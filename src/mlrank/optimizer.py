@@ -6,13 +6,19 @@ Both minimizers consume a duck-typed *oracle* with:
 * ``value(W) -> float`` and ``full_gradient(W) -> ndarray``,
 * ``svrg_snapshot(W)`` - a mapping ``snap`` holding the objective
   ``"value"`` and the full gradient ``"mu"`` at ``W``,
-* ``svrg_direction(W, i, snap)`` - ``g_i(W) - g_i(W_snap) + mu_snap``.
+* ``svrg_epoch(snap, eta, rows) -> W`` - the last iterate of the inner
+  steps ``W -= eta * (g_i(W) - g_i(W_snap) + mu_snap)`` from the snapshot
+  point, one per entry ``i`` of ``rows``.
 
 ``minimize_batch_gd`` calls ``value`` and ``full_gradient``;
-``minimize_svrg_bb`` calls ``n`` and the two SVRG hooks, with no fallback.
+``minimize_svrg_bb`` calls ``n``, ``svrg_snapshot`` and ``svrg_epoch``, with
+no fallback.  :class:`mlrank.model.Objective` runs an epoch through its
+score-space hook ``svrg_direction(scores_i, i, snap)``, which returns the
+loss-gradient difference ``delta_i`` of sample ``i``; the step's direction
+is ``outer(x_i, delta_i) + mu_snap + 2 lambda (W - W_snap)``.
 
-``minimize_svrg_bb`` runs epochs of ``m`` inner steps on samples drawn with
-replacement, takes the last inner iterate as the next snapshot, and sets the
+``minimize_svrg_bb`` runs epochs of ``m`` inner steps on samples it draws
+with replacement, takes the last inner iterate as the next snapshot, and sets the
 epoch step size from consecutive snapshots by the Barzilai-Borwein rule
 
     eta_k = ||dW||^2 / (m * <dW, dG>)
@@ -129,9 +135,7 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
                 eta = _clamp_step(sq / (m * curv), cfg)
             # else: keep the previous epoch's step size
 
-        W = W_snap.copy()
-        for i in rng.integers(n, size=m):
-            W -= eta * oracle.svrg_direction(W, int(i), snap)
+        W = oracle.svrg_epoch(snap, eta, rng.integers(n, size=m))
         if not np.all(np.isfinite(W)):
             raise NonFiniteObjectiveError(f"iterate became non-finite in epoch {epoch}", trace)
 

@@ -5,10 +5,9 @@ import pytest
 
 from mlrank.dataset import synthetic_linear
 from mlrank import losses
-from mlrank.losses import HINGE, LOGISTIC, BaseLoss, PenaltyScheme
-from mlrank.model import (Objective, ObjectiveSpec, LinearModel, build_objective,
-                          load_model, objective_gradient, objective_value,
-                          predict, save_model)
+from mlrank.losses import LOGISTIC, PenaltyScheme
+from mlrank.model import (Objective, ObjectiveSpec, LinearModel, load_model, predict,
+                          save_model)
 
 ALGOS = ("pa", "u1", "u2", "u3", "u4")
 
@@ -82,6 +81,13 @@ def test_regularizer_contributes():
     np.testing.assert_allclose(obj1.full_gradient(W) - obj0.full_gradient(W), 2.0 * W)
 
 
+def full_direction(obj, W, i, snap):
+    """The SVRG direction of sample ``i`` at ``W``, built from the score-space hook."""
+    x = obj.X[i]
+    return (np.outer(x, obj.svrg_direction(x @ W, i, snap)) + snap["mu"]
+            + 2.0 * obj.spec.lam * (W - snap["W"]))
+
+
 def test_svrg_direction_identities():
     rng = np.random.default_rng(4)
     for algo in ALGOS:
@@ -90,20 +96,39 @@ def test_svrg_direction_identities():
         snap = obj.svrg_snapshot(W_tilde)
         np.testing.assert_allclose(snap["mu"], obj.full_gradient(W_tilde), rtol=1e-12)
         assert snap["value"] == obj.value(W_tilde)
-        # at the snapshot point every direction collapses to the full gradient
+        # at the snapshot point every loss-gradient difference vanishes
         for i in (0, 3, 7):
-            np.testing.assert_allclose(obj.svrg_direction(W_tilde, i, snap),
-                                       snap["mu"], rtol=1e-10, atol=1e-12)
-        # elsewhere it is per-sample difference plus the snapshot mean
+            np.testing.assert_allclose(obj.svrg_direction(obj.X[i] @ W_tilde, i, snap),
+                                       0.0, atol=1e-12)
+        # elsewhere the direction is per-sample difference plus the snapshot mean
         W = rng.normal(size=(obj.d, obj.c))
         for i in range(obj.n):
             expected = (per_sample_gradient(obj, W, i)
                         - per_sample_gradient(obj, W_tilde, i) + snap["mu"])
-            np.testing.assert_allclose(obj.svrg_direction(W, i, snap), expected,
+            np.testing.assert_allclose(full_direction(obj, W, i, snap), expected,
                                        rtol=1e-10, atol=1e-12)
         # directions average back to the full gradient
-        avg = np.mean([obj.svrg_direction(W, i, snap) for i in range(obj.n)], axis=0)
+        avg = np.mean([full_direction(obj, W, i, snap) for i in range(obj.n)], axis=0)
         np.testing.assert_allclose(avg, obj.full_gradient(W), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam, eta, steps", [
+    (0.0, 0.1, 50),    # no ridge: the scale factor stays 1
+    (0.02, 0.1, 50),
+    (1.0, 0.45, 400),  # a = 1 - 2 eta lambda = 0.1: 0.1^400 underflows without the fold
+    (0.25, 2.0, 60),   # a = 0 exactly: eta = 1 / (2 lambda)
+])
+def test_svrg_epoch_matches_dense_recursion(lam, eta, steps):
+    rng = np.random.default_rng(11)
+    for algo in ALGOS:
+        obj = make_objective(algo, lam=lam)
+        snap = obj.svrg_snapshot(rng.normal(size=(obj.d, obj.c)))
+        rows = rng.integers(obj.n, size=steps)
+        W = snap["W"].copy()
+        for i in rows.tolist():
+            W -= eta * full_direction(obj, W, i, snap)
+        lazy = obj.svrg_epoch(snap, eta, rows)
+        np.testing.assert_allclose(lazy, W, rtol=1e-12, atol=1e-12 * np.abs(W).max())
 
 
 def test_objective_rejects_trivial_rows():
@@ -112,16 +137,6 @@ def test_objective_rejects_trivial_rows():
     labels[4] = 1.0
     with pytest.raises(ValueError):
         Objective(data.features, labels, ObjectiveSpec("u3", LOGISTIC, 0.0))
-
-
-def test_build_objective_helpers():
-    data = synthetic_linear(12, 3, 2, seed=6)
-    spec = ObjectiveSpec("pa", HINGE, 0.1)
-    obj = build_objective(data, spec)
-    model = LinearModel(np.zeros((obj.d, obj.c)), algorithm="pa", base="hinge", lam=0.1)
-    assert objective_value(model, data, spec) == pytest.approx(obj.value(model.weights))
-    np.testing.assert_array_equal(objective_gradient(model, data, spec),
-                                  obj.full_gradient(model.weights))
 
 
 def test_model_save_load_roundtrip(tmp_path):

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from mlrank.dataset import synthetic_linear
+from mlrank.dataset import MultiLabelDataset, synthetic_linear
 from mlrank.losses import LOGISTIC
 from mlrank.model import Objective, ObjectiveSpec
 from mlrank.optimizer import (NonFiniteObjectiveError, OptimizerConfig,
                               OptimizationTrace, minimize_batch_gd,
                               minimize_svrg_bb)
+from mlrank.trainer import prepare_data, train_with_trace
 
 
 class QuadraticOracle:
-    """mean_i 0.5 ||W - A_i||^2, with SVRG hooks built from per-sample gradients."""
+    """mean_i 0.5 ||W - A_i||^2; its SVRG epoch steps along per-sample directions."""
 
     def __init__(self, targets):
         self.targets = targets
@@ -33,6 +34,12 @@ class QuadraticOracle:
     def svrg_direction(self, W, i, snap):
         return (self.per_sample_gradient(W, i) - self.per_sample_gradient(snap["W"], i)
                 + snap["mu"])
+
+    def svrg_epoch(self, snap, eta, rows):
+        W = snap["W"].copy()
+        for i in rows:
+            W -= eta * self.svrg_direction(W, int(i), snap)
+        return W
 
 
 class PoisonedOracle(QuadraticOracle):
@@ -161,3 +168,20 @@ def test_inner_steps_default_is_two_n():
                      OptimizerConfig(outer_epochs=1, tolerance=0.0))
     # one epoch: 2n inner steps, one direction each
     assert len(calls) == 2 * 6
+
+
+def test_small_lambda_fit_reports_unfinished():
+    # scene-shaped: 2407 x 294, 6 labels, about 1.07 relevant per row
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((2407, 294))
+    scores = X @ rng.standard_normal((294, 6)) + rng.standard_normal((2407, 6))
+    Y = -np.ones((2407, 6))
+    Y[np.arange(2407), scores.argmax(axis=1)] = 1.0
+    second = rng.random(2407) < 0.074
+    Y[second, np.argsort(scores[second], axis=1)[:, -2]] = 1.0
+    data, _ = prepare_data(MultiLabelDataset(X, Y, "scene-like"))
+    for algo in ("pa", "u3"):
+        _, trace = train_with_trace(data, algo, 1e-6, cfg=OptimizerConfig(outer_epochs=3))
+        assert len(trace.records) == 3
+        assert not trace.converged
+        assert trace.stop_reason == "epoch budget exhausted"
