@@ -407,6 +407,7 @@ def cmd_cv(args) -> int:
           f"{result.std_partial_ranking_loss:.4f}")
     print(f"grid seconds: {result.selection_seconds:.2f}  final seconds: "
           f"{result.total_seconds:.2f}")
+    print(f"unconverged: {result.unconverged_fits} of {len(result.fits)} fits")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(_BENCH_CSV_HEADER + "\n")
@@ -472,7 +473,8 @@ def cmd_bench(args) -> int:
             runtime.setdefault(data.name, {})[algo] = (result.selection_seconds
                                                        + result.total_seconds)
             print(f"{data.name} {algo}: ranking loss {result.mean_ranking_loss:.4f} "
-                  f"± {result.std_ranking_loss:.4f} (lambda {result.best_lambda:g})")
+                  f"± {result.std_ranking_loss:.4f} (lambda {result.best_lambda:g}; "
+                  f"unconverged: {result.unconverged_fits} of {len(result.fits)} fits)")
         csv_path = outdir / f"bench_{data.name}_{tag}.csv"
         csv_path.write_text(_BENCH_CSV_HEADER + "\n" + "\n".join(rows) + "\n",
                             encoding="utf-8")

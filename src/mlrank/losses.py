@@ -356,42 +356,54 @@ def _pair_chunks(ptr, row, pos, neg):
         lo = hi
 
 
-def pairwise_batch_for(labels, base: BaseLoss):
-    """Build a closure evaluating the pairwise surrogate on a score matrix.
+def pairwise_batch(scores, pairs, base: BaseLoss) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``(n,)`` and gradients ``(n, c)`` of the pairwise surrogate.
 
-    The returned callable maps ``F`` of shape ``(n, c)`` to values ``(n,)``
-    and gradients ``(n, c)``.  Rows must all be nontrivial.  Each call
-    evaluates ``ell`` on the pairs of :func:`label_pairs` only and sums the
-    results back into rows and labels with ``np.bincount``.
+    ``pairs`` is the :func:`label_pairs` list of the labels of ``scores``,
+    whose rows must all be nontrivial.  ``ell`` is evaluated on those pairs
+    only, and the results are summed back into rows and labels with
+    ``np.bincount``.
     """
-    Y = _as_label_matrix(labels)
-    n, c = Y.shape
-    pairs = label_pairs(Y)
+    F = np.asarray(scores, dtype=np.float64)
+    n, c = F.shape
     counts = np.diff(pairs[0])
     if np.any(counts == 0):
         raise ValueError("pairwise surrogate is undefined on trivial label vectors")
     scale = 1.0 / counts
-
-    def evaluate(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, grads = np.empty(n), np.empty((n, c))
-        for lo, hi, r, p, q in _pair_chunks(*pairs):
-            ip, iq = r * c + p, r * c + q
-            Fb = F[lo:hi].ravel()
-            vals, derivs = base.value_and_derivative(Fb[ip] - Fb[iq])
-            values[lo:hi] = np.bincount(r, vals, hi - lo) * scale[lo:hi]
-            derivs *= scale[lo:hi][r]
-            size = (hi - lo) * c
-            grads[lo:hi] = (np.bincount(ip, derivs, size)
-                            - np.bincount(iq, derivs, size)).reshape(hi - lo, c)
-        return values, grads
-
-    return evaluate
+    values, grads = np.empty(n), np.empty((n, c))
+    for lo, hi, r, p, q in _pair_chunks(*pairs):
+        ip, iq = r * c + p, r * c + q
+        Fb = F[lo:hi].ravel()
+        vals, derivs = base.value_and_derivative(Fb[ip] - Fb[iq])
+        values[lo:hi] = np.bincount(r, vals, hi - lo) * scale[lo:hi]
+        derivs *= scale[lo:hi][r]
+        size = (hi - lo) * c
+        grads[lo:hi] = (np.bincount(ip, derivs, size)
+                        - np.bincount(iq, derivs, size)).reshape(hi - lo, c)
+    return values, grads
 
 
-def ranking_loss_batch(scores, labels, partial: bool = False) -> np.ndarray:
-    """Per-row (partial) ranking loss for nontrivial rows; NaN on trivial ones."""
+def pairwise_batch_for(labels, base: BaseLoss):
+    """Build a closure evaluating the pairwise surrogate on a score matrix.
+
+    The returned callable maps ``F`` of shape ``(n, c)`` to the values and
+    gradients of :func:`pairwise_batch` on the label-pair list of
+    ``labels``, built once here.  Rows must all be nontrivial.
+    """
+    pairs = label_pairs(labels)
+    if np.any(np.diff(pairs[0]) == 0):
+        raise ValueError("pairwise surrogate is undefined on trivial label vectors")
+    return lambda F: pairwise_batch(F, pairs, base)
+
+
+def ranking_loss_batch(scores, labels, partial: bool = False, pairs=None) -> np.ndarray:
+    """Per-row (partial) ranking loss for nontrivial rows; NaN on trivial ones.
+
+    ``pairs`` short-circuits :func:`label_pairs` when the caller has built
+    the list of ``labels``.
+    """
     F = np.asarray(scores, dtype=np.float64)
-    ptr, row, pos, neg = label_pairs(labels)
+    ptr, row, pos, neg = pairs if pairs is not None else label_pairs(labels)
     wrong = np.empty(F.shape[0])
     for lo, hi, r, p, q in _pair_chunks(ptr, row, pos, neg):
         fp, fq = F[lo:hi][r, p], F[lo:hi][r, q]

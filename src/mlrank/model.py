@@ -13,10 +13,12 @@ penalty::
 :class:`Objective` implements the oracle protocol of
 :mod:`mlrank.optimizer`: ``n``, ``value``, ``full_gradient``,
 ``svrg_snapshot`` (value, full gradient ``mu`` and per-sample loss
-gradients at the snapshot) and ``svrg_epoch``, which runs one epoch of SVRG
-inner steps.  Each step asks the score-space hook ``svrg_direction`` for the
-``c``-vector ``delta_i``; the step's update is ``x_i delta_i^T`` plus ``mu``
-and the ridge term, and the latter two are applied in closed form.
+gradients at the snapshot) and ``svrg_epoch(snap, eta, rows)``, which runs
+one epoch of mini-batch SVRG inner steps, one per row of ``rows`` (shape
+``(steps, b)``).  Each step asks the score-space block hook
+``svrg_direction`` for the ``(b, c)`` deltas of its ``b`` rows; the step's
+update is ``X_R^T Delta_R / b`` plus ``mu`` and the ridge term, and the
+latter two are applied in closed form.
 """
 
 from __future__ import annotations
@@ -88,10 +90,11 @@ class Objective:
 
     Implements the optimizer oracle protocol: ``n``, ``value``,
     ``full_gradient``, ``svrg_snapshot`` and ``svrg_epoch``.  An epoch calls
-    the score-space hook ``svrg_direction(scores_i, i, snap)`` once per inner
-    step.  Per-row structure is built once: for ``pa`` each row's
-    ``(pos, neg, 1/|pairs|)`` as views of one label-pair list, otherwise the
-    signed penalty weights ``weights * Y``.
+    the score-space block hook ``svrg_direction(scores_R, R, snap)`` once per
+    inner step, for the step's block ``R`` of ``b`` rows.  Per-row structure
+    is built once: for ``pa`` one label-pair list with each pair's
+    ``1/|pairs|`` of its row, otherwise the signed penalty weights
+    ``weights * Y``.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: ObjectiveSpec):
@@ -107,9 +110,9 @@ class Objective:
         self.c = self.Y.shape[1]
         if spec.surrogate == "pa":
             self._pair_eval = losses.pairwise_batch_for(self.Y, spec.base)
-            ptr, _, pos, neg = losses.label_pairs(self.Y)
-            self._row_pairs = [(pos[s:e], neg[s:e], 1.0 / (e - s))
-                               for s, e in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+            ptr, _, self._pair_pos, self._pair_neg = losses.label_pairs(self.Y)
+            self._pair_start, self._pair_count = ptr[:-1], np.diff(ptr)
+            self._pair_scale = np.repeat(1.0 / self._pair_count, self._pair_count)
             self._weights = None
         else:
             self._pair_eval = None
@@ -142,51 +145,69 @@ class Objective:
         return {"W": W.copy(), "mu": mu, "loss_grads": grads,
                 "value": float(vals.mean() + self.spec.lam * np.sum(W * W))}
 
-    def svrg_direction(self, scores_i: np.ndarray, i: int, snap: dict[str, Any]) -> np.ndarray:
-        """``delta_i``: loss gradient of sample ``i`` at ``scores_i`` minus the snapshot's.
+    def _pair_block_gradients(self, scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Pairwise-loss gradients ``(b, c)`` of samples ``rows`` at ``scores``.
 
-        The full SVRG direction is ``outer(x_i, delta_i) + mu + 2 lambda (W - W_snap)``.
+        One pass over the block's pairs of the label-pair list: pair ``k``
+        of block position ``j`` reads ``scores[j]`` and adds to ``g[j]``, so a
+        row drawn twice contributes twice.
+        """
+        b, c = scores.shape
+        count = self._pair_count[rows]
+        ends = np.cumsum(count)
+        # the block's pairs, block position by block position, and the
+        # offset of each pair's block position in the flattened (b, c) scores
+        k = np.arange(ends[-1]) + np.repeat(self._pair_start[rows] - ends + count, count)
+        offset = np.repeat(np.arange(0, b * c, c), count)
+        ip, iq = offset + self._pair_pos[k], offset + self._pair_neg[k]
+        flat = scores.ravel()
+        derivs = self.spec.base.derivative(flat[ip] - flat[iq]) * self._pair_scale[k]
+        return (np.bincount(ip, derivs, b * c) - np.bincount(iq, derivs, b * c)).reshape(b, c)
+
+    def svrg_direction(self, scores: np.ndarray, rows: np.ndarray,
+                       snap: dict[str, Any]) -> np.ndarray:
+        """Deltas ``(b, c)``: loss gradients of samples ``rows`` at ``scores``
+        ``(b, c)`` minus the snapshot's.
+
+        The SVRG direction of the block is
+        ``X[rows]^T delta / b + mu + 2 lambda (W - W_snap)``.
         """
         if self._pair_eval is not None:
-            p, q, scale = self._row_pairs[i]
-            derivs = self.spec.base.derivative(scores_i[p] - scores_i[q]) * scale
-            g = np.bincount(p, derivs, self.c) - np.bincount(q, derivs, self.c)
+            g = self._pair_block_gradients(scores, rows)
         else:
-            g = self._signed_weights[i] * self.spec.base.derivative(self.Y[i] * scores_i)
-        return g - snap["loss_grads"][i]
+            g = self._signed_weights[rows] * self.spec.base.derivative(self.Y[rows] * scores)
+        return g - snap["loss_grads"][rows]
 
     def svrg_epoch(self, snap: dict[str, Any], eta: float, rows: np.ndarray) -> np.ndarray:
-        """Run the inner steps ``W -= eta * (outer(x_i, delta_i) + mu + 2 lambda (W - W_snap))``
-        from ``W = W_snap`` over ``rows``; returns the last iterate.
+        """Run the inner steps ``W -= eta * (X_R^T delta_R / b + mu + 2 lambda (W - W_snap))``
+        from ``W = W_snap``, one per block ``R`` of ``b`` rows in ``rows``
+        ``(steps, b)``; returns the last iterate.
 
         ``W`` is held as ``s U - r K`` with ``K = eta (mu - 2 lambda W_snap)``:
         a step scales ``s`` by ``a = 1 - 2 eta lambda``, sets ``r = a r + 1``
-        and adds the rank-one term to ``U`` in place, so it costs one
-        BLAS ``dgemv`` for the row's scores ``s x_i U - r x_i K`` and one
-        ``dger``.
+        and adds the rank-``b`` term to ``U`` in place, so it costs one matrix
+        product for the block's scores ``s X_R U - r X_R K``, one hook call and
+        one for the update.
         """
-        # imported here, not with the module: scipy.linalg takes about 80 ms
-        # and 6 MB to import, which runs that never train need not pay
-        from scipy.linalg.blas import dgemv, dger
-
         lam = self.spec.lam
         a = 1.0 - 2.0 * eta * lam
         K = eta * (snap["mu"] - (2.0 * lam) * snap["W"])
         XK = self.X @ K
-        U = np.array(snap["W"], dtype=np.float64, order="F")
+        U = snap["W"].copy()
         s, r = 1.0, 0.0
         X, direction = self.X, self.svrg_direction
-        for i in rows.tolist():
-            x = X[i]
-            delta = direction(dgemv(s, U, x, beta=-r, y=XK[i], trans=1), i, snap)
+        step = eta / rows.shape[1]
+        for R in rows:
+            XR = X[R]
+            delta = direction(s * (XR @ U) - r * XK[R], R, snap)
             s *= a
             r = a * r + 1.0
             if abs(s) < _RESCALE_BELOW:
                 # fold s into U before dividing by it; s is 0 once a = 0
                 U *= s
                 s = 1.0
-            U = dger(-eta / s, x, delta, a=U, overwrite_a=True)
-        return np.subtract(s * U, r * K, order="C")
+            U -= XR.T @ (delta * (step / s))
+        return s * U - r * K
 
 
 # -- serialization ----------------------------------------------------------

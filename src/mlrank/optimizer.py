@@ -6,20 +6,23 @@ Both minimizers consume a duck-typed *oracle* with:
 * ``value(W) -> float`` and ``full_gradient(W) -> ndarray``,
 * ``svrg_snapshot(W)`` - a mapping ``snap`` holding the objective
   ``"value"`` and the full gradient ``"mu"`` at ``W``,
-* ``svrg_epoch(snap, eta, rows) -> W`` - the last iterate of the inner
-  steps ``W -= eta * (g_i(W) - g_i(W_snap) + mu_snap)`` from the snapshot
-  point, one per entry ``i`` of ``rows``.
+* ``svrg_epoch(snap, eta, rows) -> W`` - the last iterate of the mini-batch
+  inner steps ``W -= eta * (mean_{i in R} (g_i(W) - g_i(W_snap)) + mu_snap)``
+  from the snapshot point, one per row ``R`` of ``rows``, an integer array
+  of shape ``(steps, b)``.
 
 ``minimize_batch_gd`` calls ``value`` and ``full_gradient``;
 ``minimize_svrg_bb`` calls ``n``, ``svrg_snapshot`` and ``svrg_epoch``, with
 no fallback.  :class:`mlrank.model.Objective` runs an epoch through its
-score-space hook ``svrg_direction(scores_i, i, snap)``, which returns the
-loss-gradient difference ``delta_i`` of sample ``i``; the step's direction
-is ``outer(x_i, delta_i) + mu_snap + 2 lambda (W - W_snap)``.
+score-space block hook ``svrg_direction(scores_R, R, snap)``, which returns
+the ``(b, c)`` loss-gradient differences ``Delta_R`` of the block's samples;
+the step's direction is ``X_R^T Delta_R / b + mu_snap + 2 lambda (W - W_snap)``.
 
-``minimize_svrg_bb`` runs epochs of ``m`` inner steps on samples it draws
-with replacement, takes the last inner iterate as the next snapshot, and sets the
-epoch step size from consecutive snapshots by the Barzilai-Borwein rule
+``minimize_svrg_bb`` runs epochs of ``m`` inner steps, each on a block of
+``b = 16`` samples it draws with replacement (mS2GD, Konecny et al. 2016),
+so an epoch reads ``inner_steps`` rows rounded up to whole blocks.  It takes
+the last inner iterate as the next snapshot, and sets the epoch step size
+from consecutive snapshots by the Barzilai-Borwein rule
 
     eta_k = ||dW||^2 / (m * <dW, dG>)
 
@@ -41,11 +44,18 @@ _STEP_MAX = 1e3
 # BB denominators at or below this multiple of ||dW||^2 are treated as zero
 # curvature and the previous step size is reused.
 _CURVATURE_FLOOR = 1e-16
+# samples per SVRG inner step: the step's fixed cost of numpy calls is paid
+# once per block, not once per sample
+_BLOCK_ROWS = 16
 
 
 @dataclass
 class OptimizerConfig:
-    """Knobs shared by both minimizers; ``inner_steps=None`` means ``2n``."""
+    """Knobs shared by both minimizers.
+
+    ``inner_steps`` is the number of samples an SVRG epoch draws, ``None``
+    meaning ``2n``; the epoch takes them in steps of ``_BLOCK_ROWS``.
+    """
 
     outer_epochs: int = 30
     inner_steps: int | None = None
@@ -110,7 +120,8 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
     """Minimize the oracle's objective; returns (best iterate, trace)."""
     cfg = cfg or OptimizerConfig()
     n = oracle.n
-    m = cfg.inner_steps if cfg.inner_steps is not None else 2 * n
+    samples = cfg.inner_steps if cfg.inner_steps is not None else 2 * n
+    m = -(-samples // _BLOCK_ROWS)  # inner steps per epoch
     rng = np.random.default_rng(cfg.seed)
     trace = OptimizationTrace()
     t0 = time.perf_counter()
@@ -135,7 +146,7 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
                 eta = _clamp_step(sq / (m * curv), cfg)
             # else: keep the previous epoch's step size
 
-        W = oracle.svrg_epoch(snap, eta, rng.integers(n, size=m))
+        W = oracle.svrg_epoch(snap, eta, rng.integers(n, size=(m, _BLOCK_ROWS)))
         if not np.all(np.isfinite(W)):
             raise NonFiniteObjectiveError(f"iterate became non-finite in epoch {epoch}", trace)
 

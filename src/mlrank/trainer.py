@@ -29,7 +29,7 @@ import os
 import time
 from concurrent import futures
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,13 +109,15 @@ def evaluate(model: LinearModel, data: MultiLabelDataset, base: BaseLoss | None 
     if not mask.any():
         raise ValueError("no nontrivial instances to evaluate")
     F, Y = scores[mask], data.labels[mask]
-    risks = {"pa": float(losses.pairwise_batch_for(Y, base)(F)[0].mean())}
+    pairs = losses.label_pairs(Y)  # one list for the pa risk and both ranking losses
+    risks = {"pa": float(losses.pairwise_batch(F, pairs, base)[0].mean())}
     for algo in ("u1", "u2", "u3", "u4"):
         vals, _ = losses.univariate_batch(F, Y, base, PenaltyScheme(algo))
         risks[algo] = float(vals.mean())
     return EvalReport(
-        ranking_loss=float(losses.ranking_loss_batch(F, Y).mean()),
-        partial_ranking_loss=float(losses.ranking_loss_batch(F, Y, partial=True).mean()),
+        ranking_loss=float(losses.ranking_loss_batch(F, Y, pairs=pairs).mean()),
+        partial_ranking_loss=float(losses.ranking_loss_batch(F, Y, partial=True,
+                                                             pairs=pairs).mean()),
         surrogate_risks=risks,
         n_evaluated=int(mask.sum()),
         n_skipped=int((~mask).sum()),
@@ -155,13 +157,15 @@ def _run_task(task: _TaskSpec) -> dict:
     eval_set, _ = prepare_data(eval_set, _POOL["standardize"], _POOL["bias"], params=params)
     cfg = replace(_POOL["opt_cfg"], seed=task.seed)
     t0 = time.perf_counter()
-    model = train(train_set, _POOL["algo"], task.lam, _POOL["base"], cfg)
+    model, trace = train_with_trace(train_set, _POOL["algo"], task.lam, _POOL["base"], cfg)
     seconds = time.perf_counter() - t0
     report = evaluate(model, eval_set)
     return {"phase": task.phase, "fold": task.fold, "lam_index": task.lam_index,
             "ranking_loss": report.ranking_loss,
             "partial_ranking_loss": report.partial_ranking_loss,
-            "seconds": seconds}
+            "seconds": seconds,
+            "fit": FitRecord(task.phase, task.fold, task.lam_index, len(trace.records),
+                             trace.converged, trace.stop_reason)}
 
 
 def _openblas() -> ctypes.CDLL | None:
@@ -228,9 +232,26 @@ def _task_runner(workers: int, init_args: tuple):
         yield lambda tasks: list(pool.map(_run_task, tasks))
 
 
+@dataclass(frozen=True)
+class FitRecord:
+    """How the fit of one cross-validation task ended."""
+
+    phase: str  # "select" or "final"
+    fold: int
+    lam_index: int
+    epochs: int
+    converged: bool
+    stop_reason: str
+
+
 @dataclass
 class CvResult:
-    """Cross-validation outcome for one (dataset, algorithm) pair."""
+    """Cross-validation outcome for one (dataset, algorithm) pair.
+
+    ``fits`` holds one record per fit run: every (fold, lambda) selection
+    task, then, under the nested holdout, each fold's final refit.  The
+    test-fold protocol scores the selection fits and runs no others.
+    """
 
     dataset: str
     algorithm: str
@@ -246,6 +267,11 @@ class CvResult:
     fold_partial_losses: np.ndarray
     fold_seconds: np.ndarray
     selection_seconds: float = 0.0
+    fits: list[FitRecord] = field(default_factory=list)
+
+    @property
+    def unconverged_fits(self) -> int:
+        return sum(not f.converged for f in self.fits)
 
     @property
     def mean_ranking_loss(self) -> float:
@@ -309,20 +335,22 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
 
     init_args = (data.features, data.labels, algo, base.kind, opt_cfg, standardize, bias)
     with _one_blas_thread(), _task_runner(workers, init_args) as run:
-        results = {(r["fold"], r["lam_index"]): r for r in run(select_tasks)}
+        select = run(select_tasks)
+        results = {(r["fold"], r["lam_index"]): r for r in select}
         validation = np.array([[results[(f, li)]["ranking_loss"] for li in range(len(grid))]
                                for f in range(k)])
         best_index = int(np.argmin(validation.mean(axis=0)))
         best_lambda = grid[best_index]
 
         if select_on_test_folds:
-            final = [results[(f, best_index)] for f in range(k)]
+            final, refits = [results[(f, best_index)] for f in range(k)], []
         else:
             final_tasks = [_TaskSpec("final", f, best_index, best_lambda,
                                      fold_rows[f][0], fold_rows[f][1],
                                      task_seed(seed, f, best_index, algo, "final"))
                            for f in range(k)]
-            by_fold = {r["fold"]: r for r in run(final_tasks)}
+            refits = run(final_tasks)
+            by_fold = {r["fold"]: r for r in refits}
             final = [by_fold[f] for f in range(k)]
 
     return CvResult(
@@ -335,4 +363,5 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
         fold_partial_losses=np.array([r["partial_ranking_loss"] for r in final]),
         fold_seconds=np.array([r["seconds"] for r in final]),
         selection_seconds=float(sum(r["seconds"] for r in results.values())),
+        fits=[r["fit"] for r in select + refits],
     )

@@ -158,6 +158,16 @@ def test_cv_writes_csv(tmp_path, dataset_file):
     assert len(lines) == 4  # header + one row per fold
 
 
+def test_cv_reports_unconverged_fits(dataset_file, capsys):
+    # 3 folds x 2 lambdas of selection plus 3 final refits is 9 fits; one
+    # epoch cannot meet the default tolerance, a 100-epoch budget meets 1e-3
+    for flags, unconverged in ((["--epochs", "1"], 9),
+                               (["--epochs", "100", "--tolerance", "1e-3"], 0)):
+        assert main(["cv", "--data", str(dataset_file), "--algo", "u3",
+                     "--grid", "1e-6,1e-2", *flags]) == 0
+        assert f"unconverged: {unconverged} of 9 fits" in capsys.readouterr().out
+
+
 def test_exit_codes(tmp_path, dataset_file):
     assert main(["train", "--data", str(dataset_file), "--algo", "zz",
                  "--lam", "1", "--out", str(tmp_path / "m.txt")]) == 2

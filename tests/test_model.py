@@ -81,11 +81,14 @@ def test_regularizer_contributes():
     np.testing.assert_allclose(obj1.full_gradient(W) - obj0.full_gradient(W), 2.0 * W)
 
 
-def full_direction(obj, W, i, snap):
-    """The SVRG direction of sample ``i`` at ``W``, built from the score-space hook."""
-    x = obj.X[i]
-    return (np.outer(x, obj.svrg_direction(x @ W, i, snap)) + snap["mu"]
-            + 2.0 * obj.spec.lam * (W - snap["W"]))
+def block_direction(obj, W, R, snap):
+    """The SVRG direction of block ``R`` at ``W``, built from the block hook.
+
+    The rank-``b`` term is summed row by row, so a row drawn twice counts twice.
+    """
+    delta = obj.svrg_direction(obj.X[R] @ W, R, snap)
+    rank_b = sum(np.outer(obj.X[i], delta[j]) for j, i in enumerate(R.tolist()))
+    return rank_b / len(R) + snap["mu"] + 2.0 * obj.spec.lam * (W - snap["W"])
 
 
 def test_svrg_direction_identities():
@@ -97,19 +100,24 @@ def test_svrg_direction_identities():
         np.testing.assert_allclose(snap["mu"], obj.full_gradient(W_tilde), rtol=1e-12)
         assert snap["value"] == obj.value(W_tilde)
         # at the snapshot point every loss-gradient difference vanishes
-        for i in (0, 3, 7):
-            np.testing.assert_allclose(obj.svrg_direction(obj.X[i] @ W_tilde, i, snap),
-                                       0.0, atol=1e-12)
-        # elsewhere the direction is per-sample difference plus the snapshot mean
+        R = np.array([0, 3, 7, 3])
+        np.testing.assert_allclose(obj.svrg_direction(obj.X[R] @ W_tilde, R, snap),
+                                   0.0, atol=1e-12)
+        # elsewhere row j of a block's deltas is sample R[j]'s per-sample
+        # difference, whatever else the block holds; a row drawn twice gets
+        # its difference twice
         W = rng.normal(size=(obj.d, obj.c))
-        for i in range(obj.n):
+        R = np.concatenate([rng.permutation(obj.n), [5, 5]])
+        delta = obj.svrg_direction(obj.X[R] @ W, R, snap)
+        assert delta.shape == (R.size, obj.c)
+        for j, i in enumerate(R.tolist()):
             expected = (per_sample_gradient(obj, W, i)
                         - per_sample_gradient(obj, W_tilde, i) + snap["mu"])
-            np.testing.assert_allclose(full_direction(obj, W, i, snap), expected,
-                                       rtol=1e-10, atol=1e-12)
-        # directions average back to the full gradient
-        avg = np.mean([full_direction(obj, W, i, snap) for i in range(obj.n)], axis=0)
-        np.testing.assert_allclose(avg, obj.full_gradient(W), rtol=1e-10, atol=1e-12)
+            got = np.outer(obj.X[i], delta[j]) + snap["mu"] + 2.0 * obj.spec.lam * (W - W_tilde)
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+        # the direction of a block of every row once is the full gradient
+        np.testing.assert_allclose(block_direction(obj, W, np.arange(obj.n), snap),
+                                   obj.full_gradient(W), rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("lam, eta, steps", [
@@ -123,10 +131,11 @@ def test_svrg_epoch_matches_dense_recursion(lam, eta, steps):
     for algo in ALGOS:
         obj = make_objective(algo, lam=lam)
         snap = obj.svrg_snapshot(rng.normal(size=(obj.d, obj.c)))
-        rows = rng.integers(obj.n, size=steps)
+        rows = rng.integers(obj.n, size=(steps, 4))
+        rows[1] = [6, 2, 6, 9]  # one row drawn twice in a block
         W = snap["W"].copy()
-        for i in rows.tolist():
-            W -= eta * full_direction(obj, W, i, snap)
+        for R in rows:
+            W -= eta * block_direction(obj, W, R, snap)
         lazy = obj.svrg_epoch(snap, eta, rows)
         np.testing.assert_allclose(lazy, W, rtol=1e-12, atol=1e-12 * np.abs(W).max())
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mlrank import trainer
+from mlrank import losses, trainer
 from mlrank.dataset import synthetic_linear
 from mlrank.losses import LOGISTIC
-from mlrank.model import LinearModel
+from mlrank.model import LinearModel, predict
 from mlrank.optimizer import OptimizerConfig
 from mlrank.trainer import (cross_validate, evaluate, prepare_data, task_seed,
                             train, train_with_trace)
@@ -84,6 +84,27 @@ def test_evaluate_skips_trivial_rows():
         evaluate(model, all_trivial)
 
 
+def test_evaluate_builds_label_pairs_once(monkeypatch):
+    data = synthetic_linear(60, 4, 6, seed=16, noise=0.3)
+    model = LinearModel(np.random.default_rng(16).normal(size=(4, 6)))
+    builds = []
+    build = losses.label_pairs
+
+    def counting(labels):
+        builds.append(len(labels))
+        return build(labels)
+
+    monkeypatch.setattr(losses, "label_pairs", counting)
+    report = evaluate(model, data)
+    assert builds == [data.n]
+    monkeypatch.undo()
+    # the same bits as the pa risk and ranking losses that build their own list
+    F, Y = predict(model, data.features), data.labels
+    assert report.surrogate_risks["pa"] == float(losses.pairwise_batch_for(Y, LOGISTIC)(F)[0].mean())
+    assert report.ranking_loss == float(losses.ranking_loss_batch(F, Y).mean())
+    assert report.partial_ranking_loss == float(losses.ranking_loss_batch(F, Y, partial=True).mean())
+
+
 def test_train_with_trace_reports_progress():
     data = synthetic_linear(40, 4, 2, seed=6)
     prepped, _ = prepare_data(data)
@@ -123,6 +144,15 @@ def test_cross_validate_nested_holdout():
     assert 0.0 <= result.mean_ranking_loss <= 1.0
     assert result.std_ranking_loss >= 0.0
     assert result.total_seconds > 0.0 and result.selection_seconds > 0.0
+    # 3 x 2 selection fits, then one final refit per fold
+    assert [(f.phase, f.fold, f.lam_index) for f in result.fits] == \
+        [("select", f, li) for f in range(3) for li in range(2)] + \
+        [("final", f, result.best_lambda_index) for f in range(3)]
+    for fit in result.fits:
+        assert 1 <= fit.epochs <= CV_CFG.outer_epochs
+        assert fit.converged == ("tolerance" in fit.stop_reason)
+        assert fit.converged or fit.stop_reason == "epoch budget exhausted"
+    assert result.unconverged_fits == sum(not f.converged for f in result.fits)
 
 
 def test_cross_validate_test_fold_protocol():
@@ -133,6 +163,9 @@ def test_cross_validate_test_fold_protocol():
     # in this mode the reported fold metrics are the grid column at best lambda
     col = result.validation_losses[:, result.best_lambda_index]
     np.testing.assert_allclose(result.fold_ranking_losses, col)
+    # the scored fits are selection fits; no others run
+    assert [(f.phase, f.fold, f.lam_index) for f in result.fits] == \
+        [("select", f, li) for f in range(3) for li in range(2)]
 
 
 def test_cross_validate_worker_pool_is_deterministic():
@@ -146,19 +179,20 @@ def test_cross_validate_worker_pool_is_deterministic():
         np.testing.assert_array_equal(r1.fold_ranking_losses, r2.fold_ranking_losses)
         np.testing.assert_array_equal(r1.fold_partial_losses, r2.fold_partial_losses)
         assert r1.best_lambda == r2.best_lambda
+        assert r1.fits == r2.fits
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cross_validate_tasks_run_at_one_blas_thread(monkeypatch, workers):
     get_threads, set_threads = trainer._openblas_thread_calls()
-    fit = trainer.train
+    fit = trainer.train_with_trace
 
     def checked_train(*args, **kwargs):
         threads = get_threads()
         assert threads == 1, f"task ran at {threads} BLAS threads"
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(trainer, "train", checked_train)
+    monkeypatch.setattr(trainer, "train_with_trace", checked_train)
     data = synthetic_linear(30, 3, 2, seed=14)
     before = get_threads()
     set_threads(2)
@@ -175,7 +209,7 @@ def test_cross_validate_without_openblas_fails_loudly(monkeypatch, workers):
         raise AssertionError("a task ran")
 
     monkeypatch.setattr(trainer, "_openblas", lambda: None)
-    monkeypatch.setattr(trainer, "train", untouched_train)
+    monkeypatch.setattr(trainer, "train_with_trace", untouched_train)
     data = synthetic_linear(30, 3, 2, seed=15)
     with pytest.raises(RuntimeError, match="OpenBLAS"):
         cross_validate(data, "u1", [1e-2], k=2, optimizer_cfg=CV_CFG, workers=workers)
