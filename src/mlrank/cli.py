@@ -10,6 +10,15 @@ Subcommands::
     mlrank bounds       deviation bounds for a trained model on a dataset
     mlrank report       regenerate summary table and charts from bench CSVs
 
+``train``, ``cv``, ``bench`` and ``bounds`` read one :class:`ExperimentConfig`:
+the ``bench --config`` file or the defaults, overridden by each flag given,
+which sets the field its argparse ``dest`` names.  Defaults live in
+:class:`ExperimentConfig` and, for the solver, ``OptimizerConfig``.  Rejected
+before any data is read: unknown algorithms or base losses, an empty lambda
+grid or one with a negative or NaN value, ``folds < 2``, ``workers < 1``,
+csv without ``label_count``, ``outer_epochs < 1``, ``inner_steps < 1``,
+``initial_step <= 0`` and ``tolerance < 0``.
+
 Exit codes: 0 success, 1 task failure (training aborted), 2 invalid
 configuration or malformed input data, 3 I/O error.  ``MLRANK_THREADS``
 overrides any configured worker count.  Benchmark artifacts embed a hash of
@@ -70,10 +79,10 @@ class ExperimentConfig:
     lambda_grid: list[float] = field(default_factory=lambda: list(DEFAULT_GRID))
     folds: int = 3
     seed: int = 0
-    outer_epochs: int = 30
-    inner_steps: int | None = None
-    initial_step: float = 0.1
-    tolerance: float = 1e-7
+    outer_epochs: int = OptimizerConfig.outer_epochs
+    inner_steps: int | None = OptimizerConfig.inner_steps
+    initial_step: float = OptimizerConfig.initial_step
+    tolerance: float = OptimizerConfig.tolerance
     standardize: bool = True
     bias: bool = True
     select_on_test_folds: bool = False
@@ -94,12 +103,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithms {bad}; choose from {list(ALGORITHMS)}")
         if self.base not in BASE_KINDS:
             raise ConfigError(f"unknown base loss {self.base!r}; choose from {list(BASE_KINDS)}")
-        if not self.lambda_grid or any(l < 0 for l in self.lambda_grid):
+        if not self.lambda_grid or any(not l >= 0 for l in self.lambda_grid):
             raise ConfigError("lambda grid must be nonempty and nonnegative")
         if self.folds < 2:
             raise ConfigError("need at least 2 folds")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            _optimizer_config(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
@@ -187,10 +200,30 @@ def _apply_smoke(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def _optimizer_config(cfg: ExperimentConfig, seed: int | None = None) -> OptimizerConfig:
+def _experiment(args: argparse.Namespace, text: str | None = None,
+                path: str = "<config>") -> ExperimentConfig:
+    """The config ``text`` (or the defaults), overridden by every field flag
+    in ``args``, validated.  Field flags have no argparse default, so only
+    those given appear in ``args``; strings parse like config values."""
+    cfg = config_from_text(text or "", path)
+    for key, value in vars(args).items():
+        if key in _FIELD_TYPES:
+            setattr(cfg, key, _parse_config_value(key, value) if isinstance(value, str) else value)
+    cfg.validate()
+    return cfg
+
+
+def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
     return OptimizerConfig(outer_epochs=cfg.outer_epochs, inner_steps=cfg.inner_steps,
-                           initial_step=cfg.initial_step, tolerance=cfg.tolerance,
-                           seed=cfg.seed if seed is None else seed)
+                           initial_step=cfg.initial_step, tolerance=cfg.tolerance, seed=cfg.seed)
+
+
+def _cross_validate(data: MultiLabelDataset, algo: str, cfg: ExperimentConfig,
+                    workers: int) -> CvResult:
+    return cross_validate(data, algo, cfg.lambda_grid, k=cfg.folds, seed=cfg.seed,
+                          base=BaseLoss(cfg.base), optimizer_cfg=_optimizer_config(cfg),
+                          select_on_test_folds=cfg.select_on_test_folds, workers=workers,
+                          standardize=cfg.standardize, bias=cfg.bias)
 
 
 def _resolve_workers(requested: int) -> int:
@@ -344,24 +377,14 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = ExperimentConfig(datasets=[args.data], format=args.format,
-                           label_count=args.labels, base=args.base,
-                           outer_epochs=args.epochs, inner_steps=args.inner_steps,
-                           initial_step=args.eta0, tolerance=args.tolerance,
-                           standardize=args.standardize, bias=args.bias,
-                           keep_trivial=args.keep_trivial, seed=args.seed,
-                           smoke=args.smoke)
-    if args.algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {args.algo!r}")
-    if cfg.base not in BASE_KINDS:
-        raise ConfigError(f"unknown base loss {cfg.base!r}")
+    cfg = _experiment(args)
     if cfg.smoke:
         cfg = _apply_smoke(cfg)
-    data = _load_dataset(args.data, cfg.format, cfg.label_count, cfg.keep_trivial)
+    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count, cfg.keep_trivial)
     if data.dropped_trivial:
         print(f"dropped {data.dropped_trivial} trivial instances")
     prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
-    model, trace = train_with_trace(prepared, args.algo, args.lam, BaseLoss(cfg.base),
+    model, trace = train_with_trace(prepared, cfg.algos[0], args.lam, BaseLoss(cfg.base),
                                     _optimizer_config(cfg))
     save_model(model, args.out)
     if args.trace:
@@ -375,29 +398,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    grid = [float(x) for x in args.grid.split(",")] if args.grid else list(DEFAULT_GRID)
-    cfg = ExperimentConfig(datasets=[args.data], format=args.format,
-                           label_count=args.labels, base=args.base,
-                           lambda_grid=grid, folds=args.folds, seed=args.seed,
-                           outer_epochs=args.epochs, inner_steps=args.inner_steps,
-                           initial_step=args.eta0, tolerance=args.tolerance,
-                           standardize=args.standardize, bias=args.bias,
-                           select_on_test_folds=args.select_on_test_folds,
-                           keep_trivial=args.keep_trivial,
-                           workers=args.workers, smoke=args.smoke)
-    cfg.validate()
-    if args.algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {args.algo!r}")
+    cfg = _experiment(args)
     if cfg.smoke:
         cfg = _apply_smoke(cfg)
     workers = _resolve_workers(cfg.workers)
-    data = _load_dataset(args.data, cfg.format, cfg.label_count, cfg.keep_trivial)
+    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count, cfg.keep_trivial)
     if data.dropped_trivial:
         print(f"dropped {data.dropped_trivial} trivial instances")
-    result = cross_validate(data, args.algo, cfg.lambda_grid, k=cfg.folds, seed=cfg.seed,
-                            base=BaseLoss(cfg.base), optimizer_cfg=_optimizer_config(cfg),
-                            select_on_test_folds=cfg.select_on_test_folds,
-                            workers=workers, standardize=cfg.standardize, bias=cfg.bias)
+    result = _cross_validate(data, cfg.algos[0], cfg, workers)
     print(f"dataset {result.dataset}: n={data.n} d={data.d} c={data.c}")
     print(f"algorithm {result.algorithm} ({result.protocol}), {result.folds} folds, "
           f"seed {result.seed}")
@@ -417,41 +425,12 @@ def cmd_cv(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.config:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_IO
-        cfg = config_from_text(text, args.config)
-    else:
-        cfg = ExperimentConfig()
-    if args.data:
-        cfg.datasets = args.data
-    if args.algos:
-        cfg.algos = args.algos.split(",")
-    if args.grid:
-        cfg.lambda_grid = [float(x) for x in args.grid.split(",")]
-    for attr, value in (("format", args.format), ("label_count", args.labels),
-                        ("base", args.base), ("folds", args.folds),
-                        ("seed", args.seed), ("workers", args.workers),
-                        ("outdir", args.outdir)):
-        if value is not None:
-            setattr(cfg, attr, value)
-    if args.select_on_test_folds:
-        cfg.select_on_test_folds = True
-    if args.smoke:
-        cfg.smoke = True
-    cfg.validate()
-
+    cfg = (_experiment(args, Path(args.config).read_text(encoding="utf-8"), args.config)
+           if args.config else _experiment(args))
     run_cfg = _apply_smoke(cfg) if cfg.smoke else cfg
     tag = config_hash(cfg)
     outdir = Path(cfg.outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO
+    outdir.mkdir(parents=True, exist_ok=True)
     workers = _resolve_workers(run_cfg.workers)
 
     table: dict[str, dict[str, tuple[float, float]]] = {}
@@ -462,11 +441,7 @@ def cmd_bench(args) -> int:
             print(f"{data.name}: dropped {data.dropped_trivial} trivial instances")
         rows: list[str] = []
         for algo in run_cfg.algos:
-            result = cross_validate(
-                data, algo, run_cfg.lambda_grid, k=run_cfg.folds, seed=run_cfg.seed,
-                base=BaseLoss(run_cfg.base), optimizer_cfg=_optimizer_config(run_cfg),
-                select_on_test_folds=run_cfg.select_on_test_folds, workers=workers,
-                standardize=run_cfg.standardize, bias=run_cfg.bias)
+            result = _cross_validate(data, algo, run_cfg, workers)
             rows.extend(_bench_rows(result))
             table.setdefault(data.name, {})[algo] = (result.mean_ranking_loss,
                                                      result.std_ranking_loss)
@@ -586,9 +561,10 @@ def _fmt_atom(atom: np.ndarray) -> str:
 
 
 def cmd_bounds(args) -> int:
+    cfg = _experiment(args)
     model = load_model(args.model)
-    data = _load_dataset(args.data, args.format, args.labels, keep_trivial=False)
-    prepared, _ = prepare_data(data, args.standardize, args.bias)
+    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count, cfg.keep_trivial)
+    prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
     if prepared.d != model.d:
         raise ConfigError(
             f"model expects d={model.d} features but dataset provides {prepared.d}; "
@@ -631,10 +607,12 @@ def cmd_report(args) -> int:
             header = fh.readline().strip()
             if header != _BENCH_CSV_HEADER:
                 raise ConfigError(f"{path}: unexpected header {header!r}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
                 cells = line.strip().split(",")
                 if len(cells) != 7:
-                    continue
+                    raise ConfigError(f"{path}:{lineno}: expected 7 cells, found {len(cells)}")
                 dataset, algo = cells[0], cells[1]
                 if algo not in algos_seen:
                     algos_seen.append(algo)
@@ -655,26 +633,15 @@ def cmd_report(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: a flag that sets an ExperimentConfig field has the field
+# name as its dest and no default (its parser defaults to SUPPRESS), so
+# _experiment sees only the flags given
 # ---------------------------------------------------------------------------
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("sparse", "csv"), default="sparse",
-                   help="dataset file format")
-    p.add_argument("--labels", type=int, default=None,
-                   help="label column count (csv format)")
-    p.add_argument("--keep-trivial", action="store_true",
-                   help="keep all-positive/all-negative instances when loading")
-
-
-def _add_optimizer_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=30, help="outer epochs")
-    p.add_argument("--inner-steps", type=int, default=None,
-                   help="inner steps per epoch (default 2n)")
-    p.add_argument("--eta0", type=float, default=0.1, help="first-epoch step size")
-    p.add_argument("--tolerance", type=float, default=1e-7,
-                   help="relative objective change to stop at")
+    p.add_argument("--format", help="dataset file format: sparse (default) or csv")
+    p.add_argument("--labels", dest="label_count", help="label column count (csv format)")
 
 
 def _add_preprocess_args(p: argparse.ArgumentParser) -> None:
@@ -682,6 +649,23 @@ def _add_preprocess_args(p: argparse.ArgumentParser) -> None:
                    help="skip zero-mean/unit-variance feature scaling")
     p.add_argument("--no-bias", dest="bias", action="store_false",
                    help="skip the constant bias feature")
+
+
+def _add_fit_args(p: argparse.ArgumentParser) -> None:
+    """The dataset, algorithm and solver flags of ``train`` and ``cv``."""
+    p.add_argument("--data", dest="datasets", nargs=1, required=True, metavar="PATH")
+    p.add_argument("--algo", dest="algos", nargs=1, required=True, metavar="ALGO")
+    p.add_argument("--base", help="base loss (default logistic)")
+    p.add_argument("--seed")
+    p.add_argument("--smoke", action="store_true")
+    _add_dataset_args(p)
+    p.add_argument("--keep-trivial", action="store_true",
+                   help="keep all-positive/all-negative instances when loading")
+    p.add_argument("--epochs", dest="outer_epochs", help="outer epochs")
+    p.add_argument("--inner-steps", help="samples drawn per epoch (default 2n)")
+    p.add_argument("--eta0", dest="initial_step", help="first-epoch step size")
+    p.add_argument("--tolerance", help="relative objective change to stop at")
+    _add_preprocess_args(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -698,49 +682,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-trivial", action="store_true")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("train", help="fit one model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--algo", required=True)
+    p = sub.add_parser("train", help="fit one model", argument_default=argparse.SUPPRESS)
     p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--base", default="logistic")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--trace", default=None, help="optional objective trace CSV")
-    p.add_argument("--smoke", action="store_true")
-    _add_dataset_args(p)
-    _add_optimizer_args(p)
-    _add_preprocess_args(p)
+    _add_fit_args(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("cv", help="cross-validated lambda selection")
-    p.add_argument("--data", required=True)
-    p.add_argument("--algo", required=True)
-    p.add_argument("--grid", default=None, help="comma-separated lambda values")
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base", default="logistic")
-    p.add_argument("--workers", type=int, default=1)
+    p = sub.add_parser("cv", help="cross-validated lambda selection",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--grid", dest="lambda_grid", help="comma-separated lambda values")
+    p.add_argument("--folds")
+    p.add_argument("--workers")
     p.add_argument("--select-on-test-folds", action="store_true",
                    help="score the grid on the test folds instead of a nested holdout")
     p.add_argument("--csv", default=None, help="write per-fold metrics CSV")
-    p.add_argument("--smoke", action="store_true")
-    _add_dataset_args(p)
-    _add_optimizer_args(p)
-    _add_preprocess_args(p)
+    _add_fit_args(p)
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("bench", help="benchmark grid over datasets and algorithms")
+    p = sub.add_parser("bench", help="benchmark grid over datasets and algorithms",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--config", default=None, help="experiment config file")
-    p.add_argument("--data", nargs="*", default=None, help="dataset paths")
-    p.add_argument("--algos", default=None, help="comma-separated algorithm ids")
-    p.add_argument("--grid", default=None, help="comma-separated lambda values")
-    p.add_argument("--format", choices=("sparse", "csv"), default=None)
-    p.add_argument("--labels", type=int, default=None)
-    p.add_argument("--base", default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--outdir", default=None)
+    p.add_argument("--data", dest="datasets", nargs="+", metavar="PATH", help="dataset paths")
+    p.add_argument("--algos", help="comma-separated algorithm ids")
+    p.add_argument("--grid", dest="lambda_grid", help="comma-separated lambda values")
+    _add_dataset_args(p)
+    p.add_argument("--base")
+    p.add_argument("--folds")
+    p.add_argument("--seed")
+    p.add_argument("--workers")
+    p.add_argument("--outdir")
     p.add_argument("--select-on-test-folds", action="store_true")
     p.add_argument("--smoke", action="store_true",
                    help="cap epochs and grid for a fast completeness check")
@@ -756,11 +727,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="JSON-lines verdict file")
     p.set_defaults(func=cmd_consistency)
 
-    p = sub.add_parser("bounds", help="deviation bounds for a trained model")
+    p = sub.add_parser("bounds", help="deviation bounds for a trained model",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", dest="datasets", nargs=1, required=True, metavar="PATH")
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--log2", action="store_true",
+    p.add_argument("--log2", action="store_true", default=False,
                    help="use log base 2 in the confidence term")
     _add_dataset_args(p)
     _add_preprocess_args(p)

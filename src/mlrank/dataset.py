@@ -207,6 +207,8 @@ def save_sparse(data: MultiLabelDataset, path: str, header: bool = True) -> None
 def load_csv(path: str, label_count: int, keep_trivial: bool = False,
              name: str | None = None) -> MultiLabelDataset:
     """Load a dense CSV whose last ``label_count`` columns are labels."""
+    if label_count is None or label_count < 1:
+        raise ValueError(f"a CSV dataset needs a positive label count, not {label_count!r}")
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:

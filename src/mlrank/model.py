@@ -81,7 +81,7 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if self.surrogate not in SURROGATES:
             raise ValueError(f"unknown surrogate {self.surrogate!r}, expected one of {SURROGATES}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError("lambda must be nonnegative")
 
 

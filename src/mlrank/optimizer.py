@@ -55,6 +55,9 @@ class OptimizerConfig:
 
     ``inner_steps`` is the number of samples an SVRG epoch draws, ``None``
     meaning ``2n``; the epoch takes them in steps of ``_BLOCK_ROWS``.
+    Construction raises ``ValueError`` unless ``outer_epochs >= 1``,
+    ``inner_steps`` is ``None`` or ``>= 1``, ``initial_step > 0`` and
+    ``tolerance >= 0``.
     """
 
     outer_epochs: int = 30
@@ -63,7 +66,16 @@ class OptimizerConfig:
     tolerance: float = 1e-7
     seed: int = 0
     max_step: float | None = None
-    max_wall_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.outer_epochs < 1:
+            raise ValueError(f"outer_epochs must be >= 1, not {self.outer_epochs}")
+        if self.inner_steps is not None and self.inner_steps < 1:
+            raise ValueError(f"inner_steps must be >= 1, not {self.inner_steps}")
+        if not self.initial_step > 0:
+            raise ValueError(f"initial_step must be > 0, not {self.initial_step}")
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be >= 0, not {self.tolerance}")
 
 
 @dataclass
@@ -158,17 +170,13 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
         if value < best_value:
             best_W, best_value = W_snap.copy(), value
 
-        elapsed = time.perf_counter() - t0
-        trace.records.append(EpochRecord(epoch, value, eta,
-                                         float(np.linalg.norm(snap["mu"])), elapsed))
+        trace.records.append(EpochRecord(epoch, value, eta, float(np.linalg.norm(snap["mu"])),
+                                         time.perf_counter() - t0))
 
         rel_change = abs(prev_value - value) / max(abs(prev_value), 1.0)
         if rel_change < cfg.tolerance:
             trace.converged = True
             trace.stop_reason = f"relative objective change {rel_change:.3g} below tolerance"
-            break
-        if cfg.max_wall_seconds is not None and elapsed > cfg.max_wall_seconds:
-            trace.stop_reason = "wall clock budget exhausted"
             break
     else:
         trace.stop_reason = "epoch budget exhausted"
@@ -221,9 +229,6 @@ def minimize_batch_gd(oracle, init: np.ndarray, cfg: OptimizerConfig | None = No
         if rel_change < cfg.tolerance:
             trace.converged = True
             trace.stop_reason = f"relative objective change {rel_change:.3g} below tolerance"
-            break
-        if cfg.max_wall_seconds is not None and time.perf_counter() - t0 > cfg.max_wall_seconds:
-            trace.stop_reason = "wall clock budget exhausted"
             break
     else:
         trace.stop_reason = "epoch budget exhausted"

@@ -148,6 +148,39 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     assert f"{cfg}:2:" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "{csv}", "--format", "csv", "--algo", "u1", "--lam", "1",
+     "--out", "{tmp}/m2.txt"],
+    ["convert", "{csv}", "{tmp}/back.txt", "--to", "sparse"],
+    ["bounds", "--model", "{model}", "--data", "{csv}", "--format", "csv"],
+    ["train", "--data", "{sparse}", "--algo", "u1", "--lam", "1", "--out", "{tmp}/m2.txt",
+     "--inner-steps", "0"],
+    ["cv", "--data", "{sparse}", "--algo", "u1", "--grid", "1e-4", "--epochs", "0"],
+    ["report", "{bench}", "--outdir", "{tmp}/rep"],
+    ["cv", "--data", "{sparse}", "--algo", "u1", "--grid", "1e-4,nan"],
+    ["train", "--data", "{sparse}", "--algo", "u1", "--lam", "nan", "--out", "{tmp}/m2.txt"],
+    ["cv", "--data", "{csv}", "--format", "csv", "--algo", "u1"],
+], ids=["train-csv-no-labels", "convert-csv-no-labels", "bounds-csv-no-labels",
+        "train-inner-steps-0", "cv-epochs-0", "report-short-row", "cv-nan-lambda",
+        "train-nan-lambda", "cv-csv-no-labels"])
+def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, argv):
+    csv, model, bench = tmp_path / "syn.csv", tmp_path / "m.txt", tmp_path / "bench.csv"
+    assert main(["convert", str(dataset_file), str(csv), "--to", "csv"]) == 0
+    assert main(["train", "--data", str(dataset_file), "--algo", "u1", "--lam", "1e-2",
+                 "--out", str(model), "--epochs", "1"]) == 0
+    bench.write_text("dataset,algo,fold,lambda,ranking_loss,partial_ranking_loss,seconds\n"
+                     "syn,u1,0,0.0001,0.1,0.1,0.01\n\nsyn,u1,1,0.0001,0.1,0.1\n",
+                     encoding="utf-8")
+    places = dict(csv=csv, sparse=dataset_file, model=model, bench=bench, tmp=tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli",
+                           *(a.format(**places) for a in argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
 def test_cv_writes_csv(tmp_path, dataset_file):
     out = tmp_path / "cv.csv"
     code = main(["cv", "--data", str(dataset_file), "--algo", "u2",
