@@ -86,7 +86,6 @@ class ExperimentConfig:
     standardize: bool = True
     bias: bool = True
     select_on_test_folds: bool = False
-    keep_trivial: bool = False
     workers: int = 1
     outdir: str = "results"
     smoke: bool = False
@@ -236,7 +235,8 @@ def _resolve_workers(requested: int) -> int:
     return requested
 
 
-def _load_dataset(path: str, fmt: str, label_count: int | None, keep_trivial: bool) -> MultiLabelDataset:
+def _load_dataset(path: str, fmt: str, label_count: int | None,
+                  keep_trivial: bool = False) -> MultiLabelDataset:
     if fmt == "csv":
         return load_csv(path, label_count, keep_trivial=keep_trivial)
     return load_sparse(path, keep_trivial=keep_trivial)
@@ -380,7 +380,7 @@ def cmd_train(args) -> int:
     cfg = _experiment(args)
     if cfg.smoke:
         cfg = _apply_smoke(cfg)
-    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count, cfg.keep_trivial)
+    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
     if data.dropped_trivial:
         print(f"dropped {data.dropped_trivial} trivial instances")
     prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
@@ -402,7 +402,7 @@ def cmd_cv(args) -> int:
     if cfg.smoke:
         cfg = _apply_smoke(cfg)
     workers = _resolve_workers(cfg.workers)
-    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count, cfg.keep_trivial)
+    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
     if data.dropped_trivial:
         print(f"dropped {data.dropped_trivial} trivial instances")
     result = _cross_validate(data, cfg.algos[0], cfg, workers)
@@ -436,7 +436,7 @@ def cmd_bench(args) -> int:
     table: dict[str, dict[str, tuple[float, float]]] = {}
     runtime: dict[str, dict[str, float]] = {}
     for path in run_cfg.datasets:
-        data = _load_dataset(path, run_cfg.format, run_cfg.label_count, run_cfg.keep_trivial)
+        data = _load_dataset(path, run_cfg.format, run_cfg.label_count)
         if data.dropped_trivial:
             print(f"{data.name}: dropped {data.dropped_trivial} trivial instances")
         rows: list[str] = []
@@ -563,7 +563,7 @@ def _fmt_atom(atom: np.ndarray) -> str:
 def cmd_bounds(args) -> int:
     cfg = _experiment(args)
     model = load_model(args.model)
-    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count, cfg.keep_trivial)
+    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
     prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
     if prepared.d != model.d:
         raise ConfigError(
@@ -614,10 +614,13 @@ def cmd_report(args) -> int:
                 if len(cells) != 7:
                     raise ConfigError(f"{path}:{lineno}: expected 7 cells, found {len(cells)}")
                 dataset, algo = cells[0], cells[1]
+                try:
+                    fold = (float(cells[4]), float(cells[6]))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
                 if algo not in algos_seen:
                     algos_seen.append(algo)
-                per_cell.setdefault((dataset, algo), []).append(
-                    (float(cells[4]), float(cells[6])))
+                per_cell.setdefault((dataset, algo), []).append(fold)
     for (dataset, algo), folds in per_cell.items():
         losses_ = np.array([f[0] for f in folds])
         table.setdefault(dataset, {})[algo] = (float(losses_.mean()), float(losses_.std()))
@@ -659,8 +662,6 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed")
     p.add_argument("--smoke", action="store_true")
     _add_dataset_args(p)
-    p.add_argument("--keep-trivial", action="store_true",
-                   help="keep all-positive/all-negative instances when loading")
     p.add_argument("--epochs", dest="outer_epochs", help="outer epochs")
     p.add_argument("--inner-steps", help="samples drawn per epoch (default 2n)")
     p.add_argument("--eta0", dest="initial_step", help="first-epoch step size")

@@ -182,14 +182,9 @@ def compute_stats(dist: ConditionalDistribution, penalties: PenaltyAssignment) -
                       delta_pairwise, alpha_mass, trivial_mass)
 
 
-def conditional_risk(scores, dist: ConditionalDistribution,
-                     penalties: PenaltyAssignment, base: BaseLoss) -> float:
-    """Conditional reweighted surrogate risk ``sum_j phi+ ell(f_j) + phi- ell(-f_j)``."""
-    stats = compute_stats(dist, penalties)
-    return conditional_risk_from_stats(scores, stats, base)
-
-
-def conditional_risk_from_stats(scores, stats: LabelStats, base: BaseLoss) -> float:
+def conditional_risk(scores, stats: LabelStats, base: BaseLoss) -> float:
+    """Conditional reweighted surrogate risk ``sum_j phi+ ell(f_j) + phi- ell(-f_j)``
+    from the :func:`compute_stats` of a distribution and penalty assignment."""
     f = np.asarray(scores, dtype=np.float64)
     # phi == 0 must kill the term even when the loss value is infinite
     pos_term = np.where(stats.phi_plus > 0.0, stats.phi_plus * base.value(f), 0.0)

@@ -290,17 +290,12 @@ def penalty_weight_matrix(scheme: PenaltyScheme, labels) -> np.ndarray:
     return np.where(Y > 0, beta_plus[:, None], beta_minus[:, None])
 
 
-def univariate_batch(scores, labels, base: BaseLoss, scheme: PenaltyScheme,
-                     weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Values ``(n,)`` and gradients ``(n, c)`` of a univariate surrogate.
-
-    ``weights`` short-circuits :func:`penalty_weight_matrix` when the caller
-    has precomputed it.
-    """
+def univariate_batch(scores, labels, base: BaseLoss,
+                     scheme: PenaltyScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``(n,)`` and gradients ``(n, c)`` of a univariate surrogate."""
     F = np.asarray(scores, dtype=np.float64)
     Y = _as_label_matrix(labels)
-    if weights is None:
-        weights = penalty_weight_matrix(scheme, Y)
+    weights = penalty_weight_matrix(scheme, Y)
     vals, derivs = base.value_and_derivative(Y * F)
     return (weights * vals).sum(axis=1), weights * Y * derivs
 
@@ -310,6 +305,7 @@ def group_by_label_pattern(labels) -> list[tuple[np.ndarray, np.ndarray, np.ndar
 
     Returns a list of ``(rows, pos, neg)`` index triples.  The batch losses
     do not group rows; they run on the pair list of :func:`label_pairs`.
+    Only the benchmark's tracer and the tests call it.
     """
     Y = _as_label_matrix(labels)
     _, inverse = np.unique(Y, axis=0, return_inverse=True)
@@ -388,7 +384,8 @@ def pairwise_batch_for(labels, base: BaseLoss):
 
     The returned callable maps ``F`` of shape ``(n, c)`` to the values and
     gradients of :func:`pairwise_batch` on the label-pair list of
-    ``labels``, built once here.  Rows must all be nontrivial.
+    ``labels``, built once here.  Rows must all be nontrivial.  Only the
+    benchmark's tracer and the tests call it.
     """
     pairs = label_pairs(labels)
     if np.any(np.diff(pairs[0]) == 0):

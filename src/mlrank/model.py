@@ -18,7 +18,8 @@ one epoch of mini-batch SVRG inner steps, one per row of ``rows`` (shape
 ``(steps, b)``).  Each step asks the score-space block hook
 ``svrg_direction`` for the ``(b, c)`` deltas of its ``b`` rows; the step's
 update is ``X_R^T Delta_R / b`` plus ``mu`` and the ridge term, and the
-latter two are applied in closed form.
+latter two are applied in closed form.  Every entry point reaches the
+loss through two kernels on scores: per-row loss gradients, and mean loss.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ class Objective:
     ``full_gradient``, ``svrg_snapshot`` and ``svrg_epoch``.  An epoch calls
     the score-space block hook ``svrg_direction(scores_R, R, snap)`` once per
     inner step, for the step's block ``R`` of ``b`` rows.  Per-row structure
-    is built once: for ``pa`` one label-pair list with each pair's
-    ``1/|pairs|`` of its row, otherwise the signed penalty weights
-    ``weights * Y``.
+    is built once: for ``pa`` one label-pair list, as flat indices into the
+    ``(n, c)`` scores with each pair's ``1/|pairs|`` of its row, otherwise
+    the penalty weights.  The kernels ``_gradients`` (of all rows, or of a
+    block) and ``_mean_loss`` serve every entry point.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: ObjectiveSpec):
@@ -109,60 +111,60 @@ class Objective:
         self.d = self.X.shape[1]
         self.c = self.Y.shape[1]
         if spec.surrogate == "pa":
-            self._pair_eval = losses.pairwise_batch_for(self.Y, spec.base)
-            ptr, _, self._pair_pos, self._pair_neg = losses.label_pairs(self.Y)
+            ptr, row, pos, neg = losses.label_pairs(self.Y)
             self._pair_start, self._pair_count = ptr[:-1], np.diff(ptr)
             self._pair_scale = np.repeat(1.0 / self._pair_count, self._pair_count)
+            self._pair_ip, self._pair_iq = row * self.c + pos, row * self.c + neg
             self._weights = None
         else:
-            self._pair_eval = None
-            scheme = PenaltyScheme(spec.surrogate)
-            self._weights = losses.penalty_weight_matrix(scheme, self.Y)
+            self._weights = losses.penalty_weight_matrix(PenaltyScheme(spec.surrogate), self.Y)
             self._signed_weights = self._weights * self.Y
 
-    def _loss_batch(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        F = self.X @ W
-        if self._pair_eval is not None:
-            return self._pair_eval(F)
-        return losses.univariate_batch(F, self.Y, self.spec.base,
-                                       PenaltyScheme(self.spec.surrogate),
-                                       weights=self._weights)
+    # -- kernels on scores ----------------------------------------------------
+
+    def _gradients(self, F: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Per-row loss gradients at scores ``F`` of rows ``rows`` (all rows if
+        None), shaped like ``F``; a row drawn twice counts twice."""
+        derivative = self.spec.base.derivative
+        if self._weights is not None:
+            sel = slice(None) if rows is None else rows
+            return self._signed_weights[sel] * derivative(self.Y[sel] * F)
+        ip, iq, scale = self._pair_ip, self._pair_iq, self._pair_scale
+        if rows is not None:
+            # the block's pairs, block position by block position; pair k of
+            # row i sits at i * c in the full scores and at j * c in the block's
+            count = self._pair_count[rows]
+            ends = np.cumsum(count)
+            k = np.arange(ends[-1]) + np.repeat(self._pair_start[rows] - ends + count, count)
+            shift = np.repeat((np.arange(rows.size) - rows) * self.c, count)
+            ip, iq, scale = ip[k] + shift, iq[k] + shift, scale[k]
+        flat = F.ravel()
+        derivs = derivative(flat[ip] - flat[iq]) * scale
+        return (np.bincount(ip, derivs, F.size) - np.bincount(iq, derivs, F.size)).reshape(F.shape)
+
+    def _mean_loss(self, F: np.ndarray) -> float:
+        """Mean surrogate loss over all rows at scores ``F`` ``(n, c)``."""
+        ell = self.spec.base.value
+        if self._weights is not None:
+            return float(np.sum(self._weights * ell(self.Y * F))) / self.n
+        flat = F.ravel()
+        return float(self._pair_scale @ ell(flat[self._pair_ip] - flat[self._pair_iq])) / self.n
 
     # -- oracle interface ---------------------------------------------------
 
     def value(self, W: np.ndarray) -> float:
-        vals, _ = self._loss_batch(W)
-        return float(vals.mean() + self.spec.lam * np.sum(W * W))
+        return self._mean_loss(self.X @ W) + self.spec.lam * float(np.sum(W * W))
 
     def full_gradient(self, W: np.ndarray) -> np.ndarray:
-        _, grads = self._loss_batch(W)
-        return self.X.T @ grads / self.n + 2.0 * self.spec.lam * W
+        return self.X.T @ self._gradients(self.X @ W) / self.n + 2.0 * self.spec.lam * W
 
     def svrg_snapshot(self, W: np.ndarray) -> dict[str, Any]:
         """Cache the snapshot's value, full gradient ``mu`` and per-sample loss gradients."""
-        vals, grads = self._loss_batch(W)
-        mu = self.X.T @ grads / self.n + 2.0 * self.spec.lam * W
-        return {"W": W.copy(), "mu": mu, "loss_grads": grads,
-                "value": float(vals.mean() + self.spec.lam * np.sum(W * W))}
-
-    def _pair_block_gradients(self, scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Pairwise-loss gradients ``(b, c)`` of samples ``rows`` at ``scores``.
-
-        One pass over the block's pairs of the label-pair list: pair ``k``
-        of block position ``j`` reads ``scores[j]`` and adds to ``g[j]``, so a
-        row drawn twice contributes twice.
-        """
-        b, c = scores.shape
-        count = self._pair_count[rows]
-        ends = np.cumsum(count)
-        # the block's pairs, block position by block position, and the
-        # offset of each pair's block position in the flattened (b, c) scores
-        k = np.arange(ends[-1]) + np.repeat(self._pair_start[rows] - ends + count, count)
-        offset = np.repeat(np.arange(0, b * c, c), count)
-        ip, iq = offset + self._pair_pos[k], offset + self._pair_neg[k]
-        flat = scores.ravel()
-        derivs = self.spec.base.derivative(flat[ip] - flat[iq]) * self._pair_scale[k]
-        return (np.bincount(ip, derivs, b * c) - np.bincount(iq, derivs, b * c)).reshape(b, c)
+        F = self.X @ W
+        grads = self._gradients(F)
+        return {"W": W.copy(), "mu": self.X.T @ grads / self.n + 2.0 * self.spec.lam * W,
+                "loss_grads": grads,
+                "value": self._mean_loss(F) + self.spec.lam * float(np.sum(W * W))}
 
     def svrg_direction(self, scores: np.ndarray, rows: np.ndarray,
                        snap: dict[str, Any]) -> np.ndarray:
@@ -172,11 +174,7 @@ class Objective:
         The SVRG direction of the block is
         ``X[rows]^T delta / b + mu + 2 lambda (W - W_snap)``.
         """
-        if self._pair_eval is not None:
-            g = self._pair_block_gradients(scores, rows)
-        else:
-            g = self._signed_weights[rows] * self.spec.base.derivative(self.Y[rows] * scores)
-        return g - snap["loss_grads"][rows]
+        return self._gradients(scores, rows) - snap["loss_grads"][rows]
 
     def svrg_epoch(self, snap: dict[str, Any], eta: float, rows: np.ndarray) -> np.ndarray:
         """Run the inner steps ``W -= eta * (X_R^T delta_R / b + mu + 2 lambda (W - W_snap))``

@@ -160,9 +160,13 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     ["cv", "--data", "{sparse}", "--algo", "u1", "--grid", "1e-4,nan"],
     ["train", "--data", "{sparse}", "--algo", "u1", "--lam", "nan", "--out", "{tmp}/m2.txt"],
     ["cv", "--data", "{csv}", "--format", "csv", "--algo", "u1"],
+    ["cv", "--data", "{sparse}", "--algo", "u1", "--keep-trivial"],
+    ["bench", "--config", "{config}"],
+    ["report", "{bad_cell}", "--outdir", "{tmp}/rep"],
 ], ids=["train-csv-no-labels", "convert-csv-no-labels", "bounds-csv-no-labels",
         "train-inner-steps-0", "cv-epochs-0", "report-short-row", "cv-nan-lambda",
-        "train-nan-lambda", "cv-csv-no-labels"])
+        "train-nan-lambda", "cv-csv-no-labels", "cv-keep-trivial", "bench-keep-trivial",
+        "report-non-numeric-cell"])
 def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, argv):
     csv, model, bench = tmp_path / "syn.csv", tmp_path / "m.txt", tmp_path / "bench.csv"
     assert main(["convert", str(dataset_file), str(csv), "--to", "csv"]) == 0
@@ -171,14 +175,31 @@ def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, 
     bench.write_text("dataset,algo,fold,lambda,ranking_loss,partial_ranking_loss,seconds\n"
                      "syn,u1,0,0.0001,0.1,0.1,0.01\n\nsyn,u1,1,0.0001,0.1,0.1\n",
                      encoding="utf-8")
-    places = dict(csv=csv, sparse=dataset_file, model=model, bench=bench, tmp=tmp_path)
+    bad_cell = tmp_path / "bad_cell.csv"
+    bad_cell.write_text("dataset,algo,fold,lambda,ranking_loss,partial_ranking_loss,seconds\n"
+                        "syn,u1,0,0.0001,x,0.1,0.01\n", encoding="utf-8")
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"datasets = {dataset_file}\nkeep_trivial = true\n", encoding="utf-8")
+    places = dict(csv=csv, sparse=dataset_file, model=model, bench=bench, bad_cell=bad_cell,
+                  config=config, tmp=tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "mlrank.cli",
                            *(a.format(**places) for a in argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("error: ")
+    # mlrank's own errors print "error: ..."; argparse prefixes its usage
+    # errors (an unknown flag) with the program name
+    assert proc.stderr.splitlines()[-1].startswith(("error: ", "mlrank: error: "))
+
+
+def test_report_names_the_line_of_a_non_numeric_cell(tmp_path, capsys):
+    csv = tmp_path / "bench.csv"
+    csv.write_text("dataset,algo,fold,lambda,ranking_loss,partial_ranking_loss,seconds\n"
+                   "syn,u1,0,0.0001,0.1,0.1,0.01\nsyn,u1,1,0.0001,x,0.1,0.01\n",
+                   encoding="utf-8")
+    assert main(["report", str(csv), "--outdir", str(tmp_path / "rep")]) == 2
+    assert f"error: {csv}:3: " in capsys.readouterr().err
 
 
 def test_cv_writes_csv(tmp_path, dataset_file):

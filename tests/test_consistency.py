@@ -133,19 +133,8 @@ def test_conditional_risk_matches_brute_force():
             for j in range(2):
                 beta = pen.beta_plus(y) if y[j] > 0 else pen.beta_minus(y)
                 expected += p * beta * LOGISTIC.value(np.array(y[j] * f[j]))
-        got = cons.conditional_risk(f, dist, pen, LOGISTIC)
+        got = cons.conditional_risk(f, cons.compute_stats(dist, pen), LOGISTIC)
         assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_conditional_risk_from_stats_matches_direct():
-    rng = np.random.default_rng(2)
-    dist = random_distribution(rng, 3)
-    pen = cons.scheme_assignment("u4")
-    stats = cons.compute_stats(dist, pen)
-    f = rng.normal(size=3)
-    direct = cons.conditional_risk(f, dist, pen, EXPONENTIAL)
-    cached = cons.conditional_risk_from_stats(f, stats, EXPONENTIAL)
-    assert cached == pytest.approx(direct, rel=1e-12)
 
 
 def test_zero_one_conditional_risk_hand_example():
@@ -233,9 +222,9 @@ def test_numeric_oracle_handles_calibrated_logistic():
     pen = cons.scheme_assignment("u2")
     numeric = cons.bayes_numeric_oracle(dist, pen, LOGISTIC_CALIBRATED)
     stats = cons.compute_stats(dist, pen)
-    base_risk = cons.conditional_risk_from_stats(numeric, stats, LOGISTIC_CALIBRATED)
+    base_risk = cons.conditional_risk(numeric, stats, LOGISTIC_CALIBRATED)
     for delta in (-0.01, 0.01):
-        assert base_risk <= cons.conditional_risk_from_stats(
+        assert base_risk <= cons.conditional_risk(
             numeric + delta, stats, LOGISTIC_CALIBRATED) + 1e-10
 
 

@@ -47,6 +47,35 @@ def test_full_gradient_is_mean_of_per_sample():
         np.testing.assert_allclose(full, mean, rtol=1e-10, atol=1e-12)
 
 
+def test_value_is_mean_of_per_row_reference_losses():
+    rng = np.random.default_rng(5)
+    for algo in ALGOS:
+        obj = make_objective(algo, lam=0.03, c=5)
+        W = rng.normal(size=(obj.d, obj.c))
+        if algo == "pa":
+            per_row = [losses.pairwise_surrogate(obj.X[i] @ W, obj.Y[i], LOGISTIC).value
+                       for i in range(obj.n)]
+        else:
+            per_row = [losses.univariate_surrogate(obj.X[i] @ W, obj.Y[i], LOGISTIC,
+                                                   PenaltyScheme(algo)).value
+                       for i in range(obj.n)]
+        expected = np.mean(per_row) + 0.03 * np.sum(W * W)
+        assert obj.value(W) == pytest.approx(expected, rel=1e-12)
+
+
+def test_pa_objective_builds_label_pairs_once(monkeypatch):
+    builds = []
+    build = losses.label_pairs
+
+    def counting(labels):
+        builds.append(len(labels))
+        return build(labels)
+
+    monkeypatch.setattr(losses, "label_pairs", counting)
+    obj = make_objective("pa")
+    assert builds == [obj.n]
+
+
 def test_objective_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     for algo in ALGOS:
