@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 BASE_KINDS = ("exponential", "logistic", "logistic_calibrated", "hinge", "squared_hinge")
 SCHEME_KINDS = ("u1", "u2", "u3", "u4")
@@ -91,7 +90,7 @@ class BaseLoss:
         if self.kind == "exponential":
             return -np.exp(-np.maximum(z, -_EXP_CLAMP))
         if self.kind == "logistic":
-            return -expit(-z)
+            return -1.0 / (np.exp(np.minimum(z, _EXP_CLAMP)) + 1.0)
         if self.kind == "logistic_calibrated":
             return -1.0 / (_E_MINUS_1 * np.exp(np.minimum(z, _EXP_CLAMP)) + 1.0)
         if self.kind == "hinge":

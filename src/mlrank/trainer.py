@@ -111,9 +111,10 @@ def evaluate(model: LinearModel, data: MultiLabelDataset, base: BaseLoss | None 
     F, Y = scores[mask], data.labels[mask]
     pairs = losses.label_pairs(Y)  # one list for the pa risk and both ranking losses
     risks = {"pa": float(losses.pairwise_batch(F, pairs, base)[0].mean())}
+    margin_losses = base.value(Y * F)  # value only: the u1-u4 risks need no gradient
     for algo in ("u1", "u2", "u3", "u4"):
-        vals, _ = losses.univariate_batch(F, Y, base, PenaltyScheme(algo))
-        risks[algo] = float(vals.mean())
+        weights = losses.penalty_weight_matrix(PenaltyScheme(algo), Y)
+        risks[algo] = float((weights * margin_losses).sum(axis=1).mean())
     return EvalReport(
         ranking_loss=float(losses.ranking_loss_batch(F, Y, pairs=pairs).mean()),
         partial_ranking_loss=float(losses.ranking_loss_batch(F, Y, partial=True,

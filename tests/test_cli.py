@@ -125,6 +125,18 @@ def test_bounds_flags_must_match_training(tmp_path, dataset_file, capsys):
     assert "match the --standardize/--bias flags" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("module", ["mlrank", "mlrank.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy is a test and benchmark dependency only; mlrank runs on numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_truncated_model_header_exits_2_without_traceback(tmp_path, dataset_file):
     model = tmp_path / "m.txt"
     model.write_text("mlrank-model 1\nd 2\n", encoding="utf-8")

@@ -1,9 +1,16 @@
 """Sparse/CSV loaders, splits, preprocessing, synthetic generator."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlrank.dataset import (DatasetFormatError, MultiLabelDataset, append_bias,
+from mlrank import dataset
+from mlrank.dataset import (DatasetFormatError, MultiLabelDataset, _drop_trivial,
+                            _parse_header, append_bias,
                             kfold_split, load_csv, load_sparse, save_csv,
                             save_sparse, standardize_apply, standardize_fit,
                             synthetic_linear)
@@ -62,19 +69,153 @@ def test_sparse_roundtrip(tmp_path):
 
 
 def test_sparse_errors_carry_line_numbers(tmp_path):
+    past_first_block = "".join(["300 2 2\n"] + ["0 1:1.0\n"] * 298 + ["1 2:x\n", "0 1:1.0\n"])
     cases = [
-        ("0 1:abc\n", "1"),
-        ("0 1:1.0\nnot,numbers 1:1.0\n", "2"),
-        ("2 2 2\n0 1:1.0\n", "header"),        # promised 2 rows, gave 1
-        ("1 2 2\n0 5:1.0\n", "2"),              # feature index beyond d
-        ("1 2 2\n0 0:1.0\n", "2"),              # feature indices are 1-based
-        ("1 2 2\n7 1:1.0\n", "2"),              # label index beyond c
+        ("0 1:abc\n", 1, "bad feature token '1:abc'"),
+        ("0 1:1.0\nnot,numbers 1:1.0\n", 2, "bad label list 'not,numbers'"),
+        ("2 2 2\n0 1:1.0\n", 0, "header declares 2 instances, found 1"),
+        ("1 2 2\n0 5:1.0\n", 2, "feature index 5 out of range for d=2"),
+        ("1 2 2\n0 0:1.0\n", 2, "feature index 0 is not 1-based"),
+        ("1 2 2\n7 1:1.0\n", 2, "label index 7 out of range for c=2"),
+        ("1 2 2\n0 99999999999999999999:1\n", 2,
+         "feature index 99999999999999999999 out of range for d=2"),
+        (past_first_block, 300, "bad feature token '2:x'"),
+        ("0 1:1.0\n# note\n\n1 2:1.0 3\n", 4, "bad feature token '3'"),  # headerless
+        ("1 2 2\n0 1:2:3\n", 2, "bad feature token '1:2:3'"),
+        ("1 2 2\n0 1:\n", 2, "bad feature token '1:'"),
+        ("1 2 2\n0 :5\n", 2, "bad feature token ':5'"),
+        ("1 2 2\n0 7\n", 2, "bad feature token '7'"),
+        ("1 2 2\n0 1.0:2\n", 2, "bad feature token '1.0:2'"),
+        ("1 3 2\n0 1:2:3 3\n", 2, "bad feature token '1:2:3'"),  # as many colons as tokens
+        ("1 2 2\n0 1:1 2:2 2:x 0:3\n", 2, "bad feature token '2:x'"),
+        ("-1 1:1.0\n", 1, "negative label index"),
+        ("1 2 2\n0,-1 1:1.0\n", 2, "negative label index"),
+        ("1:1.0\n", 0, "no labels present and no header to set the label count"),
+        # every token is checked before any index is checked against d or c
+        ("2 2 2\n0 5:1.0\n1 1:x\n", 3, "bad feature token '1:x'"),
     ]
-    for text, needle in cases:
-        path = write(tmp_path, text)
+    path = write(tmp_path, "")
+    for text, line, message in cases:
+        write(tmp_path, text)
         with pytest.raises(DatasetFormatError) as err:
             load_sparse(path)
-        assert needle in str(err.value)
+        assert str(err.value) == f"{path}:{line}: {message}", text[:40]
+        assert err.value.line == line
+
+
+def test_sparse_index_beyond_int64_without_header_is_a_value_error(tmp_path):
+    path = write(tmp_path, "0 1:1.0\n1 99999999999999999999:1.0\n")
+    with pytest.raises(ValueError, match=re.escape(path)):
+        load_sparse(path)
+
+
+def reference_load_sparse(path, keep_trivial=False):
+    """The sparse loader written one line and one token at a time."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    header, rows, saw_first = None, [], False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if not saw_first:
+            saw_first = True
+            header = _parse_header(tokens)
+            if header is not None:
+                continue
+        label_ids, feat_tokens = [], tokens
+        if ":" not in tokens[0]:
+            try:
+                label_ids = [int(t) for t in tokens[0].split(",") if t]
+            except ValueError:
+                raise DatasetFormatError(path, lineno, f"bad label list {tokens[0]!r}")
+            feat_tokens = tokens[1:]
+        feats = []
+        for tok in feat_tokens:
+            idx_s, _, val_s = tok.partition(":")
+            if not val_s:
+                raise DatasetFormatError(path, lineno, f"bad feature token {tok!r}")
+            try:
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise DatasetFormatError(path, lineno, f"bad feature token {tok!r}")
+            if idx < 1:
+                raise DatasetFormatError(path, lineno, f"feature index {idx} is not 1-based")
+            feats.append((idx, val))
+        if any(l < 0 for l in label_ids):
+            raise DatasetFormatError(path, lineno, "negative label index")
+        rows.append((label_ids, feats, lineno))
+    if not rows:
+        raise DatasetFormatError(path, 0, "no instances found")
+    if header is not None:
+        n_decl, d, c = header
+        if n_decl != len(rows):
+            raise DatasetFormatError(path, 0, f"header declares {n_decl} instances, found {len(rows)}")
+    else:
+        d = max((idx for _, feats, _ in rows for idx, _ in feats), default=0)
+        c = max((l for ids, _, _ in rows for l in ids), default=-1) + 1
+    if c == 0:
+        raise DatasetFormatError(path, 0, "no labels present and no header to set the label count")
+    X, Y = np.zeros((len(rows), d)), np.full((len(rows), c), -1.0)
+    for i, (label_ids, feats, lineno) in enumerate(rows):
+        for l in label_ids:
+            if l >= c:
+                raise DatasetFormatError(path, lineno, f"label index {l} out of range for c={c}")
+            Y[i, l] = 1.0
+        for idx, val in feats:
+            if idx > d:
+                raise DatasetFormatError(path, lineno, f"feature index {idx} out of range for d={d}")
+            X[i, idx - 1] = val
+    return _drop_trivial(X, Y, "ref", keep_trivial)
+
+
+@st.composite
+def mutated_sparse_text(draw):
+    """A small valid sparse file, with or without a header, with one
+    character or one token inserted, deleted or replaced."""
+    n, d, c = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    values = st.sampled_from(["0.5", "-1.25", "3", "1e-3", "0.30000000000000004", "-0.0"])
+    lines = [f"{n} {d} {c}"] if draw(st.booleans()) else []
+    for _ in range(n):
+        labels = draw(st.lists(st.integers(0, c - 1), max_size=c, unique=True))
+        feats = draw(st.lists(st.integers(1, d), max_size=d, unique=True))
+        line = ",".join(map(str, sorted(labels)))
+        line += "".join(f" {j}:{draw(values)}" for j in sorted(feats))
+        lines.append(line.strip() or "1:0")
+    text = "\n".join(lines) + "\n"
+    pos = draw(st.integers(0, len(text)))
+    if draw(st.booleans()):
+        piece = draw(st.sampled_from(list("0123456789" * 3 + ":,#-._ eax\t\n")
+                                     + ["\u0663", "\u00a0"]))
+        cut = draw(st.integers(0, 1))
+    else:
+        # whole tokens, valid (a repeated index among them) and not
+        piece = draw(st.sampled_from([" 1:9", " 2:-7.5", " 1:1_0", " 1:\u0663", " 2:1e400",
+                                      " 1:nan", "\n1 2:3", "1:2:3", " 1:2:3 7", "1:", ":5", " 7", "1.0:2",
+                                      " 0:1", " 9:1", "-1", ""]))
+        cut = len(text[pos:].split(" ", 1)[0].split("\n", 1)[0]) if draw(st.booleans()) else 0
+    return text[:pos] + piece + text[pos + cut:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=mutated_sparse_text(), block_lines=st.sampled_from([1, 2, 256]),
+       keep_trivial=st.booleans())
+def test_sparse_loader_matches_line_by_line_reference(tmp_path_factory, text, block_lines,
+                                                      keep_trivial):
+    path = str(tmp_path_factory.mktemp("mutated") / "data.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    outcomes = []
+    for load in (load_sparse, reference_load_sparse):
+        try:
+            with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
+                data = load(path, keep_trivial=keep_trivial)
+            outcomes.append((data.features.shape, data.features.tobytes(),
+                             data.labels.tobytes(), data.dropped_trivial))
+        except DatasetFormatError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1], text
 
 
 def test_sparse_empty_file_rejected(tmp_path):

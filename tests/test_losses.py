@@ -69,6 +69,21 @@ def test_extreme_arguments_stay_finite():
     assert LOGISTIC_CALIBRATED.value(np.array(60.0)) == pytest.approx(np.log(np.e - 1.0))
 
 
+def test_logistic_derivative_matches_scipy_expit():
+    # scipy is a test-only reference here: mlrank computes -expit(-z) with numpy
+    from scipy.special import expit
+
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.uniform(-1e3, 1e3, 200_000), rng.normal(0.0, 30.0, 200_000),
+                        np.linspace(-50.0, 50.0, 20_001),
+                        [0.0, -0.0, 1e-300, -1e-300, 700.0, 709.0, 710.0, -745.0, 1e3, -1e3]])
+    assert np.abs(LOGISTIC.derivative(z) - -expit(-z)).max() <= 2.3e-16
+    assert LOGISTIC.derivative(np.array(-np.inf)) == -1.0
+    with np.errstate(all="raise"):
+        g = LOGISTIC.derivative(np.array([1e308, np.inf]))
+    assert np.all((g < 0.0) & (g > -1e-300))
+
+
 def test_domination_flags():
     assert not LOGISTIC.dominates_zero_one
     for base in (EXPONENTIAL, LOGISTIC_CALIBRATED, HINGE, SQUARED_HINGE):

@@ -5,7 +5,7 @@ import pytest
 
 from mlrank import losses, trainer
 from mlrank.dataset import synthetic_linear
-from mlrank.losses import LOGISTIC
+from mlrank.losses import LOGISTIC, BaseLoss, PenaltyScheme
 from mlrank.model import LinearModel, predict
 from mlrank.optimizer import OptimizerConfig
 from mlrank.trainer import (cross_validate, evaluate, prepare_data, task_seed,
@@ -103,6 +103,18 @@ def test_evaluate_builds_label_pairs_once(monkeypatch):
     assert report.surrogate_risks["pa"] == float(losses.pairwise_batch_for(Y, LOGISTIC)(F)[0].mean())
     assert report.ranking_loss == float(losses.ranking_loss_batch(F, Y).mean())
     assert report.partial_ranking_loss == float(losses.ranking_loss_batch(F, Y, partial=True).mean())
+
+
+def test_evaluate_univariate_risks_match_univariate_batch():
+    # evaluate computes the u1-u4 risks value-only; univariate_batch adds gradients
+    data = synthetic_linear(80, 5, 12, seed=17, noise=0.3)
+    model = LinearModel(np.random.default_rng(17).normal(size=(5, 12)))
+    F, Y = predict(model, data.features), data.labels
+    for base in (LOGISTIC, BaseLoss("hinge"), BaseLoss("exponential")):
+        report = evaluate(model, data, base)
+        for algo in ("u1", "u2", "u3", "u4"):
+            expected = losses.univariate_batch(F, Y, base, PenaltyScheme(algo))[0].mean()
+            assert report.surrogate_risks[algo] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_train_with_trace_reports_progress():
