@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .losses import BaseLoss, PenaltyScheme
+from .losses import BaseLoss
 
 BOUNDED_SCHEMES = ("u2", "u3", "u4")
 
@@ -181,7 +181,6 @@ def empirical_lipschitz_probe(which: str, base: BaseLoss, c: int, trials: int = 
     if which not in BOUNDED_SCHEMES:
         raise ValueError(f"probe defined for {BOUNDED_SCHEMES}, not {which!r}")
     rng = np.random.default_rng(seed)
-    scheme = PenaltyScheme(which)
     Y = np.where(rng.random((trials, c)) < 0.5, 1.0, -1.0)
     # redraw trivial rows; each redraw halves their count
     while True:
@@ -191,8 +190,8 @@ def empirical_lipschitz_probe(which: str, base: BaseLoss, c: int, trials: int = 
         Y[bad] = np.where(rng.random((int(bad.sum()), c)) < 0.5, 1.0, -1.0)
     F1 = rng.uniform(-radius, radius, size=(trials, c))
     F2 = rng.uniform(-radius, radius, size=(trials, c))
-    v1, _ = losses.univariate_batch(F1, Y, base, scheme)
-    v2, _ = losses.univariate_batch(F2, Y, base, scheme)
+    surrogate = losses.BatchSurrogate(Y, which, base)
+    v1, v2 = surrogate.row_losses(F1), surrogate.row_losses(F2)
     gaps = np.linalg.norm(F1 - F2, axis=1)
     valid = gaps > 0.0
     ratios = np.abs(v1 - v2)[valid] / gaps[valid]

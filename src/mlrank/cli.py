@@ -358,6 +358,42 @@ def _bench_rows(result: CvResult) -> list[str]:
     return rows
 
 
+def _summarize_bench_csvs(paths) -> tuple[dict[str, dict[str, tuple[float, float]]],
+                                          dict[str, dict[str, float]], list[str]]:
+    """Summary of bench CSVs: per (dataset, algo) cell the mean and std of the
+    fold ranking losses and the sum of the fold ``seconds``, plus the
+    algorithms in order of first appearance.  Blank lines are skipped; a
+    malformed row raises :class:`ConfigError` naming its file and line."""
+    per_cell: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    algos: list[str] = []
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != _BENCH_CSV_HEADER:
+                raise ConfigError(f"{path}: unexpected header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                cells = line.strip().split(",")
+                if len(cells) != 7:
+                    raise ConfigError(f"{path}:{lineno}: expected 7 cells, found {len(cells)}")
+                dataset, algo = cells[0], cells[1]
+                try:
+                    fold = (float(cells[4]), float(cells[6]))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                if algo not in algos:
+                    algos.append(algo)
+                per_cell.setdefault((dataset, algo), []).append(fold)
+    table: dict[str, dict[str, tuple[float, float]]] = {}
+    seconds: dict[str, dict[str, float]] = {}
+    for (dataset, algo), folds in per_cell.items():
+        losses_ = np.array([f[0] for f in folds])
+        table.setdefault(dataset, {})[algo] = (float(losses_.mean()), float(losses_.std()))
+        seconds.setdefault(dataset, {})[algo] = float(sum(f[1] for f in folds))
+    return table, seconds, algos
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -433,8 +469,7 @@ def cmd_bench(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     workers = _resolve_workers(run_cfg.workers)
 
-    table: dict[str, dict[str, tuple[float, float]]] = {}
-    runtime: dict[str, dict[str, float]] = {}
+    csv_paths: list[Path] = []
     for path in run_cfg.datasets:
         data = _load_dataset(path, run_cfg.format, run_cfg.label_count)
         if data.dropped_trivial:
@@ -443,33 +478,32 @@ def cmd_bench(args) -> int:
         for algo in run_cfg.algos:
             result = _cross_validate(data, algo, run_cfg, workers)
             rows.extend(_bench_rows(result))
-            table.setdefault(data.name, {})[algo] = (result.mean_ranking_loss,
-                                                     result.std_ranking_loss)
-            runtime.setdefault(data.name, {})[algo] = (result.selection_seconds
-                                                       + result.total_seconds)
             print(f"{data.name} {algo}: ranking loss {result.mean_ranking_loss:.4f} "
                   f"± {result.std_ranking_loss:.4f} (lambda {result.best_lambda:g}; "
                   f"unconverged: {result.unconverged_fits} of {len(result.fits)} fits)")
         csv_path = outdir / f"bench_{data.name}_{tag}.csv"
         csv_path.write_text(_BENCH_CSV_HEADER + "\n" + "\n".join(rows) + "\n",
                             encoding="utf-8")
+        csv_paths.append(csv_path)
         print(f"wrote {csv_path}")
 
+    # the summary and runtime chart come from the CSVs just written, exactly
+    # as `mlrank report` rebuilds them
+    table, runtime, algos = _summarize_bench_csvs(csv_paths)
     note = f"configuration hash: {tag}"
     if cfg.smoke:
         note += " (smoke mode: reduced epochs and lambda grid; metrics are not comparable)"
     summary_path = outdir / f"summary_{tag}.md"
-    summary_path.write_text(render_summary_markdown(table, list(run_cfg.algos), note),
-                            encoding="utf-8")
+    summary_path.write_text(render_summary_markdown(table, algos, note), encoding="utf-8")
     runtime_csv = outdir / f"runtime_{tag}.csv"
     with open(runtime_csv, "w", encoding="utf-8") as fh:
         fh.write("dataset,algo,seconds\n")
         for dataset in sorted(runtime):
-            for algo in run_cfg.algos:
+            for algo in algos:
                 if algo in runtime[dataset]:
                     fh.write(f"{dataset},{algo},{runtime[dataset][algo]:.6f}\n")
     svg_path = outdir / f"runtime_{tag}.svg"
-    svg_path.write_text(render_runtime_svg(runtime, list(run_cfg.algos)), encoding="utf-8")
+    svg_path.write_text(render_runtime_svg(runtime, algos), encoding="utf-8")
     config_path = outdir / f"config_{tag}.txt"
     config_path.write_text(config_to_text(cfg), encoding="utf-8")
     print(f"wrote {summary_path}, {runtime_csv}, {svg_path}, {config_path}")
@@ -487,6 +521,8 @@ def cmd_consistency(args) -> int:
         raise ConfigError(f"scheme must be one of u1..u4, not {args.scheme!r}")
     if args.base not in BASE_KINDS:
         raise ConfigError(f"unknown base loss {args.base!r}")
+    if not 2 <= args.c <= cons.MAX_ENUMERATED_LABELS:
+        raise ConfigError(f"--c must lie in 2..{cons.MAX_ENUMERATED_LABELS}, not {args.c}")
     base = BaseLoss(args.base)
     records: list[dict] = []
 
@@ -598,39 +634,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table: dict[str, dict[str, tuple[float, float]]] = {}
-    seconds: dict[str, dict[str, float]] = {}
-    algos_seen: list[str] = []
-    per_cell: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for path in args.results:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != _BENCH_CSV_HEADER:
-                raise ConfigError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                cells = line.strip().split(",")
-                if len(cells) != 7:
-                    raise ConfigError(f"{path}:{lineno}: expected 7 cells, found {len(cells)}")
-                dataset, algo = cells[0], cells[1]
-                try:
-                    fold = (float(cells[4]), float(cells[6]))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
-                if algo not in algos_seen:
-                    algos_seen.append(algo)
-                per_cell.setdefault((dataset, algo), []).append(fold)
-    for (dataset, algo), folds in per_cell.items():
-        losses_ = np.array([f[0] for f in folds])
-        table.setdefault(dataset, {})[algo] = (float(losses_.mean()), float(losses_.std()))
-        seconds.setdefault(dataset, {})[algo] = float(sum(f[1] for f in folds))
+    table, seconds, algos = _summarize_bench_csvs(args.results)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     md_path = outdir / "summary_report.md"
-    md_path.write_text(render_summary_markdown(table, algos_seen), encoding="utf-8")
+    md_path.write_text(render_summary_markdown(table, algos), encoding="utf-8")
     svg_path = outdir / "runtime_report.svg"
-    svg_path.write_text(render_runtime_svg(seconds, algos_seen), encoding="utf-8")
+    svg_path.write_text(render_runtime_svg(seconds, algos), encoding="utf-8")
     print(f"wrote {md_path} and {svg_path}")
     return EXIT_OK
 

@@ -481,6 +481,8 @@ def necessary_condition_tau(penalties, c: int) -> TauCheck:
     ratio depends only on the split size) or a :class:`PenaltyAssignment`
     (float enumeration over all ``2^c - 2`` nontrivial vectors, ``c <= 20``).
     """
+    if c < 2:
+        raise ValueError("need c >= 2 labels")
     if isinstance(penalties, str):
         ratios = [(k, scheme_product_ratio(penalties, k, c)) for k in range(1, c)]
         first_k, first_r = ratios[0]
@@ -502,18 +504,13 @@ def necessary_condition_tau(penalties, c: int) -> TauCheck:
             first = (y, r)
         elif abs(r - first[1]) > 1e-12 * max(abs(r), abs(first[1]), 1.0):
             return TauCheck(False, None, (first[0], y, first[1], r))
-    if first is None:
-        raise ValueError("no nontrivial label vectors at this c")
     return TauCheck(True, first[1], None)
 
 
-def _ratio_bounds_for_classes(kind_or_penalties, y_a: np.ndarray, y_b: np.ndarray
+def _ratio_bounds_for_classes(kind: str, y_a: np.ndarray, y_b: np.ndarray
                               ) -> tuple[float, float]:
     """(mass-ratio sign flip points) ``t_phi < t_delta`` for atoms ``a``, ``b``."""
-    if isinstance(kind_or_penalties, str):
-        pen = scheme_assignment(kind_or_penalties)
-    else:
-        pen = kind_or_penalties
+    pen = scheme_assignment(kind)
     alpha_a, alpha_b = pen.alpha(y_a), pen.alpha(y_b)
     prod_a = pen.beta_plus(y_a) * pen.beta_minus(y_a)
     prod_b = pen.beta_plus(y_b) * pen.beta_minus(y_b)
@@ -522,18 +519,9 @@ def _ratio_bounds_for_classes(kind_or_penalties, y_a: np.ndarray, y_b: np.ndarra
     return t_phi, t_delta
 
 
-def _opposing_pair(y_a: np.ndarray, y_b: np.ndarray) -> tuple[int, int] | None:
-    """A label pair (p, q) with ``y_a = (+, -)`` and ``y_b = (-, +)`` there."""
-    p_candidates = np.flatnonzero((y_a > 0) & (y_b < 0))
-    q_candidates = np.flatnonzero((y_a < 0) & (y_b > 0))
-    if p_candidates.size and q_candidates.size:
-        return int(p_candidates[0]), int(q_candidates[0])
-    return None
-
-
-def tau_witness_distribution(penalties, c: int) -> ConditionalDistribution:
-    """Two-atom distribution on which penalties failing the product condition
-    provably violate the sign-agreement audit.
+def tau_witness_distribution(kind: str, c: int) -> ConditionalDistribution:
+    """Two-atom distribution on which a scheme ``kind`` failing the product
+    condition provably violates the sign-agreement audit.
 
     The atoms oppose each other on some label pair (p, q): atom A carries
     ``+`` at p and ``-`` at q, atom B the reverse.  With only these two
@@ -541,43 +529,27 @@ def tau_witness_distribution(penalties, c: int) -> ConditionalDistribution:
     while the surrogate's Bayes scores deliver it iff ``beta+_A beta-_A
     P_A^2 > beta+_B beta-_B P_B^2``; differing product ratios separate the
     two critical mass ratios, and any mass strictly between them is a
-    violation.  The midpoint is used.
+    violation.  The midpoint is used.  Atom A has split size ``k1`` and
+    atom B ``k2``, the two sizes of :func:`necessary_condition_tau`'s
+    witness, ordered so that A has the smaller product ratio.
     """
-    check = necessary_condition_tau(penalties, c)
+    check = necessary_condition_tau(kind, c)
     if check.holds:
         raise ValueError("penalties satisfy the product condition; no witness exists")
+    k1, k2, r1, r2 = check.witness
+    if r1 > r2:  # atom A must have the smaller product ratio
+        k1, k2 = k2, k1
+    y_a = -np.ones(c)
+    y_a[0] = 1.0
+    extra = k1 - 1
+    if k2 + 1 + extra > c:
+        raise ValueError(f"split sizes {k1} and {k2} do not fit disjointly at c={c}")
+    if extra:
+        y_a[k2 + 1:k2 + 1 + extra] = 1.0
+    y_b = -np.ones(c)
+    y_b[1:k2 + 1] = 1.0
 
-    if isinstance(penalties, str):
-        k1, k2, r1, r2 = check.witness
-        if r1 > r2:  # atom A must have the smaller product ratio
-            k1, k2 = k2, k1
-        y_a = -np.ones(c)
-        y_a[0] = 1.0
-        extra = k1 - 1
-        if k2 + 1 + extra > c:
-            raise ValueError(f"split sizes {k1} and {k2} do not fit disjointly at c={c}")
-        if extra:
-            y_a[k2 + 1:k2 + 1 + extra] = 1.0
-        y_b = -np.ones(c)
-        y_b[1:k2 + 1] = 1.0
-    else:
-        pool = enumerate_label_vectors(c)
-        ratios = [penalties.beta_plus(y) * penalties.beta_minus(y) / penalties.alpha(y) ** 2
-                  for y in pool]
-        found = None
-        for i, j in itertools.combinations(range(len(pool)), 2):
-            if abs(ratios[i] - ratios[j]) <= 1e-12 * max(abs(ratios[i]), abs(ratios[j]), 1.0):
-                continue
-            a, b = (i, j) if ratios[i] < ratios[j] else (j, i)
-            if _opposing_pair(pool[a], pool[b]) is not None:
-                found = (pool[a], pool[b])
-                break
-        if found is None:
-            raise ValueError("no pair of opposing atoms with differing product ratios; "
-                             "two-atom construction unavailable for these penalties")
-        y_a, y_b = found
-
-    t_phi, t_delta = _ratio_bounds_for_classes(penalties, y_a, y_b)
+    t_phi, t_delta = _ratio_bounds_for_classes(kind, y_a, y_b)
     if not t_phi < t_delta:
         raise ValueError("critical ratios are not separated; construction failed")
     t = 0.5 * (t_phi + t_delta)  # mass ratio P(B) / P(A)
@@ -639,9 +611,13 @@ def hinge_counterexample(masses: tuple[float, float] = (0.2, 0.1),
 # ---------------------------------------------------------------------------
 
 
+# largest label count whose 2^c label vectors are enumerated
+MAX_ENUMERATED_LABELS = 12
+
+
 def enumerate_label_vectors(c: int, nontrivial_only: bool = True) -> np.ndarray:
-    if c > 12:
-        raise ValueError("label vector enumeration is capped at c = 12")
+    if c > MAX_ENUMERATED_LABELS:
+        raise ValueError(f"label vector enumeration is capped at c = {MAX_ENUMERATED_LABELS}")
     atoms = np.array(list(itertools.product((1.0, -1.0), repeat=c)))
     if nontrivial_only:
         pos = (atoms > 0).sum(axis=1)
@@ -672,8 +648,10 @@ def random_violation_search(penalties, c: int, trials: int, seed: int = 0,
     """Sample random conditional distributions and audit each for violations.
 
     ``penalties`` is a scheme kind string or a :class:`PenaltyAssignment`.
-    Trial 0 is the constructive two-atom witness whenever the product
-    condition fails, so a failing scheme is always caught; remaining trials
+    For a kind, trial 0 is the constructive two-atom witness of
+    :func:`tau_witness_distribution` whenever the product condition fails,
+    so a failing scheme is always caught; an assignment gets random trials
+    only.  The random trials
     draw a support of 2..``max_support`` nontrivial atoms without
     replacement and flat simplex probabilities.  Each trial's randomness is
     seeded independently from ``(seed, trial)``, so any partition of the
@@ -683,13 +661,9 @@ def random_violation_search(penalties, c: int, trials: int, seed: int = 0,
     atoms_pool = enumerate_label_vectors(c)
     hi = min(len(atoms_pool), max_support)
     result = SearchResult(trials=trials)
-    tau = necessary_condition_tau(penalties, c)
     constructive: ConditionalDistribution | None = None
-    if not tau.holds:
-        try:
-            constructive = tau_witness_distribution(penalties, c)
-        except ValueError:
-            constructive = None  # fall back to a plain random trial 0
+    if isinstance(penalties, str) and not necessary_condition_tau(penalties, c).holds:
+        constructive = tau_witness_distribution(penalties, c)
     for trial in range(trials):
         if trial == 0 and constructive is not None:
             dist = constructive

@@ -23,6 +23,7 @@ kinks so that stochastic optimizers see deterministic subgradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -197,12 +198,6 @@ def scheme_betas(kind: str, a, b):
     raise ValueError(f"unknown penalty scheme {kind!r}, expected one of {SCHEME_KINDS}")
 
 
-U1 = PenaltyScheme("u1")
-U2 = PenaltyScheme("u2")
-U3 = PenaltyScheme("u3")
-U4 = PenaltyScheme("u4")
-
-
 def penalty_weights(scheme: PenaltyScheme, labels) -> np.ndarray:
     """Per-label weight vector ``w`` with ``w_j`` applied to ``ell(y_j f_j)``."""
     y = _as_label_vector(labels)
@@ -252,9 +247,12 @@ def univariate_surrogate(scores, labels, base: BaseLoss, scheme: PenaltyScheme) 
 
 
 # ---------------------------------------------------------------------------
-# Batch paths.  The trainer evaluates whole datasets at once; these helpers
-# vectorize over instances.  The pairwise surrogate and the ranking loss run
-# on the one row-major label-pair list built by :func:`label_pairs`.
+# Batch paths.  A :class:`BatchSurrogate` holds one surrogate's per-row
+# structure on a label matrix, built once: for ``pa`` the row-major
+# label-pair list of :func:`label_pairs`, for u1-u4 the penalty weights.
+# Two kernels on a score matrix, per-row gradients and per-row losses (with
+# their mean), serve training, evaluation and the bounds probe; the ranking
+# loss runs on the same pair list.
 # ---------------------------------------------------------------------------
 
 
@@ -289,16 +287,6 @@ def penalty_weight_matrix(scheme: PenaltyScheme, labels) -> np.ndarray:
     return np.where(Y > 0, beta_plus[:, None], beta_minus[:, None])
 
 
-def univariate_batch(scores, labels, base: BaseLoss,
-                     scheme: PenaltyScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Values ``(n,)`` and gradients ``(n, c)`` of a univariate surrogate."""
-    F = np.asarray(scores, dtype=np.float64)
-    Y = _as_label_matrix(labels)
-    weights = penalty_weight_matrix(scheme, Y)
-    vals, derivs = base.value_and_derivative(Y * F)
-    return (weights * vals).sum(axis=1), weights * Y * derivs
-
-
 def group_by_label_pattern(labels) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Group row indices by identical label vector.
 
@@ -315,10 +303,6 @@ def group_by_label_pattern(labels) -> list[tuple[np.ndarray, np.ndarray, np.ndar
         y = Y[rows[0]]
         groups.append((rows, np.flatnonzero(y > 0), np.flatnonzero(y < 0)))
     return groups
-
-
-# most pairs one chunk of rows evaluates at once; bounds the temporaries
-_PAIR_BUDGET = 1 << 18
 
 
 def label_pairs(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -340,56 +324,99 @@ def label_pairs(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return ptr, np.repeat(pos_row, reps), np.repeat(pos_label, reps), neg
 
 
-def _pair_chunks(ptr, row, pos, neg):
-    """Yield ``lo, hi, r, p, q`` for row chunks ``lo:hi`` of at most ``_PAIR_BUDGET``
-    pairs (or of one row); ``r`` is each pair's row within the chunk."""
-    lo, n = 0, ptr.size - 1
-    while lo < n:
-        hi = max(int(np.searchsorted(ptr, ptr[lo] + _PAIR_BUDGET, side="right")) - 1, lo + 1)
-        s, e = ptr[lo], ptr[hi]
-        yield lo, hi, row[s:e] - lo, pos[s:e], neg[s:e]
-        lo = hi
+class BatchSurrogate:
+    """One surrogate (``pa`` or a scheme ``u1``..``u4``) on a label matrix.
 
-
-def pairwise_batch(scores, pairs, base: BaseLoss) -> tuple[np.ndarray, np.ndarray]:
-    """Values ``(n,)`` and gradients ``(n, c)`` of the pairwise surrogate.
-
-    ``pairs`` is the :func:`label_pairs` list of the labels of ``scores``,
-    whose rows must all be nontrivial.  ``ell`` is evaluated on those pairs
-    only, and the results are summed back into rows and labels with
-    ``np.bincount``.
+    Built once per ``(n, c)`` label matrix.  For ``pa`` it holds the
+    :func:`label_pairs` list as flat indices into the ``(n, c)`` scores,
+    with each pair's scale ``1/|pairs|`` of its row; every row must then be
+    nontrivial.  For a scheme it holds the penalty ``weights`` of
+    :func:`penalty_weight_matrix`.  The kernels take scores ``F`` shaped
+    like the labels (or, for ``gradients`` with ``rows``, like the block).
     """
+
+    def __init__(self, labels, kind: str, base: BaseLoss):
+        self.Y = _as_label_matrix(labels)
+        self.n, self.c = self.Y.shape
+        self.base = base
+        if kind == "pa":
+            ptr, row, pos, neg = label_pairs(self.Y)
+            self._count = np.diff(ptr)
+            if np.any(self._count == 0):
+                raise ValueError("pairwise surrogate is undefined on trivial label vectors")
+            self._ptr, self._row_scale = ptr, 1.0 / self._count
+            self._scale = np.repeat(self._row_scale, self._count)
+            self._ip, self._iq = row * self.c + pos, row * self.c + neg
+            self.weights = None
+        else:
+            self.weights = penalty_weight_matrix(PenaltyScheme(kind), self.Y)
+
+    @cached_property
+    def _signed_weights(self) -> np.ndarray:
+        # built on the first gradient; evaluate and the bounds probe need none
+        return self.weights * self.Y
+
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The ``pa`` pair list as :func:`label_pairs` returns it, recovered
+        from the flat indices."""
+        row = np.repeat(np.arange(self.n), self._count)
+        return self._ptr, row, self._ip - row * self.c, self._iq - row * self.c
+
+    def gradients(self, F: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Per-row loss gradients at scores ``F`` of rows ``rows`` (all rows if
+        None), shaped like ``F``; a row drawn twice counts twice."""
+        derivative = self.base.derivative
+        if self.weights is not None:
+            sel = slice(None) if rows is None else rows
+            return self._signed_weights[sel] * derivative(self.Y[sel] * F)
+        ip, iq, scale = self._ip, self._iq, self._scale
+        if rows is not None:
+            # the block's pairs, block position by block position; pair k of
+            # row i sits at i * c in the full scores and at j * c in the block's
+            count = self._count[rows]
+            ends = np.cumsum(count)
+            k = np.arange(ends[-1]) + np.repeat(self._ptr[rows] - ends + count, count)
+            shift = np.repeat((np.arange(rows.size) - rows) * self.c, count)
+            ip, iq, scale = ip[k] + shift, iq[k] + shift, scale[k]
+        flat = F.ravel()
+        derivs = derivative(flat[ip] - flat[iq]) * scale
+        return (np.bincount(ip, derivs, F.size) - np.bincount(iq, derivs, F.size)).reshape(F.shape)
+
+    def row_losses(self, F: np.ndarray) -> np.ndarray:
+        """Surrogate loss of each row at scores ``F`` ``(n, c)``."""
+        ell = self.base.value
+        if self.weights is not None:
+            return (self.weights * ell(self.Y * F)).sum(axis=1)
+        flat = F.ravel()
+        return np.bincount(self._ip // self.c, ell(flat[self._ip] - flat[self._iq]),
+                           self.n) * self._row_scale
+
+    def mean_loss(self, F: np.ndarray) -> float:
+        """Mean surrogate loss over all rows at scores ``F`` ``(n, c)``, in one
+        pass over the labels or pairs."""
+        ell = self.base.value
+        if self.weights is not None:
+            return float(np.sum(self.weights * ell(self.Y * F))) / self.n
+        flat = F.ravel()
+        return float(self._scale @ ell(flat[self._ip] - flat[self._iq])) / self.n
+
+
+def univariate_batch(scores, labels, base: BaseLoss,
+                     scheme: PenaltyScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``(n,)`` and gradients ``(n, c)`` of a univariate surrogate.
+    Only the benchmark's tracer and the tests call it."""
+    batch = BatchSurrogate(labels, scheme.kind, base)
     F = np.asarray(scores, dtype=np.float64)
-    n, c = F.shape
-    counts = np.diff(pairs[0])
-    if np.any(counts == 0):
-        raise ValueError("pairwise surrogate is undefined on trivial label vectors")
-    scale = 1.0 / counts
-    values, grads = np.empty(n), np.empty((n, c))
-    for lo, hi, r, p, q in _pair_chunks(*pairs):
-        ip, iq = r * c + p, r * c + q
-        Fb = F[lo:hi].ravel()
-        vals, derivs = base.value_and_derivative(Fb[ip] - Fb[iq])
-        values[lo:hi] = np.bincount(r, vals, hi - lo) * scale[lo:hi]
-        derivs *= scale[lo:hi][r]
-        size = (hi - lo) * c
-        grads[lo:hi] = (np.bincount(ip, derivs, size)
-                        - np.bincount(iq, derivs, size)).reshape(hi - lo, c)
-    return values, grads
+    return batch.row_losses(F), batch.gradients(F)
 
 
 def pairwise_batch_for(labels, base: BaseLoss):
-    """Build a closure evaluating the pairwise surrogate on a score matrix.
-
-    The returned callable maps ``F`` of shape ``(n, c)`` to the values and
-    gradients of :func:`pairwise_batch` on the label-pair list of
-    ``labels``, built once here.  Rows must all be nontrivial.  Only the
-    benchmark's tracer and the tests call it.
-    """
-    pairs = label_pairs(labels)
-    if np.any(np.diff(pairs[0]) == 0):
-        raise ValueError("pairwise surrogate is undefined on trivial label vectors")
-    return lambda F: pairwise_batch(F, pairs, base)
+    """A callable mapping scores ``F`` ``(n, c)`` to the pairwise surrogate's
+    values ``(n,)`` and gradients ``(n, c)``, on the pair list of ``labels``,
+    built once here.  Only the benchmark's tracer and the tests call it."""
+    batch = BatchSurrogate(labels, "pa", base)
+    return lambda F: (batch.row_losses(F), batch.gradients(F))
 
 
 def ranking_loss_batch(scores, labels, partial: bool = False, pairs=None) -> np.ndarray:
@@ -400,10 +427,7 @@ def ranking_loss_batch(scores, labels, partial: bool = False, pairs=None) -> np.
     """
     F = np.asarray(scores, dtype=np.float64)
     ptr, row, pos, neg = pairs if pairs is not None else label_pairs(labels)
-    wrong = np.empty(F.shape[0])
-    for lo, hi, r, p, q in _pair_chunks(ptr, row, pos, neg):
-        fp, fq = F[lo:hi][r, p], F[lo:hi][r, q]
-        w = (fp < fq) + 0.5 * (fp == fq) if partial else (fp <= fq).astype(np.float64)
-        wrong[lo:hi] = np.bincount(r, w, hi - lo)
+    fp, fq = F[row, pos], F[row, neg]
+    wrong = (fp < fq) + 0.5 * (fp == fq) if partial else (fp <= fq).astype(np.float64)
     with np.errstate(invalid="ignore"):  # 0/0 marks the trivial rows NaN
-        return wrong / np.diff(ptr)
+        return np.bincount(row, wrong, F.shape[0]) / np.diff(ptr)

@@ -19,7 +19,8 @@ one epoch of mini-batch SVRG inner steps, one per row of ``rows`` (shape
 ``svrg_direction`` for the ``(b, c)`` deltas of its ``b`` rows; the step's
 update is ``X_R^T Delta_R / b`` plus ``mu`` and the ridge term, and the
 latter two are applied in closed form.  Every entry point reaches the
-loss through two kernels on scores: per-row loss gradients, and mean loss.
+loss through one :class:`mlrank.losses.BatchSurrogate` and its two kernels
+on scores: per-row loss gradients, and mean loss.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from . import losses
-from .losses import BaseLoss, PenaltyScheme
+from .losses import BaseLoss
 
 SURROGATES = ("pa", "u1", "u2", "u3", "u4")
 # svrg_epoch multiplies its scale factor into U once it falls below this
@@ -92,11 +93,10 @@ class Objective:
     Implements the optimizer oracle protocol: ``n``, ``value``,
     ``full_gradient``, ``svrg_snapshot`` and ``svrg_epoch``.  An epoch calls
     the score-space block hook ``svrg_direction(scores_R, R, snap)`` once per
-    inner step, for the step's block ``R`` of ``b`` rows.  Per-row structure
-    is built once: for ``pa`` one label-pair list, as flat indices into the
-    ``(n, c)`` scores with each pair's ``1/|pairs|`` of its row, otherwise
-    the penalty weights.  The kernels ``_gradients`` (of all rows, or of a
-    block) and ``_mean_loss`` serve every entry point.
+    inner step, for the step's block ``R`` of ``b`` rows.  Every entry point
+    reaches the loss through the one :class:`mlrank.losses.BatchSurrogate`
+    built here, ``loss``: its ``gradients`` (of all rows, or of a block) and
+    its ``mean_loss``.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: ObjectiveSpec):
@@ -110,61 +110,23 @@ class Objective:
         self.n = self.X.shape[0]
         self.d = self.X.shape[1]
         self.c = self.Y.shape[1]
-        if spec.surrogate == "pa":
-            ptr, row, pos, neg = losses.label_pairs(self.Y)
-            self._pair_start, self._pair_count = ptr[:-1], np.diff(ptr)
-            self._pair_scale = np.repeat(1.0 / self._pair_count, self._pair_count)
-            self._pair_ip, self._pair_iq = row * self.c + pos, row * self.c + neg
-            self._weights = None
-        else:
-            self._weights = losses.penalty_weight_matrix(PenaltyScheme(spec.surrogate), self.Y)
-            self._signed_weights = self._weights * self.Y
-
-    # -- kernels on scores ----------------------------------------------------
-
-    def _gradients(self, F: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Per-row loss gradients at scores ``F`` of rows ``rows`` (all rows if
-        None), shaped like ``F``; a row drawn twice counts twice."""
-        derivative = self.spec.base.derivative
-        if self._weights is not None:
-            sel = slice(None) if rows is None else rows
-            return self._signed_weights[sel] * derivative(self.Y[sel] * F)
-        ip, iq, scale = self._pair_ip, self._pair_iq, self._pair_scale
-        if rows is not None:
-            # the block's pairs, block position by block position; pair k of
-            # row i sits at i * c in the full scores and at j * c in the block's
-            count = self._pair_count[rows]
-            ends = np.cumsum(count)
-            k = np.arange(ends[-1]) + np.repeat(self._pair_start[rows] - ends + count, count)
-            shift = np.repeat((np.arange(rows.size) - rows) * self.c, count)
-            ip, iq, scale = ip[k] + shift, iq[k] + shift, scale[k]
-        flat = F.ravel()
-        derivs = derivative(flat[ip] - flat[iq]) * scale
-        return (np.bincount(ip, derivs, F.size) - np.bincount(iq, derivs, F.size)).reshape(F.shape)
-
-    def _mean_loss(self, F: np.ndarray) -> float:
-        """Mean surrogate loss over all rows at scores ``F`` ``(n, c)``."""
-        ell = self.spec.base.value
-        if self._weights is not None:
-            return float(np.sum(self._weights * ell(self.Y * F))) / self.n
-        flat = F.ravel()
-        return float(self._pair_scale @ ell(flat[self._pair_ip] - flat[self._pair_iq])) / self.n
+        self.loss = losses.BatchSurrogate(self.Y, spec.surrogate, spec.base)
 
     # -- oracle interface ---------------------------------------------------
 
     def value(self, W: np.ndarray) -> float:
-        return self._mean_loss(self.X @ W) + self.spec.lam * float(np.sum(W * W))
+        return self.loss.mean_loss(self.X @ W) + self.spec.lam * float(np.sum(W * W))
 
     def full_gradient(self, W: np.ndarray) -> np.ndarray:
-        return self.X.T @ self._gradients(self.X @ W) / self.n + 2.0 * self.spec.lam * W
+        return self.X.T @ self.loss.gradients(self.X @ W) / self.n + 2.0 * self.spec.lam * W
 
     def svrg_snapshot(self, W: np.ndarray) -> dict[str, Any]:
         """Cache the snapshot's value, full gradient ``mu`` and per-sample loss gradients."""
         F = self.X @ W
-        grads = self._gradients(F)
+        grads = self.loss.gradients(F)
         return {"W": W.copy(), "mu": self.X.T @ grads / self.n + 2.0 * self.spec.lam * W,
                 "loss_grads": grads,
-                "value": self._mean_loss(F) + self.spec.lam * float(np.sum(W * W))}
+                "value": self.loss.mean_loss(F) + self.spec.lam * float(np.sum(W * W))}
 
     def svrg_direction(self, scores: np.ndarray, rows: np.ndarray,
                        snap: dict[str, Any]) -> np.ndarray:
@@ -174,7 +136,7 @@ class Objective:
         The SVRG direction of the block is
         ``X[rows]^T delta / b + mu + 2 lambda (W - W_snap)``.
         """
-        return self._gradients(scores, rows) - snap["loss_grads"][rows]
+        return self.loss.gradients(scores, rows) - snap["loss_grads"][rows]
 
     def svrg_epoch(self, snap: dict[str, Any], eta: float, rows: np.ndarray) -> np.ndarray:
         """Run the inner steps ``W -= eta * (X_R^T delta_R / b + mu + 2 lambda (W - W_snap))``

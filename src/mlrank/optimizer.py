@@ -15,7 +15,8 @@ Both minimizers consume a duck-typed *oracle* with:
 ``minimize_svrg_bb`` calls ``n``, ``svrg_snapshot`` and ``svrg_epoch``, with
 no fallback.  :class:`mlrank.model.Objective` runs an epoch through its
 score-space block hook ``svrg_direction(scores_R, R, snap)``, which returns
-the ``(b, c)`` loss-gradient differences ``Delta_R`` of the block's samples;
+the ``(b, c)`` loss-gradient differences ``Delta_R`` of the block's samples,
+from the gradient kernel of its one :class:`mlrank.losses.BatchSurrogate`;
 the step's direction is ``X_R^T Delta_R / b + mu_snap + 2 lambda (W - W_snap)``.
 
 ``minimize_svrg_bb`` runs epochs of ``m`` inner steps, each on a block of

@@ -36,7 +36,7 @@ import numpy as np
 from . import losses
 from .dataset import (MultiLabelDataset, StandardizationParams, append_bias,
                       kfold_split, standardize_apply, standardize_fit)
-from .losses import LOGISTIC, BaseLoss, PenaltyScheme
+from .losses import LOGISTIC, BaseLoss
 from .model import LinearModel, Objective, ObjectiveSpec, predict
 from .optimizer import OptimizationTrace, OptimizerConfig, minimize_svrg_bb
 
@@ -109,12 +109,11 @@ def evaluate(model: LinearModel, data: MultiLabelDataset, base: BaseLoss | None 
     if not mask.any():
         raise ValueError("no nontrivial instances to evaluate")
     F, Y = scores[mask], data.labels[mask]
-    pairs = losses.label_pairs(Y)  # one list for the pa risk and both ranking losses
-    risks = {"pa": float(losses.pairwise_batch(F, pairs, base)[0].mean())}
-    margin_losses = base.value(Y * F)  # value only: the u1-u4 risks need no gradient
-    for algo in ("u1", "u2", "u3", "u4"):
-        weights = losses.penalty_weight_matrix(PenaltyScheme(algo), Y)
-        risks[algo] = float((weights * margin_losses).sum(axis=1).mean())
+    pa = losses.BatchSurrogate(Y, "pa", base)
+    risks = {"pa": float(pa.row_losses(F).mean())}
+    for algo in losses.SCHEME_KINDS:  # one at a time: one weight matrix alive, not four
+        risks[algo] = float(losses.BatchSurrogate(Y, algo, base).row_losses(F).mean())
+    pairs = pa.pairs  # the one pair list of the pa risk and both ranking losses
     return EvalReport(
         ranking_loss=float(losses.ranking_loss_batch(F, Y, pairs=pairs).mean()),
         partial_ranking_loss=float(losses.ranking_loss_batch(F, Y, partial=True,

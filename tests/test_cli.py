@@ -175,10 +175,12 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     ["cv", "--data", "{sparse}", "--algo", "u1", "--keep-trivial"],
     ["bench", "--config", "{config}"],
     ["report", "{bad_cell}", "--outdir", "{tmp}/rep"],
+    ["consistency", "--scheme", "u3", "--c", "1"],
+    ["consistency", "--scheme", "u3", "--c", "13"],
 ], ids=["train-csv-no-labels", "convert-csv-no-labels", "bounds-csv-no-labels",
         "train-inner-steps-0", "cv-epochs-0", "report-short-row", "cv-nan-lambda",
         "train-nan-lambda", "cv-csv-no-labels", "cv-keep-trivial", "bench-keep-trivial",
-        "report-non-numeric-cell"])
+        "report-non-numeric-cell", "consistency-c-1", "consistency-c-13"])
 def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, argv):
     csv, model, bench = tmp_path / "syn.csv", tmp_path / "m.txt", tmp_path / "bench.csv"
     assert main(["convert", str(dataset_file), str(csv), "--to", "csv"]) == 0
@@ -199,6 +201,7 @@ def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, 
                            *(a.format(**places) for a in argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""  # rejected before any output
     assert "Traceback" not in proc.stderr
     # mlrank's own errors print "error: ..."; argparse prefixes its usage
     # errors (an unknown flag) with the program name
@@ -309,6 +312,26 @@ def test_report_subcommand(tmp_path, dataset_file):
     assert code == 0
     assert (tmp_path / "rep" / "summary_report.md").exists()
     assert (tmp_path / "rep" / "runtime_report.svg").exists()
+
+
+def test_report_rebuilds_bench_summary_exactly(tmp_path, dataset_file):
+    # under the test-fold protocol the selection fits are the final fits,
+    # which a runtime summed from CvResult fields would count twice
+    other = tmp_path / "other.txt"
+    save_sparse(synthetic_linear(50, 4, 3, seed=22, noise=0.05, name="other"), str(other))
+    outdir = tmp_path / "res"
+    assert main(["bench", "--data", str(dataset_file), str(other), "--algos", "u3,pa",
+                 "--grid", "1e-4,1e-2", "--smoke", "--select-on-test-folds",
+                 "--outdir", str(outdir)]) == 0
+    csvs = sorted(outdir.glob("bench_*.csv"))
+    assert len(csvs) == 2
+    assert main(["report", *map(str, csvs), "--outdir", str(tmp_path / "rep")]) == 0
+    rep = tmp_path / "rep"
+    assert (next(outdir.glob("runtime_*.svg")).read_bytes()
+            == (rep / "runtime_report.svg").read_bytes())
+    table_rows = lambda path: [ln for ln in path.read_text().splitlines() if ln.startswith("|")]
+    rows = table_rows(next(outdir.glob("summary_*.md")))
+    assert len(rows) == 4 and rows == table_rows(rep / "summary_report.md")
 
 
 # ---------------------------------------------------------------------------

@@ -357,14 +357,21 @@ def test_general_assignment_tau_by_enumeration():
 
 
 def test_witness_distribution_violates_and_u2_has_none():
-    for scheme in ("u1", "u3", "u4"):
-        dist = cons.tau_witness_distribution(scheme, 4)
-        verdict = cons.check_consistency_on_distribution(
-            dist, cons.scheme_assignment(scheme))
-        assert not verdict.consistent, scheme
-        assert verdict.witness is not None
-    with pytest.raises(ValueError):
-        cons.tau_witness_distribution("u2", 4)
+    # the construction must succeed for every failing kind at every
+    # enumerable c, since random_violation_search relies on it
+    for c in range(3, cons.MAX_ENUMERATED_LABELS + 1):
+        for scheme in ("u1", "u2", "u3", "u4"):
+            if cons.necessary_condition_tau(scheme, c).holds:
+                # at c = 3 the split sizes 1 and 2 mirror each other
+                assert scheme == "u2" or c == 3, (scheme, c)
+                with pytest.raises(ValueError):
+                    cons.tau_witness_distribution(scheme, c)
+                continue
+            dist = cons.tau_witness_distribution(scheme, c)
+            verdict = cons.check_consistency_on_distribution(
+                dist, cons.scheme_assignment(scheme))
+            assert not verdict.consistent, (scheme, c)
+            assert verdict.witness is not None
 
 
 def test_consistency_check_rejects_nonmonotone_base():

@@ -1,4 +1,4 @@
-"""The demos and the README's Python examples run against the package."""
+"""The demos and the README's examples run against the package."""
 
 import os
 import re
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mlrank
+from mlrank.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -30,3 +31,15 @@ def test_readme_imports_resolve():
     assert imports
     for line in imports:
         exec(line, {})
+
+
+def test_readme_commands_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    # pairs each fence with its closer, whatever the block's language
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", readme, flags=re.M | re.S)
+    commands = [line.split()[1:] for block in blocks for line in block.splitlines()
+                if line.startswith("mlrank ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func is not None, argv

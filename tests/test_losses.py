@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlrank import losses
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
-                           SQUARED_HINGE, BaseLoss, LossEval, PenaltyScheme,
-                           group_by_label_pattern, label_pairs, label_split_sizes,
-                           nontrivial_mask, pairwise_batch_for,
+                           SQUARED_HINGE, BaseLoss, BatchSurrogate, LossEval,
+                           PenaltyScheme, group_by_label_pattern, label_pairs,
+                           label_split_sizes, nontrivial_mask, pairwise_batch_for,
                            pairwise_surrogate, partial_ranking_loss,
                            penalty_weight_matrix, penalty_weights,
                            ranking_loss, ranking_loss_batch, split_labels,
@@ -395,17 +394,9 @@ def test_label_pairs_lists_each_rows_pairs_in_order():
         np.testing.assert_array_equal(neg[s:e], np.tile(q, p.size))
 
 
-@pytest.mark.parametrize("budget", [None, 500])
-def test_pair_list_batches_match_per_row_references(budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(losses, "_PAIR_BUDGET", budget)
+def test_pair_list_batches_match_per_row_references():
     rng = np.random.default_rng(12)
     F, Y = _large_label_batch(rng)
-    chunks = [(lo, hi) for lo, hi, *_ in losses._pair_chunks(*label_pairs(Y))]
-    assert (len(chunks) > 1) == (budget is not None)
-    assert [lo for lo, _ in chunks[1:]] == [hi for _, hi in chunks[:-1]]
-    assert chunks[0][0] == 0 and chunks[-1][1] == Y.shape[0]
-
     r = ranking_loss_batch(F, Y)
     p = ranking_loss_batch(F, Y, partial=True)
     trivial = ~nontrivial_mask(Y)
@@ -416,6 +407,9 @@ def test_pair_list_batches_match_per_row_references(budget, monkeypatch):
     np.testing.assert_array_equal(p[keep], [partial_ranking_loss(F[i], Y[i]) for i in keep])
     assert (r[keep] != p[keep]).any()  # the ties are really there
 
+    # the pa surrogate's pair list, recovered from its flat indices
+    for got, want in zip(BatchSurrogate(Y[keep], "pa", LOGISTIC).pairs, label_pairs(Y[keep])):
+        np.testing.assert_array_equal(got, want)
     for base in ALL_BASES:
         vals, grads = pairwise_batch_for(Y[keep], base)(F[keep])
         for k, i in enumerate(keep):
