@@ -394,7 +394,22 @@ def test_label_pairs_lists_each_rows_pairs_in_order():
         np.testing.assert_array_equal(neg[s:e], np.tile(q, p.size))
 
 
-def test_pair_list_batches_match_per_row_references():
+def _row_blocks(counts, budget):
+    """Consecutive row blocks of at most ``budget`` pairs each (a row with
+    more pairs is a block of its own); one block of all rows if None."""
+    if budget is None:
+        return [np.arange(counts.size)]
+    blocks, start, total = [], 0, 0
+    for i, k in enumerate(counts):
+        if i > start and total + k > budget:
+            blocks.append(np.arange(start, i))
+            start, total = i, 0
+        total += k
+    return blocks + [np.arange(start, counts.size)]
+
+
+@pytest.mark.parametrize("budget", [None, 500])
+def test_pair_list_batches_match_per_row_references(budget):
     rng = np.random.default_rng(12)
     F, Y = _large_label_batch(rng)
     r = ranking_loss_batch(F, Y)
@@ -410,8 +425,15 @@ def test_pair_list_batches_match_per_row_references():
     # the pa surrogate's pair list, recovered from its flat indices
     for got, want in zip(BatchSurrogate(Y[keep], "pa", LOGISTIC).pairs, label_pairs(Y[keep])):
         np.testing.assert_array_equal(got, want)
+    # the gradients whole, or in row blocks through the block path of ``rows``
+    a, b = label_split_sizes(Y[keep])
+    blocks = _row_blocks(a * b, budget)
+    assert (len(blocks) > 1) == (budget is not None)
+    np.testing.assert_array_equal(np.concatenate(blocks), np.arange(keep.size))
     for base in ALL_BASES:
-        vals, grads = pairwise_batch_for(Y[keep], base)(F[keep])
+        batch = BatchSurrogate(Y[keep], "pa", base)
+        vals = pairwise_batch_for(Y[keep], base)(F[keep])[0]
+        grads = np.concatenate([batch.gradients(F[keep][blk], rows=blk) for blk in blocks])
         for k, i in enumerate(keep):
             ev = pairwise_surrogate(F[i], Y[i], base)
             assert vals[k] == pytest.approx(ev.value, rel=1e-12, abs=0.0)
