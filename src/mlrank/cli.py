@@ -570,7 +570,7 @@ def cmd_consistency(args) -> int:
                         "bayes_scores": record.bayes.scores.tolist(),
                         "member": record.membership.member})
 
-    search_base = base if base.kind in ("exponential", "logistic", "squared_hinge") else None
+    search_base = base if base.kind in cons.MONOTONE_BASES else None
     search = cons.random_violation_search(args.scheme, args.c, args.trials,
                                           seed=args.seed, base=search_base)
     print(f"random search: {len(search.violations)} violating distributions "
@@ -606,6 +606,10 @@ def cmd_bounds(args) -> int:
             f"model expects d={model.d} features but dataset provides {prepared.d}; "
             "match the --standardize/--bias flags used at training time")
     base = BaseLoss(model.base)
+    if not base.dominates_zero_one:
+        raise ConfigError(
+            f"base {base.kind!r} lies below the 0/1 loss, so its surrogate risks bound no "
+            "ranking loss; train with --base logistic_calibrated")
     report = evaluate(model, prepared, base)
     scores = predict(model, prepared.features)
     z_max = float(np.abs(scores).max())

@@ -397,7 +397,7 @@ def zero_one_bayes_membership(predictor, dist: ConditionalDistribution,
 # Sign-agreement audit
 # ---------------------------------------------------------------------------
 
-_MONOTONE_BASES = ("exponential", "logistic", "squared_hinge")
+MONOTONE_BASES = ("exponential", "logistic", "squared_hinge")
 
 
 @dataclass(frozen=True)
@@ -431,9 +431,9 @@ def check_consistency_on_distribution(dist: ConditionalDistribution,
     surrogate does not deliver it witnesses inconsistency at this
     distribution.
     """
-    if base is not None and base.kind not in _MONOTONE_BASES:
+    if base is not None and base.kind not in MONOTONE_BASES:
         raise ValueError(f"audit applies to bases with a strictly monotone Bayes link "
-                         f"{_MONOTONE_BASES}, not {base.kind!r}")
+                         f"{MONOTONE_BASES}, not {base.kind!r}")
     stats = compute_stats(dist, penalties)
     dp, dm = stats.delta_plus, stats.delta_minus
     pp, pm = stats.phi_plus, stats.phi_minus

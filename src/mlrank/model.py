@@ -16,11 +16,13 @@ penalty::
 gradients at the snapshot) and ``svrg_epoch(snap, eta, rows)``, which runs
 one epoch of mini-batch SVRG inner steps, one per row of ``rows`` (shape
 ``(steps, b)``).  Each step asks the score-space block hook
-``svrg_direction`` for the ``(b, c)`` deltas of its ``b`` rows; the step's
-update is ``X_R^T Delta_R / b`` plus ``mu`` and the ridge term, and the
-latter two are applied in closed form.  Every entry point reaches the
-loss through one :class:`mlrank.losses.BatchSurrogate` and its two kernels
-on scores: per-row loss gradients, and mean loss.
+``svrg_direction`` for the ``(b, c)`` deltas of its ``b`` rows, then
+updates one dense ``W`` in place: it scales ``W`` by ``1 - 2 eta lambda``,
+subtracts ``eta (mu - 2 lambda W_snap)`` (computed once per epoch) and
+subtracts the block's rank-``b`` term ``eta X_R^T Delta_R / b``.  Every
+entry point reaches the loss through one
+:class:`mlrank.losses.BatchSurrogate` and its two kernels on scores:
+per-row loss gradients, and mean loss.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from . import losses
 from .losses import BaseLoss
 
 SURROGATES = ("pa", "u1", "u2", "u3", "u4")
-# svrg_epoch multiplies its scale factor into U once it falls below this
-_RESCALE_BELOW = 1e-100
 
 
 @dataclass
@@ -91,9 +91,10 @@ class Objective:
     """Regularized empirical surrogate risk of a linear model on fixed data.
 
     Implements the optimizer oracle protocol: ``n``, ``value``,
-    ``full_gradient``, ``svrg_snapshot`` and ``svrg_epoch``.  An epoch calls
-    the score-space block hook ``svrg_direction(scores_R, R, snap)`` once per
-    inner step, for the step's block ``R`` of ``b`` rows.  Every entry point
+    ``full_gradient``, ``svrg_snapshot`` and ``svrg_epoch``.  An epoch holds
+    the iterate as one dense ``W`` and calls the score-space block hook
+    ``svrg_direction(X_R @ W, R, snap)`` once per inner step, for the step's
+    block ``R`` of ``b`` rows.  Every entry point
     reaches the loss through the one :class:`mlrank.losses.BatchSurrogate`
     built here, ``loss``: its ``gradients`` (of all rows, or of a block) and
     its ``mean_loss``.
@@ -143,31 +144,22 @@ class Objective:
         from ``W = W_snap``, one per block ``R`` of ``b`` rows in ``rows``
         ``(steps, b)``; returns the last iterate.
 
-        ``W`` is held as ``s U - r K`` with ``K = eta (mu - 2 lambda W_snap)``:
-        a step scales ``s`` by ``a = 1 - 2 eta lambda``, sets ``r = a r + 1``
-        and adds the rank-``b`` term to ``U`` in place, so it costs one matrix
-        product for the block's scores ``s X_R U - r X_R K``, one hook call and
-        one for the update.
+        With ``a = 1 - 2 eta lambda`` and ``K = eta (mu - 2 lambda W_snap)``
+        a step is ``W = a W - K - (eta / b) X_R^T delta_R``, updated in place.
         """
         lam = self.spec.lam
         a = 1.0 - 2.0 * eta * lam
         K = eta * (snap["mu"] - (2.0 * lam) * snap["W"])
-        XK = self.X @ K
-        U = snap["W"].copy()
-        s, r = 1.0, 0.0
+        W = snap["W"].copy()
         X, direction = self.X, self.svrg_direction
         step = eta / rows.shape[1]
         for R in rows:
             XR = X[R]
-            delta = direction(s * (XR @ U) - r * XK[R], R, snap)
-            s *= a
-            r = a * r + 1.0
-            if abs(s) < _RESCALE_BELOW:
-                # fold s into U before dividing by it; s is 0 once a = 0
-                U *= s
-                s = 1.0
-            U -= XR.T @ (delta * (step / s))
-        return s * U - r * K
+            delta = direction(XR @ W, R, snap)
+            W *= a
+            W -= K
+            W -= XR.T @ (delta * step)
+        return W
 
 
 # -- serialization ----------------------------------------------------------

@@ -37,10 +37,11 @@ from . import losses
 from .dataset import (MultiLabelDataset, StandardizationParams, append_bias,
                       kfold_split, standardize_apply, standardize_fit)
 from .losses import LOGISTIC, BaseLoss
-from .model import LinearModel, Objective, ObjectiveSpec, predict
+from .model import SURROGATES, LinearModel, Objective, ObjectiveSpec, predict
 from .optimizer import OptimizationTrace, OptimizerConfig, minimize_svrg_bb
 
-ALGORITHMS = ("pa", "u1", "u2", "u3", "u4")
+# one training algorithm per surrogate objective
+ALGORITHMS = SURROGATES
 
 
 def task_seed(master_seed: int, fold: int, lam_index: int, algo: str, phase: str = "train") -> int:
@@ -74,8 +75,6 @@ def train_with_trace(data: MultiLabelDataset, algo: str, lam: float,
                      base: BaseLoss = LOGISTIC, cfg: OptimizerConfig | None = None
                      ) -> tuple[LinearModel, OptimizationTrace]:
     """Fit one linear model from a zero start; returns the trace as well."""
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
     cfg = _stabilized(cfg or OptimizerConfig(), lam)
     objective = Objective(data.features, data.labels, ObjectiveSpec(algo, base, lam))
     W0 = np.zeros((data.d, data.c))

@@ -109,10 +109,22 @@ def test_train_and_bounds(tmp_path, dataset_file):
     trace = tmp_path / "t.csv"
     code = main(["train", "--data", str(dataset_file), "--algo", "u3",
                  "--lam", "1e-4", "--out", str(model), "--trace", str(trace),
-                 "--epochs", "4"])
+                 "--epochs", "4", "--base", "logistic_calibrated"])
     assert code == 0 and model.exists() and trace.exists()
     assert main(["bounds", "--model", str(model), "--data",
                  str(dataset_file)]) == 0
+
+
+def test_bounds_rejects_plain_logistic_base(tmp_path, dataset_file, capsys):
+    # plain logistic has ell(0) = ln 2 < 1, so its risks bound no ranking loss
+    model = tmp_path / "m.txt"
+    assert main(["train", "--data", str(dataset_file), "--algo", "u3", "--lam", "1e-4",
+                 "--out", str(model), "--epochs", "2"]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--model", str(model), "--data", str(dataset_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "logistic_calibrated" in captured.err
+    assert "ranking-loss bound" not in captured.out
 
 
 def test_bounds_flags_must_match_training(tmp_path, dataset_file, capsys):

@@ -150,10 +150,10 @@ def test_svrg_direction_identities():
 
 
 @pytest.mark.parametrize("lam, eta, steps", [
-    (0.0, 0.1, 50),    # no ridge: the scale factor stays 1
+    (0.0, 0.1, 50),    # no ridge: a = 1, only the shift and the block terms act
     (0.02, 0.1, 50),
-    (1.0, 0.45, 400),  # a = 1 - 2 eta lambda = 0.1: 0.1^400 underflows without the fold
-    (0.25, 2.0, 60),   # a = 0 exactly: eta = 1 / (2 lambda)
+    (1.0, 0.45, 400),  # a = 1 - 2 eta lambda = 0.1 over 400 steps: a^400 underflows
+    (0.25, 2.0, 60),   # a = 0 exactly: eta = 1 / (2 lambda), each step forgets W
 ])
 def test_svrg_epoch_matches_dense_recursion(lam, eta, steps):
     rng = np.random.default_rng(11)
@@ -165,8 +165,12 @@ def test_svrg_epoch_matches_dense_recursion(lam, eta, steps):
         W = snap["W"].copy()
         for R in rows:
             W -= eta * block_direction(obj, W, R, snap)
-        lazy = obj.svrg_epoch(snap, eta, rows)
-        np.testing.assert_allclose(lazy, W, rtol=1e-12, atol=1e-12 * np.abs(W).max())
+        W_snap, mu = snap["W"].copy(), snap["mu"].copy()
+        epoch = obj.svrg_epoch(snap, eta, rows)
+        np.testing.assert_allclose(epoch, W, rtol=1e-12, atol=1e-12 * np.abs(W).max())
+        # the epoch updates its own copy in place, never the snapshot
+        np.testing.assert_array_equal(snap["W"], W_snap)
+        np.testing.assert_array_equal(snap["mu"], mu)
 
 
 def test_objective_rejects_trivial_rows():
