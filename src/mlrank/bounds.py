@@ -16,6 +16,12 @@ upper bound.  The composed closed forms are also written out directly
 (``bound_u2`` .. ``bound_u4``) so the two code paths can cross-check each
 other.
 
+``model_bound_inputs`` plugs a trained model into these bounds: from the
+model and its prepared data it takes each scheme's empirical risk, the
+margin range and the two norms.  It refuses a base loss that lies below
+the 0/1 step (plain ``logistic``), whose surrogate risks bound no ranking
+loss.
+
 ``empirical_lipschitz_probe`` estimates the score-space Lipschitz constant
 of a scheme by random difference quotients; it must never exceed the
 ``surrogate_constants`` value for the same base.
@@ -29,7 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
+from .dataset import MultiLabelDataset
 from .losses import BaseLoss
+from .model import LinearModel, predict
 
 BOUNDED_SCHEMES = ("u2", "u3", "u4")
 
@@ -156,6 +164,37 @@ def base_sup(base: BaseLoss, z_max: float) -> float:
     if z_max < 0.0:
         raise ValueError("z_max must be nonnegative")
     return float(base.value(np.array([-z_max]))[0])
+
+
+def model_bound_inputs(model: LinearModel, data: MultiLabelDataset, delta: float,
+                       log2: bool = False) -> tuple[float, dict[str, BoundInputs]]:
+    """``(z_max, {which: BoundInputs})`` of a trained model for each of
+    ``BOUNDED_SCHEMES``, on ``data`` prepared as its training data was.
+
+    Each empirical risk is the scheme's mean row loss over the nontrivial
+    rows, ``n`` their count; ``rho`` and ``B`` are the base loss's constants
+    on ``[-z_max, z_max]``, ``z_max`` the largest ``|score|``; the norms are
+    the plug-in ``||W||_F`` and largest feature row norm.  Raises
+    ``ValueError`` for a base below the 0/1 step.
+    """
+    base = BaseLoss(model.base)
+    if not base.dominates_zero_one:
+        raise ValueError(
+            f"base {base.kind!r} lies below the 0/1 loss, so its surrogate risks bound no "
+            "ranking loss; train with base logistic_calibrated")
+    scores = predict(model, data.features)
+    mask = losses.nontrivial_mask(data.labels)
+    if not mask.any():
+        raise ValueError("no nontrivial instances to bound")
+    F, Y = scores[mask], data.labels[mask]
+    z_max = float(np.abs(scores).max())
+    shared = dict(n=int(mask.sum()), c=data.c, rho=base_lipschitz(base, z_max),
+                  B=base_sup(base, z_max), weight_norm=float(np.linalg.norm(model.weights)),
+                  feature_norm=float(np.linalg.norm(data.features, axis=1).max()),
+                  delta=delta, log2=log2)
+    return z_max, {which: BoundInputs(
+        empirical_risk=float(losses.BatchSurrogate(Y, which, base).row_losses(F).mean()),
+        **shared) for which in BOUNDED_SCHEMES}
 
 
 @dataclass(frozen=True)

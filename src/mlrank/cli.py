@@ -46,7 +46,7 @@ from . import consistency as cons
 from .dataset import (DatasetFormatError, MultiLabelDataset, load_csv, load_sparse,
                       save_csv, save_sparse)
 from .losses import BASE_KINDS, SCHEME_KINDS, BaseLoss
-from .model import LinearModel, load_model, predict, save_model
+from .model import load_model, save_model
 from .optimizer import NonFiniteObjectiveError, OptimizerConfig
 from .trainer import ALGORITHMS, CvResult, cross_validate, evaluate, prepare_data, train_with_trace
 
@@ -605,34 +605,22 @@ def cmd_bounds(args) -> int:
         raise ConfigError(
             f"model expects d={model.d} features but dataset provides {prepared.d}; "
             "match the --standardize/--bias flags used at training time")
-    base = BaseLoss(model.base)
-    if not base.dominates_zero_one:
-        raise ConfigError(
-            f"base {base.kind!r} lies below the 0/1 loss, so its surrogate risks bound no "
-            "ranking loss; train with --base logistic_calibrated")
-    report = evaluate(model, prepared, base)
-    scores = predict(model, prepared.features)
-    z_max = float(np.abs(scores).max())
-    rho = bounds_mod.base_lipschitz(base, z_max)
-    B = bounds_mod.base_sup(base, z_max)
-    weight_norm = float(np.linalg.norm(model.weights))
-    feature_norm = float(np.linalg.norm(prepared.features, axis=1).max())
+    z_max, inputs = bounds_mod.model_bound_inputs(model, prepared, args.delta, args.log2)
+    report = evaluate(model, prepared)
+    shared = inputs[bounds_mod.BOUNDED_SCHEMES[0]]
 
-    print(f"model {args.model}: algorithm {model.algorithm}, base {base.kind}, "
+    print(f"model {args.model}: algorithm {model.algorithm}, base {model.base}, "
           f"lambda {model.lam:g}")
     print(f"dataset {data.name}: n={prepared.n} d={prepared.d} c={prepared.c}")
     print(f"empirical ranking loss: {report.ranking_loss:.6f}")
-    print(f"margin domain |z| <= {z_max:.4g} gives rho={rho:.6g}, B={B:.6g} "
-          f"(plug-in weight_norm={weight_norm:.6g}, feature_norm={feature_norm:.6g})")
+    print(f"margin domain |z| <= {z_max:.4g} gives rho={shared.rho:.6g}, B={shared.B:.6g} "
+          f"(plug-in weight_norm={shared.weight_norm:.6g}, "
+          f"feature_norm={shared.feature_norm:.6g})")
     log_note = "log2" if args.log2 else "natural log"
     print(f"confidence delta={args.delta:g} ({log_note})")
-    for which in bounds_mod.BOUNDED_SCHEMES:
-        inputs = bounds_mod.BoundInputs(
-            empirical_risk=report.surrogate_risks[which], n=prepared.n, c=prepared.c,
-            rho=rho, B=B, weight_norm=weight_norm, feature_norm=feature_norm,
-            delta=args.delta, log2=args.log2)
-        value = bounds_mod.THEOREM_BOUNDS[which](inputs)
-        print(f"  {which}: empirical risk {inputs.empirical_risk:.6f} -> "
+    for which, inp in inputs.items():
+        value = bounds_mod.THEOREM_BOUNDS[which](inp)
+        print(f"  {which}: empirical risk {inp.empirical_risk:.6f} -> "
               f"ranking-loss bound {value:.6f}")
     return EXIT_OK
 

@@ -251,8 +251,8 @@ def univariate_surrogate(scores, labels, base: BaseLoss, scheme: PenaltyScheme) 
 # structure on a label matrix, built once: for ``pa`` the row-major
 # label-pair list of :func:`label_pairs`, for u1-u4 the penalty weights.
 # Two kernels on a score matrix, per-row gradients and per-row losses (with
-# their mean), serve training, evaluation and the bounds probe; the ranking
-# loss runs on the same pair list.
+# their mean), serve training, the model bounds and the bounds probe; the
+# ranking loss runs on a pair list of its own.
 # ---------------------------------------------------------------------------
 
 
@@ -353,15 +353,8 @@ class BatchSurrogate:
 
     @cached_property
     def _signed_weights(self) -> np.ndarray:
-        # built on the first gradient; evaluate and the bounds probe need none
+        # built on the first gradient; the bounds and their probe need none
         return self.weights * self.Y
-
-    @property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The ``pa`` pair list as :func:`label_pairs` returns it, recovered
-        from the flat indices."""
-        row = np.repeat(np.arange(self.n), self._count)
-        return self._ptr, row, self._ip - row * self.c, self._iq - row * self.c
 
     def gradients(self, F: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Per-row loss gradients at scores ``F`` of rows ``rows`` (all rows if

@@ -6,6 +6,9 @@ only in the surrogate objective:
 * ``pa``: pairwise surrogate over relevant/irrelevant label pairs,
 * ``u1`` .. ``u4``: univariate surrogates under the four penalty schemes.
 
+``evaluate`` scores the (partial) ranking loss only; the surrogate risks of
+the deviation bounds come from :func:`mlrank.bounds.model_bound_inputs`.
+
 ``cross_validate`` implements seeded k-fold selection over a lambda grid.
 By default the grid is scored on a nested 80/20 holdout inside each fold's
 training portion, so the reported test metrics never see the selection data;
@@ -91,33 +94,27 @@ def train(data: MultiLabelDataset, algo: str, lam: float, base: BaseLoss = LOGIS
 
 @dataclass
 class EvalReport:
-    """Instance-averaged metrics; trivial label vectors are skipped."""
+    """Instance-averaged ranking losses; trivial label vectors are skipped."""
 
     ranking_loss: float
     partial_ranking_loss: float
-    surrogate_risks: dict[str, float]
     n_evaluated: int
     n_skipped: int
 
 
-def evaluate(model: LinearModel, data: MultiLabelDataset, base: BaseLoss | None = None) -> EvalReport:
-    """Ranking metrics and per-surrogate empirical risks of a model."""
-    base = base if base is not None else BaseLoss(model.base)
+def evaluate(model: LinearModel, data: MultiLabelDataset) -> EvalReport:
+    """Ranking loss and partial ranking loss of a model, both on one
+    :func:`losses.label_pairs` list of the nontrivial rows."""
     scores = predict(model, data.features)
     mask = losses.nontrivial_mask(data.labels)
     if not mask.any():
         raise ValueError("no nontrivial instances to evaluate")
     F, Y = scores[mask], data.labels[mask]
-    pa = losses.BatchSurrogate(Y, "pa", base)
-    risks = {"pa": float(pa.row_losses(F).mean())}
-    for algo in losses.SCHEME_KINDS:  # one at a time: one weight matrix alive, not four
-        risks[algo] = float(losses.BatchSurrogate(Y, algo, base).row_losses(F).mean())
-    pairs = pa.pairs  # the one pair list of the pa risk and both ranking losses
+    pairs = losses.label_pairs(Y)
     return EvalReport(
         ranking_loss=float(losses.ranking_loss_batch(F, Y, pairs=pairs).mean()),
         partial_ranking_loss=float(losses.ranking_loss_batch(F, Y, partial=True,
                                                              pairs=pairs).mean()),
-        surrogate_risks=risks,
         n_evaluated=int(mask.sum()),
         n_skipped=int((~mask).sum()),
     )

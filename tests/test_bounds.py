@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from mlrank import bounds as B
-from mlrank.losses import EXPONENTIAL, HINGE, LOGISTIC, SQUARED_HINGE
+from mlrank.dataset import MultiLabelDataset, synthetic_linear
+from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED, SQUARED_HINGE,
+                           BatchSurrogate, nontrivial_mask, ranking_loss_batch)
+from mlrank.model import LinearModel
 
 
 def inputs(**kw):
@@ -131,3 +134,40 @@ def test_theorem_bound_registry():
     inp = inputs(c=4)
     for which, fn in B.THEOREM_BOUNDS.items():
         assert fn(inp) == pytest.approx(B.compose_bound(which, inp))
+
+
+def test_model_bound_inputs_rejects_plain_logistic():
+    # ell(0) = ln 2 < 1: the plain logistic risks bound no ranking loss
+    data = synthetic_linear(30, 4, 3, seed=1)
+    model = LinearModel(np.ones((4, 3)), base="logistic")
+    with pytest.raises(ValueError, match="logistic_calibrated"):
+        B.model_bound_inputs(model, data, delta=0.05)
+
+
+def test_model_bound_inputs_average_nontrivial_rows():
+    data = synthetic_linear(30, 4, 3, seed=2)
+    labels = data.labels.copy()
+    labels[[0, 7]] = -1.0
+    model = LinearModel(np.random.default_rng(2).normal(size=(4, 3)), base="hinge")
+    z_max, got = B.model_bound_inputs(model, MultiLabelDataset(data.features, labels), 0.1)
+    _, want = B.model_bound_inputs(model, MultiLabelDataset(np.delete(data.features, [0, 7], 0),
+                                                            np.delete(labels, [0, 7], 0)), 0.1)
+    assert z_max == np.abs(data.features @ model.weights).max()
+    for which in B.BOUNDED_SCHEMES:
+        assert got[which].n == 28 and got[which].delta == 0.1
+        assert got[which].empirical_risk == want[which].empirical_risk
+
+
+@pytest.mark.parametrize("base", [LOGISTIC_CALIBRATED, HINGE, EXPONENTIAL, SQUARED_HINGE],
+                         ids=lambda b: b.kind)
+def test_dominating_surrogates_bound_ranking_loss_row_by_row(base):
+    # r <= u3, r <= u4 and r <= c u2 on every row, ties included
+    rng = np.random.default_rng(5)
+    n, c = 400, 7
+    Y = np.where(rng.random((n, c)) < 0.4, 1.0, -1.0)
+    Y = Y[nontrivial_mask(Y)]
+    F = np.round(rng.normal(size=Y.shape), 1)
+    r = ranking_loss_batch(F, Y)
+    for which, factor in (("u2", c), ("u3", 1.0), ("u4", 1.0)):
+        bound = factor * BatchSurrogate(Y, which, base).row_losses(F)
+        assert (r <= bound + 1e-12).all(), which

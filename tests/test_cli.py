@@ -1,6 +1,7 @@
 """Command line driver: subcommands, config files, artifacts, exit codes."""
 
 import json
+import re
 import os
 import subprocess
 import sys
@@ -104,15 +105,21 @@ def test_convert_roundtrip(tmp_path, dataset_file):
     np.testing.assert_allclose(a.features, b.features)
 
 
-def test_train_and_bounds(tmp_path, dataset_file):
+def test_train_and_bounds(tmp_path, dataset_file, capsys):
     model = tmp_path / "m.txt"
     trace = tmp_path / "t.csv"
     code = main(["train", "--data", str(dataset_file), "--algo", "u3",
                  "--lam", "1e-4", "--out", str(model), "--trace", str(trace),
                  "--epochs", "4", "--base", "logistic_calibrated"])
     assert code == 0 and model.exists() and trace.exists()
+    capsys.readouterr()
     assert main(["bounds", "--model", str(model), "--data",
                  str(dataset_file)]) == 0
+    out = capsys.readouterr().out
+    ranking = float(re.search(r"empirical ranking loss: (\S+)", out).group(1))
+    bounds = re.findall(r"  (u\d): empirical risk \S+ -> ranking-loss bound (\S+)", out)
+    assert [which for which, _ in bounds] == ["u2", "u3", "u4"]
+    assert all(float(value) >= ranking for _, value in bounds)
 
 
 def test_bounds_rejects_plain_logistic_base(tmp_path, dataset_file, capsys):
@@ -143,6 +150,16 @@ def test_import_loads_no_scipy(module):
     env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
     code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_bare_import_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    code = ("import sys, mlrank; "
+            "print(sorted(m for m in sys.modules if m.startswith('mlrank.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

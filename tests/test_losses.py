@@ -428,9 +428,6 @@ def test_pair_list_batches_match_per_row_references(budget):
     np.testing.assert_array_equal(p[keep], [partial_ranking_loss(F[i], Y[i]) for i in keep])
     assert (r[keep] != p[keep]).any()  # the ties are really there
 
-    # the pa surrogate's pair list, recovered from its flat indices
-    for got, want in zip(BatchSurrogate(Y[keep], "pa", LOGISTIC).pairs, label_pairs(Y[keep])):
-        np.testing.assert_array_equal(got, want)
     # the gradients whole, or in row blocks through the block path of ``rows``
     a, b = label_split_sizes(Y[keep])
     blocks = _row_blocks(a * b, budget)

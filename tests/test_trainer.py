@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlrank import losses, trainer
+from mlrank import bounds, losses, trainer
 from mlrank.dataset import synthetic_linear
 from mlrank.losses import LOGISTIC, BaseLoss, PenaltyScheme
 from mlrank.model import LinearModel, predict
@@ -61,12 +61,15 @@ def test_schemes_coincide_at_two_labels():
 def test_zero_model_surrogate_risks():
     data = synthetic_linear(40, 5, 2, seed=4)
     model = LinearModel(np.zeros((5, 2)), base="logistic")
-    report = evaluate(model, data)
+    F = np.zeros((data.n, data.c))
+    risks = {algo: losses.BatchSurrogate(data.labels, algo, LOGISTIC).row_losses(F)
+             for algo in ("pa", "u1", "u2", "u3")}
     # all scores zero: each coordinate contributes ell(0) = ln 2
-    assert report.surrogate_risks["u3"] == pytest.approx(2 * LN2)
-    assert report.surrogate_risks["u2"] == pytest.approx(2 * LN2)
-    assert report.surrogate_risks["u1"] == pytest.approx(LN2)
-    assert report.surrogate_risks["pa"] == pytest.approx(LN2)
+    np.testing.assert_allclose(risks["u3"], 2 * LN2)
+    np.testing.assert_allclose(risks["u2"], 2 * LN2)
+    np.testing.assert_allclose(risks["u1"], LN2)
+    np.testing.assert_allclose(risks["pa"], LN2)
+    report = evaluate(model, data)
     assert report.ranking_loss == 1.0  # ties count fully
     assert report.partial_ranking_loss == pytest.approx(0.5)
 
@@ -95,26 +98,30 @@ def test_evaluate_builds_label_pairs_once(monkeypatch):
         return build(labels)
 
     monkeypatch.setattr(losses, "label_pairs", counting)
+    surrogates = []
+    monkeypatch.setattr(losses, "BatchSurrogate", lambda *args: surrogates.append(args))
     report = evaluate(model, data)
     assert builds == [data.n]
+    assert surrogates == []  # evaluate computes no surrogate risk
     monkeypatch.undo()
-    # the same bits as the pa risk and ranking losses that build their own list
+    # the same bits as the ranking losses that build their own list
     F, Y = predict(model, data.features), data.labels
-    assert report.surrogate_risks["pa"] == float(losses.pairwise_batch_for(Y, LOGISTIC)(F)[0].mean())
     assert report.ranking_loss == float(losses.ranking_loss_batch(F, Y).mean())
     assert report.partial_ranking_loss == float(losses.ranking_loss_batch(F, Y, partial=True).mean())
 
 
 def test_evaluate_univariate_risks_match_univariate_batch():
-    # evaluate computes the u1-u4 risks value-only; univariate_batch adds gradients
+    # model_bound_inputs computes the u2-u4 risks value-only; univariate_batch
+    # adds gradients
     data = synthetic_linear(80, 5, 12, seed=17, noise=0.3)
-    model = LinearModel(np.random.default_rng(17).normal(size=(5, 12)))
-    F, Y = predict(model, data.features), data.labels
-    for base in (LOGISTIC, BaseLoss("hinge"), BaseLoss("exponential")):
-        report = evaluate(model, data, base)
-        for algo in ("u1", "u2", "u3", "u4"):
-            expected = losses.univariate_batch(F, Y, base, PenaltyScheme(algo))[0].mean()
-            assert report.surrogate_risks[algo] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    W = np.random.default_rng(17).normal(size=(5, 12))
+    F, Y = predict(LinearModel(W), data.features), data.labels
+    for kind in ("logistic_calibrated", "hinge", "exponential", "squared_hinge"):
+        _, inputs = bounds.model_bound_inputs(LinearModel(W, base=kind), data, delta=0.05)
+        assert list(inputs) == ["u2", "u3", "u4"]
+        for algo, inp in inputs.items():
+            expected = losses.univariate_batch(F, Y, BaseLoss(kind), PenaltyScheme(algo))[0].mean()
+            assert inp.empirical_risk == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_train_with_trace_reports_progress():
