@@ -14,9 +14,9 @@ import numpy as np
 
 from mlrank.dataset import synthetic_linear
 from mlrank.losses import LOGISTIC
-from mlrank.model import Objective, ObjectiveSpec
+from mlrank.model import SURROGATES, Objective, ObjectiveSpec
 from mlrank.optimizer import OptimizerConfig, minimize_batch_gd
-from mlrank.trainer import ALGORITHMS, cross_validate
+from mlrank.trainer import cross_validate
 
 print("=" * 72)
 print("Cross-validated comparison, five algorithms")
@@ -30,7 +30,7 @@ print()
 print(f"  {'algo':>4s} {'ranking loss':>16s} {'partial':>10s} "
       f"{'lambda':>8s} {'seconds':>8s}")
 results = {}
-for algo in ALGORITHMS:
+for algo in SURROGATES:
     r = cross_validate(data, algo, grid, k=3, seed=0, optimizer_cfg=cfg,
                        workers=2)
     results[algo] = r

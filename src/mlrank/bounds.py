@@ -40,6 +40,7 @@ from .losses import BaseLoss
 from .model import LinearModel, predict
 
 BOUNDED_SCHEMES = ("u2", "u3", "u4")
+_PROBE_RADIUS = 3.0  # the Lipschitz probe draws scores from [-3, 3]^c
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,10 @@ class LipschitzProbe:
 
 
 def empirical_lipschitz_probe(which: str, base: BaseLoss, c: int, trials: int = 10000,
-                              seed: int = 0, radius: float = 3.0) -> LipschitzProbe:
+                              seed: int = 0) -> LipschitzProbe:
     """Probe ``|L(f1, y) - L(f2, y)| / ||f1 - f2||`` over random draws.
 
-    Scores are drawn uniformly from ``[-radius, radius]^c`` and labels
+    Scores are drawn uniformly from ``[-3, 3]^c`` and labels
     uniformly among nontrivial vectors.  The certified constant uses the
     base-loss Lipschitz constant over the induced margin range.
     """
@@ -227,12 +228,12 @@ def empirical_lipschitz_probe(which: str, base: BaseLoss, c: int, trials: int = 
         if not bad.any():
             break
         Y[bad] = np.where(rng.random((int(bad.sum()), c)) < 0.5, 1.0, -1.0)
-    F1 = rng.uniform(-radius, radius, size=(trials, c))
-    F2 = rng.uniform(-radius, radius, size=(trials, c))
+    F1 = rng.uniform(-_PROBE_RADIUS, _PROBE_RADIUS, size=(trials, c))
+    F2 = rng.uniform(-_PROBE_RADIUS, _PROBE_RADIUS, size=(trials, c))
     surrogate = losses.BatchSurrogate(Y, which, base)
     v1, v2 = surrogate.row_losses(F1), surrogate.row_losses(F2)
     gaps = np.linalg.norm(F1 - F2, axis=1)
     valid = gaps > 0.0
     ratios = np.abs(v1 - v2)[valid] / gaps[valid]
-    certified = surrogate_constants(which, base_lipschitz(base, radius), 1.0, c).mu
+    certified = surrogate_constants(which, base_lipschitz(base, _PROBE_RADIUS), 1.0, c).mu
     return LipschitzProbe(float(ratios.max(initial=0.0)), certified)

@@ -15,9 +15,9 @@ the ``bench --config`` file or the defaults, overridden by each flag given,
 which sets the field its argparse ``dest`` names.  Defaults live in
 :class:`ExperimentConfig` and, for the solver, ``OptimizerConfig``.  Rejected
 before any data is read: unknown algorithms or base losses, an empty lambda
-grid or one with a negative or NaN value, ``folds < 2``, ``workers < 1``,
-csv without ``label_count``, ``outer_epochs < 1``, ``inner_steps < 1``,
-``initial_step <= 0`` and ``tolerance < 0``.
+grid or one with a negative, infinite or NaN value, ``folds < 2``,
+``workers < 1``, csv without ``label_count``, ``outer_epochs < 1``,
+``inner_steps < 1``, ``initial_step <= 0`` and ``tolerance < 0``.
 
 Exit codes: 0 success, 1 task failure (training aborted), 2 invalid
 configuration or malformed input data, 3 I/O error.  ``MLRANK_THREADS``
@@ -46,9 +46,9 @@ from . import consistency as cons
 from .dataset import (DatasetFormatError, MultiLabelDataset, load_csv, load_sparse,
                       save_csv, save_sparse)
 from .losses import BASE_KINDS, SCHEME_KINDS, BaseLoss
-from .model import load_model, save_model
+from .model import SURROGATES, load_model, save_model
 from .optimizer import NonFiniteObjectiveError, OptimizerConfig
-from .trainer import ALGORITHMS, CvResult, cross_validate, evaluate, prepare_data, train_with_trace
+from .trainer import CvResult, cross_validate, evaluate, prepare_data, train_with_trace
 
 EXIT_OK = 0
 EXIT_TASK = 1
@@ -74,7 +74,7 @@ class ExperimentConfig:
     datasets: list[str] = field(default_factory=list)
     format: str = "sparse"
     label_count: int | None = None
-    algos: list[str] = field(default_factory=lambda: list(ALGORITHMS))
+    algos: list[str] = field(default_factory=lambda: list(SURROGATES))
     base: str = "logistic"
     lambda_grid: list[float] = field(default_factory=lambda: list(DEFAULT_GRID))
     folds: int = 3
@@ -97,13 +97,13 @@ class ExperimentConfig:
             raise ConfigError(f"format must be sparse or csv, not {self.format!r}")
         if self.format == "csv" and not self.label_count:
             raise ConfigError("csv format requires label_count")
-        bad = [a for a in self.algos if a not in ALGORITHMS]
+        bad = [a for a in self.algos if a not in SURROGATES]
         if bad:
-            raise ConfigError(f"unknown algorithms {bad}; choose from {list(ALGORITHMS)}")
+            raise ConfigError(f"unknown algorithms {bad}; choose from {list(SURROGATES)}")
         if self.base not in BASE_KINDS:
             raise ConfigError(f"unknown base loss {self.base!r}; choose from {list(BASE_KINDS)}")
-        if not self.lambda_grid or any(not l >= 0 for l in self.lambda_grid):
-            raise ConfigError("lambda grid must be nonempty and nonnegative")
+        if not self.lambda_grid or any(not 0.0 <= l < np.inf for l in self.lambda_grid):
+            raise ConfigError("lambda grid must be nonempty, finite and nonnegative")
         if self.folds < 2:
             raise ConfigError("need at least 2 folds")
         if self.workers < 1:
@@ -213,8 +213,8 @@ def _experiment(args: argparse.Namespace, text: str | None = None,
 
 
 def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
-    return OptimizerConfig(outer_epochs=cfg.outer_epochs, inner_steps=cfg.inner_steps,
-                           initial_step=cfg.initial_step, tolerance=cfg.tolerance, seed=cfg.seed)
+    return OptimizerConfig(**{f.name: getattr(cfg, f.name)
+                              for f in dataclasses.fields(OptimizerConfig)})
 
 
 def _cross_validate(data: MultiLabelDataset, algo: str, cfg: ExperimentConfig,

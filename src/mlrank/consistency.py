@@ -27,7 +27,8 @@ families (``check_consistency_on_distribution``), a necessary product
 condition ``beta_plus * beta_minus = tau * alpha^2`` with a single constant
 ``tau`` (``necessary_condition_tau``, exact rational arithmetic for the
 named schemes), and explicit counterexample generators for the schemes and
-for the hinge base.
+for the hinge base; ``random_violation_search`` audits a named scheme.
+Mass and product differences within ``_TOL = 1e-12`` count as ties.
 
 Trivial label vectors (all-positive or all-negative) generate no ranking
 pairs, so they never enter the ``delta`` sums; they do enter the ``phi``
@@ -46,6 +47,7 @@ import numpy as np
 from .losses import BaseLoss, scheme_betas
 
 MEASURES = ("ranking", "partial")
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,9 @@ def scheme_assignment(kind: str) -> PenaltyAssignment:
                              beta_minus=lambda y: beta(y, 1))
 
 
-def uniform_assignment(value: float = 1.0) -> PenaltyAssignment:
-    """All weights equal; useful for hand-built analyses."""
-    const = lambda y: value
+def uniform_assignment() -> PenaltyAssignment:
+    """All weights 1; useful for hand-built analyses."""
+    const = lambda y: 1.0
     return PenaltyAssignment(alpha=const, beta_plus=const, beta_minus=const)
 
 
@@ -257,13 +259,12 @@ def bayes_surrogate(dist: ConditionalDistribution, penalties: PenaltyAssignment,
 
 
 def bayes_numeric_oracle(dist: ConditionalDistribution, penalties: PenaltyAssignment,
-                         base: BaseLoss, lo: float = -50.0, hi: float = 50.0,
-                         tol: float = 1e-8) -> np.ndarray:
+                         base: BaseLoss, tol: float = 1e-8) -> np.ndarray:
     """Golden-section minimizer of each coordinate's conditional risk.
 
     Independent of the closed forms: only evaluates the base loss.  The
     per-coordinate objective ``phi+ ell(z) + phi- ell(-z)`` is convex, so
-    golden section on ``[lo, hi]`` localizes a minimizer to width ``tol``.
+    golden section on ``[-50, 50]`` localizes a minimizer to width ``tol``.
     """
     stats = compute_stats(dist, penalties)
     pp, pm = stats.phi_plus, stats.phi_minus
@@ -272,8 +273,8 @@ def bayes_numeric_oracle(dist: ConditionalDistribution, penalties: PenaltyAssign
         return pp * base.value(z) + pm * base.value(-z)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = np.full(dist.c, lo)
-    b = np.full(dist.c, hi)
+    a = np.full(dist.c, -50.0)
+    b = np.full(dist.c, 50.0)
     while np.max(b - a) > tol:
         x1 = b - invphi * (b - a)
         x2 = a + invphi * (b - a)
@@ -306,15 +307,14 @@ class PairRequirement:
         return fp != fq
 
 
-def measure_requirements(stats: LabelStats, measure: str = "partial",
-                         tol: float = 1e-12) -> list[PairRequirement]:
+def measure_requirements(stats: LabelStats, measure: str = "partial") -> list[PairRequirement]:
     """Pairwise score constraints characterizing the measure's Bayes set.
 
     For each label pair, ``delta_pairwise`` decides the optimal order: the
     side with smaller opposing mass must be ranked higher.  Under the partial
     measure a tie in mass makes any order optimal; under the full ranking
     measure equal scores additionally pay both sides, so ties in score are
-    suboptimal whenever mass is present.
+    suboptimal whenever mass is present.  Masses within ``_TOL`` tie.
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
@@ -324,11 +324,11 @@ def measure_requirements(stats: LabelStats, measure: str = "partial",
         for q in range(p + 1, c):
             dpm = float(stats.delta_pairwise[p, q, 0, 1])
             dmp = float(stats.delta_pairwise[p, q, 1, 0])
-            if dpm > dmp + tol:
+            if dpm > dmp + _TOL:
                 reqs.append(PairRequirement(p, q, ">", dpm, dmp))
-            elif dmp > dpm + tol:
+            elif dmp > dpm + _TOL:
                 reqs.append(PairRequirement(p, q, "<", dpm, dmp))
-            elif measure == "ranking" and max(dpm, dmp) > tol:
+            elif measure == "ranking" and max(dpm, dmp) > _TOL:
                 reqs.append(PairRequirement(p, q, "!=", dpm, dmp))
     return reqs
 
@@ -352,8 +352,8 @@ _UNSPECIFIED_CANDIDATES = (-1.0, 0.0, 1.0)
 
 
 def zero_one_bayes_membership(predictor, dist: ConditionalDistribution,
-                              penalties: PenaltyAssignment, measure: str = "partial",
-                              tol: float = 1e-12) -> MembershipReport:
+                              penalties: PenaltyAssignment, measure: str = "partial"
+                              ) -> MembershipReport:
     """Does a (possibly partially unspecified) score vector minimize the measure?
 
     ``predictor`` is a plain score vector or a :class:`BayesPredictor`.
@@ -362,7 +362,7 @@ def zero_one_bayes_membership(predictor, dist: ConditionalDistribution,
     counts as a member.
     """
     stats = compute_stats(dist, penalties)
-    reqs = measure_requirements(stats, measure, tol)
+    reqs = measure_requirements(stats, measure)
     if isinstance(predictor, BayesPredictor):
         scores = np.asarray(predictor.scores, dtype=np.float64).copy()
         free = np.flatnonzero(predictor.unspecified)
@@ -419,8 +419,7 @@ class ConsistencyVerdict:
 
 def check_consistency_on_distribution(dist: ConditionalDistribution,
                                       penalties: PenaltyAssignment,
-                                      base: BaseLoss | None = None,
-                                      tol: float = 1e-12) -> ConsistencyVerdict:
+                                      base: BaseLoss | None = None) -> ConsistencyVerdict:
     """Audit one distribution for a Bayes-ordering conflict.
 
     The surrogate's Bayes scores (for bases whose closed form is strictly
@@ -429,7 +428,7 @@ def check_consistency_on_distribution(dist: ConditionalDistribution,
     the measure demands that order iff ``delta+_p delta-_q > delta-_p
     delta+_q``.  A pair where the measure requires a strict order and the
     surrogate does not deliver it witnesses inconsistency at this
-    distribution.
+    distribution; product differences within ``_TOL`` count as ties.
     """
     if base is not None and base.kind not in MONOTONE_BASES:
         raise ValueError(f"audit applies to bases with a strictly monotone Bayes link "
@@ -444,7 +443,7 @@ def check_consistency_on_distribution(dist: ConditionalDistribution,
                 continue
             delta_hi, delta_lo = float(dp[p] * dm[q]), float(dm[p] * dp[q])
             phi_hi, phi_lo = float(pp[p] * pm[q]), float(pm[p] * pp[q])
-            if delta_hi - delta_lo > tol and not (phi_hi - phi_lo > tol):
+            if delta_hi - delta_lo > _TOL and not (phi_hi - phi_lo > _TOL):
                 witness = PairWitness(p, q, (delta_hi, delta_lo), (phi_hi, phi_lo))
                 return ConsistencyVerdict(False, witness, stats)
     return ConsistencyVerdict(True, None, stats)
@@ -502,7 +501,7 @@ def necessary_condition_tau(penalties, c: int) -> TauCheck:
         r = penalties.beta_plus(y) * penalties.beta_minus(y) / penalties.alpha(y) ** 2
         if first is None:
             first = (y, r)
-        elif abs(r - first[1]) > 1e-12 * max(abs(r), abs(first[1]), 1.0):
+        elif abs(r - first[1]) > _TOL * max(abs(r), abs(first[1]), 1.0):
             return TauCheck(False, None, (first[0], y, first[1], r))
     return TauCheck(True, first[1], None)
 
@@ -569,10 +568,10 @@ class HingeCounterexampleRecord:
     membership: MembershipReport
 
 
-def hinge_counterexample(masses: tuple[float, float] = (0.2, 0.1),
-                         penalties: PenaltyAssignment | None = None
+def hinge_counterexample(masses: tuple[float, float] = (0.2, 0.1)
                          ) -> HingeCounterexampleRecord:
-    """Construct the hinge inconsistency witness at ``c = 2``.
+    """Construct the hinge inconsistency witness at ``c = 2``, under
+    :func:`uniform_assignment` weights.
 
     Support: ``y1 = (+1, +1)`` with the bulk of the mass, plus the two
     single-positive vectors ``y2 = (+1, -1)`` and ``y3 = (-1, +1)`` with
@@ -584,23 +583,20 @@ def hinge_counterexample(masses: tuple[float, float] = (0.2, 0.1),
     scores or when the weighted masses coincide (no strict order required,
     hence no counterexample).
     """
-    pen = penalties if penalties is not None else uniform_assignment()
+    pen = uniform_assignment()
     m2, m3 = float(masses[0]), float(masses[1])
     if m2 <= 0.0 or m3 <= 0.0:
         raise ValueError("both perturbation masses must be positive")
-    y1 = np.array([1.0, 1.0])
-    y2 = np.array([1.0, -1.0])
-    y3 = np.array([-1.0, 1.0])
     eps = m2 + m3
-    eps_max = pen.beta_plus(y1) / (pen.beta_plus(y1)
-                                   + max(pen.beta_minus(y2), pen.beta_minus(y3)))
-    if eps >= eps_max:
-        raise ValueError(f"total perturbation {eps} must stay below {eps_max:.6g} "
+    # under unit weights both hinge scores sit at +1 while y1's mass 1 - eps exceeds eps
+    if eps >= 0.5:
+        raise ValueError(f"total perturbation {eps} must stay below 0.5 "
                          "to pin both hinge scores at +1")
-    if abs(pen.alpha(y2) * m2 - pen.alpha(y3) * m3) <= 1e-15:
+    if abs(m2 - m3) <= 1e-15:
         raise ValueError("weighted masses of the single-positive atoms must differ; "
                          "equal masses demand no strict order")
-    dist = ConditionalDistribution(np.vstack([y1, y2, y3]), np.array([1.0 - eps, m2, m3]))
+    atoms = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+    dist = ConditionalDistribution(atoms, np.array([1.0 - eps, m2, m3]))
     bayes = bayes_surrogate(dist, pen, BaseLoss("hinge"))
     membership = zero_one_bayes_membership(bayes, dist, pen, measure="partial")
     return HingeCounterexampleRecord(dist, pen, eps, bayes, membership)
@@ -613,6 +609,8 @@ def hinge_counterexample(masses: tuple[float, float] = (0.2, 0.1),
 
 # largest label count whose 2^c label vectors are enumerated
 MAX_ENUMERATED_LABELS = 12
+# most atoms in the support of one random search trial
+_MAX_SUPPORT = 8
 
 
 def enumerate_label_vectors(c: int, nontrivial_only: bool = True) -> np.ndarray:
@@ -642,28 +640,26 @@ class SearchResult:
         return bool(self.violations)
 
 
-def random_violation_search(penalties, c: int, trials: int, seed: int = 0,
-                            base: BaseLoss | None = None,
-                            max_support: int = 8, tol: float = 1e-12) -> SearchResult:
-    """Sample random conditional distributions and audit each for violations.
+def random_violation_search(kind: str, c: int, trials: int, seed: int = 0,
+                            base: BaseLoss | None = None) -> SearchResult:
+    """Sample random conditional distributions and audit each for violations
+    of the scheme ``kind``'s :func:`scheme_assignment`.
 
-    ``penalties`` is a scheme kind string or a :class:`PenaltyAssignment`.
-    For a kind, trial 0 is the constructive two-atom witness of
+    Trial 0 is the constructive two-atom witness of
     :func:`tau_witness_distribution` whenever the product condition fails,
-    so a failing scheme is always caught; an assignment gets random trials
-    only.  The random trials
-    draw a support of 2..``max_support`` nontrivial atoms without
-    replacement and flat simplex probabilities.  Each trial's randomness is
+    so a failing scheme is always caught.  The random trials draw a support
+    of 2..``_MAX_SUPPORT`` nontrivial atoms without replacement and flat
+    simplex probabilities.  Each trial's randomness is
     seeded independently from ``(seed, trial)``, so any partition of the
     trial range over workers returns identical results.
     """
-    pen = scheme_assignment(penalties) if isinstance(penalties, str) else penalties
+    pen = scheme_assignment(kind)
     atoms_pool = enumerate_label_vectors(c)
-    hi = min(len(atoms_pool), max_support)
+    hi = min(len(atoms_pool), _MAX_SUPPORT)
     result = SearchResult(trials=trials)
     constructive: ConditionalDistribution | None = None
-    if isinstance(penalties, str) and not necessary_condition_tau(penalties, c).holds:
-        constructive = tau_witness_distribution(penalties, c)
+    if not necessary_condition_tau(kind, c).holds:
+        constructive = tau_witness_distribution(kind, c)
     for trial in range(trials):
         if trial == 0 and constructive is not None:
             dist = constructive
@@ -676,7 +672,7 @@ def random_violation_search(penalties, c: int, trials: int, seed: int = 0,
             probs = np.maximum(probs, 1e-12)
             probs = probs / probs.sum()
             dist = ConditionalDistribution(atoms_pool[idx], probs)
-        verdict = check_consistency_on_distribution(dist, pen, base, tol)
+        verdict = check_consistency_on_distribution(dist, pen, base)
         if not verdict.consistent:
             result.violations.append(ViolationRecord(trial, dist, verdict.witness))
     return result

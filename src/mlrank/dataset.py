@@ -34,6 +34,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .losses import nontrivial_mask
+
 
 # Lines whose feature tokens are converted together.  One conversion over a
 # whole 17 MB file more than doubles the loader's peak memory.
@@ -91,20 +93,11 @@ class MultiLabelDataset:
                                  dropped_trivial=0)
 
 
-def _trivial_rows(labels: np.ndarray) -> np.ndarray:
-    pos = (labels > 0).sum(axis=1)
-    return (pos == 0) | (pos == labels.shape[1])
-
-
 def _drop_trivial(X: np.ndarray, Y: np.ndarray, name: str, keep: bool) -> MultiLabelDataset:
-    if keep:
+    rows = nontrivial_mask(Y)
+    if keep or rows.all():
         return MultiLabelDataset(X, Y, name)
-    trivial = _trivial_rows(Y)
-    if trivial.any():
-        keep_rows = ~trivial
-        return MultiLabelDataset(X[keep_rows], Y[keep_rows], name,
-                                 dropped_trivial=int(trivial.sum()))
-    return MultiLabelDataset(X, Y, name)
+    return MultiLabelDataset(X[rows], Y[rows], name, dropped_trivial=int((~rows).sum()))
 
 
 def _parse_header(tokens: list[str]) -> tuple[int, int, int] | None:
@@ -292,11 +285,11 @@ def _raise_first_fault(lines: list[str], path: str) -> None:
                 raise DatasetFormatError(path, lineno, f"feature index {idx} out of range for d={d}")
 
 
-def save_sparse(data: MultiLabelDataset, path: str, header: bool = True) -> None:
-    """Write the sparse text format; feature values use 17 significant digits."""
+def save_sparse(data: MultiLabelDataset, path: str) -> None:
+    """Write the sparse text format with its header; feature values use 17
+    significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{data.n} {data.d} {data.c}\n")
+        fh.write(f"{data.n} {data.d} {data.c}\n")
         for i in range(data.n):
             labels = ",".join(str(j) for j in np.flatnonzero(data.labels[i] > 0))
             feats = " ".join(f"{j + 1}:{data.features[i, j]:.17g}"
@@ -398,7 +391,7 @@ def synthetic_linear(n: int, d: int, c: int, seed: int, noise: float = 0.0,
         if noise > 0.0:
             flip = rng.random(Yb.shape) < noise
             Yb = np.where(flip, -Yb, Yb)
-        ok = ~_trivial_rows(Yb)
+        ok = nontrivial_mask(Yb)
         X = np.vstack([X, Xb[ok]])
         Y = np.vstack([Y, Yb[ok]])
     return MultiLabelDataset(X[:n], Y[:n], name)

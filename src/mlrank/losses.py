@@ -98,9 +98,6 @@ class BaseLoss:
             return np.where(z <= 1.0, -1.0, 0.0)
         return np.where(z < 1.0, -2.0 * (1.0 - z), 0.0)
 
-    def value_and_derivative(self, z):
-        return self.value(z), self.derivative(z)
-
 
 EXPONENTIAL = BaseLoss("exponential")
 LOGISTIC = BaseLoss("logistic")
@@ -227,12 +224,11 @@ def pairwise_surrogate(scores, labels, base: BaseLoss) -> LossEval:
     pos, neg = split_labels(labels)
     scale = 1.0 / (pos.size * neg.size)
     diffs = f[pos][:, None] - f[neg][None, :]
-    vals, derivs = base.value_and_derivative(diffs)
     grad = np.zeros_like(f)
-    derivs = derivs * scale
+    derivs = base.derivative(diffs) * scale
     grad[pos] = derivs.sum(axis=1)
     grad[neg] = -derivs.sum(axis=0)
-    return LossEval(float(vals.sum() * scale), grad)
+    return LossEval(float(base.value(diffs).sum() * scale), grad)
 
 
 def univariate_surrogate(scores, labels, base: BaseLoss, scheme: PenaltyScheme) -> LossEval:
@@ -242,8 +238,8 @@ def univariate_surrogate(scores, labels, base: BaseLoss, scheme: PenaltyScheme) 
     if f.shape != y.shape:
         raise ValueError(f"scores shape {f.shape} does not match labels shape {y.shape}")
     w = penalty_weights(scheme, y)
-    vals, derivs = base.value_and_derivative(y * f)
-    return LossEval(float(w @ vals), w * y * derivs)
+    z = y * f
+    return LossEval(float(w @ base.value(z)), w * y * base.derivative(z))
 
 
 # ---------------------------------------------------------------------------

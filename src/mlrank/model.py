@@ -11,7 +11,7 @@ penalty::
     F(W) = (1/n) sum_i L(W^T x_i, y_i) + lambda * ||W||_F^2
 
 :class:`Objective` implements the oracle protocol of
-:mod:`mlrank.optimizer`: ``n``, ``value``, ``full_gradient``,
+:mod:`mlrank.optimizer`: ``n``, ``lam``, ``value``, ``full_gradient``,
 ``svrg_snapshot`` (value, full gradient ``mu`` and per-sample loss
 gradients at the snapshot) and ``svrg_epoch(snap, eta, rows)``, which runs
 one epoch of mini-batch SVRG inner steps, one per row of ``rows`` (shape
@@ -83,14 +83,14 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if self.surrogate not in SURROGATES:
             raise ValueError(f"unknown surrogate {self.surrogate!r}, expected one of {SURROGATES}")
-        if not self.lam >= 0.0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and nonnegative, not {self.lam!r}")
 
 
 class Objective:
     """Regularized empirical surrogate risk of a linear model on fixed data.
 
-    Implements the optimizer oracle protocol: ``n``, ``value``,
+    Implements the optimizer oracle protocol: ``n``, ``lam``, ``value``,
     ``full_gradient``, ``svrg_snapshot`` and ``svrg_epoch``.  An epoch holds
     the iterate as one dense ``W`` and calls the score-space block hook
     ``svrg_direction(X_R @ W, R, snap)`` once per inner step, for the step's
@@ -111,23 +111,24 @@ class Objective:
         self.n = self.X.shape[0]
         self.d = self.X.shape[1]
         self.c = self.Y.shape[1]
+        self.lam = spec.lam
         self.loss = losses.BatchSurrogate(self.Y, spec.surrogate, spec.base)
 
     # -- oracle interface ---------------------------------------------------
 
     def value(self, W: np.ndarray) -> float:
-        return self.loss.mean_loss(self.X @ W) + self.spec.lam * float(np.sum(W * W))
+        return self.loss.mean_loss(self.X @ W) + self.lam * float(np.sum(W * W))
 
     def full_gradient(self, W: np.ndarray) -> np.ndarray:
-        return self.X.T @ self.loss.gradients(self.X @ W) / self.n + 2.0 * self.spec.lam * W
+        return self.X.T @ self.loss.gradients(self.X @ W) / self.n + 2.0 * self.lam * W
 
     def svrg_snapshot(self, W: np.ndarray) -> dict[str, Any]:
         """Cache the snapshot's value, full gradient ``mu`` and per-sample loss gradients."""
         F = self.X @ W
         grads = self.loss.gradients(F)
-        return {"W": W.copy(), "mu": self.X.T @ grads / self.n + 2.0 * self.spec.lam * W,
+        return {"W": W.copy(), "mu": self.X.T @ grads / self.n + 2.0 * self.lam * W,
                 "loss_grads": grads,
-                "value": self.loss.mean_loss(F) + self.spec.lam * float(np.sum(W * W))}
+                "value": self.loss.mean_loss(F) + self.lam * float(np.sum(W * W))}
 
     def svrg_direction(self, scores: np.ndarray, rows: np.ndarray,
                        snap: dict[str, Any]) -> np.ndarray:
@@ -147,7 +148,7 @@ class Objective:
         With ``a = 1 - 2 eta lambda`` and ``K = eta (mu - 2 lambda W_snap)``
         a step is ``W = a W - K - (eta / b) X_R^T delta_R``, updated in place.
         """
-        lam = self.spec.lam
+        lam = self.lam
         a = 1.0 - 2.0 * eta * lam
         K = eta * (snap["mu"] - (2.0 * lam) * snap["W"])
         W = snap["W"].copy()
@@ -181,24 +182,46 @@ def save_model(model: LinearModel, path: str) -> None:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
+# model file header lines 2-7, in order: key, parser, test of the value, what passes
+_HEADER = (("d", int, lambda v: v >= 1, "a positive integer"),
+           ("c", int, lambda v: v >= 1, "a positive integer"),
+           ("algorithm", str, SURROGATES.__contains__, f"one of {SURROGATES}"),
+           ("base", str, losses.BASE_KINDS.__contains__, f"one of {losses.BASE_KINDS}"),
+           ("lambda", float, lambda v: 0.0 <= v < np.inf, "finite and nonnegative"),
+           ("seed", int, lambda v: True, "an integer"))
+
+
 def load_model(path: str) -> LinearModel:
+    """Read a :func:`save_model` file; any fault, a non-blank line after the
+    ``d`` weight rows included, raises ``ValueError`` naming ``<path>:<line>``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path}: not a model file (missing {_MAGIC!r} header)")
+        raise ValueError(f"{path}:1: not a model file (missing {_MAGIC!r} header)")
     if len(lines) < 7:
         raise ValueError(f"{path}: truncated model header ({len(lines)} of 7 lines)")
-    fields: dict[str, str] = {}
-    for idx in range(1, 7):
-        key, _, val = lines[idx].partition(" ")
-        fields[key] = val
-    missing = {"d", "c", "algorithm", "base", "lambda", "seed"} - fields.keys()
-    if missing:
-        raise ValueError(f"{path}: header missing fields {sorted(missing)}")
-    d, c = int(fields["d"]), int(fields["c"])
-    rows = [np.array(ln.split(), dtype=np.float64) for ln in lines[7:7 + d]]
-    W = np.vstack(rows) if rows else np.zeros((0, c))
-    if W.shape != (d, c):
-        raise ValueError(f"{path}: expected {d}x{c} weights, found shape {W.shape}")
-    return LinearModel(W, algorithm=fields["algorithm"], base=fields["base"],
-                       lam=float(fields["lambda"]), seed=int(fields["seed"]))
+    header = {}
+    for lineno, line, (key, parse, valid, expected) in zip(range(2, 8), lines[1:], _HEADER):
+        name, _, text = line.partition(" ")
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if name != key or value is None or not valid(value):
+            raise ValueError(f"{path}:{lineno}: expected {key} {expected}, found {line!r}")
+        header[key] = value
+    d, c = header["d"], header["c"]
+    W = np.empty((d, c))
+    for i in range(d):
+        try:
+            row = np.array(lines[7 + i].split() if 7 + i < len(lines) else [], dtype=np.float64)
+        except ValueError:
+            row = None
+        if row is None or row.shape != (c,) or not np.isfinite(row).all():
+            raise ValueError(f"{path}:{8 + i}: weight row {i} must hold {c} finite numbers")
+        W[i] = row
+    for lineno, line in enumerate(lines[7 + d:], start=8 + d):
+        if line.strip():
+            raise ValueError(f"{path}:{lineno}: unexpected line after the {d} weight rows")
+    return LinearModel(W, algorithm=header["algorithm"], base=header["base"],
+                       lam=header["lambda"], seed=header["seed"])

@@ -3,6 +3,7 @@
 Both minimizers consume a duck-typed *oracle* with:
 
 * ``n`` - number of summands in the empirical term,
+* ``lam`` - the weight ``lambda >= 0`` of the ``lambda ||W||^2`` term,
 * ``value(W) -> float`` and ``full_gradient(W) -> ndarray``,
 * ``svrg_snapshot(W)`` - a mapping ``snap`` holding the objective
   ``"value"`` and the full gradient ``"mu"`` at ``W``,
@@ -11,13 +12,13 @@ Both minimizers consume a duck-typed *oracle* with:
   from the snapshot point, one per row ``R`` of ``rows``, an integer array
   of shape ``(steps, b)``.
 
-``minimize_batch_gd`` calls ``value`` and ``full_gradient``;
-``minimize_svrg_bb`` calls ``n``, ``svrg_snapshot`` and ``svrg_epoch``, with
-no fallback.  :class:`mlrank.model.Objective` runs an epoch through its
-score-space block hook ``svrg_direction(scores_R, R, snap)``, which returns
-the ``(b, c)`` loss-gradient differences ``Delta_R`` of the block's samples,
-from the gradient kernel of its one :class:`mlrank.losses.BatchSurrogate`;
-the step's direction is ``X_R^T Delta_R / b + mu_snap + 2 lambda (W - W_snap)``.
+``minimize_batch_gd`` calls ``value`` and ``full_gradient``; ``minimize_svrg_bb``
+calls ``n``, ``lam``, ``svrg_snapshot`` and ``svrg_epoch``, with no fallback.
+:class:`mlrank.model.Objective` runs an epoch through its score-space block
+hook ``svrg_direction(scores_R, R, snap)``, which returns the ``(b, c)``
+loss-gradient differences ``Delta_R`` of the block's samples, from the
+gradient kernel of its one :class:`mlrank.losses.BatchSurrogate`; the step's
+direction is ``X_R^T Delta_R / b + mu_snap + 2 lambda (W - W_snap)``.
 
 ``minimize_svrg_bb`` runs epochs of ``m`` inner steps, each on a block of
 ``b = 16`` samples it draws with replacement (mS2GD, Konecny et al. 2016),
@@ -27,7 +28,10 @@ from consecutive snapshots by the Barzilai-Borwein rule
 
     eta_k = ||dW||^2 / (m * <dW, dG>)
 
-with the first epoch on a fixed ``initial_step``.  Because the inner
+with the first epoch on a fixed ``initial_step``.  Steps are clamped to
+``[_STEP_MIN, min(_STEP_MAX, 1 / (4 lam))]`` (``_STEP_MAX`` at ``lam = 0``),
+which keeps the regularizer's shrink factor ``1 - 2 eta lam`` in
+``[1/2, 1)``.  Because the inner
 recursion is not monotone, the returned iterate is the best snapshot seen
 (including the initial point), so the final objective never exceeds the
 starting one.
@@ -66,7 +70,6 @@ class OptimizerConfig:
     initial_step: float = 0.1
     tolerance: float = 1e-7
     seed: int = 0
-    max_step: float | None = None
 
     def __post_init__(self) -> None:
         if self.outer_epochs < 1:
@@ -116,11 +119,8 @@ class NonFiniteObjectiveError(RuntimeError):
         self.trace = trace
 
 
-def _clamp_step(eta: float, cfg: OptimizerConfig) -> float:
-    eta = min(max(eta, _STEP_MIN), _STEP_MAX)
-    if cfg.max_step is not None:
-        eta = min(eta, cfg.max_step)
-    return eta
+def _clamp_step(eta: float, step_max: float = _STEP_MAX) -> float:
+    return min(max(eta, _STEP_MIN), step_max)
 
 
 def _check_finite(value: float, what: str, trace: OptimizationTrace) -> None:
@@ -135,6 +135,7 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
     n = oracle.n
     samples = cfg.inner_steps if cfg.inner_steps is not None else 2 * n
     m = -(-samples // _BLOCK_ROWS)  # inner steps per epoch
+    step_max = min(_STEP_MAX, 1.0 / (4.0 * oracle.lam)) if oracle.lam > 0.0 else _STEP_MAX
     rng = np.random.default_rng(cfg.seed)
     trace = OptimizationTrace()
     t0 = time.perf_counter()
@@ -145,7 +146,7 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
     best_W, best_value = W_snap.copy(), value
     _check_finite(value, "initial objective", trace)
 
-    eta = _clamp_step(cfg.initial_step, cfg)
+    eta = _clamp_step(cfg.initial_step, step_max)
     prev_W: np.ndarray | None = None
     prev_mu: np.ndarray | None = None
 
@@ -156,7 +157,7 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
             sq = float(dW @ dW)
             curv = float(dW @ dG)
             if curv > _CURVATURE_FLOOR * sq:
-                eta = _clamp_step(sq / (m * curv), cfg)
+                eta = _clamp_step(sq / (m * curv), step_max)
             # else: keep the previous epoch's step size
 
         W = oracle.svrg_epoch(snap, eta, rng.integers(n, size=(m, _BLOCK_ROWS)))
@@ -198,7 +199,7 @@ def minimize_batch_gd(oracle, init: np.ndarray, cfg: OptimizerConfig | None = No
     W = np.array(init, dtype=np.float64, copy=True)
     value = oracle.value(W)
     _check_finite(value, "initial objective", trace)
-    eta = _clamp_step(1.0, cfg)
+    eta = _clamp_step(1.0)
 
     for epoch in range(cfg.outer_epochs):
         grad = oracle.full_gradient(W)
@@ -209,7 +210,7 @@ def minimize_batch_gd(oracle, init: np.ndarray, cfg: OptimizerConfig | None = No
             trace.converged = True
             trace.stop_reason = "zero gradient"
             break
-        eta = _clamp_step(eta * 2.0, cfg)  # allow the step to grow back
+        eta = _clamp_step(eta * 2.0)  # allow the step to grow back
         new_value = np.inf
         for _ in range(80):
             candidate = W - eta * grad

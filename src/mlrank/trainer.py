@@ -43,9 +43,6 @@ from .losses import LOGISTIC, BaseLoss
 from .model import SURROGATES, LinearModel, Objective, ObjectiveSpec, predict
 from .optimizer import OptimizationTrace, OptimizerConfig, minimize_svrg_bb
 
-# one training algorithm per surrogate objective
-ALGORITHMS = SURROGATES
-
 
 def task_seed(master_seed: int, fold: int, lam_index: int, algo: str, phase: str = "train") -> int:
     """Stable per-task seed; independent of scheduling and pool size."""
@@ -66,19 +63,11 @@ def prepare_data(data: MultiLabelDataset, standardize: bool = True, bias: bool =
     return data, params
 
 
-def _stabilized(cfg: OptimizerConfig, lam: float) -> OptimizerConfig:
-    # keep the regularizer's per-step shrink factor |1 - 2*lam*eta| away from
-    # divergence when lambda is large relative to the configured step
-    if lam > 0.0 and cfg.max_step is None:
-        return replace(cfg, max_step=1.0 / (4.0 * lam))
-    return cfg
-
-
 def train_with_trace(data: MultiLabelDataset, algo: str, lam: float,
                      base: BaseLoss = LOGISTIC, cfg: OptimizerConfig | None = None
                      ) -> tuple[LinearModel, OptimizationTrace]:
     """Fit one linear model from a zero start; returns the trace as well."""
-    cfg = _stabilized(cfg or OptimizerConfig(), lam)
+    cfg = cfg or OptimizerConfig()
     objective = Objective(data.features, data.labels, ObjectiveSpec(algo, base, lam))
     W0 = np.zeros((data.d, data.c))
     W, trace = minimize_svrg_bb(objective, W0, cfg)
@@ -301,8 +290,8 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
     sorted ascending and ties in mean validation loss break toward the
     smaller lambda.
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
+    if algo not in SURROGATES:
+        raise ValueError(f"unknown algorithm {algo!r}, expected one of {SURROGATES}")
     grid = sorted(float(l) for l in lambda_grid)
     if not grid:
         raise ValueError("lambda grid is empty")

@@ -1,5 +1,6 @@
 """Command line driver: subcommands, config files, artifacts, exit codes."""
 
+import dataclasses
 import json
 import re
 import os
@@ -15,6 +16,7 @@ from mlrank.cli import (ExperimentConfig, config_from_text, config_hash,
                         config_to_text, main, render_runtime_svg,
                         render_summary_markdown)
 from mlrank.dataset import load_sparse, save_sparse, synthetic_linear
+from mlrank.optimizer import OptimizerConfig
 
 
 @pytest.fixture()
@@ -89,6 +91,14 @@ def test_config_validation():
         ExperimentConfig(datasets=["x"], format="csv").validate()
 
 
+def test_every_solver_option_is_a_config_field_with_its_default():
+    # a solver option no config key or flag can set would be a constant
+    experiment = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for f in dataclasses.fields(OptimizerConfig):
+        assert f.name in experiment, f.name
+        assert experiment[f.name] == f.default, f.name
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -132,6 +142,38 @@ def test_bounds_rejects_plain_logistic_base(tmp_path, dataset_file, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "logistic_calibrated" in captured.err
     assert "ranking-loss bound" not in captured.out
+
+
+@pytest.mark.parametrize("lineno,text", [
+    (None, "0.5 0.5 0.5"),
+    (4, "algorithm bogus"),
+    (6, "lambda nan"),
+    (6, "lambda inf"),
+    (6, "lambda -1"),
+    (8, "inf 0 0"),
+    (8, "nan 0 0"),
+    (8, "0 0"),
+    (8, "0 x 0"),
+], ids=["trailing-line", "unknown-algorithm", "nan-lambda", "infinite-lambda",
+        "negative-lambda", "infinite-weight", "nan-weight", "short-row", "non-numeric-row"])
+def test_bounds_rejects_a_corrupt_model_naming_its_line(tmp_path, dataset_file, lineno, text):
+    model = tmp_path / "m.txt"
+    assert main(["train", "--data", str(dataset_file), "--algo", "u3", "--lam", "1e-2",
+                 "--out", str(model), "--epochs", "1", "--base", "logistic_calibrated"]) == 0
+    lines = model.read_text(encoding="utf-8").splitlines()
+    if lineno is None:  # one more line after the weight rows
+        lines.append(text)
+        lineno = len(lines)
+    else:
+        lines[lineno - 1] = text
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli", "bounds", "--model", str(model),
+                           "--data", str(dataset_file)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {model}:{lineno}: "), proc.stderr
 
 
 def test_bounds_flags_must_match_training(tmp_path, dataset_file, capsys):
@@ -200,6 +242,9 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     ["report", "{bench}", "--outdir", "{tmp}/rep"],
     ["cv", "--data", "{sparse}", "--algo", "u1", "--grid", "1e-4,nan"],
     ["train", "--data", "{sparse}", "--algo", "u1", "--lam", "nan", "--out", "{tmp}/m2.txt"],
+    ["cv", "--data", "{sparse}", "--algo", "u1", "--grid", "inf"],
+    ["cv", "--data", "{sparse}", "--algo", "u1", "--grid", "1e400"],
+    ["train", "--data", "{sparse}", "--algo", "u1", "--lam", "inf", "--out", "{tmp}/m2.txt"],
     ["cv", "--data", "{csv}", "--format", "csv", "--algo", "u1"],
     ["cv", "--data", "{sparse}", "--algo", "u1", "--keep-trivial"],
     ["bench", "--config", "{config}"],
@@ -208,7 +253,8 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     ["consistency", "--scheme", "u3", "--c", "13"],
 ], ids=["train-csv-no-labels", "convert-csv-no-labels", "bounds-csv-no-labels",
         "train-inner-steps-0", "cv-epochs-0", "report-short-row", "cv-nan-lambda",
-        "train-nan-lambda", "cv-csv-no-labels", "cv-keep-trivial", "bench-keep-trivial",
+        "train-nan-lambda", "cv-inf-lambda", "cv-overflowing-lambda", "train-inf-lambda",
+        "cv-csv-no-labels", "cv-keep-trivial", "bench-keep-trivial",
         "report-non-numeric-cell", "consistency-c-1", "consistency-c-13"])
 def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, argv):
     csv, model, bench = tmp_path / "syn.csv", tmp_path / "m.txt", tmp_path / "bench.csv"

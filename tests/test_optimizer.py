@@ -16,6 +16,8 @@ from mlrank.trainer import prepare_data, train_with_trace
 class QuadraticOracle:
     """mean_i 0.5 ||W - A_i||^2; its SVRG epoch steps along block-mean directions."""
 
+    lam = 0.0
+
     def __init__(self, targets):
         self.targets = targets
         self.n = len(targets)
@@ -104,12 +106,24 @@ def test_strong_regularization_shrinks_weights():
     runs = {}
     for lam in (1e-8, 1e2):
         obj = Objective(data.features, data.labels, ObjectiveSpec("u1", LOGISTIC, lam))
-        cfg = OptimizerConfig(outer_epochs=10, seed=0,
-                              max_step=1.0 / (4 * lam) if lam > 1 else None)
+        cfg = OptimizerConfig(outer_epochs=10, seed=0)
         W, trace = minimize_svrg_bb(obj, np.zeros((4, 2)), cfg)
         assert np.all(np.isfinite(W))
         runs[lam] = np.linalg.norm(W)
     assert runs[1e2] < runs[1e-8]
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e1, 1e2])
+def test_direct_solve_matches_trainer_bit_for_bit(lam):
+    # the 1/(4 lambda) step cap is the solver's rule, not the trainer's
+    data = synthetic_linear(50, 4, 2, seed=10)
+    cfg = OptimizerConfig(outer_epochs=10, seed=0)
+    obj = Objective(data.features, data.labels, ObjectiveSpec("u1", LOGISTIC, lam))
+    W, trace = minimize_svrg_bb(obj, np.zeros((4, 2)), cfg)
+    model, trainer_trace = train_with_trace(data, "u1", lam, LOGISTIC, cfg)
+    assert W.tobytes() == model.weights.tobytes()
+    assert trace.objectives == trainer_trace.objectives
+    assert max(r.step_size for r in trace.records) <= 1.0 / (4.0 * lam)
 
 
 def test_zero_gradient_converges_immediately():
