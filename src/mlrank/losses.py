@@ -33,6 +33,8 @@ SCHEME_KINDS = ("u1", "u2", "u3", "u4")
 # exp() overflows IEEE doubles near 709; margins are clamped one notch below.
 _EXP_CLAMP = 700.0
 _E_MINUS_1 = np.e - 1.0
+# pairs or label entries that BatchSurrogate.blocks gathers at once
+_BLOCK_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -328,7 +330,7 @@ class BatchSurrogate:
     with each pair's scale ``1/|pairs|`` of its row; every row must then be
     nontrivial.  For a scheme it holds the penalty ``weights`` of
     :func:`penalty_weight_matrix`.  The kernels take scores ``F`` shaped
-    like the labels (or, for ``gradients`` with ``rows``, like the block).
+    like the labels (or, for ``gradients`` of a block, like the block).
     """
 
     def __init__(self, labels, kind: str, base: BaseLoss):
@@ -352,25 +354,60 @@ class BatchSurrogate:
         # built on the first gradient; the bounds and their probe need none
         return self.weights * self.Y
 
-    def gradients(self, F: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Per-row loss gradients at scores ``F`` of rows ``rows`` (all rows if
-        None), shaped like ``F``; a row drawn twice counts twice."""
+    def gradients(self, F: np.ndarray, block=None) -> np.ndarray:
+        """Per-row loss gradients at scores ``F``, shaped like ``F``: of all
+        rows, or of one block that :meth:`blocks` yields, whose rows ``F``
+        then holds in block order."""
         derivative = self.base.derivative
         if self.weights is not None:
-            sel = slice(None) if rows is None else rows
-            return self._signed_weights[sel] * derivative(self.Y[sel] * F)
-        ip, iq, scale = self._ip, self._iq, self._scale
-        if rows is not None:
-            # the block's pairs, block position by block position; pair k of
-            # row i sits at i * c in the full scores and at j * c in the block's
-            count = self._count[rows]
-            ends = np.cumsum(count)
-            k = np.arange(ends[-1]) + np.repeat(self._ptr[rows] - ends + count, count)
-            shift = np.repeat((np.arange(rows.size) - rows) * self.c, count)
-            ip, iq, scale = ip[k] + shift, iq[k] + shift, scale[k]
+            Y, signed = (self.Y, self._signed_weights) if block is None else block
+            return signed * derivative(Y * F)
+        ip, iq, scale = (self._ip, self._iq, self._scale) if block is None else block
         flat = F.ravel()
         derivs = derivative(flat[ip] - flat[iq]) * scale
         return (np.bincount(ip, derivs, F.size) - np.bincount(iq, derivs, F.size)).reshape(F.shape)
+
+    def blocks(self, rows: np.ndarray):
+        """Yield, for each block of ``rows`` ``(steps, b)``, the gathers that
+        ``gradients(F_R, block)`` reads; a row drawn twice counts twice.
+
+        For ``pa`` a block is its pairs' ``(ip, iq, scale)``, indexed into the
+        block's ``(b, c)`` scores; for a scheme, its rows of ``Y`` and of the
+        signed weights.  Consecutive blocks are gathered together, at most
+        ``_BLOCK_BUDGET`` pairs or label entries at a time (a larger block
+        alone), so an epoch's gathers are never all held at once.
+        """
+        steps, b = rows.shape
+        if self.weights is None:
+            sizes = self._count[rows].sum(axis=1)
+        else:
+            sizes = np.full(steps, b * self.c)
+        ends = np.cumsum(sizes)
+        start = 0
+        while start < steps:
+            budget = _BLOCK_BUDGET + (ends[start - 1] if start else 0)
+            stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
+            yield from self._gather(rows[start:stop])
+            start = stop
+
+    def _gather(self, rows: np.ndarray):
+        """The blocks of :meth:`blocks` for rows ``(s, b)``, gathered at once."""
+        if self.weights is not None:
+            yield from zip(self.Y[rows], self._signed_weights[rows])
+            return
+        b = rows.shape[1]
+        rows = rows.ravel()
+        count = self._count[rows]
+        ends = np.cumsum(count)
+        # pair k of row i sits at i * c in the full scores and at j * c in
+        # its block's, for the row's place j in the block
+        k = np.arange(ends[-1]) + np.repeat(self._ptr[rows] - ends + count, count)
+        shift = np.repeat((np.arange(rows.size) % b - rows) * self.c, count)
+        ip, iq, scale = self._ip[k] + shift, self._iq[k] + shift, self._scale[k]
+        lo = 0
+        for hi in ends[b - 1::b].tolist():
+            yield ip[lo:hi], iq[lo:hi], scale[lo:hi]
+            lo = hi
 
     def row_losses(self, F: np.ndarray) -> np.ndarray:
         """Surrogate loss of each row at scores ``F`` ``(n, c)``."""

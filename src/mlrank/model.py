@@ -16,7 +16,9 @@ penalty::
 gradients at the snapshot) and ``svrg_epoch(snap, eta, rows)``, which runs
 one epoch of mini-batch SVRG inner steps, one per row of ``rows`` (shape
 ``(steps, b)``).  Each step asks the score-space block hook
-``svrg_direction`` for the ``(b, c)`` deltas of its ``b`` rows, then
+``svrg_direction`` for the ``(b, c)`` deltas of its ``b`` rows, from the
+block's gathers that :meth:`mlrank.losses.BatchSurrogate.blocks` yields and
+the snapshot's loss gradients of its rows, gathered once per epoch; then it
 updates one dense ``W`` in place: it scales ``W`` by ``1 - 2 eta lambda``,
 subtracts ``eta (mu - 2 lambda W_snap)`` (computed once per epoch) and
 subtracts the block's rank-``b`` term ``eta X_R^T Delta_R / b``.  Every
@@ -93,11 +95,12 @@ class Objective:
     Implements the optimizer oracle protocol: ``n``, ``lam``, ``value``,
     ``full_gradient``, ``svrg_snapshot`` and ``svrg_epoch``.  An epoch holds
     the iterate as one dense ``W`` and calls the score-space block hook
-    ``svrg_direction(X_R @ W, R, snap)`` once per inner step, for the step's
-    block ``R`` of ``b`` rows.  Every entry point
-    reaches the loss through the one :class:`mlrank.losses.BatchSurrogate`
-    built here, ``loss``: its ``gradients`` (of all rows, or of a block) and
-    its ``mean_loss``.
+    ``svrg_direction(X_R @ W, block_R, G_R)`` once per inner step, for the
+    step's block ``R`` of ``b`` rows: ``block_R`` is what ``loss.blocks``
+    yields for it and ``G_R`` the snapshot's loss gradients of its rows.
+    Every entry point reaches the loss through the one
+    :class:`mlrank.losses.BatchSurrogate` built here, ``loss``: its
+    ``gradients`` (of all rows, or of a block) and its ``mean_loss``.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: ObjectiveSpec):
@@ -130,15 +133,15 @@ class Objective:
                 "loss_grads": grads,
                 "value": self.loss.mean_loss(F) + self.lam * float(np.sum(W * W))}
 
-    def svrg_direction(self, scores: np.ndarray, rows: np.ndarray,
-                       snap: dict[str, Any]) -> np.ndarray:
-        """Deltas ``(b, c)``: loss gradients of samples ``rows`` at ``scores``
-        ``(b, c)`` minus the snapshot's.
+    def svrg_direction(self, scores: np.ndarray, block, snap_grads: np.ndarray) -> np.ndarray:
+        """Deltas ``(b, c)``: loss gradients of one block of
+        ``loss.blocks(rows)`` at its scores ``(b, c)`` minus the snapshot's
+        loss gradients of its rows, ``snap_grads`` ``(b, c)``.
 
-        The SVRG direction of the block is
-        ``X[rows]^T delta / b + mu + 2 lambda (W - W_snap)``.
+        The SVRG direction of a block ``R`` is
+        ``X[R]^T delta / b + mu + 2 lambda (W - W_snap)``.
         """
-        return self.loss.gradients(scores, rows) - snap["loss_grads"][rows]
+        return self.loss.gradients(scores, block) - snap_grads
 
     def svrg_epoch(self, snap: dict[str, Any], eta: float, rows: np.ndarray) -> np.ndarray:
         """Run the inner steps ``W -= eta * (X_R^T delta_R / b + mu + 2 lambda (W - W_snap))``
@@ -147,6 +150,8 @@ class Objective:
 
         With ``a = 1 - 2 eta lambda`` and ``K = eta (mu - 2 lambda W_snap)``
         a step is ``W = a W - K - (eta / b) X_R^T delta_R``, updated in place.
+        The snapshot's loss gradients of all the epoch's rows are gathered
+        once, and each block's loss gathers come from ``loss.blocks``.
         """
         lam = self.lam
         a = 1.0 - 2.0 * eta * lam
@@ -154,9 +159,9 @@ class Objective:
         W = snap["W"].copy()
         X, direction = self.X, self.svrg_direction
         step = eta / rows.shape[1]
-        for R in rows:
+        for R, block, G in zip(rows, self.loss.blocks(rows), snap["loss_grads"][rows]):
             XR = X[R]
-            delta = direction(XR @ W, R, snap)
+            delta = direction(XR @ W, block, G)
             W *= a
             W -= K
             W -= XR.T @ (delta * step)

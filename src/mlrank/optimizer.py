@@ -15,10 +15,12 @@ Both minimizers consume a duck-typed *oracle* with:
 ``minimize_batch_gd`` calls ``value`` and ``full_gradient``; ``minimize_svrg_bb``
 calls ``n``, ``lam``, ``svrg_snapshot`` and ``svrg_epoch``, with no fallback.
 :class:`mlrank.model.Objective` runs an epoch through its score-space block
-hook ``svrg_direction(scores_R, R, snap)``, which returns the ``(b, c)``
-loss-gradient differences ``Delta_R`` of the block's samples, from the
-gradient kernel of its one :class:`mlrank.losses.BatchSurrogate`; the step's
-direction is ``X_R^T Delta_R / b + mu_snap + 2 lambda (W - W_snap)``.
+hook ``svrg_direction(scores_R, block_R, G_R)``, which returns the
+``(b, c)`` loss-gradient differences ``Delta_R`` of the block's samples: the
+gradient kernel of its one :class:`mlrank.losses.BatchSurrogate` on the
+block's gathers ``block_R``, minus the snapshot's loss gradients ``G_R`` of
+the block's rows; the step's direction is
+``X_R^T Delta_R / b + mu_snap + 2 lambda (W - W_snap)``.
 
 ``minimize_svrg_bb`` runs epochs of ``m`` inner steps, each on a block of
 ``b = 16`` samples it draws with replacement (mS2GD, Konecny et al. 2016),

@@ -8,6 +8,11 @@ only in the surrogate objective:
 
 ``evaluate`` scores the (partial) ranking loss only; the surrogate risks of
 the deviation bounds come from :func:`mlrank.bounds.model_bound_inputs`.
+``train_with_trace`` solves, and ``evaluate`` scores, with numpy's bundled
+OpenBLAS at one thread, restoring the caller's count afterwards; without
+that library both raise ``RuntimeError``.  So a serial fit gives the bits
+the same fit gives in a cross-validation task, and no BLAS helper thread
+spins through the single-threaded SVRG inner steps.
 
 ``cross_validate`` implements seeded k-fold selection over a lambda grid.
 By default the grid is scored on a nested 80/20 holdout inside each fold's
@@ -17,7 +22,8 @@ grid on the test folds directly.  The (fold x lambda) task grid of both
 phases, selection and final scoring, runs on one task runner per call: a
 serial loop, or one forked process pool.  For the whole call numpy's bundled
 OpenBLAS runs at one thread in the calling process, which the pool's workers
-inherit, and the caller's thread count is restored afterwards.  Every task
+inherit, so their fits make no thread-count call, and the caller's thread
+count is restored afterwards.  Every task
 derives its own seed from the master seed and its grid coordinates, so
 results do not depend on scheduling order or pool size.
 """
@@ -25,6 +31,7 @@ results do not depend on scheduling order or pool size.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import hashlib
 import multiprocessing
@@ -69,8 +76,8 @@ def train_with_trace(data: MultiLabelDataset, algo: str, lam: float,
     """Fit one linear model from a zero start; returns the trace as well."""
     cfg = cfg or OptimizerConfig()
     objective = Objective(data.features, data.labels, ObjectiveSpec(algo, base, lam))
-    W0 = np.zeros((data.d, data.c))
-    W, trace = minimize_svrg_bb(objective, W0, cfg)
+    with _one_blas_thread():
+        W, trace = minimize_svrg_bb(objective, np.zeros((data.d, data.c)), cfg)
     model = LinearModel(W, algorithm=algo, base=base.kind, lam=lam, seed=cfg.seed)
     return model, trace
 
@@ -94,7 +101,8 @@ class EvalReport:
 def evaluate(model: LinearModel, data: MultiLabelDataset) -> EvalReport:
     """Ranking loss and partial ranking loss of a model, both on one
     :func:`losses.label_pairs` list of the nontrivial rows."""
-    scores = predict(model, data.features)
+    with _one_blas_thread():
+        scores = predict(model, data.features)
     mask = losses.nontrivial_mask(data.labels)
     if not mask.any():
         raise ValueError("no nontrivial instances to evaluate")
@@ -153,6 +161,7 @@ def _run_task(task: _TaskSpec) -> dict:
                              trace.converged, trace.stop_reason)}
 
 
+@functools.cache
 def _openblas() -> ctypes.CDLL | None:
     """numpy's bundled scipy-openblas library, or None if it cannot be found."""
     pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
@@ -183,14 +192,20 @@ def _openblas_thread_calls():
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS at one thread in this process.
 
-    Single-threaded BLAS keeps task results identical across pool sizes and
-    keeps pool workers from oversubscribing the cores.  Enter it in the
-    parent, before the pool forks: a forked worker inherits the count, while
-    any set call inside a forked worker, even to 1, restarts OpenBLAS's
-    thread server, whose thread spins on a core before it sleeps.
+    Single-threaded BLAS keeps results identical across pool sizes and
+    between a serial fit and the same fit in a task, keeps pool workers
+    from oversubscribing the cores, and keeps no helper thread spinning
+    through the single-threaded inner steps.  Re-entrant: at one thread
+    already it makes no set call, because any set call in a forked worker,
+    even to 1, restarts OpenBLAS's thread server, whose thread spins on a
+    core before it sleeps.  So enter it in the parent, before a pool forks:
+    a forked worker inherits the count.
     """
     get, set_threads = _openblas_thread_calls()
     before = get()
+    if before == 1:
+        yield
+        return
     set_threads(1)
     try:
         if get() != 1:

@@ -7,6 +7,7 @@ silently passing.
 """
 
 import os
+import statistics
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -268,9 +269,14 @@ def test_criterion_7_runtime_scaling():
         obj = Objective(data.features, data.labels,
                         ObjectiveSpec(algo, LOGISTIC, 1e-4))
         cfg = OptimizerConfig(outer_epochs=4, tolerance=0.0)
-        _, trace = minimize_batch_gd(obj, np.zeros((50, c)), cfg)
-        secs = sorted(r.seconds for r in trace.records)
-        return secs[len(secs) // 2]
+
+        def timed():
+            _, trace = minimize_batch_gd(obj, np.zeros((50, c)), cfg)
+            secs = sorted(r.seconds for r in trace.records)
+            return secs[len(secs) // 2]
+
+        timed()  # warm-up: the first run pays first-touch and cache costs
+        return statistics.median(timed() for _ in range(3))
 
     ratios = {}
     for c in (10, 100):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlrank import losses
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
                            SQUARED_HINGE, BaseLoss, BatchSurrogate, LossEval,
                            PenaltyScheme, group_by_label_pattern, label_pairs,
@@ -391,22 +392,24 @@ def test_label_pairs_lists_each_rows_pairs_in_order():
         np.testing.assert_array_equal(neg[s:e], np.tile(q, p.size))
 
 
-def _row_blocks(counts, budget):
-    """Consecutive row blocks of at most ``budget`` pairs each (a row with
-    more pairs is a block of its own); one block of all rows if None."""
-    if budget is None:
-        return [np.arange(counts.size)]
-    blocks, start, total = [], 0, 0
-    for i, k in enumerate(counts):
-        if i > start and total + k > budget:
-            blocks.append(np.arange(start, i))
-            start, total = i, 0
-        total += k
-    return blocks + [np.arange(start, counts.size)]
+def _counting_gathers(monkeypatch, budget):
+    """Set ``BatchSurrogate.blocks``'s budget (default if None) and record
+    how many blocks each of its gathers holds."""
+    if budget is not None:
+        monkeypatch.setattr(losses, "_BLOCK_BUDGET", budget)
+    chunks = []
+    gather = BatchSurrogate._gather
+
+    def counting(self, rows):
+        chunks.append(rows.shape[0])
+        return gather(self, rows)
+
+    monkeypatch.setattr(BatchSurrogate, "_gather", counting)
+    return chunks
 
 
 @pytest.mark.parametrize("budget", [None, 500])
-def test_pair_list_batches_match_per_row_references(budget):
+def test_pair_list_batches_match_per_row_references(monkeypatch, budget):
     rng = np.random.default_rng(12)
     F, Y = _large_label_batch(rng)
     r = ranking_loss_batch(F, Y)
@@ -419,19 +422,60 @@ def test_pair_list_batches_match_per_row_references(budget):
     np.testing.assert_array_equal(p[keep], [partial_ranking_loss(F[i], Y[i]) for i in keep])
     assert (r[keep] != p[keep]).any()  # the ties are really there
 
-    # the gradients whole, or in row blocks through the block path of ``rows``
-    a, b = label_split_sizes(Y[keep])
-    blocks = _row_blocks(a * b, budget)
-    assert (len(blocks) > 1) == (budget is not None)
-    np.testing.assert_array_equal(np.concatenate(blocks), np.arange(keep.size))
+    # the gradients of every row once, one row per block, through ``blocks``:
+    # gathered at once under the default budget, or a few rows at a time
+    # under a budget of 500 pairs (the dense row alone)
+    chunks = _counting_gathers(monkeypatch, budget)
+    rows = np.arange(keep.size)[:, None]
     for base in ALL_BASES:
         batch = BatchSurrogate(Y[keep], "pa", base)
         vals = pairwise_batch_for(Y[keep], base)(F[keep])[0]
-        grads = np.concatenate([batch.gradients(F[keep][blk], rows=blk) for blk in blocks])
+        grads = np.concatenate([batch.gradients(F[keep][R], block)
+                                for R, block in zip(rows, batch.blocks(rows))])
         for k, i in enumerate(keep):
             ev = pairwise_surrogate(F[i], Y[i], base)
             assert vals[k] == pytest.approx(ev.value, rel=1e-12, abs=0.0)
             np.testing.assert_allclose(grads[k], ev.gradient, rtol=1e-12, atol=0.0)
+    per_base = chunks[:len(chunks) // len(ALL_BASES)]
+    assert sum(per_base) == len(rows)
+    assert (len(per_base) > 1) == (budget is not None)
+    assert budget is None or 1 in per_base and max(per_base) > 1
+
+
+@pytest.mark.parametrize("budget", [300, 2000])
+@pytest.mark.parametrize("kind", ["pa", "u1", "u2", "u3", "u4"])
+def test_blocks_match_per_row_references(monkeypatch, kind, budget):
+    rng = np.random.default_rng(13)
+    F, Y = _large_label_batch(rng)
+    keep = nontrivial_mask(Y)
+    F, Y = F[keep], Y[keep]
+    a, b = label_split_sizes(Y)
+    dense = int(np.argmax(a * b))
+    rows = rng.integers(Y.shape[0], size=(12, 4))
+    rows[2] = [7, dense, 7, 1]  # a row drawn twice, and the 2500-pair row
+    chunks = _counting_gathers(monkeypatch, budget)
+    for base in (LOGISTIC, HINGE):
+        batch = BatchSurrogate(Y, kind, base)
+        blocks = list(batch.blocks(rows))
+        assert len(blocks) == len(rows)
+        for R, block in zip(rows, blocks):
+            grads = batch.gradients(F[R], block)
+            for j, i in enumerate(R.tolist()):
+                ev = (pairwise_surrogate(F[i], Y[i], base) if kind == "pa" else
+                      univariate_surrogate(F[i], Y[i], base, PenaltyScheme(kind)))
+                np.testing.assert_allclose(grads[j], ev.gradient, rtol=1e-12, atol=0.0)
+    # every block of 4 rows holds more than 300 pairs or label entries, so
+    # each is gathered alone; under 2000, chunks hold several blocks, and the
+    # dense row's block (over 2500 pairs) is alone
+    per_base = chunks[:len(chunks) // 2]
+    assert sum(per_base) == len(rows)
+    if budget == 300:
+        assert per_base == [1] * len(rows)
+    else:
+        assert 1 < len(per_base) < len(rows)
+    if kind == "pa" and budget == 2000:
+        holds_block_2 = int(np.searchsorted(np.cumsum(per_base), 2, side="right"))
+        assert per_base[holds_block_2] == 1
 
 
 def test_group_by_label_pattern_partitions_rows():

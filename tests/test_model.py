@@ -110,12 +110,19 @@ def test_regularizer_contributes():
     np.testing.assert_allclose(obj1.full_gradient(W) - obj0.full_gradient(W), 2.0 * W)
 
 
+def block_delta(obj, W, R, snap):
+    """The block hook's deltas for block ``R`` at ``W``, on the block's gathers
+    from ``loss.blocks`` and the snapshot's loss gradients of its rows."""
+    (block,) = obj.loss.blocks(R[None])
+    return obj.svrg_direction(obj.X[R] @ W, block, snap["loss_grads"][R])
+
+
 def block_direction(obj, W, R, snap):
     """The SVRG direction of block ``R`` at ``W``, built from the block hook.
 
     The rank-``b`` term is summed row by row, so a row drawn twice counts twice.
     """
-    delta = obj.svrg_direction(obj.X[R] @ W, R, snap)
+    delta = block_delta(obj, W, R, snap)
     rank_b = sum(np.outer(obj.X[i], delta[j]) for j, i in enumerate(R.tolist()))
     return rank_b / len(R) + snap["mu"] + 2.0 * obj.spec.lam * (W - snap["W"])
 
@@ -130,14 +137,13 @@ def test_svrg_direction_identities():
         assert snap["value"] == obj.value(W_tilde)
         # at the snapshot point every loss-gradient difference vanishes
         R = np.array([0, 3, 7, 3])
-        np.testing.assert_allclose(obj.svrg_direction(obj.X[R] @ W_tilde, R, snap),
-                                   0.0, atol=1e-12)
+        np.testing.assert_allclose(block_delta(obj, W_tilde, R, snap), 0.0, atol=1e-12)
         # elsewhere row j of a block's deltas is sample R[j]'s per-sample
         # difference, whatever else the block holds; a row drawn twice gets
         # its difference twice
         W = rng.normal(size=(obj.d, obj.c))
         R = np.concatenate([rng.permutation(obj.n), [5, 5]])
-        delta = obj.svrg_direction(obj.X[R] @ W, R, snap)
+        delta = block_delta(obj, W, R, snap)
         assert delta.shape == (R.size, obj.c)
         for j, i in enumerate(R.tolist()):
             expected = (per_sample_gradient(obj, W, i)

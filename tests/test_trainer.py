@@ -222,6 +222,41 @@ def test_cross_validate_tasks_run_at_one_blas_thread(monkeypatch, workers):
         set_threads(before)
 
 
+def test_fits_run_at_one_blas_thread_bit_for_bit(monkeypatch):
+    # the scene-like shape of the pool test, whose gemms exceed OpenBLAS's
+    # threading threshold: at two threads their sums split differently
+    data, _ = prepare_data(synthetic_linear(600, 294, 6, seed=11, noise=0.1))
+    get_threads, set_threads = trainer._openblas_thread_calls()
+    thread_calls = trainer._openblas_thread_calls
+    sets = []
+
+    def counting_calls():
+        get, set_ = thread_calls()
+
+        def counted(threads):
+            sets.append(threads)
+            set_(threads)
+
+        return get, counted
+
+    before = get_threads()
+    set_threads(2)
+    try:
+        model, _ = train_with_trace(data, "pa", 1e-2, cfg=CV_CFG)
+        assert get_threads() == 2
+        with trainer._one_blas_thread():
+            monkeypatch.setattr(trainer, "_openblas_thread_calls", counting_calls)
+            pinned, _ = train_with_trace(data, "pa", 1e-2, cfg=CV_CFG)
+            evaluate(pinned, data)
+            assert sets == []  # nested at one thread: no set call
+        with trainer._one_blas_thread():
+            pass
+        assert sets == [1, 2] and get_threads() == 2
+    finally:
+        set_threads(before)
+    assert model.weights.tobytes() == pinned.weights.tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cross_validate_without_openblas_fails_loudly(monkeypatch, workers):
     def untouched_train(*args, **kwargs):
