@@ -10,20 +10,20 @@ Subcommands::
     mlrank bounds       deviation bounds for a trained model on a dataset
     mlrank report       regenerate summary table and charts from bench CSVs
 
-``train``, ``cv``, ``bench`` and ``bounds`` read one :class:`ExperimentConfig`:
-the ``bench --config`` file or the defaults, overridden by each flag given,
-which sets the field its argparse ``dest`` names.  Defaults live in
-:class:`ExperimentConfig` and, for the solver, ``OptimizerConfig``.  Rejected
-before any data is read: unknown algorithms or base losses, an empty lambda
-grid or one with a negative, infinite or NaN value, ``folds < 2``,
-``workers < 1``, csv without ``label_count``, ``outer_epochs < 1``,
-``inner_steps < 1``, ``initial_step <= 0`` and ``tolerance < 0``.
+``train``, ``cv``, ``bench`` and ``bounds`` build one :class:`ExperimentConfig`
+in :func:`_experiment`: the ``bench --config`` file or the defaults, then each
+flag given, which sets the field its argparse ``dest`` names, then a nonempty
+``MLRANK_THREADS``, which sets ``workers`` and parses like ``--workers``.
+Defaults live in :class:`ExperimentConfig` and, for the solver,
+``OptimizerConfig``.  :meth:`ExperimentConfig.validate` rejects what no run
+could use before any data is read.  Every command that reads a dataset
+reports the trivial rows its loader dropped; ``bench``, ``report``,
+``cv --csv`` and ``consistency --report`` print ``wrote <path>`` per file.
 
 Exit codes: 0 success, 1 task failure (training aborted), 2 invalid
-configuration or malformed input data, 3 I/O error.  ``MLRANK_THREADS``
-overrides any configured worker count.  Benchmark artifacts embed a hash of
-the full configuration in their file names, so differing runs never
-overwrite each other.
+configuration or malformed input data, 3 I/O error.  Benchmark artifacts
+embed a hash of the full configuration in their file names, so differing runs
+never overwrite each other.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import consistency as cons
-from .dataset import (DatasetFormatError, MultiLabelDataset, load_csv, load_sparse,
-                      save_csv, save_sparse)
-from .losses import BASE_KINDS, SCHEME_KINDS, BaseLoss
-from .model import SURROGATES, load_model, save_model
+from .dataset import (DatasetFormatError, MultiLabelDataset, dataset_name, load_csv,
+                      load_sparse, save_csv, save_sparse)
+from .losses import SCHEME_KINDS, BaseLoss
+from .model import SURROGATES, ObjectiveSpec, load_model, save_model
 from .optimizer import NonFiniteObjectiveError, OptimizerConfig
 from .trainer import CvResult, cross_validate, evaluate, prepare_data, train_with_trace
 
@@ -91,24 +91,35 @@ class ExperimentConfig:
     smoke: bool = False
 
     def validate(self) -> None:
+        """Raise :class:`ConfigError` on a config no run could use: no dataset
+        or algorithm, two datasets of one name (which names their results),
+        csv without ``label_count``, an empty lambda grid, ``folds < 2``,
+        ``workers < 1``, or what ``BaseLoss``, ``ObjectiveSpec`` (algorithm,
+        lambda) or ``OptimizerConfig`` (solver fields) rejects."""
         if not self.datasets:
             raise ConfigError("no datasets given")
+        names = [dataset_name(p) for p in self.datasets]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"datasets {self.datasets[names.index(name)]} and "
+                                  f"{self.datasets[i]} share the name {name!r}")
         if self.format not in ("sparse", "csv"):
             raise ConfigError(f"format must be sparse or csv, not {self.format!r}")
         if self.format == "csv" and not self.label_count:
             raise ConfigError("csv format requires label_count")
-        bad = [a for a in self.algos if a not in SURROGATES]
-        if bad:
-            raise ConfigError(f"unknown algorithms {bad}; choose from {list(SURROGATES)}")
-        if self.base not in BASE_KINDS:
-            raise ConfigError(f"unknown base loss {self.base!r}; choose from {list(BASE_KINDS)}")
-        if not self.lambda_grid or any(not 0.0 <= l < np.inf for l in self.lambda_grid):
-            raise ConfigError("lambda grid must be nonempty, finite and nonnegative")
+        if not self.algos:
+            raise ConfigError("no algorithms given")
+        if not self.lambda_grid:
+            raise ConfigError("lambda grid is empty")
         if self.folds < 2:
             raise ConfigError("need at least 2 folds")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ConfigError(f"workers must be >= 1, not {self.workers}")
         try:
+            base = BaseLoss(self.base)
+            for algo in self.algos:
+                for lam in self.lambda_grid:
+                    ObjectiveSpec(algo, base, lam)
             _optimizer_config(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -137,6 +148,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 def config_from_text(text: str, path: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,6 +158,9 @@ def config_from_text(text: str, path: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             setattr(cfg, key, _parse_config_value(key, value))
         except ValueError as exc:
@@ -190,7 +205,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def _apply_smoke(cfg: ExperimentConfig) -> ExperimentConfig:
-    """CI-scale caps: few epochs, short inner loops, two-point grid."""
+    """With ``smoke`` on, a copy at CI scale: few epochs, short inner loops,
+    two-point grid.  With it off, ``cfg`` itself."""
+    if not cfg.smoke:
+        return cfg
     cfg = dataclasses.replace(cfg)
     cfg.outer_epochs = min(cfg.outer_epochs, 3)
     cfg.inner_steps = min(cfg.inner_steps, 500) if cfg.inner_steps else 500
@@ -202,12 +220,19 @@ def _apply_smoke(cfg: ExperimentConfig) -> ExperimentConfig:
 def _experiment(args: argparse.Namespace, text: str | None = None,
                 path: str = "<config>") -> ExperimentConfig:
     """The config ``text`` (or the defaults), overridden by every field flag
-    in ``args``, validated.  Field flags have no argparse default, so only
-    those given appear in ``args``; strings parse like config values."""
+    in ``args``, then by a nonempty ``MLRANK_THREADS`` for ``workers``,
+    validated.  Field flags have no argparse default, so only those given
+    appear in ``args``; strings parse like config values."""
     cfg = config_from_text(text or "", path)
     for key, value in vars(args).items():
         if key in _FIELD_TYPES:
             setattr(cfg, key, _parse_config_value(key, value) if isinstance(value, str) else value)
+    threads = os.environ.get("MLRANK_THREADS")
+    if threads:
+        try:
+            cfg.workers = _parse_config_value("workers", threads)
+        except ValueError as exc:
+            raise ConfigError(f"MLRANK_THREADS: {exc}") from None
     cfg.validate()
     return cfg
 
@@ -217,29 +242,26 @@ def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
                               for f in dataclasses.fields(OptimizerConfig)})
 
 
-def _cross_validate(data: MultiLabelDataset, algo: str, cfg: ExperimentConfig,
-                    workers: int) -> CvResult:
+def _cross_validate(data: MultiLabelDataset, algo: str, cfg: ExperimentConfig) -> CvResult:
     return cross_validate(data, algo, cfg.lambda_grid, k=cfg.folds, seed=cfg.seed,
                           base=BaseLoss(cfg.base), optimizer_cfg=_optimizer_config(cfg),
-                          select_on_test_folds=cfg.select_on_test_folds, workers=workers,
+                          select_on_test_folds=cfg.select_on_test_folds, workers=cfg.workers,
                           standardize=cfg.standardize, bias=cfg.bias)
-
-
-def _resolve_workers(requested: int) -> int:
-    env = os.environ.get("MLRANK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"MLRANK_THREADS must be an integer, got {env!r}")
-    return requested
 
 
 def _load_dataset(path: str, fmt: str, label_count: int | None,
                   keep_trivial: bool = False) -> MultiLabelDataset:
-    if fmt == "csv":
-        return load_csv(path, label_count, keep_trivial=keep_trivial)
-    return load_sparse(path, keep_trivial=keep_trivial)
+    """Load a dataset and say how many trivial rows the loader dropped."""
+    data = (load_csv(path, label_count, keep_trivial=keep_trivial) if fmt == "csv"
+            else load_sparse(path, keep_trivial=keep_trivial))
+    if data.dropped_trivial:
+        print(f"{data.name}: dropped {data.dropped_trivial} trivial instances")
+    return data
+
+
+def _write(path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +367,14 @@ def render_runtime_svg(seconds: dict[str, dict[str, float]], algos: list[str]) -
 _BENCH_CSV_HEADER = "dataset,algo,fold,lambda,ranking_loss,partial_ranking_loss,seconds"
 
 
-def _bench_rows(result: CvResult) -> list[str]:
-    rows = []
-    for f in range(result.folds):
-        rows.append(",".join([
-            result.dataset, result.algorithm, str(f),
-            f"{result.best_lambda:.17g}",
-            f"{result.fold_ranking_losses[f]:.17g}",
-            f"{result.fold_partial_losses[f]:.17g}",
-            f"{result.fold_seconds[f]:.6f}",
-        ]))
-    return rows
+def _write_bench_csv(path, results: list[CvResult]) -> None:
+    """The per-fold CSV of ``cv --csv`` and ``bench``: one row per fold of
+    each result, at its selected lambda."""
+    rows = [",".join([r.dataset, r.algorithm, str(f), f"{r.best_lambda:.17g}",
+                      f"{r.fold_ranking_losses[f]:.17g}", f"{r.fold_partial_losses[f]:.17g}",
+                      f"{r.fold_seconds[f]:.6f}"])
+            for r in results for f in range(r.folds)]
+    _write(path, _BENCH_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
 
 
 def _summarize_bench_csvs(paths) -> tuple[dict[str, dict[str, tuple[float, float]]],
@@ -363,9 +382,11 @@ def _summarize_bench_csvs(paths) -> tuple[dict[str, dict[str, tuple[float, float
     """Summary of bench CSVs: per (dataset, algo) cell the mean and std of the
     fold ranking losses and the sum of the fold ``seconds``, plus the
     algorithms in order of first appearance.  Blank lines are skipped; a
-    malformed row raises :class:`ConfigError` naming its file and line."""
+    malformed row, or one whose (dataset, algo, fold) repeats an earlier
+    row's, raises :class:`ConfigError` naming its file and line."""
     per_cell: dict[tuple[str, str], list[tuple[float, float]]] = {}
     algos: list[str] = []
+    seen: dict[tuple[str, str, str], str] = {}
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -382,6 +403,11 @@ def _summarize_bench_csvs(paths) -> tuple[dict[str, dict[str, tuple[float, float
                     fold = (float(cells[4]), float(cells[6]))
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                key = (dataset, algo, cells[2])
+                if key in seen:
+                    raise ConfigError(f"{path}:{lineno}: dataset {dataset}, algo {algo}, "
+                                      f"fold {cells[2]} repeats {seen[key]}")
+                seen[key] = f"{path}:{lineno}"
                 if algo not in algos:
                     algos.append(algo)
                 per_cell.setdefault((dataset, algo), []).append(fold)
@@ -394,6 +420,17 @@ def _summarize_bench_csvs(paths) -> tuple[dict[str, dict[str, tuple[float, float
     return table, seconds, algos
 
 
+def _write_report(outdir: Path, stem: str, csv_paths,
+                  note: str = "") -> tuple[dict[str, dict[str, float]], list[str]]:
+    """Write ``summary_<stem>.md`` and ``runtime_<stem>.svg`` from bench CSVs;
+    return each cell's summed seconds and the algorithms, as summarized."""
+    table, seconds, algos = _summarize_bench_csvs(csv_paths)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write(outdir / f"summary_{stem}.md", render_summary_markdown(table, algos, note))
+    _write(outdir / f"runtime_{stem}.svg", render_runtime_svg(seconds, algos))
+    return seconds, algos
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -402,8 +439,6 @@ def _summarize_bench_csvs(paths) -> tuple[dict[str, dict[str, tuple[float, float
 def cmd_convert(args) -> int:
     fmt_in = args.from_format or ("csv" if args.input.endswith(".csv") else "sparse")
     data = _load_dataset(args.input, fmt_in, args.labels, args.keep_trivial)
-    if data.dropped_trivial:
-        print(f"dropped {data.dropped_trivial} trivial instances")
     if args.to == "csv":
         save_csv(data, args.output)
     else:
@@ -413,12 +448,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _experiment(args)
-    if cfg.smoke:
-        cfg = _apply_smoke(cfg)
+    cfg = _apply_smoke(_experiment(args))
     data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
-    if data.dropped_trivial:
-        print(f"dropped {data.dropped_trivial} trivial instances")
     prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
     model, trace = train_with_trace(prepared, cfg.algos[0], args.lam, BaseLoss(cfg.base),
                                     _optimizer_config(cfg))
@@ -434,14 +465,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = _experiment(args)
-    if cfg.smoke:
-        cfg = _apply_smoke(cfg)
-    workers = _resolve_workers(cfg.workers)
+    cfg = _apply_smoke(_experiment(args))
     data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
-    if data.dropped_trivial:
-        print(f"dropped {data.dropped_trivial} trivial instances")
-    result = _cross_validate(data, cfg.algos[0], cfg, workers)
+    result = _cross_validate(data, cfg.algos[0], cfg)
     print(f"dataset {result.dataset}: n={data.n} d={data.d} c={data.c}")
     print(f"algorithm {result.algorithm} ({result.protocol}), {result.folds} folds, "
           f"seed {result.seed}")
@@ -453,60 +479,41 @@ def cmd_cv(args) -> int:
           f"{result.total_seconds:.2f}")
     print(f"unconverged: {result.unconverged_fits} of {len(result.fits)} fits")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(_BENCH_CSV_HEADER + "\n")
-            fh.write("\n".join(_bench_rows(result)) + "\n")
-        print(f"wrote {args.csv}")
+        _write_bench_csv(args.csv, [result])
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    cfg = (_experiment(args, Path(args.config).read_text(encoding="utf-8"), args.config)
-           if args.config else _experiment(args))
-    run_cfg = _apply_smoke(cfg) if cfg.smoke else cfg
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else None
+    cfg = _experiment(args, text, args.config or "<config>")
+    run_cfg = _apply_smoke(cfg)
     tag = config_hash(cfg)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = _resolve_workers(run_cfg.workers)
 
     csv_paths: list[Path] = []
     for path in run_cfg.datasets:
         data = _load_dataset(path, run_cfg.format, run_cfg.label_count)
-        if data.dropped_trivial:
-            print(f"{data.name}: dropped {data.dropped_trivial} trivial instances")
-        rows: list[str] = []
+        results = []
         for algo in run_cfg.algos:
-            result = _cross_validate(data, algo, run_cfg, workers)
-            rows.extend(_bench_rows(result))
+            result = _cross_validate(data, algo, run_cfg)
+            results.append(result)
             print(f"{data.name} {algo}: ranking loss {result.mean_ranking_loss:.4f} "
                   f"± {result.std_ranking_loss:.4f} (lambda {result.best_lambda:g}; "
                   f"unconverged: {result.unconverged_fits} of {len(result.fits)} fits)")
-        csv_path = outdir / f"bench_{data.name}_{tag}.csv"
-        csv_path.write_text(_BENCH_CSV_HEADER + "\n" + "\n".join(rows) + "\n",
-                            encoding="utf-8")
-        csv_paths.append(csv_path)
-        print(f"wrote {csv_path}")
+        csv_paths.append(outdir / f"bench_{data.name}_{tag}.csv")
+        _write_bench_csv(csv_paths[-1], results)
 
     # the summary and runtime chart come from the CSVs just written, exactly
     # as `mlrank report` rebuilds them
-    table, runtime, algos = _summarize_bench_csvs(csv_paths)
     note = f"configuration hash: {tag}"
     if cfg.smoke:
         note += " (smoke mode: reduced epochs and lambda grid; metrics are not comparable)"
-    summary_path = outdir / f"summary_{tag}.md"
-    summary_path.write_text(render_summary_markdown(table, algos, note), encoding="utf-8")
-    runtime_csv = outdir / f"runtime_{tag}.csv"
-    with open(runtime_csv, "w", encoding="utf-8") as fh:
-        fh.write("dataset,algo,seconds\n")
-        for dataset in sorted(runtime):
-            for algo in algos:
-                if algo in runtime[dataset]:
-                    fh.write(f"{dataset},{algo},{runtime[dataset][algo]:.6f}\n")
-    svg_path = outdir / f"runtime_{tag}.svg"
-    svg_path.write_text(render_runtime_svg(runtime, algos), encoding="utf-8")
-    config_path = outdir / f"config_{tag}.txt"
-    config_path.write_text(config_to_text(cfg), encoding="utf-8")
-    print(f"wrote {summary_path}, {runtime_csv}, {svg_path}, {config_path}")
+    runtime, algos = _write_report(outdir, tag, csv_paths, note)
+    _write(outdir / f"runtime_{tag}.csv", "dataset,algo,seconds\n" + "".join(
+        f"{dataset},{algo},{runtime[dataset][algo]:.6f}\n"
+        for dataset in sorted(runtime) for algo in algos if algo in runtime[dataset]))
+    _write(outdir / f"config_{tag}.txt", config_to_text(cfg))
     return EXIT_OK
 
 
@@ -519,11 +526,9 @@ def _fraction_str(x) -> str:
 def cmd_consistency(args) -> int:
     if args.scheme not in SCHEME_KINDS:
         raise ConfigError(f"scheme must be one of u1..u4, not {args.scheme!r}")
-    if args.base not in BASE_KINDS:
-        raise ConfigError(f"unknown base loss {args.base!r}")
+    base = BaseLoss(args.base)
     if not 2 <= args.c <= cons.MAX_ENUMERATED_LABELS:
         raise ConfigError(f"--c must lie in 2..{cons.MAX_ENUMERATED_LABELS}, not {args.c}")
-    base = BaseLoss(args.base)
     records: list[dict] = []
 
     tau = cons.necessary_condition_tau(args.scheme, args.c)
@@ -552,10 +557,7 @@ def cmd_consistency(args) -> int:
         print(f"  sign conflict at labels ({w.p}, {w.q}): measure demands "
               f"{w.p} above {w.q} ({w.delta_products[0]:.6g} > {w.delta_products[1]:.6g}) "
               f"but surrogate scores do not ({w.phi_products[0]:.6g} <= {w.phi_products[1]:.6g})")
-        records.append({"type": "constructive", "atoms": dist.atoms.tolist(),
-                        "probs": dist.probs.tolist(), "pair": [w.p, w.q],
-                        "delta_products": list(w.delta_products),
-                        "phi_products": list(w.phi_products)})
+        records.append(_conflict_record("constructive", dist, w))
 
     if base.kind == "hinge":
         record = cons.hinge_counterexample()
@@ -577,19 +579,20 @@ def cmd_consistency(args) -> int:
           f"in {search.trials} trials (seed {args.seed})")
     for v in search.violations[:args.show]:
         print(f"  trial {v.trial}: conflict at labels ({v.witness.p}, {v.witness.q})")
-    for v in search.violations:
-        records.append({"type": "violation", "trial": v.trial,
-                        "atoms": v.dist.atoms.tolist(), "probs": v.dist.probs.tolist(),
-                        "pair": [v.witness.p, v.witness.q],
-                        "delta_products": list(v.witness.delta_products),
-                        "phi_products": list(v.witness.phi_products)})
+    records += [_conflict_record("violation", v.dist, v.witness, trial=v.trial)
+                for v in search.violations]
 
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-        print(f"wrote {args.report}")
+        _write(args.report, "".join(json.dumps(rec) + "\n" for rec in records))
     return EXIT_OK
+
+
+def _conflict_record(kind: str, dist, witness, **extra) -> dict:
+    """The report record of a distribution whose surrogate minimizer
+    misorders the pair ``witness`` names; ``extra`` keys follow ``type``."""
+    return {"type": kind, **extra, "atoms": dist.atoms.tolist(), "probs": dist.probs.tolist(),
+            "pair": [witness.p, witness.q], "delta_products": list(witness.delta_products),
+            "phi_products": list(witness.phi_products)}
 
 
 def _fmt_atom(atom: np.ndarray) -> str:
@@ -626,14 +629,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table, seconds, algos = _summarize_bench_csvs(args.results)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    md_path = outdir / "summary_report.md"
-    md_path.write_text(render_summary_markdown(table, algos), encoding="utf-8")
-    svg_path = outdir / "runtime_report.svg"
-    svg_path.write_text(render_runtime_svg(seconds, algos), encoding="utf-8")
-    print(f"wrote {md_path} and {svg_path}")
+    _write_report(Path(args.outdir), "report", args.results)
     return EXIT_OK
 
 
@@ -671,6 +667,15 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
     _add_preprocess_args(p)
 
 
+def _add_grid_args(p: argparse.ArgumentParser) -> None:
+    """The cross-validation flags of ``cv`` and ``bench``."""
+    p.add_argument("--grid", dest="lambda_grid", help="comma-separated lambda values")
+    p.add_argument("--folds")
+    p.add_argument("--workers", help="processes for the task grid (MLRANK_THREADS overrides)")
+    p.add_argument("--select-on-test-folds", action="store_true",
+                   help="score the grid on the test folds instead of a nested holdout")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mlrank",
                                      description="multi-label ranking toolkit")
@@ -694,11 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", help="cross-validated lambda selection",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("--grid", dest="lambda_grid", help="comma-separated lambda values")
-    p.add_argument("--folds")
-    p.add_argument("--workers")
-    p.add_argument("--select-on-test-folds", action="store_true",
-                   help="score the grid on the test folds instead of a nested holdout")
+    _add_grid_args(p)
     p.add_argument("--csv", default=None, help="write per-fold metrics CSV")
     _add_fit_args(p)
     p.set_defaults(func=cmd_cv)
@@ -708,14 +709,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="experiment config file")
     p.add_argument("--data", dest="datasets", nargs="+", metavar="PATH", help="dataset paths")
     p.add_argument("--algos", help="comma-separated algorithm ids")
-    p.add_argument("--grid", dest="lambda_grid", help="comma-separated lambda values")
+    _add_grid_args(p)
     _add_dataset_args(p)
     p.add_argument("--base")
-    p.add_argument("--folds")
     p.add_argument("--seed")
-    p.add_argument("--workers")
     p.add_argument("--outdir")
-    p.add_argument("--select-on-test-folds", action="store_true")
     p.add_argument("--smoke", action="store_true",
                    help="cap epochs and grid for a fast completeness check")
     p.set_defaults(func=cmd_bench)

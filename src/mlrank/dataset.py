@@ -146,10 +146,12 @@ def load_sparse(path: str, keep_trivial: bool = False, name: str | None = None) 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return _load_sparse_text(text, str(path), keep_trivial,
-                             name if name is not None else _stem(path))
+                             name if name is not None else dataset_name(path))
 
 
-def _stem(path: str) -> str:
+def dataset_name(path: str) -> str:
+    """The name the loaders give the dataset in ``path``: its file name
+    without the last extension."""
     base = str(path).rsplit("/", 1)[-1]
     return base.rsplit(".", 1)[0] if "." in base else base
 
@@ -317,7 +319,7 @@ def load_csv(path: str, label_count: int, keep_trivial: bool = False,
     elif not np.all(np.isin(values, (-1.0, 1.0))):
         raise DatasetFormatError(str(path), 0,
                                  f"label columns must lie in {{0,1}} or {{-1,+1}}, found {values}")
-    return _drop_trivial(X, Y, name if name is not None else _stem(path), keep_trivial)
+    return _drop_trivial(X, Y, name if name is not None else dataset_name(path), keep_trivial)
 
 
 def save_csv(data: MultiLabelDataset, path: str) -> None:

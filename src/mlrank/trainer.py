@@ -142,7 +142,7 @@ def _pool_init(X: np.ndarray, Y: np.ndarray, algo: str, base_kind: str,
                  standardize=standardize, bias=bias)
 
 
-def _run_task(task: _TaskSpec) -> dict:
+def _run_task(task: _TaskSpec) -> FitRecord:
     X, Y = _POOL["X"], _POOL["Y"]
     train_set = MultiLabelDataset(X[task.train_rows], Y[task.train_rows])
     eval_set = MultiLabelDataset(X[task.eval_rows], Y[task.eval_rows])
@@ -153,12 +153,9 @@ def _run_task(task: _TaskSpec) -> dict:
     model, trace = train_with_trace(train_set, _POOL["algo"], task.lam, _POOL["base"], cfg)
     seconds = time.perf_counter() - t0
     report = evaluate(model, eval_set)
-    return {"phase": task.phase, "fold": task.fold, "lam_index": task.lam_index,
-            "ranking_loss": report.ranking_loss,
-            "partial_ranking_loss": report.partial_ranking_loss,
-            "seconds": seconds,
-            "fit": FitRecord(task.phase, task.fold, task.lam_index, len(trace.records),
-                             trace.converged, trace.stop_reason)}
+    return FitRecord(task.phase, task.fold, task.lam_index, len(trace.records),
+                     trace.converged, trace.stop_reason, report.ranking_loss,
+                     report.partial_ranking_loss, seconds)
 
 
 @functools.cache
@@ -234,7 +231,8 @@ def _task_runner(workers: int, init_args: tuple):
 
 @dataclass(frozen=True)
 class FitRecord:
-    """How the fit of one cross-validation task ended."""
+    """One cross-validation task: how its fit ended, how the model scored on
+    the task's evaluation rows, and the fit's wall time."""
 
     phase: str  # "select" or "final"
     fold: int
@@ -242,6 +240,9 @@ class FitRecord:
     epochs: int
     converged: bool
     stop_reason: str
+    ranking_loss: float
+    partial_ranking_loss: float
+    seconds: float = field(compare=False)  # varies run to run; the rest does not
 
 
 @dataclass
@@ -335,23 +336,19 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
 
     init_args = (data.features, data.labels, algo, base.kind, opt_cfg, standardize, bias)
     with _one_blas_thread(), _task_runner(workers, init_args) as run:
+        # records come back in task order: fold-major, then lambda
         select = run(select_tasks)
-        results = {(r["fold"], r["lam_index"]): r for r in select}
-        validation = np.array([[results[(f, li)]["ranking_loss"] for li in range(len(grid))]
-                               for f in range(k)])
+        validation = np.array([r.ranking_loss for r in select]).reshape(k, len(grid))
         best_index = int(np.argmin(validation.mean(axis=0)))
         best_lambda = grid[best_index]
 
         if select_on_test_folds:
-            final, refits = [results[(f, best_index)] for f in range(k)], []
+            final, refits = select[best_index::len(grid)], []
         else:
-            final_tasks = [_TaskSpec("final", f, best_index, best_lambda,
-                                     fold_rows[f][0], fold_rows[f][1],
-                                     task_seed(seed, f, best_index, algo, "final"))
-                           for f in range(k)]
-            refits = run(final_tasks)
-            by_fold = {r["fold"]: r for r in refits}
-            final = [by_fold[f] for f in range(k)]
+            final = refits = run([_TaskSpec("final", f, best_index, best_lambda,
+                                            fold_rows[f][0], fold_rows[f][1],
+                                            task_seed(seed, f, best_index, algo, "final"))
+                                  for f in range(k)])
 
     return CvResult(
         dataset=data.name, algorithm=algo, base=base.kind, lambda_grid=grid,
@@ -359,9 +356,9 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
         protocol="test-fold" if select_on_test_folds else "nested-holdout",
         validation_losses=validation,
         best_lambda=best_lambda, best_lambda_index=best_index,
-        fold_ranking_losses=np.array([r["ranking_loss"] for r in final]),
-        fold_partial_losses=np.array([r["partial_ranking_loss"] for r in final]),
-        fold_seconds=np.array([r["seconds"] for r in final]),
-        selection_seconds=float(sum(r["seconds"] for r in results.values())),
-        fits=[r["fit"] for r in select + refits],
+        fold_ranking_losses=np.array([r.ranking_loss for r in final]),
+        fold_partial_losses=np.array([r.partial_ranking_loss for r in final]),
+        fold_seconds=np.array([r.seconds for r in final]),
+        selection_seconds=float(sum(r.seconds for r in select)),
+        fits=select + refits,
     )

@@ -63,7 +63,7 @@ def test_config_errors_carry_line_numbers():
     # unknown keys, and values that do not parse as their field's declared type
     for line in ("bogus_key = 1", "workers = none", "folds = none", "seed = none",
                  "standardize = 0", "bias = off", "smoke = yes", "folds = 2.5",
-                 "tolerance = small", "lambda_grid = 1e-4,x"):
+                 "tolerance = small", "lambda_grid = 1e-4,x", "datasets = y"):
         with pytest.raises(ConfigError, match=r"^<config>:2: "):
             config_from_text(f"datasets = x\n{line}\n")
     with pytest.raises(ConfigError):
@@ -251,11 +251,15 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     ["report", "{bad_cell}", "--outdir", "{tmp}/rep"],
     ["consistency", "--scheme", "u3", "--c", "1"],
     ["consistency", "--scheme", "u3", "--c", "13"],
+    ["bench", "--config", "{twice}"],
+    # the second file does not exist: the names clash before any data is read
+    ["bench", "--data", "{sparse}", "{tmp}/elsewhere/syn.txt", "--smoke"],
 ], ids=["train-csv-no-labels", "convert-csv-no-labels", "bounds-csv-no-labels",
         "train-inner-steps-0", "cv-epochs-0", "report-short-row", "cv-nan-lambda",
         "train-nan-lambda", "cv-inf-lambda", "cv-overflowing-lambda", "train-inf-lambda",
         "cv-csv-no-labels", "cv-keep-trivial", "bench-keep-trivial",
-        "report-non-numeric-cell", "consistency-c-1", "consistency-c-13"])
+        "report-non-numeric-cell", "consistency-c-1", "consistency-c-13",
+        "bench-config-key-twice", "bench-dataset-name-twice"])
 def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, argv):
     csv, model, bench = tmp_path / "syn.csv", tmp_path / "m.txt", tmp_path / "bench.csv"
     assert main(["convert", str(dataset_file), str(csv), "--to", "csv"]) == 0
@@ -269,8 +273,10 @@ def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, 
                         "syn,u1,0,0.0001,x,0.1,0.01\n", encoding="utf-8")
     config = tmp_path / "exp.cfg"
     config.write_text(f"datasets = {dataset_file}\nkeep_trivial = true\n", encoding="utf-8")
+    twice = tmp_path / "twice.cfg"
+    twice.write_text(f"datasets = {dataset_file}\nseed = 1\nseed = 2\n", encoding="utf-8")
     places = dict(csv=csv, sparse=dataset_file, model=model, bench=bench, bad_cell=bad_cell,
-                  config=config, tmp=tmp_path)
+                  config=config, twice=twice, tmp=tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "mlrank.cli",
                            *(a.format(**places) for a in argv)],
@@ -283,6 +289,42 @@ def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, 
     assert proc.stderr.splitlines()[-1].startswith(("error: ", "mlrank: error: "))
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_env_is_validated_like_workers(dataset_file, threads):
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]),
+               MLRANK_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli", "cv", "--data", str(dataset_file),
+                           "--algo", "u1", "--grid", "1e-4", "--epochs", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"error: workers must be >= 1, not {threads}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "{data}", "{tmp}/out.txt", "--to", "sparse"],
+    ["train", "--data", "{data}", "--algo", "u3", "--lam", "1e-2", "--out", "{model}",
+     "--epochs", "1", "--base", "logistic_calibrated"],
+    ["cv", "--data", "{data}", "--algo", "u3", "--grid", "1e-2", "--epochs", "1"],
+    ["bench", "--data", "{data}", "--algos", "u3", "--grid", "1e-2", "--smoke",
+     "--outdir", "{tmp}/res"],
+    ["bounds", "--model", "{model}", "--data", "{data}"],
+], ids=["convert", "train", "cv", "bench", "bounds"])
+def test_every_dataset_reader_reports_dropped_rows(tmp_path, dataset_file, capsys, argv):
+    # one all-relevant and one all-irrelevant row appended to the 60 x 5 x 3 file
+    header, *rows = dataset_file.read_text(encoding="utf-8").splitlines()
+    assert header == "60 5 3"
+    data = tmp_path / "trivial.txt"
+    data.write_text("\n".join(["62 5 3", *rows, "0,1,2 1:0.5", "2:0.25"]) + "\n",
+                    encoding="utf-8")
+    model = tmp_path / "m.txt"
+    assert main(["train", "--data", str(dataset_file), "--algo", "u3", "--lam", "1e-2",
+                 "--out", str(model), "--epochs", "1", "--base", "logistic_calibrated"]) == 0
+    capsys.readouterr()
+    assert main([a.format(data=data, model=model, tmp=tmp_path) for a in argv]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "trivial: dropped 2 trivial instances"
+
+
 def test_report_names_the_line_of_a_non_numeric_cell(tmp_path, capsys):
     csv = tmp_path / "bench.csv"
     csv.write_text("dataset,algo,fold,lambda,ranking_loss,partial_ranking_loss,seconds\n"
@@ -290,6 +332,17 @@ def test_report_names_the_line_of_a_non_numeric_cell(tmp_path, capsys):
                    encoding="utf-8")
     assert main(["report", str(csv), "--outdir", str(tmp_path / "rep")]) == 2
     assert f"error: {csv}:3: " in capsys.readouterr().err
+
+
+def test_report_rejects_a_repeated_row_naming_its_line(tmp_path, capsys):
+    # read twice, a file would count each fold's seconds twice
+    csv = tmp_path / "bench.csv"
+    csv.write_text("dataset,algo,fold,lambda,ranking_loss,partial_ranking_loss,seconds\n"
+                   "syn,u1,0,0.0001,0.1,0.1,0.01\n", encoding="utf-8")
+    assert main(["report", str(csv), str(csv), "--outdir", str(tmp_path / "rep")]) == 2
+    assert (f"error: {csv}:2: dataset syn, algo u1, fold 0 repeats {csv}:2"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "rep").exists()
 
 
 def test_cv_writes_csv(tmp_path, dataset_file):

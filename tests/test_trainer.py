@@ -172,6 +172,11 @@ def test_cross_validate_nested_holdout():
         assert fit.converged == ("tolerance" in fit.stop_reason)
         assert fit.converged or fit.stop_reason == "epoch budget exhausted"
     assert result.unconverged_fits == sum(not f.converged for f in result.fits)
+    # the reported fold metrics are those of the final fits' records
+    final = result.fits[-3:]
+    assert [f.ranking_loss for f in final] == list(result.fold_ranking_losses)
+    assert [f.partial_ranking_loss for f in final] == list(result.fold_partial_losses)
+    assert [f.seconds for f in final] == list(result.fold_seconds)
 
 
 def test_cross_validate_test_fold_protocol():
