@@ -3,7 +3,8 @@
 Walks one concrete instance through every loss in the package: the true
 (partial) ranking measure, the pairwise surrogate, and the four reweighted
 univariate surrogates, then spot-checks the ordering guarantees between
-them on random draws.
+them on random draws.  A univariate scheme is named by its kind string,
+``"u1"``..``"u4"``, whose weight table ``mlrank.losses.scheme_betas`` states.
 
 Run:  python3 demos/01_losses_tour.py
 """
@@ -11,9 +12,8 @@ Run:  python3 demos/01_losses_tour.py
 import numpy as np
 
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
-                           SQUARED_HINGE, PenaltyScheme, pairwise_surrogate,
-                           partial_ranking_loss, penalty_weights, ranking_loss,
-                           univariate_surrogate)
+                           SQUARED_HINGE, pairwise_surrogate, partial_ranking_loss,
+                           penalty_weights, ranking_loss, univariate_surrogate)
 
 rng = np.random.default_rng(0)
 
@@ -32,9 +32,9 @@ print(f"partial ranking loss (ties half): {partial_ranking_loss(f, y):.4f}")
 print("the gap comes from the f=0.1 tie between label 1 and label 2")
 print()
 
-print("per-label weights of each univariate scheme at this y:")
+print("per-label weights of each univariate scheme (by kind string) at this y:")
 for kind in ("u1", "u2", "u3", "u4"):
-    w = penalty_weights(PenaltyScheme(kind), y)
+    w = penalty_weights(kind, y)
     print(f"  {kind}: {np.array2string(w, precision=3)}")
 print("u1 spreads 1/c uniformly; u2 divides by |S+||S-|; u3 balances the")
 print("two sides; u4 divides by the smaller side only")
@@ -43,7 +43,7 @@ print()
 print("surrogate values with the logistic base loss:")
 print(f"  pairwise    : {pairwise_surrogate(f, y, LOGISTIC).value:.4f}")
 for kind in ("u1", "u2", "u3", "u4"):
-    v = univariate_surrogate(f, y, LOGISTIC, PenaltyScheme(kind)).value
+    v = univariate_surrogate(f, y, LOGISTIC, kind).value
     print(f"  {kind} univariate: {v:.4f}")
 print()
 
@@ -74,9 +74,9 @@ for _ in range(2000):
             break
     ff = rng.normal(size=c) * 2
     r = ranking_loss(ff, yy)
-    u4 = univariate_surrogate(ff, yy, HINGE, PenaltyScheme("u4")).value
-    u2 = univariate_surrogate(ff, yy, HINGE, PenaltyScheme("u2")).value
-    u3 = univariate_surrogate(ff, yy, HINGE, PenaltyScheme("u3")).value
+    u4 = univariate_surrogate(ff, yy, HINGE, "u4").value
+    u2 = univariate_surrogate(ff, yy, HINGE, "u2").value
+    u3 = univariate_surrogate(ff, yy, HINGE, "u3").value
     worst["r_u4"] = max(worst["r_u4"], r - u4)
     worst["u4_cu2"] = max(worst["u4_cu2"], u4 - c * u2)
     worst["r_u3"] = max(worst["r_u3"], r - u3)
@@ -88,9 +88,9 @@ print()
 print("=" * 72)
 print("Gradients power the trainer")
 print("=" * 72)
-ev = univariate_surrogate(f, y, LOGISTIC, PenaltyScheme("u3"))
+ev = univariate_surrogate(f, y, LOGISTIC, "u3")
 step = f - 0.5 * ev.gradient
-after = univariate_surrogate(step, y, LOGISTIC, PenaltyScheme("u3"))
+after = univariate_surrogate(step, y, LOGISTIC, "u3")
 print(f"u3 value before gradient step: {ev.value:.4f}")
 print(f"u3 value after  gradient step: {after.value:.4f}")
 print(f"ranking loss before/after:     {ranking_loss(f, y):.4f} -> "

@@ -12,9 +12,10 @@ margin-based base loss ``ell``:
 * ``pairwise_surrogate``: averages ``ell(f_p - f_q)`` over relevant /
   irrelevant label pairs, the direct convexification of the ranking loss.
 * ``univariate_surrogate``: sums per-label penalties ``w_j * ell(y_j f_j)``
-  where the weights ``w_j`` come from a :class:`PenaltyScheme`.  The four
-  schemes rescale each instance by different functions of the label split
-  sizes, all stated once by :func:`scheme_betas`.
+  where the weights ``w_j`` come from a scheme, named by its kind string
+  ``u1``..``u4``.  The four schemes rescale each instance by different
+  functions of the label split sizes, all stated once by
+  :func:`scheme_betas`.
 
 All gradients are analytic, using fixed one-sided derivatives at the hinge
 kinks so that stochastic optimizers see deterministic subgradients.
@@ -75,7 +76,9 @@ class BaseLoss:
         if self.kind == "exponential":
             return np.exp(-np.maximum(z, -_EXP_CLAMP))
         if self.kind == "logistic":
-            return np.logaddexp(0.0, -z)
+            # log(1 + e^{-z}) with one exp; e^{-|z|} underflows to the right value
+            with np.errstate(under="ignore"):
+                return np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0)
         if self.kind == "logistic_calibrated":
             # ln(e - 1 + e^{-z}); split at 0 to keep exp() arguments <= 0
             out = np.empty_like(z)
@@ -149,12 +152,17 @@ def partial_ranking_loss(scores, labels) -> float:
     return float(np.mean((diffs < 0.0) + 0.5 * (diffs == 0.0)))
 
 
-@dataclass(frozen=True)
-class PenaltyScheme:
-    """Per-instance label weights for the univariate surrogates.
+def _check_scheme(kind: str) -> None:
+    if kind not in SCHEME_KINDS:
+        raise ValueError(f"unknown penalty scheme {kind!r}, expected one of {SCHEME_KINDS}")
 
-    The kinds weight label ``j`` of an instance with ``a`` relevant and
-    ``b`` irrelevant labels (``c = a + b``) as
+
+def scheme_betas(kind: str, a, b):
+    """``(beta_plus, beta_minus)`` of scheme ``kind`` for ``a`` relevant and
+    ``b`` irrelevant labels.
+
+    The univariate surrogates weight label ``j`` of an instance with ``a``
+    relevant and ``b`` irrelevant labels (``c = a + b``) as
 
     ============  =================  =================
     kind          weight, y_j = +1   weight, y_j = -1
@@ -166,23 +174,11 @@ class PenaltyScheme:
     ============  =================  =================
 
     Only ``u1`` is defined on trivial label vectors.  Arbitrary weights are
-    a :class:`mlrank.consistency.PenaltyAssignment`.
+    a :class:`mlrank.consistency.PenaltyAssignment`.  Elementwise on count
+    arrays (float weights, ``inf`` where a weight divides by zero); exact on
+    ``Fraction`` counts.
     """
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown penalty scheme {self.kind!r}, expected one of {SCHEME_KINDS}")
-
-
-def scheme_betas(kind: str, a, b):
-    """``(beta_plus, beta_minus)`` of scheme ``kind`` for ``a`` relevant and
-    ``b`` irrelevant labels, by the table of :class:`PenaltyScheme`.
-
-    Elementwise on count arrays (float weights, ``inf`` where a weight
-    divides by zero); exact on ``Fraction`` counts.
-    """
+    _check_scheme(kind)
     if kind == "u1":
         w = 1 / (a + b)
         return w, w
@@ -191,23 +187,23 @@ def scheme_betas(kind: str, a, b):
         return w, w
     if kind == "u3":
         return 1 / a, 1 / b
-    if kind == "u4":
-        w = 1 / np.minimum(a, b)
-        return w, w
-    raise ValueError(f"unknown penalty scheme {kind!r}, expected one of {SCHEME_KINDS}")
+    w = 1 / np.minimum(a, b)
+    return w, w
 
 
-def penalty_weights(scheme: PenaltyScheme, labels) -> np.ndarray:
-    """Per-label weight vector ``w`` with ``w_j`` applied to ``ell(y_j f_j)``."""
+def penalty_weights(kind: str, labels) -> np.ndarray:
+    """Per-label weight vector ``w`` of scheme ``kind``, with ``w_j`` applied
+    to ``ell(y_j f_j)``."""
+    _check_scheme(kind)
     y = _as_label_vector(labels)
     c = y.size
-    if scheme.kind == "u1":
+    if kind == "u1":
         return np.full(c, 1.0 / c)
     pos, neg = split_labels(y)
     a, b = pos.size, neg.size
-    if scheme.kind == "u2":
+    if kind == "u2":
         return np.full(c, 1.0 / (a * b))
-    if scheme.kind == "u3":
+    if kind == "u3":
         return np.where(y > 0, 1.0 / a, 1.0 / b)
     return np.full(c, 1.0 / min(a, b))
 
@@ -233,13 +229,13 @@ def pairwise_surrogate(scores, labels, base: BaseLoss) -> LossEval:
     return LossEval(float(base.value(diffs).sum() * scale), grad)
 
 
-def univariate_surrogate(scores, labels, base: BaseLoss, scheme: PenaltyScheme) -> LossEval:
-    """Weighted sum of per-label losses ``w_j * ell(y_j f_j)``."""
+def univariate_surrogate(scores, labels, base: BaseLoss, kind: str) -> LossEval:
+    """Weighted sum of per-label losses ``w_j * ell(y_j f_j)`` of scheme ``kind``."""
     f = np.asarray(scores, dtype=np.float64)
     y = _as_label_vector(labels)
     if f.shape != y.shape:
         raise ValueError(f"scores shape {f.shape} does not match labels shape {y.shape}")
-    w = penalty_weights(scheme, y)
+    w = penalty_weights(kind, y)
     z = y * f
     return LossEval(float(w @ base.value(z)), w * y * base.derivative(z))
 
@@ -248,9 +244,9 @@ def univariate_surrogate(scores, labels, base: BaseLoss, scheme: PenaltyScheme) 
 # Batch paths.  A :class:`BatchSurrogate` holds one surrogate's per-row
 # structure on a label matrix, built once: for ``pa`` the row-major
 # label-pair list of :func:`label_pairs`, for u1-u4 the penalty weights.
-# Two kernels on a score matrix, per-row gradients and per-row losses (with
-# their mean), serve training, the model bounds and the bounds probe; the
-# ranking loss runs on a pair list of its own.
+# Two kernels on a score matrix, per-row gradients and per-row losses, serve
+# training, the model bounds and the bounds probe; the ranking loss runs on
+# a pair list of its own.
 # ---------------------------------------------------------------------------
 
 
@@ -275,13 +271,13 @@ def nontrivial_mask(labels) -> np.ndarray:
     return (a > 0) & (b > 0)
 
 
-def penalty_weight_matrix(scheme: PenaltyScheme, labels) -> np.ndarray:
-    """Stacked :func:`penalty_weights` for a label matrix."""
+def penalty_weight_matrix(kind: str, labels) -> np.ndarray:
+    """Stacked :func:`penalty_weights` of scheme ``kind`` for a label matrix."""
     Y = _as_label_matrix(labels)
     with np.errstate(divide="ignore"):
-        beta_plus, beta_minus = scheme_betas(scheme.kind, *label_split_sizes(Y))
+        beta_plus, beta_minus = scheme_betas(kind, *label_split_sizes(Y))
     if np.isinf(beta_plus).any() or np.isinf(beta_minus).any():
-        raise ValueError(f"scheme {scheme.kind} is undefined on trivial label vectors")
+        raise ValueError(f"scheme {kind} is undefined on trivial label vectors")
     return np.where(Y > 0, beta_plus[:, None], beta_minus[:, None])
 
 
@@ -347,7 +343,7 @@ class BatchSurrogate:
             self._ip, self._iq = row * self.c + pos, row * self.c + neg
             self.weights = None
         else:
-            self.weights = penalty_weight_matrix(PenaltyScheme(kind), self.Y)
+            self.weights = penalty_weight_matrix(kind, self.Y)
 
     @cached_property
     def _signed_weights(self) -> np.ndarray:
@@ -410,29 +406,22 @@ class BatchSurrogate:
             lo = hi
 
     def row_losses(self, F: np.ndarray) -> np.ndarray:
-        """Surrogate loss of each row at scores ``F`` ``(n, c)``."""
+        """Surrogate loss of each row at scores ``F`` ``(n, c)``; the one loss
+        kernel, whose mean is the objective's loss term."""
         ell = self.base.value
         if self.weights is not None:
             return (self.weights * ell(self.Y * F)).sum(axis=1)
         flat = F.ravel()
-        return np.bincount(self._ip // self.c, ell(flat[self._ip] - flat[self._iq]),
-                           self.n) * self._row_scale
-
-    def mean_loss(self, F: np.ndarray) -> float:
-        """Mean surrogate loss over all rows at scores ``F`` ``(n, c)``, in one
-        pass over the labels or pairs."""
-        ell = self.base.value
-        if self.weights is not None:
-            return float(np.sum(self.weights * ell(self.Y * F))) / self.n
-        flat = F.ravel()
-        return float(self._scale @ ell(flat[self._ip] - flat[self._iq])) / self.n
+        # every row owns pairs, so each ptr[i] starts a nonempty segment
+        return np.add.reduceat(ell(flat[self._ip] - flat[self._iq]),
+                               self._ptr[:-1]) * self._row_scale
 
 
 def univariate_batch(scores, labels, base: BaseLoss,
-                     scheme: PenaltyScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Values ``(n,)`` and gradients ``(n, c)`` of a univariate surrogate.
-    Only the benchmark's tracer and the tests call it."""
-    batch = BatchSurrogate(labels, scheme.kind, base)
+                     kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``(n,)`` and gradients ``(n, c)`` of the univariate surrogate
+    of scheme ``kind``.  Only the benchmark's tracer and the tests call it."""
+    batch = BatchSurrogate(labels, kind, base)
     F = np.asarray(scores, dtype=np.float64)
     return batch.row_losses(F), batch.gradients(F)
 

@@ -24,7 +24,7 @@ subtracts ``eta (mu - 2 lambda W_snap)`` (computed once per epoch) and
 subtracts the block's rank-``b`` term ``eta X_R^T Delta_R / b``.  Every
 entry point reaches the loss through one
 :class:`mlrank.losses.BatchSurrogate` and its two kernels on scores:
-per-row loss gradients, and mean loss.
+per-row loss gradients, and per-row losses, whose mean is the loss term.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ class Objective:
     yields for it and ``G_R`` the snapshot's loss gradients of its rows.
     Every entry point reaches the loss through the one
     :class:`mlrank.losses.BatchSurrogate` built here, ``loss``: its
-    ``gradients`` (of all rows, or of a block) and its ``mean_loss``.
+    ``gradients`` (of all rows, or of a block) and the mean of its
+    ``row_losses``.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: ObjectiveSpec):
@@ -120,7 +121,7 @@ class Objective:
     # -- oracle interface ---------------------------------------------------
 
     def value(self, W: np.ndarray) -> float:
-        return self.loss.mean_loss(self.X @ W) + self.lam * float(np.sum(W * W))
+        return float(self.loss.row_losses(self.X @ W).mean()) + self.lam * float(np.sum(W * W))
 
     def full_gradient(self, W: np.ndarray) -> np.ndarray:
         return self.X.T @ self.loss.gradients(self.X @ W) / self.n + 2.0 * self.lam * W
@@ -131,7 +132,7 @@ class Objective:
         grads = self.loss.gradients(F)
         return {"W": W.copy(), "mu": self.X.T @ grads / self.n + 2.0 * self.lam * W,
                 "loss_grads": grads,
-                "value": self.loss.mean_loss(F) + self.lam * float(np.sum(W * W))}
+                "value": float(self.loss.row_losses(F).mean()) + self.lam * float(np.sum(W * W))}
 
     def svrg_direction(self, scores: np.ndarray, block, snap_grads: np.ndarray) -> np.ndarray:
         """Deltas ``(b, c)``: loss gradients of one block of

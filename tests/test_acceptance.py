@@ -20,9 +20,8 @@ from mlrank import consistency as cons
 from mlrank.cli import main
 from mlrank.dataset import load_sparse, save_sparse, synthetic_linear
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
-                           SQUARED_HINGE, PenaltyScheme, pairwise_surrogate,
-                           ranking_loss_batch, univariate_batch,
-                           univariate_surrogate)
+                           SQUARED_HINGE, pairwise_surrogate, ranking_loss_batch,
+                           univariate_batch, univariate_surrogate)
 from mlrank.model import Objective, ObjectiveSpec
 from mlrank.optimizer import OptimizerConfig, minimize_batch_gd
 from mlrank.trainer import cross_validate
@@ -58,9 +57,9 @@ def test_criterion_1_domination_chain():
         r = ranking_loss_batch(F, Y)
         total += draws_per_c
         for base in DOMINATING_BASES:
-            u4, _ = univariate_batch(F, Y, base, PenaltyScheme("u4"))
-            u2, _ = univariate_batch(F, Y, base, PenaltyScheme("u2"))
-            u3, _ = univariate_batch(F, Y, base, PenaltyScheme("u3"))
+            u4, _ = univariate_batch(F, Y, base, "u4")
+            u2, _ = univariate_batch(F, Y, base, "u2")
+            u3, _ = univariate_batch(F, Y, base, "u3")
             worst_slack = max(worst_slack,
                               float((r - u4).max()),
                               float((u4 - c * u2).max()),
@@ -75,7 +74,7 @@ def test_criterion_1_domination_chain():
 def test_criterion_2_gradients_match_finite_differences():
     start = time.monotonic()
     rng = np.random.default_rng(17)
-    schemes = tuple(PenaltyScheme(k) for k in ("u1", "u2", "u3", "u4"))
+    schemes = ("u1", "u2", "u3", "u4")
     h = 1e-6
     checked = 0
     worst = 0.0

@@ -8,7 +8,7 @@ import pytest
 
 from mlrank import consistency as cons
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
-                           SQUARED_HINGE, PenaltyScheme, penalty_weights)
+                           SQUARED_HINGE, penalty_weights)
 
 
 def dist_c2_with_trivial():
@@ -60,7 +60,7 @@ def test_scheme_assignment_beta_values():
     assert u1.alpha(y) == pytest.approx(1 / 3)
 
 
-# the PenaltyScheme docstring table, (beta_plus, beta_minus) for a relevant
+# the scheme_betas docstring table, (beta_plus, beta_minus) for a relevant
 # and b irrelevant labels, restated in exact arithmetic
 _TABLE = {"u1": lambda a, b: (Fraction(1, a + b),) * 2,
           "u2": lambda a, b: (Fraction(1, a * b),) * 2,
@@ -76,7 +76,7 @@ def test_scheme_weights_agree_across_modules(kind):
             y = np.array(bits)
             a = int((y > 0).sum())
             if 0 < a < c:
-                w = penalty_weights(PenaltyScheme(kind), y)
+                w = penalty_weights(kind, y)
                 assert pen.beta_plus(y) == w[np.argmax(y > 0)]
                 assert pen.beta_minus(y) == w[np.argmax(y < 0)]
                 beta_plus, beta_minus = _TABLE[kind](a, c - a)

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from mlrank import losses
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
                            SQUARED_HINGE, BaseLoss, BatchSurrogate, LossEval,
-                           PenaltyScheme, group_by_label_pattern, label_pairs,
+                           group_by_label_pattern, label_pairs,
                            label_split_sizes, nontrivial_mask, pairwise_batch_for,
                            pairwise_surrogate, partial_ranking_loss,
                            penalty_weight_matrix, penalty_weights,
-                           ranking_loss, ranking_loss_batch, split_labels,
-                           univariate_batch, univariate_surrogate)
+                           ranking_loss, ranking_loss_batch, scheme_betas,
+                           split_labels, univariate_batch, univariate_surrogate)
 
 ALL_BASES = (EXPONENTIAL, LOGISTIC, LOGISTIC_CALIBRATED, HINGE, SQUARED_HINGE)
-SCHEMES = tuple(PenaltyScheme(k) for k in ("u1", "u2", "u3", "u4"))
+SCHEMES = ("u1", "u2", "u3", "u4")
 LN2 = np.log(2.0)
 
 
@@ -82,6 +82,20 @@ def test_logistic_derivative_matches_scipy_expit():
     with np.errstate(all="raise"):
         g = LOGISTIC.derivative(np.array([1e308, np.inf]))
     assert np.all((g < 0.0) & (g > -1e-300))
+
+
+def test_logistic_value_matches_logaddexp():
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.uniform(-1e3, 1e3, 200_000), rng.normal(0.0, 30.0, 200_000),
+                        np.linspace(-50.0, 50.0, 20_001),
+                        [0.0, -0.0, 1e-300, -1e-300, 700.0, 709.0, 710.0, -745.0, 1e3, -1e3]])
+    reference = np.logaddexp(0.0, -z)
+    assert np.all(np.abs(LOGISTIC.value(z) - reference) <= 5e-16 * reference)
+    # e^{-|z|} underflows at the extremes without a floating-point error
+    z = np.array([1e308, -1e308, np.inf, -np.inf])
+    with np.errstate(all="raise"):
+        v = LOGISTIC.value(z)
+    np.testing.assert_array_equal(v, [0.0, 1e308, 0.0, np.inf])
 
 
 def test_domination_flags():
@@ -179,22 +193,34 @@ def test_ranking_loss_permutation_invariant(c, seed):
 
 def test_scheme_weights_frozen_example():
     y = np.array([1.0, -1.0, -1.0, -1.0])  # |S+| = 1, |S-| = 3
-    np.testing.assert_allclose(penalty_weights(PenaltyScheme("u1"), y), 0.25)
-    np.testing.assert_allclose(penalty_weights(PenaltyScheme("u2"), y), 1.0 / 3.0)
-    np.testing.assert_allclose(penalty_weights(PenaltyScheme("u3"), y),
+    np.testing.assert_allclose(penalty_weights("u1", y), 0.25)
+    np.testing.assert_allclose(penalty_weights("u2", y), 1.0 / 3.0)
+    np.testing.assert_allclose(penalty_weights("u3", y),
                                [1.0, 1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_allclose(penalty_weights(PenaltyScheme("u4"), y), 1.0)
+    np.testing.assert_allclose(penalty_weights("u4", y), 1.0)
+
+
+def test_unknown_scheme_kind_rejected():
+    y = np.array([1.0, -1.0, -1.0])
+    message = r"unknown penalty scheme 'u5', expected one of"
+    for call in (lambda: scheme_betas("u5", 1, 2),
+                 lambda: penalty_weights("u5", y),
+                 lambda: penalty_weight_matrix("u5", y[None]),
+                 lambda: univariate_surrogate(np.zeros(3), y, LOGISTIC, "u5"),
+                 lambda: BatchSurrogate(y[None], "u5", LOGISTIC)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_trivial_vector_scheme_behavior():
     y = np.ones(3)
     # u1's uniform weight needs no label split; the ratio schemes do
-    np.testing.assert_allclose(penalty_weights(PenaltyScheme("u1"), y), 1 / 3)
+    np.testing.assert_allclose(penalty_weights("u1", y), 1 / 3)
     for kind in ("u2", "u3", "u4"):
         with pytest.raises(ValueError):
-            penalty_weights(PenaltyScheme(kind), y)
+            penalty_weights(kind, y)
     with pytest.raises(ValueError):
-        penalty_weight_matrix(PenaltyScheme("u2"), np.ones((2, 3)))
+        penalty_weight_matrix("u2", np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +240,11 @@ def test_zero_scores_give_loss_at_zero():
     f = np.zeros(2)
     assert pairwise_surrogate(f, y, LOGISTIC).value == pytest.approx(LN2)
     # each coordinate contributes ell(0), scaled by the scheme weight
-    assert univariate_surrogate(f, y, LOGISTIC, PenaltyScheme("u2")).value == \
+    assert univariate_surrogate(f, y, LOGISTIC, "u2").value == \
         pytest.approx(2 * LN2)
-    assert univariate_surrogate(f, y, LOGISTIC, PenaltyScheme("u3")).value == \
+    assert univariate_surrogate(f, y, LOGISTIC, "u3").value == \
         pytest.approx(2 * LN2)
-    assert univariate_surrogate(f, y, LOGISTIC, PenaltyScheme("u1")).value == \
+    assert univariate_surrogate(f, y, LOGISTIC, "u1").value == \
         pytest.approx(LN2)
 
 
@@ -253,9 +279,9 @@ def test_domination_chain_random_sample():
         f = rng.normal(size=c) * 3
         r = ranking_loss(f, y)
         for base in (EXPONENTIAL, HINGE, SQUARED_HINGE, LOGISTIC_CALIBRATED):
-            u4 = univariate_surrogate(f, y, base, PenaltyScheme("u4")).value
-            u2 = univariate_surrogate(f, y, base, PenaltyScheme("u2")).value
-            u3 = univariate_surrogate(f, y, base, PenaltyScheme("u3")).value
+            u4 = univariate_surrogate(f, y, base, "u4").value
+            u2 = univariate_surrogate(f, y, base, "u2").value
+            u3 = univariate_surrogate(f, y, base, "u3").value
             assert r <= u4 + 1e-12
             assert u4 <= c * u2 + 1e-12
             assert r <= u3 + 1e-12
@@ -462,7 +488,7 @@ def test_blocks_match_per_row_references(monkeypatch, kind, budget):
             grads = batch.gradients(F[R], block)
             for j, i in enumerate(R.tolist()):
                 ev = (pairwise_surrogate(F[i], Y[i], base) if kind == "pa" else
-                      univariate_surrogate(F[i], Y[i], base, PenaltyScheme(kind)))
+                      univariate_surrogate(F[i], Y[i], base, kind))
                 np.testing.assert_allclose(grads[j], ev.gradient, rtol=1e-12, atol=0.0)
     # every block of 4 rows holds more than 300 pairs or label entries, so
     # each is gathered alone; under 2000, chunks hold several blocks, and the

@@ -5,7 +5,7 @@ import pytest
 
 from mlrank.dataset import synthetic_linear
 from mlrank import losses
-from mlrank.losses import LOGISTIC, PenaltyScheme
+from mlrank.losses import LOGISTIC
 from mlrank.model import (Objective, ObjectiveSpec, LinearModel, load_model, predict,
                           save_model)
 
@@ -32,8 +32,7 @@ def per_sample_gradient(obj, W, i):
     if obj.spec.surrogate == "pa":
         ev = losses.pairwise_surrogate(scores, obj.Y[i], obj.spec.base)
     else:
-        ev = losses.univariate_surrogate(scores, obj.Y[i], obj.spec.base,
-                                         PenaltyScheme(obj.spec.surrogate))
+        ev = losses.univariate_surrogate(scores, obj.Y[i], obj.spec.base, obj.spec.surrogate)
     return np.outer(obj.X[i], ev.gradient) + 2.0 * obj.spec.lam * W
 
 
@@ -56,11 +55,12 @@ def test_value_is_mean_of_per_row_reference_losses():
             per_row = [losses.pairwise_surrogate(obj.X[i] @ W, obj.Y[i], LOGISTIC).value
                        for i in range(obj.n)]
         else:
-            per_row = [losses.univariate_surrogate(obj.X[i] @ W, obj.Y[i], LOGISTIC,
-                                                   PenaltyScheme(algo)).value
+            per_row = [losses.univariate_surrogate(obj.X[i] @ W, obj.Y[i], LOGISTIC, algo).value
                        for i in range(obj.n)]
         expected = np.mean(per_row) + 0.03 * np.sum(W * W)
         assert obj.value(W) == pytest.approx(expected, rel=1e-12)
+        # both entry points take the one loss kernel, so they agree exactly
+        assert obj.value(W) == obj.svrg_snapshot(W)["value"], algo
 
 
 def test_pa_objective_builds_label_pairs_once(monkeypatch):

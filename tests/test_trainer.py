@@ -5,7 +5,7 @@ import pytest
 
 from mlrank import bounds, losses, trainer
 from mlrank.dataset import synthetic_linear
-from mlrank.losses import LOGISTIC, BaseLoss, PenaltyScheme
+from mlrank.losses import LOGISTIC, BaseLoss
 from mlrank.model import LinearModel, predict
 from mlrank.optimizer import OptimizerConfig
 from mlrank.trainer import (cross_validate, evaluate, prepare_data, task_seed,
@@ -120,7 +120,7 @@ def test_evaluate_univariate_risks_match_univariate_batch():
         _, inputs = bounds.model_bound_inputs(LinearModel(W, base=kind), data, delta=0.05)
         assert list(inputs) == ["u2", "u3", "u4"]
         for algo, inp in inputs.items():
-            expected = losses.univariate_batch(F, Y, BaseLoss(kind), PenaltyScheme(algo))[0].mean()
+            expected = losses.univariate_batch(F, Y, BaseLoss(kind), algo)[0].mean()
             assert inp.empirical_risk == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
