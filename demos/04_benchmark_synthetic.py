@@ -5,9 +5,10 @@ way the command line's `bench` subcommand does (3-fold CV, lambda grid,
 nested holdout selection, standardization), then demonstrates the runtime
 gap between the pairwise and univariate surrogates as labels grow.
 
-Run:  python3 demos/04_benchmark_synthetic.py   (about a minute)
+Run:  python3 demos/04_benchmark_synthetic.py   (a few seconds)
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from mlrank.dataset import synthetic_linear
 from mlrank.losses import LOGISTIC
 from mlrank.model import SURROGATES, Objective, ObjectiveSpec
-from mlrank.optimizer import OptimizerConfig, minimize_batch_gd
+from mlrank.optimizer import OptimizerConfig
 from mlrank.trainer import cross_validate
 
 print("=" * 72)
@@ -47,18 +48,22 @@ print()
 print("=" * 72)
 print("Runtime: pairwise O(c^2) vs univariate O(c) per instance")
 print("=" * 72)
-print("median wall time of one full-batch training epoch (n=600, d=30):")
+print("median wall time of one full pass: loss, gradients and full gradient "
+      "(n=600, d=30):")
 print(f"  {'c':>4s} {'pa':>10s} {'u3':>10s} {'ratio':>7s}")
 for c in (5, 20, 60):
     dd = synthetic_linear(600, 30, c, seed=1, noise=0.1)
+    W = 0.01 * np.random.default_rng(2).standard_normal((30, c))
     times = {}
     for algo in ("pa", "u3"):
         obj = Objective(dd.features, dd.labels, ObjectiveSpec(algo, LOGISTIC, 1e-4))
-        _, trace = minimize_batch_gd(obj, np.zeros((30, c)),
-                                     OptimizerConfig(outer_epochs=3, tolerance=0.0))
-        marks = [0.0] + [rec.seconds for rec in trace.records]  # cumulative
-        per_epoch = sorted(b - a for a, b in zip(marks, marks[1:]))
-        times[algo] = per_epoch[len(per_epoch) // 2]
+        obj.svrg_snapshot(W)  # warm-up
+        calls = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            obj.svrg_snapshot(W)
+            calls.append(time.perf_counter() - t0)
+        times[algo] = statistics.median(calls)
     print(f"  {c:>4d} {times['pa'] * 1e3:>8.1f}ms {times['u3'] * 1e3:>8.1f}ms "
           f"{times['pa'] / times['u3']:>7.1f}")
 print()

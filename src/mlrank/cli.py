@@ -251,9 +251,13 @@ def _cross_validate(data: MultiLabelDataset, algo: str, cfg: ExperimentConfig) -
 
 def _load_dataset(path: str, fmt: str, label_count: int | None,
                   keep_trivial: bool = False) -> MultiLabelDataset:
-    """Load a dataset and say how many trivial rows the loader dropped."""
+    """Load a dataset and say how many trivial rows the loader dropped;
+    raise :class:`ConfigError` if it dropped every row."""
     data = (load_csv(path, label_count, keep_trivial=keep_trivial) if fmt == "csv"
             else load_sparse(path, keep_trivial=keep_trivial))
+    if data.n == 0:
+        raise ConfigError(f"{path}: all {data.dropped_trivial} instances are trivial; "
+                          "nothing is left to use")
     if data.dropped_trivial:
         print(f"{data.name}: dropped {data.dropped_trivial} trivial instances")
     return data
@@ -529,6 +533,12 @@ def cmd_consistency(args) -> int:
     base = BaseLoss(args.base)
     if not 2 <= args.c <= cons.MAX_ENUMERATED_LABELS:
         raise ConfigError(f"--c must lie in 2..{cons.MAX_ENUMERATED_LABELS}, not {args.c}")
+    if args.show < 0:
+        raise ConfigError(f"--show must be >= 0, not {args.show}")
+    # searched first, so a bad --trials is rejected before any output
+    search = cons.random_violation_search(
+        args.scheme, args.c, args.trials, seed=args.seed,
+        base=base if base.kind in cons.MONOTONE_BASES else None)
     records: list[dict] = []
 
     tau = cons.necessary_condition_tau(args.scheme, args.c)
@@ -572,9 +582,6 @@ def cmd_consistency(args) -> int:
                         "bayes_scores": record.bayes.scores.tolist(),
                         "member": record.membership.member})
 
-    search_base = base if base.kind in cons.MONOTONE_BASES else None
-    search = cons.random_violation_search(args.scheme, args.c, args.trials,
-                                          seed=args.seed, base=search_base)
     print(f"random search: {len(search.violations)} violating distributions "
           f"in {search.trials} trials (seed {args.seed})")
     for v in search.violations[:args.show]:

@@ -651,8 +651,11 @@ def random_violation_search(kind: str, c: int, trials: int, seed: int = 0,
     of 2..``_MAX_SUPPORT`` nontrivial atoms without replacement and flat
     simplex probabilities.  Each trial's randomness is
     seeded independently from ``(seed, trial)``, so any partition of the
-    trial range over workers returns identical results.
+    trial range over workers returns identical results.  Raises
+    ``ValueError`` unless ``trials >= 1``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, not {trials}")
     pen = scheme_assignment(kind)
     atoms_pool = enumerate_label_vectors(c)
     hi = min(len(atoms_pool), _MAX_SUPPORT)

@@ -11,9 +11,9 @@ penalty::
     F(W) = (1/n) sum_i L(W^T x_i, y_i) + lambda * ||W||_F^2
 
 :class:`Objective` implements the oracle protocol of
-:mod:`mlrank.optimizer`: ``n``, ``lam``, ``value``, ``full_gradient``,
-``svrg_snapshot`` (value, full gradient ``mu`` and per-sample loss
-gradients at the snapshot) and ``svrg_epoch(snap, eta, rows)``, which runs
+:mod:`mlrank.optimizer`: ``n``, ``lam``, ``svrg_snapshot`` (value, full
+gradient ``mu`` and per-sample loss gradients at the snapshot) and
+``svrg_epoch(snap, eta, rows)``, which runs
 one epoch of mini-batch SVRG inner steps, one per row of ``rows`` (shape
 ``(steps, b)``).  Each step asks the score-space block hook
 ``svrg_direction`` for the ``(b, c)`` deltas of its ``b`` rows, from the
@@ -21,7 +21,9 @@ block's gathers that :meth:`mlrank.losses.BatchSurrogate.blocks` yields and
 the snapshot's loss gradients of its rows, gathered once per epoch; then it
 updates one dense ``W`` in place: it scales ``W`` by ``1 - 2 eta lambda``,
 subtracts ``eta (mu - 2 lambda W_snap)`` (computed once per epoch) and
-subtracts the block's rank-``b`` term ``eta X_R^T Delta_R / b``.  Every
+subtracts the block's rank-``b`` term ``eta X_R^T Delta_R / b``.  Outside
+the protocol, ``value`` and ``full_gradient`` give the objective and its
+gradient at ``W``, for checks against an independent solver.  Every
 entry point reaches the loss through one
 :class:`mlrank.losses.BatchSurrogate` and its two kernels on scores:
 per-row loss gradients, and per-row losses, whose mean is the loss term.
@@ -92,8 +94,9 @@ class ObjectiveSpec:
 class Objective:
     """Regularized empirical surrogate risk of a linear model on fixed data.
 
-    Implements the optimizer oracle protocol: ``n``, ``lam``, ``value``,
-    ``full_gradient``, ``svrg_snapshot`` and ``svrg_epoch``.  An epoch holds
+    Implements the optimizer oracle protocol: ``n``, ``lam``,
+    ``svrg_snapshot`` and ``svrg_epoch``; ``value`` and ``full_gradient``
+    serve checks against an independent solver.  An epoch holds
     the iterate as one dense ``W`` and calls the score-space block hook
     ``svrg_direction(X_R @ W, block_R, G_R)`` once per inner step, for the
     step's block ``R`` of ``b`` rows: ``block_R`` is what ``loss.blocks``
@@ -118,7 +121,7 @@ class Objective:
         self.lam = spec.lam
         self.loss = losses.BatchSurrogate(self.Y, spec.surrogate, spec.base)
 
-    # -- oracle interface ---------------------------------------------------
+    # -- objective and oracle interface -----------------------------------
 
     def value(self, W: np.ndarray) -> float:
         return float(self.loss.row_losses(self.X @ W).mean()) + self.lam * float(np.sum(W * W))

@@ -1,10 +1,10 @@
 """Stochastic variance-reduced optimization with Barzilai-Borwein steps.
 
-Both minimizers consume a duck-typed *oracle* with:
+``minimize_svrg_bb`` consumes a duck-typed *oracle* with four members and
+has no fallback:
 
 * ``n`` - number of summands in the empirical term,
 * ``lam`` - the weight ``lambda >= 0`` of the ``lambda ||W||^2`` term,
-* ``value(W) -> float`` and ``full_gradient(W) -> ndarray``,
 * ``svrg_snapshot(W)`` - a mapping ``snap`` holding the objective
   ``"value"`` and the full gradient ``"mu"`` at ``W``,
 * ``svrg_epoch(snap, eta, rows) -> W`` - the last iterate of the mini-batch
@@ -12,8 +12,6 @@ Both minimizers consume a duck-typed *oracle* with:
   from the snapshot point, one per row ``R`` of ``rows``, an integer array
   of shape ``(steps, b)``.
 
-``minimize_batch_gd`` calls ``value`` and ``full_gradient``; ``minimize_svrg_bb``
-calls ``n``, ``lam``, ``svrg_snapshot`` and ``svrg_epoch``, with no fallback.
 :class:`mlrank.model.Objective` runs an epoch through its score-space block
 hook ``svrg_direction(scores_R, block_R, G_R)``, which returns the
 ``(b, c)`` loss-gradient differences ``Delta_R`` of the block's samples: the
@@ -58,7 +56,7 @@ _BLOCK_ROWS = 16
 
 @dataclass
 class OptimizerConfig:
-    """Knobs shared by both minimizers.
+    """Knobs of ``minimize_svrg_bb``.
 
     ``inner_steps`` is the number of samples an SVRG epoch draws, ``None``
     meaning ``2n``; the epoch takes them in steps of ``_BLOCK_ROWS``.
@@ -86,6 +84,9 @@ class OptimizerConfig:
 
 @dataclass
 class EpochRecord:
+    """One outer epoch; ``seconds`` is the wall time since the fit started,
+    not the epoch's own."""
+
     epoch: int
     objective: float
     step_size: float
@@ -121,7 +122,7 @@ class NonFiniteObjectiveError(RuntimeError):
         self.trace = trace
 
 
-def _clamp_step(eta: float, step_max: float = _STEP_MAX) -> float:
+def _clamp_step(eta: float, step_max: float) -> float:
     return min(max(eta, _STEP_MIN), step_max)
 
 
@@ -187,54 +188,3 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
 
     return best_W, trace
 
-
-def minimize_batch_gd(oracle, init: np.ndarray, cfg: OptimizerConfig | None = None
-                      ) -> tuple[np.ndarray, OptimizationTrace]:
-    """Full-gradient descent with Armijo backtracking line search.
-
-    Deterministic fallback for small problems and for cross-checking the
-    stochastic path; same oracle protocol and trace format.
-    """
-    cfg = cfg or OptimizerConfig()
-    trace = OptimizationTrace()
-    t0 = time.perf_counter()
-    W = np.array(init, dtype=np.float64, copy=True)
-    value = oracle.value(W)
-    _check_finite(value, "initial objective", trace)
-    eta = _clamp_step(1.0)
-
-    for epoch in range(cfg.outer_epochs):
-        grad = oracle.full_gradient(W)
-        gnorm2 = float(np.sum(grad * grad))
-        if not np.isfinite(gnorm2):
-            raise NonFiniteObjectiveError(f"gradient became non-finite in epoch {epoch}", trace)
-        if gnorm2 == 0.0:
-            trace.converged = True
-            trace.stop_reason = "zero gradient"
-            break
-        eta = _clamp_step(eta * 2.0)  # allow the step to grow back
-        new_value = np.inf
-        for _ in range(80):
-            candidate = W - eta * grad
-            new_value = oracle.value(candidate)
-            if np.isfinite(new_value) and new_value <= value - 1e-4 * eta * gnorm2:
-                break
-            eta *= 0.5
-            if eta < _STEP_MIN:
-                break
-        if not (np.isfinite(new_value) and new_value <= value):
-            trace.stop_reason = "line search stalled"
-            break
-        W = W - eta * grad
-        rel_change = (value - new_value) / max(abs(value), 1.0)
-        value = new_value
-        trace.records.append(EpochRecord(epoch, value, eta, float(np.sqrt(gnorm2)),
-                                         time.perf_counter() - t0))
-        if rel_change < cfg.tolerance:
-            trace.converged = True
-            trace.stop_reason = f"relative objective change {rel_change:.3g} below tolerance"
-            break
-    else:
-        trace.stop_reason = "epoch budget exhausted"
-
-    return W, trace

@@ -330,6 +330,9 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
             perm = train_rows[rng.permutation(train_rows.size)]
             n_val = max(1, int(round(0.2 * perm.size)))
             val_rows, sub_rows = perm[:n_val], perm[n_val:]
+            if not sub_rows.size:
+                raise ValueError(f"fold {f}: its {perm.size} training instances all go to "
+                                 "the nested holdout, leaving none to train on")
         for li, lam in enumerate(grid):
             select_tasks.append(_TaskSpec("select", f, li, lam, sub_rows, val_rows,
                                           task_seed(seed, f, li, algo, "select")))

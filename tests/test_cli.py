@@ -251,6 +251,8 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     ["report", "{bad_cell}", "--outdir", "{tmp}/rep"],
     ["consistency", "--scheme", "u3", "--c", "1"],
     ["consistency", "--scheme", "u3", "--c", "13"],
+    ["consistency", "--scheme", "u3", "--c", "4", "--trials", "-2"],
+    ["consistency", "--scheme", "u3", "--c", "4", "--trials", "50", "--show", "-1"],
     ["bench", "--config", "{twice}"],
     # the second file does not exist: the names clash before any data is read
     ["bench", "--data", "{sparse}", "{tmp}/elsewhere/syn.txt", "--smoke"],
@@ -259,6 +261,7 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
         "train-nan-lambda", "cv-inf-lambda", "cv-overflowing-lambda", "train-inf-lambda",
         "cv-csv-no-labels", "cv-keep-trivial", "bench-keep-trivial",
         "report-non-numeric-cell", "consistency-c-1", "consistency-c-13",
+        "consistency-trials-negative", "consistency-show-negative",
         "bench-config-key-twice", "bench-dataset-name-twice"])
 def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, argv):
     csv, model, bench = tmp_path / "syn.csv", tmp_path / "m.txt", tmp_path / "bench.csv"
@@ -287,6 +290,28 @@ def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, 
     # mlrank's own errors print "error: ..."; argparse prefixes its usage
     # errors (an unknown flag) with the program name
     assert proc.stderr.splitlines()[-1].startswith(("error: ", "mlrank: error: "))
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_nothing_to_train_on_exits_2_without_warnings(tmp_path, dataset_file, command):
+    header, *rows = dataset_file.read_text(encoding="utf-8").splitlines()
+    data = tmp_path / "data.txt"
+    if command == "train":
+        # one all-relevant and one all-irrelevant row: both are dropped
+        data.write_text("2 5 3\n0,1,2 1:0.5\n2:0.25\n", encoding="utf-8")
+        argv = ["train", "--data", str(data), "--algo", "u1", "--lam", "1e-2",
+                "--out", str(tmp_path / "m.txt")]
+    else:
+        # two rows in two folds: the nested holdout takes a fold's one training row
+        data.write_text("\n".join(["2 5 3", *rows[:2]]) + "\n", encoding="utf-8")
+        argv = ["cv", "--data", str(data), "--algo", "u1", "--grid", "1e-2", "--folds", "2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -1,4 +1,4 @@
-"""Variance-reduced solver with automatic step sizes, and the batch fallback."""
+"""Variance-reduced solver with automatic step sizes."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,7 @@ from mlrank.dataset import MultiLabelDataset, synthetic_linear
 from mlrank.losses import LOGISTIC, BaseLoss
 from mlrank.model import Objective, ObjectiveSpec
 from mlrank.optimizer import (_BLOCK_ROWS, NonFiniteObjectiveError, OptimizerConfig,
-                              OptimizationTrace, minimize_batch_gd,
-                              minimize_svrg_bb)
+                              OptimizationTrace, minimize_svrg_bb)
 from mlrank.trainer import prepare_data, train_with_trace
 
 
@@ -45,6 +44,20 @@ class QuadraticOracle:
         return W
 
 
+class ProtocolOnly:
+    """An oracle's four protocol members; any other attribute raises."""
+
+    MEMBERS = ("n", "lam", "svrg_snapshot", "svrg_epoch")
+
+    def __init__(self, oracle):
+        object.__setattr__(self, "_oracle", oracle)
+
+    def __getattribute__(self, name):
+        if name not in ProtocolOnly.MEMBERS:
+            raise AttributeError(name)
+        return getattr(object.__getattribute__(self, "_oracle"), name)
+
+
 class PoisonedOracle(QuadraticOracle):
     def value(self, W):
         return float("nan")
@@ -66,13 +79,17 @@ def test_quadratic_converges_to_mean():
     assert len(trace.records) <= 50
 
 
-def test_batch_gd_converges_on_quadratic():
+def test_svrg_bb_reads_only_the_oracle_protocol():
     oracle = quadratic(seed=3)
-    W, trace = minimize_batch_gd(oracle, np.zeros((3, 2)),
-                                 OptimizerConfig(outer_epochs=200, tolerance=1e-12))
-    assert np.abs(W - np.mean(oracle.targets, axis=0)).max() < 1e-6
-    objectives = trace.objectives
-    assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
+    proxy = ProtocolOnly(oracle)
+    for name in ("value", "full_gradient", "svrg_direction", "targets"):
+        with pytest.raises(AttributeError):
+            getattr(proxy, name)
+    cfg = OptimizerConfig(outer_epochs=20, seed=5, tolerance=0.0)
+    W, trace = minimize_svrg_bb(oracle, np.zeros((3, 2)), cfg)
+    W_proxy, trace_proxy = minimize_svrg_bb(proxy, np.zeros((3, 2)), cfg)
+    assert W_proxy.tobytes() == W.tobytes()
+    assert trace_proxy.objectives == trace.objectives
 
 
 def test_result_never_worse_than_init():
@@ -124,14 +141,6 @@ def test_direct_solve_matches_trainer_bit_for_bit(lam):
     assert W.tobytes() == model.weights.tobytes()
     assert trace.objectives == trainer_trace.objectives
     assert max(r.step_size for r in trace.records) <= 1.0 / (4.0 * lam)
-
-
-def test_zero_gradient_converges_immediately():
-    oracle = quadratic(seed=6)
-    W_star = np.mean(oracle.targets, axis=0)
-    W, trace = minimize_batch_gd(oracle, W_star, OptimizerConfig(outer_epochs=5))
-    np.testing.assert_array_equal(W, W_star)
-    assert trace.converged and trace.stop_reason == "zero gradient"
 
 
 def test_tolerance_stop_sets_converged():
