@@ -289,14 +289,15 @@ def _raise_first_fault(lines: list[str], path: str) -> None:
 
 def save_sparse(data: MultiLabelDataset, path: str) -> None:
     """Write the sparse text format with its header; feature values use 17
-    significant digits."""
+    significant digits.  A row with no relevant label and no nonzero feature
+    is written as ``1:0``, since a blank line is not an instance."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{data.n} {data.d} {data.c}\n")
         for i in range(data.n):
             labels = ",".join(str(j) for j in np.flatnonzero(data.labels[i] > 0))
             feats = " ".join(f"{j + 1}:{data.features[i, j]:.17g}"
                              for j in np.flatnonzero(data.features[i] != 0.0))
-            fh.write((labels + " " + feats).strip() + "\n")
+            fh.write(((labels + " " + feats).strip() or "1:0") + "\n")
 
 
 def load_csv(path: str, label_count: int, keep_trivial: bool = False,

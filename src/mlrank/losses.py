@@ -19,6 +19,10 @@ margin-based base loss ``ell``:
 
 All gradients are analytic, using fixed one-sided derivatives at the hinge
 kinks so that stochastic optimizers see deterministic subgradients.
+``BaseLoss.derivative`` can run in place on an array of margins, so the
+batch gradient kernel forms its margins, their derivative and its scaling in
+one array.  Its 16-row calls in the SVRG inner loop cost what their numpy
+calls cost, not their arithmetic.
 """
 
 from __future__ import annotations
@@ -90,18 +94,41 @@ class BaseLoss:
             return np.maximum(0.0, 1.0 - z)
         return np.maximum(0.0, 1.0 - z) ** 2
 
-    def derivative(self, z):
-        """Pointwise derivative; the hinge kink uses its left limit -1."""
-        z = np.asarray(z, dtype=np.float64)
-        if self.kind == "exponential":
-            return -np.exp(-np.maximum(z, -_EXP_CLAMP))
-        if self.kind == "logistic":
-            return -1.0 / (np.exp(np.minimum(z, _EXP_CLAMP)) + 1.0)
-        if self.kind == "logistic_calibrated":
-            return -1.0 / (_E_MINUS_1 * np.exp(np.minimum(z, _EXP_CLAMP)) + 1.0)
-        if self.kind == "hinge":
-            return np.where(z <= 1.0, -1.0, 0.0)
-        return np.where(z < 1.0, -2.0 * (1.0 - z), 0.0)
+    def derivative(self, z, out=None):
+        """Pointwise derivative, computed in place into ``out`` (``z`` itself
+        allowed) and returned; into a fresh copy of ``z`` when ``out`` is
+        None.  The hinge kink uses its left limit -1.
+
+        Each kind equals its textbook formula to the bit, signed zeros and
+        NaN margins included: the exponential and logistic kinds run the
+        formula's ufuncs in its order, the hinge kinds replace ``np.where``
+        by arithmetic.
+        """
+        if out is None:
+            out = np.array(z, dtype=np.float64)
+        elif out is not z:
+            np.copyto(out, z)
+        kind = self.kind
+        if kind == "hinge":  # -1 where z <= 1, else +0: 0 - [[z <= 1]]
+            np.less_equal(out, 1.0, out=out)
+            return np.subtract(0.0, out, out=out)
+        if kind == "squared_hinge":  # -2 (1 - z) where z < 1, else +0: 2 fmin(z - 1, 0)
+            out -= 1.0
+            np.fmin(out, 0.0, out=out)
+            out *= 2.0
+            return out
+        if kind == "exponential":  # -exp(-max(z, -700))
+            np.maximum(out, -_EXP_CLAMP, out=out)
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            return np.negative(out, out=out)
+        # -1 / (k exp(min(z, 700)) + 1), k = e - 1 for the calibrated kind
+        np.minimum(out, _EXP_CLAMP, out=out)
+        np.exp(out, out=out)
+        if kind == "logistic_calibrated":
+            out *= _E_MINUS_1
+        out += 1.0
+        return np.divide(-1.0, out, out=out)
 
 
 EXPONENTIAL = BaseLoss("exponential")
@@ -245,8 +272,9 @@ def univariate_surrogate(scores, labels, base: BaseLoss, kind: str) -> LossEval:
 # structure on a label matrix, built once: for ``pa`` the row-major
 # label-pair list of :func:`label_pairs`, for u1-u4 the penalty weights.
 # Two kernels on a score matrix, per-row gradients and per-row losses, serve
-# training, the model bounds and the bounds probe; the ranking loss runs on
-# a pair list of its own.
+# training, the model bounds and the bounds probe; they share one private
+# margin step, so the SVRG snapshot takes both from one array of margins.
+# The ranking loss runs on a pair list of its own.
 # ---------------------------------------------------------------------------
 
 
@@ -350,18 +378,40 @@ class BatchSurrogate:
         # built on the first gradient; the bounds and their probe need none
         return self.weights * self.Y
 
-    def gradients(self, F: np.ndarray, block=None) -> np.ndarray:
+    def _margins(self, F: np.ndarray, block=None) -> np.ndarray:
+        """The base loss's arguments at scores ``F``, in a fresh array that
+        the kernels may overwrite: ``y_j f_j`` per label entry for a scheme,
+        ``f_p - f_q`` per pair for ``pa`` (of all rows, or of a block)."""
+        if self.weights is not None:
+            return (self.Y if block is None else block[0]) * F
+        ip, iq = (self._ip, self._iq) if block is None else block[:2]
+        flat = F.ravel()
+        z = flat.take(ip)
+        z -= flat.take(iq)
+        return z
+
+    def gradients(self, F: np.ndarray, block=None, with_losses: bool = False):
         """Per-row loss gradients at scores ``F``, shaped like ``F``: of all
         rows, or of one block that :meth:`blocks` yields, whose rows ``F``
-        then holds in block order."""
-        derivative = self.base.derivative
+        then holds in block order.
+
+        With ``with_losses`` (all rows only) it returns the pair
+        ``(gradients, row_losses(F))``, both from one pass of margins.
+        The derivative and its scaling run in place on the margins.
+        """
+        z = self._margins(F, block)
+        row_losses = self._row_losses(z) if with_losses else None
+        self.base.derivative(z, out=z)
         if self.weights is not None:
-            Y, signed = (self.Y, self._signed_weights) if block is None else block
-            return signed * derivative(Y * F)
-        ip, iq, scale = (self._ip, self._iq, self._scale) if block is None else block
-        flat = F.ravel()
-        derivs = derivative(flat[ip] - flat[iq]) * scale
-        return (np.bincount(ip, derivs, F.size) - np.bincount(iq, derivs, F.size)).reshape(F.shape)
+            z *= self._signed_weights if block is None else block[1]
+            g = z
+        else:
+            ip, iq, scale = (self._ip, self._iq, self._scale) if block is None else block
+            z *= scale
+            g = np.bincount(ip, z, F.size)
+            g -= np.bincount(iq, z, F.size)
+            g = g.reshape(F.shape)
+        return g if row_losses is None else (g, row_losses)
 
     def blocks(self, rows: np.ndarray):
         """Yield, for each block of ``rows`` ``(steps, b)``, the gathers that
@@ -408,13 +458,15 @@ class BatchSurrogate:
     def row_losses(self, F: np.ndarray) -> np.ndarray:
         """Surrogate loss of each row at scores ``F`` ``(n, c)``; the one loss
         kernel, whose mean is the objective's loss term."""
-        ell = self.base.value
+        return self._row_losses(self._margins(F))
+
+    def _row_losses(self, z: np.ndarray) -> np.ndarray:
+        """Per-row losses from all rows' margins ``z``, which it only reads."""
+        ell = self.base.value(z)
         if self.weights is not None:
-            return (self.weights * ell(self.Y * F)).sum(axis=1)
-        flat = F.ravel()
+            return (self.weights * ell).sum(axis=1)
         # every row owns pairs, so each ptr[i] starts a nonempty segment
-        return np.add.reduceat(ell(flat[self._ip] - flat[self._iq]),
-                               self._ptr[:-1]) * self._row_scale
+        return np.add.reduceat(ell, self._ptr[:-1]) * self._row_scale
 
 
 def univariate_batch(scores, labels, base: BaseLoss,

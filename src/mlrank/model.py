@@ -21,9 +21,13 @@ block's gathers that :meth:`mlrank.losses.BatchSurrogate.blocks` yields and
 the snapshot's loss gradients of its rows, gathered once per epoch; then it
 updates one dense ``W`` in place: it scales ``W`` by ``1 - 2 eta lambda``,
 subtracts ``eta (mu - 2 lambda W_snap)`` (computed once per epoch) and
-subtracts the block's rank-``b`` term ``eta X_R^T Delta_R / b``.  Outside
-the protocol, ``value`` and ``full_gradient`` give the objective and its
-gradient at ``W``, for checks against an independent solver.  Every
+subtracts the block's rank-``b`` term ``eta X_R^T Delta_R / b``.  A step
+gathers ``X_R`` with ``take``, multiplies with ``dot`` and scales the deltas
+in place: on 16-row blocks each numpy call costs more than its arithmetic.
+A snapshot forms each loss margin once, for both its loss gradients and
+its value.  Outside the protocol, ``value`` and ``full_gradient`` give the
+objective and its gradient at ``W``, for checks against an independent
+solver.  Every
 entry point reaches the loss through one
 :class:`mlrank.losses.BatchSurrogate` and its two kernels on scores:
 per-row loss gradients, and per-row losses, whose mean is the loss term.
@@ -130,12 +134,12 @@ class Objective:
         return self.X.T @ self.loss.gradients(self.X @ W) / self.n + 2.0 * self.lam * W
 
     def svrg_snapshot(self, W: np.ndarray) -> dict[str, Any]:
-        """Cache the snapshot's value, full gradient ``mu`` and per-sample loss gradients."""
-        F = self.X @ W
-        grads = self.loss.gradients(F)
+        """Cache the snapshot's value, full gradient ``mu`` and per-sample loss
+        gradients, the losses and their gradients from one array of margins."""
+        grads, row_losses = self.loss.gradients(self.X @ W, with_losses=True)
         return {"W": W.copy(), "mu": self.X.T @ grads / self.n + 2.0 * self.lam * W,
                 "loss_grads": grads,
-                "value": float(self.loss.row_losses(F).mean()) + self.lam * float(np.sum(W * W))}
+                "value": float(row_losses.mean()) + self.lam * float(np.sum(W * W))}
 
     def svrg_direction(self, scores: np.ndarray, block, snap_grads: np.ndarray) -> np.ndarray:
         """Deltas ``(b, c)``: loss gradients of one block of
@@ -143,9 +147,13 @@ class Objective:
         loss gradients of its rows, ``snap_grads`` ``(b, c)``.
 
         The SVRG direction of a block ``R`` is
-        ``X[R]^T delta / b + mu + 2 lambda (W - W_snap)``.
+        ``X[R]^T delta / b + mu + 2 lambda (W - W_snap)``.  The deltas are
+        the kernel's fresh gradient array, from which ``snap_grads`` is
+        subtracted in place.
         """
-        return self.loss.gradients(scores, block) - snap_grads
+        delta = self.loss.gradients(scores, block)
+        delta -= snap_grads
+        return delta
 
     def svrg_epoch(self, snap: dict[str, Any], eta: float, rows: np.ndarray) -> np.ndarray:
         """Run the inner steps ``W -= eta * (X_R^T delta_R / b + mu + 2 lambda (W - W_snap))``
@@ -155,7 +163,9 @@ class Objective:
         With ``a = 1 - 2 eta lambda`` and ``K = eta (mu - 2 lambda W_snap)``
         a step is ``W = a W - K - (eta / b) X_R^T delta_R``, updated in place.
         The snapshot's loss gradients of all the epoch's rows are gathered
-        once, and each block's loss gathers come from ``loss.blocks``.
+        once, and each block's loss gathers come from ``loss.blocks``.  The
+        deltas are scaled by ``eta / b`` in place before the rank-``b``
+        product, which gives the same bits as scaling a copy.
         """
         lam = self.lam
         a = 1.0 - 2.0 * eta * lam
@@ -164,11 +174,12 @@ class Objective:
         X, direction = self.X, self.svrg_direction
         step = eta / rows.shape[1]
         for R, block, G in zip(rows, self.loss.blocks(rows), snap["loss_grads"][rows]):
-            XR = X[R]
-            delta = direction(XR @ W, block, G)
+            XR = X.take(R, axis=0)
+            delta = direction(XR.dot(W), block, G)
             W *= a
             W -= K
-            W -= XR.T @ (delta * step)
+            delta *= step
+            W -= XR.T.dot(delta)
         return W
 
 

@@ -115,6 +115,20 @@ def test_convert_roundtrip(tmp_path, dataset_file):
     np.testing.assert_allclose(a.features, b.features)
 
 
+def test_convert_keep_trivial_writes_a_readable_file(tmp_path):
+    # the first row is trivial and has no nonzero feature
+    src = tmp_path / "in.csv"
+    src.write_text("0,0,0,0\n1,2,1,0\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["convert", str(src), str(out), "--to", "sparse", "--labels", "2",
+                 "--keep-trivial"]) == 0
+    assert main(["convert", str(out), str(tmp_path / "back.csv"), "--to", "csv",
+                 "--keep-trivial"]) == 0
+    back = load_sparse(str(out), keep_trivial=True)
+    np.testing.assert_array_equal(back.features, [[0.0, 0.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(back.labels, [[-1.0, -1.0], [1.0, -1.0]])
+
+
 def test_train_and_bounds(tmp_path, dataset_file, capsys):
     model = tmp_path / "m.txt"
     trace = tmp_path / "t.csv"

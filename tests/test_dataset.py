@@ -68,6 +68,20 @@ def test_sparse_roundtrip(tmp_path):
     np.testing.assert_allclose(back.features, original.features, rtol=0, atol=0)
 
 
+def test_sparse_roundtrip_of_an_empty_row(tmp_path):
+    # no relevant label and no nonzero feature: the row must not become a
+    # blank line, which the loader does not count as an instance
+    original = MultiLabelDataset(np.array([[0.0, 0.0], [1.0, 2.0]]),
+                                 np.array([[-1.0, -1.0], [1.0, -1.0]]), "empty-row")
+    path = str(tmp_path / "rt.txt")
+    save_sparse(original, path)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "2 2 2\n1:0\n0 1:1 2:2\n"
+    back = load_sparse(path, keep_trivial=True)
+    assert back.features.tobytes() == original.features.tobytes()
+    assert back.labels.tobytes() == original.labels.tobytes()
+
+
 def test_sparse_errors_carry_line_numbers(tmp_path):
     past_first_block = "".join(["300 2 2\n"] + ["0 1:1.0\n"] * 298 + ["1 2:x\n", "0 1:1.0\n"])
     cases = [

@@ -84,6 +84,39 @@ def test_logistic_derivative_matches_scipy_expit():
     assert np.all((g < 0.0) & (g > -1e-300))
 
 
+# each base's derivative as a plain formula on fresh arrays
+TEXTBOOK_DERIVATIVES = {
+    "exponential": lambda z: -np.exp(-np.maximum(z, -700.0)),
+    "logistic": lambda z: -1.0 / (np.exp(np.minimum(z, 700.0)) + 1.0),
+    "logistic_calibrated": lambda z: -1.0 / ((np.e - 1.0) * np.exp(np.minimum(z, 700.0)) + 1.0),
+    "hinge": lambda z: np.where(z <= 1.0, -1.0, 0.0),
+    "squared_hinge": lambda z: np.where(z < 1.0, -2.0 * (1.0 - z), 0.0),
+}
+
+
+@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind)
+def test_derivative_in_place_is_bitwise_the_fresh_one(base):
+    # the exp() clamp and overflow edge, the extremes, both hinge kinks
+    # (1.0 and its neighbours), signed zeros and NaN
+    edge = [700.0, 705.0, 709.0, 709.78, 710.0, 1e308, np.inf,
+            1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.0, 5e-324, 0.5]
+    z = np.array(edge + [-v for v in edge] + [np.nan, -1.0, 1.0, 1.0])
+    z = np.concatenate([z, np.random.default_rng(3).normal(0.0, 30.0, 64)])
+    keep = z.copy()
+    with np.errstate(over="ignore"):
+        fresh = base.derivative(z)
+        assert z.tobytes() == keep.tobytes()
+        assert fresh.tobytes() == TEXTBOOK_DERIVATIVES[base.kind](z).tobytes()
+        buf = z.copy()
+        assert base.derivative(buf, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        out = np.full_like(z, 7.0)
+        assert base.derivative(z, out=out) is out
+        assert out.tobytes() == fresh.tobytes() and z.tobytes() == keep.tobytes()
+        block = z[:24].reshape(4, 6).copy()
+        assert base.derivative(block, out=block).tobytes() == fresh[:24].tobytes()
+
+
 def test_logistic_value_matches_logaddexp():
     rng = np.random.default_rng(11)
     z = np.concatenate([rng.uniform(-1e3, 1e3, 200_000), rng.normal(0.0, 30.0, 200_000),

@@ -5,7 +5,7 @@ import pytest
 
 from mlrank.dataset import synthetic_linear
 from mlrank import losses
-from mlrank.losses import LOGISTIC
+from mlrank.losses import BASE_KINDS, LOGISTIC, BaseLoss
 from mlrank.model import (Objective, ObjectiveSpec, LinearModel, load_model, predict,
                           save_model)
 
@@ -177,6 +177,44 @@ def test_svrg_epoch_matches_dense_recursion(lam, eta, steps):
         # the epoch updates its own copy in place, never the snapshot
         np.testing.assert_array_equal(snap["W"], W_snap)
         np.testing.assert_array_equal(snap["mu"], mu)
+
+
+def reference_epoch(obj, snap, eta, rows):
+    """The inner loop written plainly, each step on fresh arrays: the
+    epoch's in-place, ``take``/``dot`` loop must equal it to the bit."""
+    a = 1.0 - 2.0 * eta * obj.lam
+    K = eta * (snap["mu"] - (2.0 * obj.lam) * snap["W"])
+    W = snap["W"].copy()
+    step = eta / rows.shape[1]
+    for R, block in zip(rows, obj.loss.blocks(rows)):
+        delta = obj.loss.gradients(obj.X[R] @ W, block) - snap["loss_grads"][R]
+        W *= a
+        W -= K
+        W -= obj.X[R].T @ (delta * step)
+    return W
+
+
+@pytest.mark.parametrize("base", BASE_KINDS)
+def test_svrg_epoch_is_bitwise_the_reference_loop(base):
+    rng = np.random.default_rng(13)
+    for algo in ALGOS:
+        obj = make_objective(algo, lam=0.02, n=40, d=5, c=4, base=BaseLoss(base))
+        snap = obj.svrg_snapshot(rng.normal(size=(obj.d, obj.c)))
+        rows = rng.integers(obj.n, size=(30, 16))
+        got = obj.svrg_epoch(snap, 0.05, rows)
+        assert got.tobytes() == reference_epoch(obj, snap, 0.05, rows).tobytes(), algo
+
+
+@pytest.mark.parametrize("base", BASE_KINDS)
+def test_svrg_snapshot_is_bitwise_the_separate_kernels(base):
+    # a snapshot forms each margin once for both the gradients and the losses
+    rng = np.random.default_rng(17)
+    for algo in ALGOS:
+        obj = make_objective(algo, lam=0.02, c=5, base=BaseLoss(base))
+        W = rng.normal(size=(obj.d, obj.c))
+        snap = obj.svrg_snapshot(W)
+        assert snap["loss_grads"].tobytes() == obj.loss.gradients(obj.X @ W).tobytes(), algo
+        assert snap["mu"].tobytes() == obj.full_gradient(W).tobytes(), algo
 
 
 def test_objective_rejects_trivial_rows():
