@@ -11,13 +11,19 @@ Two on-disk formats are supported:
 
   Label ids are 0-based and comma-separated; omitted features are zero.
 
-  The label list of each line is read on its own.  The feature tokens of
-  each block of ``_BLOCK_LINES`` lines are joined, split once and converted
-  with one ``np.array`` call per type (indices, then values), and all values
-  are placed with one scatter.  Blocks keep the temporary strings small.  A
-  file with any fault never loads: the line-by-line check
-  ``_raise_first_fault`` then walks the file only to name the first faulty
-  line in a :class:`DatasetFormatError`.
+  Lines end where ``str.splitlines`` ends them, so ``\\r\\n``, ``\\r`` and
+  the other Unicode line breaks count as well as ``\\n``.  Files must be
+  UTF-8; a byte that is not names its line in a :class:`DatasetFormatError`.
+
+  The file is streamed: it is read one ``\\n``-terminated piece at a time,
+  and each line is split once to take off its label list.  The feature
+  tokens of a block of lines, about ``_BLOCK_TOKENS`` of them, are converted
+  with one ``np.array`` call per type (indices, then values).  Once the
+  shape is known, each block is scattered into its own rows.  Memory is
+  therefore about the output arrays plus 16 bytes per stored value plus one
+  block, not a multiple of the file size.  A file with any fault never
+  loads: the line-by-line check ``_raise_first_fault`` then reads the file
+  again only to name the first faulty line.
 
 * **Dense CSV**: each row holds ``d`` feature values followed by ``c`` label
   columns, labels in ``{0, 1}`` or ``{-1, +1}`` (the former is remapped).
@@ -37,9 +43,11 @@ import numpy as np
 from .losses import nontrivial_mask
 
 
-# Lines whose feature tokens are converted together.  One conversion over a
-# whole 17 MB file more than doubles the loader's peak memory.
-_BLOCK_LINES = 256
+# Feature tokens converted together: a block is converted once its lines
+# hold this many.  Loading a 17 MB file of 2407 lines of 294 features took
+# a process from 28.6 MB to a peak of 45-46 MB at 1024 or 4096 tokens, 49 MB
+# at 16k, 56 MB at 64k and 108 MB at 256k.
+_BLOCK_TOKENS = 4096
 
 
 class DatasetFormatError(ValueError):
@@ -114,19 +122,47 @@ def _parse_header(tokens: list[str]) -> tuple[int, int, int] | None:
     return n, d, c
 
 
-def _token_lines(lines: list[str]):
+def _lines(path: str):
+    """The lines of the file at ``path``, as ``str.splitlines`` of its UTF-8
+    text gives them, read one ``\\n``-terminated piece at a time.
+
+    Every line break lies inside one piece: ``\\r\\n``, the one break of two
+    characters, ends with the ``\\n`` that ends its piece, and the byte
+    ``\\n`` occurs in no multi-byte UTF-8 character.  So splitting each piece
+    gives the lines of the whole text.  A byte that is not UTF-8 raises
+    :class:`DatasetFormatError` naming the line that holds it.
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        for piece in fh:
+            try:
+                lines = piece.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                # the bad byte's line is the last of the text before it plus
+                # one more character
+                head = piece[:exc.start].decode("utf-8") + "?"
+                bad = " ".join(f"0x{b:02x}" for b in piece[exc.start:exc.end])
+                raise DatasetFormatError(
+                    path, lineno + len(head.splitlines()),
+                    f"not UTF-8 text: cannot decode {bad} ({exc.reason})") from None
+            lineno += len(lines)
+            yield from lines
+
+
+def _bodies(lines):
+    """``(line number, text before any '#')`` of the lines holding tokens."""
     for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield lineno, tokens
+        body = raw.split("#", 1)[0]
+        if body and not body.isspace():
+            yield lineno, body
 
 
-def _header_and_rows(lines: list[str]):
-    """The header (or None) and an iterator of ``(line number, tokens)`` over
+def _header_and_rows(lines):
+    """The header (or None) and an iterator of ``(line number, body)`` over
     the instance lines; comments and blank lines are skipped."""
-    rows = _token_lines(lines)
+    rows = _bodies(lines)
     first = next(rows, None)
-    header = None if first is None else _parse_header(first[1])
+    header = None if first is None else _parse_header(first[1].split())
     if first is not None and header is None:
         rows = chain([first], rows)
     return header, rows
@@ -143,10 +179,14 @@ def load_sparse(path: str, keep_trivial: bool = False, name: str | None = None) 
     indices seen.  Out-of-range indices against a header raise
     :class:`DatasetFormatError` with the line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return _load_sparse_text(text, str(path), keep_trivial,
-                             name if name is not None else dataset_name(path))
+    path = str(path)
+    try:
+        X, Y = _parse_blocks(_lines(path))
+    except (ValueError, OverflowError) as exc:
+        _raise_first_fault(_lines(path), path)
+        # no format fault: an index beyond int64, or dimensions too large
+        raise ValueError(f"{path}: {exc}") from exc
+    return _drop_trivial(X, Y, name if name is not None else dataset_name(path), keep_trivial)
 
 
 def dataset_name(path: str) -> str:
@@ -156,60 +196,66 @@ def dataset_name(path: str) -> str:
     return base.rsplit(".", 1)[0] if "." in base else base
 
 
-def _load_sparse_text(text: str, path: str, keep_trivial: bool, name: str) -> MultiLabelDataset:
-    lines = text.splitlines()
-    try:
-        X, Y = _parse_blocks(lines)
-    except (ValueError, OverflowError) as exc:
-        _raise_first_fault(lines, path)
-        # no format fault: an index beyond int64, or dimensions too large
-        raise ValueError(f"{path}: {exc}") from exc
-    return _drop_trivial(X, Y, name, keep_trivial)
-
-
-def _parse_blocks(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _parse_blocks(lines) -> tuple[np.ndarray, np.ndarray]:
     """Features and labels of a sparse file; ValueError on any fault.
 
-    Label lists are read line by line; the feature tokens of each
-    ``_BLOCK_LINES`` lines are converted together by :func:`_block_arrays`,
-    and all values are placed with one scatter.
+    Each line is split once, to take off its label list.  The rest of the
+    lines of a block, until their feature tokens reach ``_BLOCK_TOKENS``, is
+    converted by :func:`_block_arrays`.  A line's token count is its colon
+    count, which is exact because ``_block_arrays`` proves one colon per
+    token.  Once the shape is known, each block is scattered into its own
+    rows.
     """
-    header, rows = _header_and_rows(lines)
-    labels: list[list[int]] = []
-    counts: list[int] = []
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []
-    block: list[str] = []
-    for _, tokens in rows:
+    header, bodies = _header_and_rows(lines)
+    blocks = []
+    block: list[tuple[list[int], str, int]] = []
+    pending = 0
+    for _, body in bodies:
+        parts = body.split(None, 1)
         ids: list[int] = []
-        if ":" not in tokens[0]:
-            ids = _label_ids(tokens[0])
-            del tokens[0]
-        labels.append(ids)
-        counts.append(len(tokens))
-        block += tokens
-        if len(counts) % _BLOCK_LINES == 0:
-            blocks.append(_block_arrays(block))
-            block = []
-    blocks.append(_block_arrays(block))
+        if ":" not in parts[0]:
+            ids = _label_ids(parts[0])
+            body = parts[1] if len(parts) == 2 else ""
+        block.append((ids, body, body.count(":")))
+        pending += block[-1][2]
+        if pending >= _BLOCK_TOKENS:
+            blocks.append(_block(block))
+            block, pending = [], 0
+    blocks.append(_block(block))
 
-    n = len(counts)
-    idx = np.concatenate([b[0] for b in blocks])
-    vals = np.concatenate([b[1] for b in blocks])
-    label_ids = np.fromiter(chain.from_iterable(labels), dtype=np.int64)
+    n = sum(len(counts) for counts, *_ in blocks)
+    idx_max = max((int(idx.max()) for _, idx, *_ in blocks if idx.size), default=0)
+    label_ids = [ids for *_, ids in blocks if ids.size]
     if header is not None:
         n_decl, d, c = header
     else:
-        n_decl = n
-        d = int(idx.max()) if idx.size else 0
-        c = int(label_ids.max()) + 1 if label_ids.size else 0
-    if (n == 0 or n_decl != n or c <= 0 or (label_ids < 0).any() or (label_ids >= c).any()
-            or (idx.size and idx.max() > d)):
+        n_decl, d = n, idx_max
+        c = max((int(ids.max()) for ids in label_ids), default=-1) + 1
+    if (n == 0 or n_decl != n or c <= 0 or idx_max > d
+            or any(ids.min() < 0 or ids.max() >= c for ids in label_ids)):
         raise ValueError("instance count or index out of range")
-    X = np.zeros((n, d))
-    X[np.repeat(np.arange(n), counts), idx - 1] = vals
-    Y = np.full((n, c), -1.0)
-    Y[np.repeat(np.arange(n), [len(ids) for ids in labels]), label_ids] = 1.0
+    try:
+        X = np.zeros((n, d))
+        Y = np.full((n, c), -1.0)
+    except MemoryError:
+        # ids far beyond the data in a file without a header
+        raise ValueError(f"{n} x {d} features and {n} x {c} labels "
+                         "do not fit in memory") from None
+    start = 0
+    for counts, idx, vals, label_counts, ids in blocks:
+        rows = np.arange(start, start + len(counts))
+        X[np.repeat(rows, counts), idx - 1] = vals
+        Y[np.repeat(rows, label_counts), ids] = 1.0
+        start += len(counts)
     return X, Y
+
+
+def _block(lines: list[tuple[list[int], str, int]]) -> tuple:
+    """Per-line feature counts, feature indices and values, per-line label
+    counts and label ids of a block of ``(label ids, features, count)``."""
+    idx, vals = _block_arrays(" ".join(feats for _, feats, _ in lines).split())
+    return ([count for _, _, count in lines], idx, vals, [len(ids) for ids, _, _ in lines],
+            np.fromiter(chain.from_iterable(ids for ids, _, _ in lines), dtype=np.int64))
 
 
 def _block_arrays(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -230,18 +276,19 @@ def _block_arrays(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.array(sides[1::2], dtype=np.float64)
 
 
-def _raise_first_fault(lines: list[str], path: str) -> None:
+def _raise_first_fault(lines, path: str) -> None:
     """Check ``lines`` one at a time and raise the first fault found.
 
-    Token faults come first, in file order: a bad label list, a bad feature
-    token, a feature index below 1, then a negative label on the same line.
-    Then the instance count and the label count, and last the label and
-    feature indices against ``c`` and ``d``, again in file order.  Returns
-    when there is no fault.
+    Token faults come first, in file order: a byte that is not UTF-8, a bad
+    label list, a bad feature token, a feature index below 1, then a
+    negative label on the same line.  Then the instance count and the label
+    count, and last the label and feature indices against ``c`` and ``d``,
+    again in file order.  Returns when there is no fault.
     """
-    header, lines_iter = _header_and_rows(lines)
+    header, bodies = _header_and_rows(lines)
     rows: list[tuple[list[int], list[int], int]] = []
-    for lineno, tokens in lines_iter:
+    for lineno, body in bodies:
+        tokens = body.split()
         label_ids: list[int] = []
         feat_tokens = tokens
         if ":" not in tokens[0]:

@@ -415,6 +415,16 @@ def test_exit_codes(tmp_path, dataset_file):
                  "--out", str(tmp_path / "m.txt")]) == 2
 
 
+def test_non_utf8_dataset_exits_2_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2 2 2\n0 1:1.0\n1 2:\xff\n")
+    assert main(["convert", str(bad), str(tmp_path / "out.csv"),
+                 "--from", "sparse", "--to", "csv"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}:3: not UTF-8 text: cannot decode 0xff (invalid start byte)\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_bench_artifacts_and_determinism(tmp_path, dataset_file, monkeypatch):
     def run(outdir, threads=None):
         if threads is None:

@@ -1,6 +1,7 @@
 """Sparse/CSV loaders, splits, preprocessing, synthetic generator."""
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,10 @@ from mlrank.dataset import (DatasetFormatError, MultiLabelDataset, _drop_trivial
 
 def write(tmp_path, text, name="data.txt"):
     p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -107,6 +111,13 @@ def test_sparse_errors_carry_line_numbers(tmp_path):
         ("1:1.0\n", 0, "no labels present and no header to set the label count"),
         # every token is checked before any index is checked against d or c
         ("2 2 2\n0 5:1.0\n1 1:x\n", 3, "bad feature token '1:x'"),
+        # a byte that is not UTF-8 names the line str.splitlines puts it on
+        (b"2 2 2\n0 1:1.0\n1 2:\xff\n", 3,
+         "not UTF-8 text: cannot decode 0xff (invalid start byte)"),
+        (b"2 2 2\r0 1:1.0\xc2\x851 2:\xe2\x82\n", 3,
+         "not UTF-8 text: cannot decode 0xe2 0x82 (invalid continuation byte)"),
+        (b"1 2 2\n0 1:x\n\xff\n", 2, "bad feature token '1:x'"),
+        (b"5 2 2\n0 1:1.0\n\xff\n", 3, "not UTF-8 text: cannot decode 0xff (invalid start byte)"),
     ]
     path = write(tmp_path, "")
     for text, line, message in cases:
@@ -120,6 +131,13 @@ def test_sparse_errors_carry_line_numbers(tmp_path):
 def test_sparse_index_beyond_int64_without_header_is_a_value_error(tmp_path):
     path = write(tmp_path, "0 1:1.0\n1 99999999999999999999:1.0\n")
     with pytest.raises(ValueError, match=re.escape(path)):
+        load_sparse(path)
+
+
+def test_sparse_ids_too_large_to_allocate_are_a_value_error(tmp_path):
+    # without a header, a label id of 3e16 asks for a 2 x 3e16 label matrix
+    path = write(tmp_path, "0 1:1.0\n30000000000000004 1:1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 2 x 1 features and 2 x ")):
         load_sparse(path)
 
 
@@ -171,7 +189,10 @@ def reference_load_sparse(path, keep_trivial=False):
         c = max((l for ids, _, _ in rows for l in ids), default=-1) + 1
     if c == 0:
         raise DatasetFormatError(path, 0, "no labels present and no header to set the label count")
-    X, Y = np.zeros((len(rows), d)), np.full((len(rows), c), -1.0)
+    try:
+        X, Y = np.zeros((len(rows), d)), np.full((len(rows), c), -1.0)
+    except MemoryError:
+        raise ValueError("too large to allocate") from None
     for i, (label_ids, feats, lineno) in enumerate(rows):
         for l in label_ids:
             if l >= c:
@@ -201,7 +222,8 @@ def mutated_sparse_text(draw):
     pos = draw(st.integers(0, len(text)))
     if draw(st.booleans()):
         piece = draw(st.sampled_from(list("0123456789" * 3 + ":,#-._ eax\t\n")
-                                     + ["\u0663", "\u00a0"]))
+                                     + ["\u0663", "\u00a0", "\r", "\r\n", "\x0b", "\x0c",
+                                        "\x1c", "\x85", "\u2028"]))
         cut = draw(st.integers(0, 1))
     else:
         # whole tokens, valid (a repeated index among them) and not
@@ -213,23 +235,43 @@ def mutated_sparse_text(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=mutated_sparse_text(), block_lines=st.sampled_from([1, 2, 256]),
+@given(text=mutated_sparse_text(),
+       block_tokens=st.sampled_from([1, 2, dataset._BLOCK_TOKENS]),
        keep_trivial=st.booleans())
-def test_sparse_loader_matches_line_by_line_reference(tmp_path_factory, text, block_lines,
+def test_sparse_loader_matches_line_by_line_reference(tmp_path_factory, text, block_tokens,
                                                       keep_trivial):
     path = str(tmp_path_factory.mktemp("mutated") / "data.txt")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     outcomes = []
     for load in (load_sparse, reference_load_sparse):
         try:
-            with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
+            with mock.patch.object(dataset, "_BLOCK_TOKENS", block_tokens):
                 data = load(path, keep_trivial=keep_trivial)
             outcomes.append((data.features.shape, data.features.tobytes(),
                              data.labels.tobytes(), data.dropped_trivial))
         except DatasetFormatError as err:
             outcomes.append(str(err))
+        except ValueError:
+            # no format fault, but ids too large for the dense arrays
+            outcomes.append("too large")
     assert outcomes[0] == outcomes[1], text
+
+
+def test_sparse_load_memory_is_about_the_output(tmp_path):
+    # the file is streamed in blocks, so a load holds the output arrays plus
+    # 16 B per stored value and one block, not a multiple of the file size
+    original = synthetic_linear(600, 294, 6, seed=5)
+    path = str(tmp_path / "dense.txt")
+    save_sparse(original, path)
+    tracemalloc.start()
+    try:
+        data = load_sparse(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.features.tobytes() == original.features.tobytes()
+    assert peak <= 4 * (data.features.nbytes + data.labels.nbytes)
 
 
 def test_sparse_empty_file_rejected(tmp_path):
