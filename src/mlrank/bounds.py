@@ -154,7 +154,7 @@ def base_lipschitz(base: BaseLoss, z_max: float) -> float:
     if z_max < 0.0:
         raise ValueError("z_max must be nonnegative")
     if base.kind == "exponential":
-        return float(np.exp(min(z_max, 700.0)))
+        return float(np.exp(min(z_max, losses.EXP_CLAMP)))
     if base.kind == "squared_hinge":
         return 2.0 * (1.0 + z_max)
     return 1.0  # logistic, calibrated logistic, hinge are globally 1-Lipschitz

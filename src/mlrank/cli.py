@@ -535,10 +535,8 @@ def cmd_consistency(args) -> int:
         raise ConfigError(f"--c must lie in 2..{cons.MAX_ENUMERATED_LABELS}, not {args.c}")
     if args.show < 0:
         raise ConfigError(f"--show must be >= 0, not {args.show}")
-    # searched first, so a bad --trials is rejected before any output
-    search = cons.random_violation_search(
-        args.scheme, args.c, args.trials, seed=args.seed,
-        base=base if base.kind in cons.MONOTONE_BASES else None)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, not {args.trials}")
     records: list[dict] = []
 
     tau = cons.necessary_condition_tau(args.scheme, args.c)
@@ -582,12 +580,20 @@ def cmd_consistency(args) -> int:
                         "bayes_scores": record.bayes.scores.tolist(),
                         "member": record.membership.member})
 
-    print(f"random search: {len(search.violations)} violating distributions "
-          f"in {search.trials} trials (seed {args.seed})")
-    for v in search.violations[:args.show]:
-        print(f"  trial {v.trial}: conflict at labels ({v.witness.p}, {v.witness.q})")
-    records += [_conflict_record("violation", v.dist, v.witness, trial=v.trial)
-                for v in search.violations]
+    if base.kind not in cons.MONOTONE_BASES:
+        reason = (f"the {base.kind} Bayes link is not strictly increasing in phi+/phi-, "
+                  "so the sign audit does not apply")
+        print(f"random search: skipped; {reason}")
+        records.append({"type": "search_skipped", "base": base.kind, "reason": reason})
+    else:
+        search = cons.random_violation_search(args.scheme, args.c, args.trials,
+                                              seed=args.seed, base=base)
+        print(f"random search: {len(search.violations)} violating distributions "
+              f"in {search.trials} trials (seed {args.seed})")
+        for v in search.violations[:args.show]:
+            print(f"  trial {v.trial}: conflict at labels ({v.witness.p}, {v.witness.q})")
+        records += [_conflict_record("violation", v.dist, v.witness, trial=v.trial)
+                    for v in search.violations]
 
     if args.report:
         _write(args.report, "".join(json.dumps(rec) + "\n" for rec in records))

@@ -397,7 +397,7 @@ def zero_one_bayes_membership(predictor, dist: ConditionalDistribution,
 # Sign-agreement audit
 # ---------------------------------------------------------------------------
 
-MONOTONE_BASES = ("exponential", "logistic", "squared_hinge")
+MONOTONE_BASES = ("exponential", "logistic", "logistic_calibrated", "squared_hinge")
 
 
 @dataclass(frozen=True)
@@ -422,13 +422,15 @@ def check_consistency_on_distribution(dist: ConditionalDistribution,
                                       base: BaseLoss | None = None) -> ConsistencyVerdict:
     """Audit one distribution for a Bayes-ordering conflict.
 
-    The surrogate's Bayes scores (for bases whose closed form is strictly
-    increasing in ``phi_plus / phi_minus``: exponential, logistic, squared
-    hinge) rank ``p`` above ``q`` iff ``phi+_p phi-_q > phi-_p phi+_q``, and
-    the measure demands that order iff ``delta+_p delta-_q > delta-_p
-    delta+_q``.  A pair where the measure requires a strict order and the
-    surrogate does not deliver it witnesses inconsistency at this
-    distribution; product differences within ``_TOL`` count as ties.
+    The surrogate's Bayes scores (for the bases of ``MONOTONE_BASES``, whose
+    minimizer is strictly increasing in ``phi_plus / phi_minus``) rank ``p``
+    above ``q`` iff ``phi+_p phi-_q > phi-_p phi+_q``, and the measure
+    demands that order iff ``delta+_p delta-_q > delta-_p delta+_q``.  A
+    pair where the measure requires a strict order and the surrogate does
+    not deliver it witnesses inconsistency at this distribution; product
+    differences within ``_TOL`` count as ties.  For the calibrated logistic
+    the minimizer ``z`` solves ``phi+/phi- = ((e-1) e^z + 1) / ((e-1) e^-z
+    + 1)``, whose right side is strictly increasing in ``z``.
     """
     if base is not None and base.kind not in MONOTONE_BASES:
         raise ValueError(f"audit applies to bases with a strictly monotone Bayes link "

@@ -15,15 +15,18 @@ Two on-disk formats are supported:
   the other Unicode line breaks count as well as ``\\n``.  Files must be
   UTF-8; a byte that is not names its line in a :class:`DatasetFormatError`.
 
-  The file is streamed: it is read one ``\\n``-terminated piece at a time,
-  and each line is split once to take off its label list.  The feature
-  tokens of a block of lines, about ``_BLOCK_TOKENS`` of them, are converted
-  with one ``np.array`` call per type (indices, then values).  Once the
-  shape is known, each block is scattered into its own rows.  Memory is
-  therefore about the output arrays plus 16 bytes per stored value plus one
-  block, not a multiple of the file size.  A file with any fault never
-  loads: the line-by-line check ``_raise_first_fault`` then reads the file
-  again only to name the first faulty line.
+  A load reads the file once, one ``\\n``-terminated piece at a time.  The
+  lines of a block, about ``_BLOCK_TOKENS`` feature tokens, are split once to
+  take off their label lists, and the tokens converted with one ``np.array``
+  call per type.  Once the shape is known, each block is scattered into its
+  own rows.  Memory is therefore about the output arrays plus 16 bytes per
+  stored value plus one block, not a multiple of the file size.
+
+  A file with any fault never loads; the first fault is named, in this
+  order: token faults in file order (a byte that is not UTF-8, a bad label
+  list, a bad feature token, a feature index below 1, a negative label),
+  then the instance and label counts, then the label and feature indices
+  against ``c`` and ``d`` in file order.
 
 * **Dense CSV**: each row holds ``d`` feature values followed by ``c`` label
   columns, labels in ``{0, 1}`` or ``{-1, +1}`` (the former is remapped).
@@ -149,25 +152,6 @@ def _lines(path: str):
             yield from lines
 
 
-def _bodies(lines):
-    """``(line number, text before any '#')`` of the lines holding tokens."""
-    for lineno, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0]
-        if body and not body.isspace():
-            yield lineno, body
-
-
-def _header_and_rows(lines):
-    """The header (or None) and an iterator of ``(line number, body)`` over
-    the instance lines; comments and blank lines are skipped."""
-    rows = _bodies(lines)
-    first = next(rows, None)
-    header = None if first is None else _parse_header(first[1].split())
-    if first is not None and header is None:
-        rows = chain([first], rows)
-    return header, rows
-
-
 def _label_ids(token: str) -> list[int]:
     return [int(t) for t in token.split(",") if t]
 
@@ -179,13 +163,7 @@ def load_sparse(path: str, keep_trivial: bool = False, name: str | None = None) 
     indices seen.  Out-of-range indices against a header raise
     :class:`DatasetFormatError` with the line number.
     """
-    path = str(path)
-    try:
-        X, Y = _parse_blocks(_lines(path))
-    except (ValueError, OverflowError) as exc:
-        _raise_first_fault(_lines(path), path)
-        # no format fault: an index beyond int64, or dimensions too large
-        raise ValueError(f"{path}: {exc}") from exc
+    X, Y = _parse(str(path))
     return _drop_trivial(X, Y, name if name is not None else dataset_name(path), keep_trivial)
 
 
@@ -196,53 +174,74 @@ def dataset_name(path: str) -> str:
     return base.rsplit(".", 1)[0] if "." in base else base
 
 
-def _parse_blocks(lines) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of a sparse file; ValueError on any fault.
+def _parse(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of the sparse file at ``path``, read once.
 
-    Each line is split once, to take off its label list.  The rest of the
-    lines of a block, until their feature tokens reach ``_BLOCK_TOKENS``, is
-    converted by :func:`_block_arrays`.  A line's token count is its colon
-    count, which is exact because ``_block_arrays`` proves one colon per
-    token.  Once the shape is known, each block is scattered into its own
-    rows.
+    Each line holding tokens is kept as ``(line number, body, colon count)``
+    until the colons of its block reach ``_BLOCK_TOKENS``; then
+    :func:`_block` converts the block.  Faults are raised in the order the
+    module docstring states.  Once the shape is known, each block is
+    scattered into its own rows.
     """
-    header, bodies = _header_and_rows(lines)
-    blocks = []
-    block: list[tuple[list[int], str, int]] = []
-    pending = 0
-    for _, body in bodies:
-        parts = body.split(None, 1)
-        ids: list[int] = []
-        if ":" not in parts[0]:
-            ids = _label_ids(parts[0])
-            body = parts[1] if len(parts) == 2 else ""
-        block.append((ids, body, body.count(":")))
-        pending += block[-1][2]
-        if pending >= _BLOCK_TOKENS:
-            blocks.append(_block(block))
-            block, pending = [], 0
-    blocks.append(_block(block))
-
-    n = sum(len(counts) for counts, *_ in blocks)
-    idx_max = max((int(idx.max()) for _, idx, *_ in blocks if idx.size), default=0)
-    label_ids = [ids for *_, ids in blocks if ids.size]
+    header, blocks, block, pending = None, [], [], 0
+    try:
+        for lineno, raw in enumerate(_lines(path), start=1):
+            body = raw.split("#", 1)[0]
+            if not body or body.isspace():
+                continue
+            if header is None and not (block or blocks):  # the first body
+                header = _parse_header(body.split())
+                if header is not None:
+                    continue
+            colons = body.count(":")
+            block.append((lineno, body, colons))
+            pending += colons
+            if pending >= _BLOCK_TOKENS:
+                full, block, pending = block, [], 0
+                blocks.append(_block(full, path))
+    except DatasetFormatError:
+        # the pending lines' token faults come before an undecodable byte
+        _block(block, path)
+        raise
+    blocks.append(_block(block, path))
+    block = full = None  # free the last lines before the output is allocated
+    n = sum(len(linenos) for linenos, *_ in blocks)
+    if n == 0:
+        raise DatasetFormatError(path, 0, "no instances found")
     if header is not None:
         n_decl, d, c = header
+        if n_decl != n:
+            raise DatasetFormatError(path, 0, f"header declares {n_decl} instances, found {n}")
     else:
-        n_decl, d = n, idx_max
-        c = max((int(ids.max()) for ids in label_ids), default=-1) + 1
-    if (n == 0 or n_decl != n or c <= 0 or idx_max > d
-            or any(ids.min() < 0 or ids.max() >= c for ids in label_ids)):
-        raise ValueError("instance count or index out of range")
+        d = max((int(idx.max()) for _, _, idx, *_ in blocks if idx.size), default=0)
+        c = max((int(ids.max()) for *_, ids in blocks if ids.size), default=-1) + 1
+    if c == 0:
+        raise DatasetFormatError(path, 0, "header declares 0 labels" if header else
+                                 "no labels present and no header to set the label count")
+    for linenos, counts, idx, _, label_counts, ids in blocks:
+        bad_ids, bad_idx = ids >= c, idx > d
+        if bad_ids.any() or bad_idx.any():
+            at_id = np.repeat(linenos, label_counts)[bad_ids]
+            at_idx = np.repeat(linenos, counts)[bad_idx]
+            # labels before features on the same line
+            if at_id.size and (not at_idx.size or at_id[0] <= at_idx[0]):
+                raise DatasetFormatError(path, int(at_id[0]),
+                                         f"label index {ids[bad_ids][0]} out of range for c={c}")
+            raise DatasetFormatError(path, int(at_idx[0]),
+                                     f"feature index {idx[bad_idx][0]} out of range for d={d}")
     try:
+        for _, _, idx, _, _, ids in blocks:  # an index beyond int64 raises OverflowError
+            idx.astype(np.int64, copy=False), ids.astype(np.int64, copy=False)
         X = np.zeros((n, d))
         Y = np.full((n, c), -1.0)
-    except MemoryError:
-        # ids far beyond the data in a file without a header
-        raise ValueError(f"{n} x {d} features and {n} x {c} labels "
+    except MemoryError:  # ids far beyond the data in a file without a header
+        raise ValueError(f"{path}: {n} x {d} features and {n} x {c} labels "
                          "do not fit in memory") from None
+    except (ValueError, OverflowError) as exc:
+        # no format fault, but no array has this shape
+        raise ValueError(f"{path}: {exc}") from exc
     start = 0
-    for counts, idx, vals, label_counts, ids in blocks:
+    for _, counts, idx, vals, label_counts, ids in blocks:
         rows = np.arange(start, start + len(counts))
         X[np.repeat(rows, counts), idx - 1] = vals
         Y[np.repeat(rows, label_counts), ids] = 1.0
@@ -250,12 +249,51 @@ def _parse_blocks(lines) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _block(lines: list[tuple[list[int], str, int]]) -> tuple:
-    """Per-line feature counts, feature indices and values, per-line label
-    counts and label ids of a block of ``(label ids, features, count)``."""
-    idx, vals = _block_arrays(" ".join(feats for _, feats, _ in lines).split())
-    return ([count for _, _, count in lines], idx, vals, [len(ids) for ids, _, _ in lines],
-            np.fromiter(chain.from_iterable(ids for ids, _, _ in lines), dtype=np.int64))
+def _block(lines: list[tuple[int, str, int]], path: str) -> tuple:
+    """Line numbers, per-line feature counts, feature indices and values,
+    per-line label counts and label ids of a block of ``(line number, body,
+    colon count)``.
+
+    The label lists are split off and the feature tokens converted by one
+    :func:`_block_arrays` call.  If that fails, the lines are checked one
+    token at a time to raise the first token fault.  An index beyond int64
+    is no token fault; the block then keeps its indices as Python ints.
+    """
+    heads = []  # (label list, feature tokens) per line
+    for _, body, _ in lines:
+        label_s, *feats = body.split(None, 1)
+        heads.append(("", body) if ":" in label_s else (label_s, feats[0] if feats else ""))
+    try:
+        ids = [_label_ids(label_s) for label_s, _ in heads]
+        idx, vals = _block_arrays(" ".join(feats for _, feats in heads).split())
+        flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64)
+        if flat.size and flat.min() < 0:
+            raise ValueError("negative label index")
+    except (ValueError, OverflowError):
+        ids, idx, vals = [], [], []
+        for (lineno, _, _), (label_s, feats) in zip(lines, heads):
+            try:
+                ids.append(_label_ids(label_s))
+            except ValueError:
+                raise DatasetFormatError(path, lineno, f"bad label list {label_s!r}") from None
+            for tok in feats.split():
+                idx_s, _, val_s = tok.partition(":")
+                try:
+                    idx.append(int(idx_s))
+                    vals.append(float(val_s))
+                except ValueError:
+                    raise DatasetFormatError(path, lineno, f"bad feature token {tok!r}") from None
+                if idx[-1] < 1:
+                    raise DatasetFormatError(path, lineno, f"feature index {idx[-1]} is not 1-based")
+            if any(l < 0 for l in ids[-1]):
+                raise DatasetFormatError(path, lineno, "negative label index")
+        flat, vals = list(chain.from_iterable(ids)), np.array(vals)
+        try:
+            idx, flat = np.array(idx, dtype=np.int64), np.array(flat, dtype=np.int64)
+        except OverflowError:
+            idx, flat = np.array(idx, dtype=object), np.array(flat, dtype=object)
+    return (np.array([lineno for lineno, _, _ in lines]), [count for _, _, count in lines], idx, vals,
+            [len(line_ids) for line_ids in ids], flat)
 
 
 def _block_arrays(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -274,64 +312,6 @@ def _block_arrays(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     if idx.size and idx.min() < 1:
         raise ValueError("feature index below 1")
     return idx, np.array(sides[1::2], dtype=np.float64)
-
-
-def _raise_first_fault(lines, path: str) -> None:
-    """Check ``lines`` one at a time and raise the first fault found.
-
-    Token faults come first, in file order: a byte that is not UTF-8, a bad
-    label list, a bad feature token, a feature index below 1, then a
-    negative label on the same line.  Then the instance count and the label
-    count, and last the label and feature indices against ``c`` and ``d``,
-    again in file order.  Returns when there is no fault.
-    """
-    header, bodies = _header_and_rows(lines)
-    rows: list[tuple[list[int], list[int], int]] = []
-    for lineno, body in bodies:
-        tokens = body.split()
-        label_ids: list[int] = []
-        feat_tokens = tokens
-        if ":" not in tokens[0]:
-            try:
-                label_ids = _label_ids(tokens[0])
-            except ValueError:
-                raise DatasetFormatError(path, lineno, f"bad label list {tokens[0]!r}")
-            feat_tokens = tokens[1:]
-        feats: list[int] = []
-        for tok in feat_tokens:
-            idx_s, _, val_s = tok.partition(":")
-            if not val_s:
-                raise DatasetFormatError(path, lineno, f"bad feature token {tok!r}")
-            try:
-                idx = int(idx_s)
-                float(val_s)
-            except ValueError:
-                raise DatasetFormatError(path, lineno, f"bad feature token {tok!r}")
-            if idx < 1:
-                raise DatasetFormatError(path, lineno, f"feature index {idx} is not 1-based")
-            feats.append(idx)
-        if any(l < 0 for l in label_ids):
-            raise DatasetFormatError(path, lineno, "negative label index")
-        rows.append((label_ids, feats, lineno))
-
-    if not rows:
-        raise DatasetFormatError(path, 0, "no instances found")
-    if header is not None:
-        n_decl, d, c = header
-        if n_decl != len(rows):
-            raise DatasetFormatError(path, 0, f"header declares {n_decl} instances, found {len(rows)}")
-    else:
-        d = max((idx for _, feats, _ in rows for idx in feats), default=0)
-        c = max((l for ids, _, _ in rows for l in ids), default=-1) + 1
-    if c == 0:
-        raise DatasetFormatError(path, 0, "no labels present and no header to set the label count")
-    for label_ids, feats, lineno in rows:
-        for l in label_ids:
-            if l >= c:
-                raise DatasetFormatError(path, lineno, f"label index {l} out of range for c={c}")
-        for idx in feats:
-            if idx > d:
-                raise DatasetFormatError(path, lineno, f"feature index {idx} out of range for d={d}")
 
 
 def save_sparse(data: MultiLabelDataset, path: str) -> None:

@@ -36,7 +36,7 @@ BASE_KINDS = ("exponential", "logistic", "logistic_calibrated", "hinge", "square
 SCHEME_KINDS = ("u1", "u2", "u3", "u4")
 
 # exp() overflows IEEE doubles near 709; margins are clamped one notch below.
-_EXP_CLAMP = 700.0
+EXP_CLAMP = 700.0
 _E_MINUS_1 = np.e - 1.0
 # pairs or label entries that BatchSurrogate.blocks gathers at once
 _BLOCK_BUDGET = 1 << 15
@@ -78,7 +78,7 @@ class BaseLoss:
     def value(self, z):
         z = np.asarray(z, dtype=np.float64)
         if self.kind == "exponential":
-            return np.exp(-np.maximum(z, -_EXP_CLAMP))
+            return np.exp(-np.maximum(z, -EXP_CLAMP))
         if self.kind == "logistic":
             # log(1 + e^{-z}) with one exp; e^{-|z|} underflows to the right value
             with np.errstate(under="ignore"):
@@ -118,12 +118,12 @@ class BaseLoss:
             out *= 2.0
             return out
         if kind == "exponential":  # -exp(-max(z, -700))
-            np.maximum(out, -_EXP_CLAMP, out=out)
+            np.maximum(out, -EXP_CLAMP, out=out)
             np.negative(out, out=out)
             np.exp(out, out=out)
             return np.negative(out, out=out)
         # -1 / (k exp(min(z, 700)) + 1), k = e - 1 for the calibrated kind
-        np.minimum(out, _EXP_CLAMP, out=out)
+        np.minimum(out, EXP_CLAMP, out=out)
         np.exp(out, out=out)
         if kind == "logistic_calibrated":
             out *= _E_MINUS_1
@@ -179,11 +179,6 @@ def partial_ranking_loss(scores, labels) -> float:
     return float(np.mean((diffs < 0.0) + 0.5 * (diffs == 0.0)))
 
 
-def _check_scheme(kind: str) -> None:
-    if kind not in SCHEME_KINDS:
-        raise ValueError(f"unknown penalty scheme {kind!r}, expected one of {SCHEME_KINDS}")
-
-
 def scheme_betas(kind: str, a, b):
     """``(beta_plus, beta_minus)`` of scheme ``kind`` for ``a`` relevant and
     ``b`` irrelevant labels.
@@ -205,7 +200,8 @@ def scheme_betas(kind: str, a, b):
     arrays (float weights, ``inf`` where a weight divides by zero); exact on
     ``Fraction`` counts.
     """
-    _check_scheme(kind)
+    if kind not in SCHEME_KINDS:
+        raise ValueError(f"unknown penalty scheme {kind!r}, expected one of {SCHEME_KINDS}")
     if kind == "u1":
         w = 1 / (a + b)
         return w, w
@@ -220,19 +216,8 @@ def scheme_betas(kind: str, a, b):
 
 def penalty_weights(kind: str, labels) -> np.ndarray:
     """Per-label weight vector ``w`` of scheme ``kind``, with ``w_j`` applied
-    to ``ell(y_j f_j)``."""
-    _check_scheme(kind)
-    y = _as_label_vector(labels)
-    c = y.size
-    if kind == "u1":
-        return np.full(c, 1.0 / c)
-    pos, neg = split_labels(y)
-    a, b = pos.size, neg.size
-    if kind == "u2":
-        return np.full(c, 1.0 / (a * b))
-    if kind == "u3":
-        return np.where(y > 0, 1.0 / a, 1.0 / b)
-    return np.full(c, 1.0 / min(a, b))
+    to ``ell(y_j f_j)``: the one row of :func:`penalty_weight_matrix`."""
+    return penalty_weight_matrix(kind, _as_label_vector(labels)[None])[0]
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,7 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     ["consistency", "--scheme", "u3", "--c", "1"],
     ["consistency", "--scheme", "u3", "--c", "13"],
     ["consistency", "--scheme", "u3", "--c", "4", "--trials", "-2"],
+    ["consistency", "--scheme", "u2", "--base", "hinge", "--trials", "0"],
     ["consistency", "--scheme", "u3", "--c", "4", "--trials", "50", "--show", "-1"],
     ["bench", "--config", "{twice}"],
     # the second file does not exist: the names clash before any data is read
@@ -275,7 +276,7 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
         "train-nan-lambda", "cv-inf-lambda", "cv-overflowing-lambda", "train-inf-lambda",
         "cv-csv-no-labels", "cv-keep-trivial", "bench-keep-trivial",
         "report-non-numeric-cell", "consistency-c-1", "consistency-c-13",
-        "consistency-trials-negative", "consistency-show-negative",
+        "consistency-trials-negative", "consistency-hinge-trials-0", "consistency-show-negative",
         "bench-config-key-twice", "bench-dataset-name-twice"])
 def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, argv):
     csv, model, bench = tmp_path / "syn.csv", tmp_path / "m.txt", tmp_path / "bench.csv"
@@ -478,6 +479,20 @@ def test_consistency_subcommand(tmp_path):
     kinds = {r["type"] for r in records}
     assert "tau" in kinds and "constructive" in kinds and "violation" in kinds
     assert main(["consistency", "--scheme", "u5"]) == 2
+
+
+def test_consistency_skips_the_sign_audit_for_hinge(tmp_path, capsys):
+    # the hinge Bayes link is not strictly monotone, so the audit's premise
+    # fails: the search is skipped and says so, never reports 0 violations
+    report = tmp_path / "v.jsonl"
+    assert main(["consistency", "--scheme", "u2", "--base", "hinge", "--trials", "50",
+                 "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "random search: skipped; the hinge Bayes link is not strictly increasing" in out
+    assert "violating distributions" not in out
+    records = [json.loads(ln) for ln in report.read_text().splitlines()]
+    assert [r["type"] for r in records] == ["tau", "hinge_counterexample", "search_skipped"]
+    assert records[-1]["base"] == "hinge"
 
 
 def test_report_subcommand(tmp_path, dataset_file):

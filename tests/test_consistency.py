@@ -228,6 +228,23 @@ def test_numeric_oracle_handles_calibrated_logistic():
             numeric + delta, stats, LOGISTIC_CALIBRATED) + 1e-10
 
 
+def test_calibrated_logistic_bayes_scores_follow_the_phi_ratio():
+    # the premise of the sign audit, which MONOTONE_BASES grants this base:
+    # its Bayes scores order the labels as phi+ / phi- does
+    assert "logistic_calibrated" in cons.MONOTONE_BASES
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        c = int(rng.integers(2, 6))
+        dist = random_distribution(rng, c, support=2 ** c - 2)
+        pen = cons.scheme_assignment(("u1", "u2", "u3", "u4")[rng.integers(4)])
+        stats = cons.compute_stats(dist, pen)
+        ratio = stats.phi_plus / stats.phi_minus
+        numeric = cons.bayes_numeric_oracle(dist, pen, LOGISTIC_CALIBRATED)
+        for p, q in itertools.permutations(range(c), 2):
+            if ratio[p] > ratio[q] * (1.0 + 1e-6):
+                assert numeric[p] > numeric[q], (ratio, numeric)
+
+
 # ---------------------------------------------------------------------------
 # measure requirements and membership
 # ---------------------------------------------------------------------------

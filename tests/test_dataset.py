@@ -109,6 +109,7 @@ def test_sparse_errors_carry_line_numbers(tmp_path):
         ("-1 1:1.0\n", 1, "negative label index"),
         ("1 2 2\n0,-1 1:1.0\n", 2, "negative label index"),
         ("1:1.0\n", 0, "no labels present and no header to set the label count"),
+        ("1 2 0\n 1:1\n", 0, "header declares 0 labels"),
         # every token is checked before any index is checked against d or c
         ("2 2 2\n0 5:1.0\n1 1:x\n", 3, "bad feature token '1:x'"),
         # a byte that is not UTF-8 names the line str.splitlines puts it on
@@ -126,6 +127,22 @@ def test_sparse_errors_carry_line_numbers(tmp_path):
             load_sparse(path)
         assert str(err.value) == f"{path}:{line}: {message}", text[:40]
         assert err.value.line == line
+
+
+def test_sparse_load_reads_the_file_once(tmp_path):
+    # a fault is named from the one read of the file, valid or not
+    path = write(tmp_path, "2 2 2\n0 1:1.0\n1 2:1.0\n")
+    with mock.patch.object(dataset, "_lines", wraps=dataset._lines) as lines:
+        assert load_sparse(path).n == 2
+    assert lines.call_count == 1
+    for text in ("2 2 2\n0 1:1.0\n1 2:x\n",  # token fault
+                 "3 2 2\n0 1:1.0\n1 2:1.0\n",  # instance count
+                 "2 2 2\n0 1:1.0\n1 5:1.0\n"):  # index range
+        path = write(tmp_path, text)
+        with mock.patch.object(dataset, "_lines", wraps=dataset._lines) as lines:
+            with pytest.raises(DatasetFormatError):
+                load_sparse(path)
+        assert lines.call_count == 1, text
 
 
 def test_sparse_index_beyond_int64_without_header_is_a_value_error(tmp_path):
@@ -187,6 +204,8 @@ def reference_load_sparse(path, keep_trivial=False):
     else:
         d = max((idx for _, feats, _ in rows for idx, _ in feats), default=0)
         c = max((l for ids, _, _ in rows for l in ids), default=-1) + 1
+    if c == 0 and header is not None:
+        raise DatasetFormatError(path, 0, "header declares 0 labels")
     if c == 0:
         raise DatasetFormatError(path, 0, "no labels present and no header to set the label count")
     try:
@@ -229,7 +248,10 @@ def mutated_sparse_text(draw):
         # whole tokens, valid (a repeated index among them) and not
         piece = draw(st.sampled_from([" 1:9", " 2:-7.5", " 1:1_0", " 1:\u0663", " 2:1e400",
                                       " 1:nan", "\n1 2:3", "1:2:3", " 1:2:3 7", "1:", ":5", " 7", "1.0:2",
-                                      " 0:1", " 9:1", "-1", ""]))
+                                      " 0:1", " 9:1", "-1", "",
+                                      # beyond int64: kept as Python ints, never stored
+                                      " 99999999999999999999:1", "99999999999999999999",
+                                      "9223372036854775808,0"]))
         cut = len(text[pos:].split(" ", 1)[0].split("\n", 1)[0]) if draw(st.booleans()) else 0
     return text[:pos] + piece + text[pos + cut:]
 
