@@ -21,7 +21,8 @@ reports the trivial rows its loader dropped; ``bench``, ``report``,
 ``cv --csv`` and ``consistency --report`` print ``wrote <path>`` per file.
 
 Exit codes: 0 success, 1 task failure (training aborted), 2 invalid
-configuration or malformed input data, 3 I/O error.  Benchmark artifacts
+configuration or malformed input data, 3 I/O error.  A stdout closed early
+(``mlrank ... | head``) ends the command quietly with 0.  Benchmark artifacts
 embed a hash of the full configuration in their file names, so differing runs
 never overwrite each other.
 """
@@ -764,7 +765,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout, the one pipe mlrank writes, stopped early, as
+        # ``| head`` does: end quietly, with stdout pointed at /dev/null for
+        # the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ConfigError, DatasetFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,9 +18,13 @@ Two on-disk formats are supported:
   A load reads the file once, one ``\\n``-terminated piece at a time.  The
   lines of a block, about ``_BLOCK_TOKENS`` feature tokens, are split once to
   take off their label lists, and the tokens converted with one ``np.array``
-  call per type.  Once the shape is known, each block is scattered into its
-  own rows.  Memory is therefore about the output arrays plus 16 bytes per
-  stored value plus one block, not a multiple of the file size.
+  call per type.  A header gives the shape before the first block, so the
+  output arrays are allocated then and each block is scattered into its
+  own rows as soon as it is converted: a headed load holds the output
+  arrays plus one block.  Without a header the shape is known only at the
+  end of the file, so the converted blocks wait for it: the load holds the
+  output arrays plus 16 bytes per stored value.  Neither is a multiple of
+  the file size.
 
   A file with any fault never loads; the first fault is named, in this
   order: token faults in file order (a byte that is not UTF-8, a bad label
@@ -38,7 +42,7 @@ ranking information; loaders drop them by default and report the count.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -179,11 +183,14 @@ def _parse(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     Each line holding tokens is kept as ``(line number, body, colon count)``
     until the colons of its block reach ``_BLOCK_TOKENS``; then
-    :func:`_block` converts the block.  Faults are raised in the order the
-    module docstring states.  Once the shape is known, each block is
-    scattered into its own rows.
+    :func:`_block` converts the block.  With a header the output is
+    allocated before the first block and each converted block is scattered
+    into its rows at once; without one, the blocks wait for the end of the
+    file to set the shape.  Faults are raised in the order the module
+    docstring states.
     """
-    header, blocks, block, pending = None, [], [], 0
+    header, out, blocks, block, pending = None, None, [], [], 0
+    keep = blocks.append  # where converted blocks go: the queue, or the output
     try:
         for lineno, raw in enumerate(_lines(path), start=1):
             body = raw.split("#", 1)[0]
@@ -192,61 +199,103 @@ def _parse(path: str) -> tuple[np.ndarray, np.ndarray]:
             if header is None and not (block or blocks):  # the first body
                 header = _parse_header(body.split())
                 if header is not None:
+                    out = _Output(path, *header)
+                    keep = out.add
                     continue
             colons = body.count(":")
             block.append((lineno, body, colons))
             pending += colons
             if pending >= _BLOCK_TOKENS:
                 full, block, pending = block, [], 0
-                blocks.append(_block(full, path))
+                keep(_block(full, path))
     except DatasetFormatError:
         # the pending lines' token faults come before an undecodable byte
         _block(block, path)
         raise
-    blocks.append(_block(block, path))
-    block = full = None  # free the last lines before the output is allocated
-    n = sum(len(linenos) for linenos, *_ in blocks)
-    if n == 0:
-        raise DatasetFormatError(path, 0, "no instances found")
-    if header is not None:
-        n_decl, d, c = header
-        if n_decl != n:
-            raise DatasetFormatError(path, 0, f"header declares {n_decl} instances, found {n}")
-    else:
+    keep(_block(block, path))
+    block = full = None  # free the last lines before a headerless output is allocated
+    if out is None:
+        n = sum(len(linenos) for linenos, *_ in blocks)
         d = max((int(idx.max()) for _, _, idx, *_ in blocks if idx.size), default=0)
         c = max((int(ids.max()) for *_, ids in blocks if ids.size), default=-1) + 1
-    if c == 0:
-        raise DatasetFormatError(path, 0, "header declares 0 labels" if header else
-                                 "no labels present and no header to set the label count")
-    for linenos, counts, idx, _, label_counts, ids in blocks:
-        bad_ids, bad_idx = ids >= c, idx > d
-        if bad_ids.any() or bad_idx.any():
-            at_id = np.repeat(linenos, label_counts)[bad_ids]
-            at_idx = np.repeat(linenos, counts)[bad_idx]
-            # labels before features on the same line
-            if at_id.size and (not at_idx.size or at_id[0] <= at_idx[0]):
-                raise DatasetFormatError(path, int(at_id[0]),
-                                         f"label index {ids[bad_ids][0]} out of range for c={c}")
-            raise DatasetFormatError(path, int(at_idx[0]),
-                                     f"feature index {idx[bad_idx][0]} out of range for d={d}")
-    try:
-        for _, _, idx, _, _, ids in blocks:  # an index beyond int64 raises OverflowError
-            idx.astype(np.int64, copy=False), ids.astype(np.int64, copy=False)
-        X = np.zeros((n, d))
-        Y = np.full((n, c), -1.0)
-    except MemoryError:  # ids far beyond the data in a file without a header
-        raise ValueError(f"{path}: {n} x {d} features and {n} x {c} labels "
-                         "do not fit in memory") from None
-    except (ValueError, OverflowError) as exc:
-        # no format fault, but no array has this shape
-        raise ValueError(f"{path}: {exc}") from exc
-    start = 0
-    for _, counts, idx, vals, label_counts, ids in blocks:
-        rows = np.arange(start, start + len(counts))
-        X[np.repeat(rows, counts), idx - 1] = vals
-        Y[np.repeat(rows, label_counts), ids] = 1.0
-        start += len(counts)
-    return X, Y
+        out = _Output(path, n, d, c)
+        for b in blocks:
+            out.add(b)
+    return out.result(header is not None)
+
+
+class _Output:
+    """The ``(n, d)`` features and ``(n, c)`` labels of a load, filled one
+    converted block at a time, and the first fault of each kind the blocks
+    hold, raised by :meth:`result` in the order the module docstring states.
+
+    ``X`` comes from ``np.zeros`` and ``Y`` from ``np.empty``, and a block
+    writes only its own rows, so rows a header declares but the file does
+    not hold are never touched.  An array too large to allocate is a fault
+    of its own, raised last.
+    """
+
+    def __init__(self, path: str, n: int, d: int, c: int):
+        self.path, self.n, self.d, self.c = path, n, d, c
+        self.rows = 0  # instances added
+        self.range_fault = self.int64_fault = self.alloc_fault = None
+        try:
+            self.X = np.zeros((n, d))
+            self.Y = np.empty((n, c))
+        except MemoryError:  # a huge header, or ids far beyond the data without one
+            self.alloc_fault = ValueError(f"{path}: {n} x {d} features and {n} x {c} labels "
+                                          "do not fit in memory")
+        except (ValueError, OverflowError) as exc:  # no array has this shape
+            self.alloc_fault = ValueError(f"{path}: {exc}")
+
+    def add(self, block: tuple) -> None:
+        linenos, counts, idx, vals, label_counts, ids = block
+        start, self.rows = self.rows, self.rows + len(counts)
+        if self.range_fault is None:
+            self.range_fault = _range_fault(self.path, block, self.d, self.c)
+        if self.int64_fault is None:
+            try:  # an index beyond int64 raises OverflowError
+                idx.astype(np.int64, copy=False), ids.astype(np.int64, copy=False)
+            except (ValueError, OverflowError) as exc:
+                self.int64_fault = ValueError(f"{self.path}: {exc}")
+        if (self.range_fault or self.int64_fault or self.alloc_fault
+                or self.rows > self.n):
+            return  # the load fails; nothing more to fill
+        rows = np.arange(start, self.rows)
+        self.Y[start:self.rows] = -1.0
+        self.X[np.repeat(rows, counts), idx - 1] = vals
+        self.Y[np.repeat(rows, label_counts), ids] = 1.0
+
+    def result(self, headed: bool) -> tuple[np.ndarray, np.ndarray]:
+        path = self.path
+        if self.rows == 0:
+            raise DatasetFormatError(path, 0, "no instances found")
+        if headed and self.rows != self.n:
+            raise DatasetFormatError(path, 0,
+                                     f"header declares {self.n} instances, found {self.rows}")
+        if self.c == 0:
+            raise DatasetFormatError(path, 0, "header declares 0 labels" if headed else
+                                     "no labels present and no header to set the label count")
+        for fault in (self.range_fault, self.int64_fault, self.alloc_fault):
+            if fault is not None:
+                raise fault
+        return self.X, self.Y
+
+
+def _range_fault(path: str, block: tuple, d: int, c: int) -> DatasetFormatError | None:
+    """The first label index ``>= c`` or feature index ``> d`` of a block,
+    labels before features on the same line, or None."""
+    linenos, counts, idx, _, label_counts, ids = block
+    bad_ids, bad_idx = ids >= c, idx > d
+    if not (bad_ids.any() or bad_idx.any()):
+        return None
+    at_id = np.repeat(linenos, label_counts)[bad_ids]
+    at_idx = np.repeat(linenos, counts)[bad_idx]
+    if at_id.size and (not at_idx.size or at_id[0] <= at_idx[0]):
+        return DatasetFormatError(path, int(at_id[0]),
+                                  f"label index {ids[bad_ids][0]} out of range for c={c}")
+    return DatasetFormatError(path, int(at_idx[0]),
+                              f"feature index {idx[bad_idx][0]} out of range for d={d}")
 
 
 def _block(lines: list[tuple[int, str, int]], path: str) -> tuple:
@@ -373,17 +422,6 @@ def standardize_fit(data: MultiLabelDataset) -> StandardizationParams:
     std = data.features.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     return StandardizationParams(mean, std)
-
-
-def standardize_apply(data: MultiLabelDataset, params: StandardizationParams) -> MultiLabelDataset:
-    X = (data.features - params.mean) / params.std
-    return replace(data, features=X)
-
-
-def append_bias(data: MultiLabelDataset) -> MultiLabelDataset:
-    """Append a constant 1 feature so linear models carry a per-label offset."""
-    X = np.hstack([data.features, np.ones((data.n, 1))])
-    return replace(data, features=X)
 
 
 def kfold_split(n: int, k: int, seed: int) -> np.ndarray:

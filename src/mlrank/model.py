@@ -2,8 +2,8 @@
 
 The model scores instance ``x`` as ``f(x) = W^T x`` with ``W`` of shape
 ``(d, c)``.  A per-label offset is obtained by appending a constant feature
-to the data (see :func:`mlrank.dataset.append_bias`) rather than by a
-separate bias term.
+to the data (the ``bias`` of :func:`mlrank.trainer.prepare_data`) rather
+than by a separate bias term.
 
 The training objective is the mean surrogate loss plus a squared Frobenius
 penalty::
@@ -231,10 +231,14 @@ def load_model(path: str) -> LinearModel:
             raise ValueError(f"{path}:{lineno}: expected {key} {expected}, found {line!r}")
         header[key] = value
     d, c = header["d"], header["c"]
-    W = np.empty((d, c))
+    # rows are counted before W is allocated: W holds only rows of c tokens
+    # that the file has, so a header declaring more allocates no more
+    rows = lines[7:7 + d]
+    whole = next((i for i, line in enumerate(rows) if len(line.split()) != c), len(rows))
+    W = np.empty((whole, c))
     for i in range(d):
         try:
-            row = np.array(lines[7 + i].split() if 7 + i < len(lines) else [], dtype=np.float64)
+            row = np.array(rows[i].split() if i < whole else [], dtype=np.float64)
         except ValueError:
             row = None
         if row is None or row.shape != (c,) or not np.isfinite(row).all():

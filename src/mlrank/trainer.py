@@ -44,8 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import losses
-from .dataset import (MultiLabelDataset, StandardizationParams, append_bias,
-                      kfold_split, standardize_apply, standardize_fit)
+from .dataset import MultiLabelDataset, StandardizationParams, kfold_split, standardize_fit
 from .losses import LOGISTIC, BaseLoss
 from .model import SURROGATES, LinearModel, Objective, ObjectiveSpec, predict
 from .optimizer import OptimizationTrace, OptimizerConfig, minimize_svrg_bb
@@ -58,16 +57,30 @@ def task_seed(master_seed: int, fold: int, lam_index: int, algo: str, phase: str
 
 
 def prepare_data(data: MultiLabelDataset, standardize: bool = True, bias: bool = True,
-                 params: StandardizationParams | None = None
+                 params: StandardizationParams | None = None, rows=None
                  ) -> tuple[MultiLabelDataset, StandardizationParams | None]:
-    """Standardize (fitting on ``data`` unless ``params`` given) and add bias."""
+    """Standardize (fitting on the prepared rows unless ``params`` given) and add bias.
+
+    ``rows``, when given, selects the instances to prepare: the result is
+    the one ``prepare_data(data.subset(rows), ...)`` gives, bit for bit,
+    without the copy of the rows that ``subset`` makes.  The features are
+    built in one ``(n, d + bias)`` array: the rows are gathered into it and
+    the bias column written, then whole rows are standardized in place, the
+    bias column by a shift of 0 and a scale of 1, which leave it 1.  Whole
+    rows are contiguous and the first ``d`` columns alone are not: passes
+    over those took twice as long.
+    """
+    X = np.empty((data.n if rows is None else len(rows), data.d + bias))
+    X[:, :data.d] = data.features if rows is None else data.features[rows]
+    X[:, data.d:] = 1.0
+    labels = data.labels if rows is None else data.labels[rows]
     if standardize:
         if params is None:
-            params = standardize_fit(data)
-        data = standardize_apply(data, params)
-    if bias:
-        data = append_bias(data)
-    return data, params
+            params = standardize_fit(MultiLabelDataset(X[:, :data.d], labels))
+        X -= np.append(params.mean, np.zeros(int(bias)))
+        X /= np.append(params.std, np.ones(int(bias)))
+    return replace(data, features=X, labels=labels,
+                   dropped_trivial=data.dropped_trivial if rows is None else 0), params
 
 
 def train_with_trace(data: MultiLabelDataset, algo: str, lam: float,
@@ -136,18 +149,17 @@ class _TaskSpec:
     seed: int
 
 
-def _pool_init(X: np.ndarray, Y: np.ndarray, algo: str, base_kind: str,
+def _pool_init(data: MultiLabelDataset, algo: str, base_kind: str,
                opt_cfg: OptimizerConfig, standardize: bool, bias: bool) -> None:
-    _POOL.update(X=X, Y=Y, algo=algo, base=BaseLoss(base_kind), opt_cfg=opt_cfg,
+    _POOL.update(data=data, algo=algo, base=BaseLoss(base_kind), opt_cfg=opt_cfg,
                  standardize=standardize, bias=bias)
 
 
 def _run_task(task: _TaskSpec) -> FitRecord:
-    X, Y = _POOL["X"], _POOL["Y"]
-    train_set = MultiLabelDataset(X[task.train_rows], Y[task.train_rows])
-    eval_set = MultiLabelDataset(X[task.eval_rows], Y[task.eval_rows])
-    train_set, params = prepare_data(train_set, _POOL["standardize"], _POOL["bias"])
-    eval_set, _ = prepare_data(eval_set, _POOL["standardize"], _POOL["bias"], params=params)
+    # each side is prepared straight from the pool's data, in one array
+    data, standardize, bias = _POOL["data"], _POOL["standardize"], _POOL["bias"]
+    train_set, params = prepare_data(data, standardize, bias, rows=task.train_rows)
+    eval_set, _ = prepare_data(data, standardize, bias, params=params, rows=task.eval_rows)
     cfg = replace(_POOL["opt_cfg"], seed=task.seed)
     t0 = time.perf_counter()
     model, trace = train_with_trace(train_set, _POOL["algo"], task.lam, _POOL["base"], cfg)
@@ -337,7 +349,7 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
             select_tasks.append(_TaskSpec("select", f, li, lam, sub_rows, val_rows,
                                           task_seed(seed, f, li, algo, "select")))
 
-    init_args = (data.features, data.labels, algo, base.kind, opt_cfg, standardize, bias)
+    init_args = (data, algo, base.kind, opt_cfg, standardize, bias)
     with _one_blas_thread(), _task_runner(workers, init_args) as run:
         # records come back in task order: fold-major, then lambda
         select = run(select_tasks)

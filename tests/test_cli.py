@@ -234,6 +234,38 @@ def test_truncated_model_header_exits_2_without_traceback(tmp_path, dataset_file
     assert str(model) in proc.stderr and "truncated" in proc.stderr
 
 
+def test_model_header_larger_than_its_rows_exits_2_without_traceback(tmp_path, dataset_file):
+    # 300000 x 100000 weights would take 240 GB; the file holds no row of them
+    model = tmp_path / "m.txt"
+    model.write_text("mlrank-model 1\nd 300000\nc 100000\nalgorithm u3\nbase logistic\n"
+                     "lambda 0.01\nseed 0\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli", "bounds", "--model", str(model),
+                           "--data", str(dataset_file)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: {model}:8: weight row 0 must hold 100000 finite numbers"]
+
+
+def test_closed_stdout_ends_the_command_quietly():
+    # the reader of a real pipe is gone before the command writes: every
+    # write to stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mlrank.cli", "consistency", "--scheme", "u3",
+                               "--c", "6", "--trials", "200"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"datasets = {dataset_file}\nworkers = none\n", encoding="utf-8")

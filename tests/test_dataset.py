@@ -1,7 +1,11 @@
 """Sparse/CSV loaders, splits, preprocessing, synthetic generator."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,10 +15,9 @@ from hypothesis import strategies as st
 
 from mlrank import dataset
 from mlrank.dataset import (DatasetFormatError, MultiLabelDataset, _drop_trivial,
-                            _parse_header, append_bias,
-                            kfold_split, load_csv, load_sparse, save_csv,
-                            save_sparse, standardize_apply, standardize_fit,
-                            synthetic_linear)
+                            _parse_header, kfold_split, load_csv, load_sparse, save_csv,
+                            save_sparse, synthetic_linear)
+from mlrank.trainer import prepare_data
 
 
 def write(tmp_path, text, name="data.txt"):
@@ -296,6 +299,46 @@ def test_sparse_load_memory_is_about_the_output(tmp_path):
     assert peak <= 4 * (data.features.nbytes + data.labels.nbytes)
 
 
+def test_headed_sparse_load_holds_its_output_and_one_block(tmp_path):
+    # a header gives the shape before the first block, so each block is
+    # scattered into the output as it is converted, not queued until the end
+    original = synthetic_linear(2000, 294, 6, seed=5)
+    path = str(tmp_path / "dense.txt")
+    save_sparse(original, path)
+    tracemalloc.start()
+    try:
+        data = load_sparse(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.features.tobytes() == original.features.tobytes()
+    assert data.labels.tobytes() == original.labels.tobytes()
+    assert peak <= 1.5 * (data.features.nbytes + data.labels.nbytes)
+
+
+@pytest.mark.parametrize("header", ["1000000000000 1000000 2", "10000000 4 2"])
+def test_header_declaring_absent_rows_is_a_count_fault(tmp_path, header):
+    # too large to allocate, or allocated but never touched beyond the
+    # file's rows: either way the count is the fault named
+    path = write(tmp_path, f"{header}\n0 1:1.0\n1 2:1.0\n0 1:2.0\n")
+    code = ("import resource, sys\n"
+            "from mlrank.dataset import DatasetFormatError, load_sparse\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    load_sparse(sys.argv[1])\n"
+            "except DatasetFormatError as err:\n"
+            "    print(err)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dataset.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, path], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    message, grown_kib = proc.stdout.splitlines()
+    assert message == f"{path}:0: header declares {header.split()[0]} instances, found 3"
+    # the 10^7-row header allocates 480 MB, and touches none of it
+    assert int(grown_kib) < 64 * 1024
+
+
 def test_sparse_empty_file_rejected(tmp_path):
     path = write(tmp_path, "# nothing but comments\n")
     with pytest.raises(DatasetFormatError):
@@ -363,26 +406,26 @@ def test_kfold_split_partitions():
 
 def test_standardize_fit_apply():
     data = synthetic_linear(200, 6, 2, seed=3)
-    params = standardize_fit(data)
-    out = standardize_apply(data, params)
+    out, params = prepare_data(data, bias=False)
     assert np.all(np.abs(out.features.mean(axis=0)) < 1e-10)
     assert np.all(np.abs(out.features.std(axis=0) - 1.0) < 1e-6)
+    np.testing.assert_array_equal(params.mean, data.features.mean(axis=0))
 
 
 def test_standardize_constant_feature_floor():
     X = np.ones((10, 2))
     X[:, 1] = np.arange(10, dtype=float)
     data = MultiLabelDataset(X, np.tile([1.0, -1.0], (10, 1)))
-    params = standardize_fit(data)
-    out = standardize_apply(data, params)
+    out, params = prepare_data(data, bias=False)
     # constant column centers to zero without dividing by ~0
+    assert params.std[0] == 1.0
     assert np.all(out.features[:, 0] == 0.0)
     assert np.all(np.isfinite(out.features))
 
 
 def test_append_bias():
     data = synthetic_linear(10, 3, 2, seed=5)
-    out = append_bias(data)
+    out, _ = prepare_data(data, standardize=False)
     assert out.d == 4
     np.testing.assert_array_equal(out.features[:, -1], 1.0)
     np.testing.assert_array_equal(out.features[:, :3], data.features)
