@@ -19,10 +19,11 @@ margin-based base loss ``ell``:
 
 All gradients are analytic, using fixed one-sided derivatives at the hinge
 kinks so that stochastic optimizers see deterministic subgradients.
-``BaseLoss.derivative`` can run in place on an array of margins, so the
-batch gradient kernel forms its margins, their derivative and its scaling in
-one array.  Its 16-row calls in the SVRG inner loop cost what their numpy
-calls cost, not their arithmetic.
+``BaseLoss.derivative`` and ``BaseLoss.value`` can run in place on an array
+of margins, so the batch gradient kernel forms its margins, their derivative
+and its scaling in one array, and the loss kernel its values in one buffer.
+Its 16-row calls in the SVRG inner loop cost what their numpy calls cost,
+not their arithmetic.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ SCHEME_KINDS = ("u1", "u2", "u3", "u4")
 # exp() overflows IEEE doubles near 709; margins are clamped one notch below.
 EXP_CLAMP = 700.0
 _E_MINUS_1 = np.e - 1.0
-# pairs or label entries that BatchSurrogate.blocks gathers at once
-_BLOCK_BUDGET = 1 << 15
+# pairs or label entries that a batch kernel builds or gathers at once (a
+# larger row or block alone).  At 2^13 a chunk's index and margin arrays are
+# 64 KiB each, under glibc's initial 128 KiB mmap threshold, so they are
+# reused from the heap instead of mapped and page-faulted in on every call
+_BLOCK_BUDGET = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -75,24 +79,50 @@ class BaseLoss:
     def has_kink(self) -> bool:
         return self.kind in ("hinge", "squared_hinge")
 
-    def value(self, z):
+    def value(self, z, out=None):
+        """Pointwise loss, computed into ``out`` (``z`` itself allowed) and
+        returned; into a fresh array when ``out`` is None.
+
+        Each kind runs its textbook formula's ufuncs in its order, so the
+        bits do not depend on ``out``; the logistic kinds need one
+        temporary besides ``out``.
+        """
         z = np.asarray(z, dtype=np.float64)
-        if self.kind == "exponential":
-            return np.exp(-np.maximum(z, -EXP_CLAMP))
-        if self.kind == "logistic":
-            # log(1 + e^{-z}) with one exp; e^{-|z|} underflows to the right value
-            with np.errstate(under="ignore"):
-                return np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0)
-        if self.kind == "logistic_calibrated":
-            # ln(e - 1 + e^{-z}); split at 0 to keep exp() arguments <= 0
+        if out is None:
             out = np.empty_like(z)
-            neg = z < 0.0
-            out[neg] = -z[neg] + np.log1p(_E_MINUS_1 * np.exp(z[neg]))
-            out[~neg] = np.log(_E_MINUS_1 + np.exp(-z[~neg]))
+        kind = self.kind
+        if kind == "exponential":  # exp(-max(z, -700))
+            np.maximum(z, -EXP_CLAMP, out=out)
+            np.negative(out, out=out)
+            return np.exp(out, out=out)
+        if kind in ("hinge", "squared_hinge"):  # max(0, 1 - z), squared for the second
+            np.subtract(1.0, z, out=out)
+            np.maximum(0.0, out, out=out)
+            return out if kind == "hinge" else np.square(out, out=out)
+        if kind == "logistic":
+            # log(1 + e^{-z}) = log1p(e^{-|z|}) + max(-z, 0), with one exp;
+            # e^{-|z|} underflows to the right value
+            tail = np.negative(z, out=np.empty_like(z))
+            np.maximum(tail, 0.0, out=tail)
+            with np.errstate(under="ignore"):
+                np.abs(z, out=out)
+                np.negative(out, out=out)
+                np.exp(out, out=out)
+                np.log1p(out, out=out)
+                out += tail
             return out
-        if self.kind == "hinge":
-            return np.maximum(0.0, 1.0 - z)
-        return np.maximum(0.0, 1.0 - z) ** 2
+        # ln(e - 1 + e^{-z}), split at 0 to keep exp() arguments <= 0:
+        # -z + log1p((e - 1) e^z) below 0, log(e - 1 + e^{-z}) from 0 on
+        below = z < 0.0
+        rest = ~below
+        flip = np.negative(z, out=np.empty_like(z))
+        np.exp(z, out=out, where=below)
+        np.exp(flip, out=out, where=rest)
+        np.multiply(_E_MINUS_1, out, out=out, where=below)
+        np.log1p(out, out=out, where=below)
+        np.add(flip, out, out=out, where=below)
+        np.add(_E_MINUS_1, out, out=out, where=rest)
+        return np.log(out, out=out, where=rest)
 
     def derivative(self, z, out=None):
         """Pointwise derivative, computed in place into ``out`` (``z`` itself
@@ -254,12 +284,16 @@ def univariate_surrogate(scores, labels, base: BaseLoss, kind: str) -> LossEval:
 
 # ---------------------------------------------------------------------------
 # Batch paths.  A :class:`BatchSurrogate` holds one surrogate's per-row
-# structure on a label matrix, built once: for ``pa`` the row-major
-# label-pair list of :func:`label_pairs`, for u1-u4 the penalty weights.
-# Two kernels on a score matrix, per-row gradients and per-row losses, serve
-# training, the model bounds and the bounds probe; they share one private
-# margin step, so the SVRG snapshot takes both from one array of margins.
-# The ranking loss runs on a pair list of its own.
+# structure on a label matrix, built once and O(n c) in size: for ``pa``
+# each row's relevant and irrelevant labels (:class:`_LabelLists`), for
+# u1-u4 the penalty weights.  Two kernels on a score matrix, per-row
+# gradients and per-row losses, serve training, the model bounds and the
+# bounds probe; the SVRG snapshot takes both from one array of margins.
+# No list of all (relevant, irrelevant) label pairs is ever held: every pair
+# kernel, the ranking loss's included, walks the rows in chunks of at most
+# ``_BLOCK_BUDGET`` pairs and builds the pairs of one chunk at a time.  A
+# chunk holds whole rows, so each per-row sum adds the same values in the
+# same order as one pass over all rows would.
 # ---------------------------------------------------------------------------
 
 
@@ -298,7 +332,7 @@ def group_by_label_pattern(labels) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     """Group row indices by identical label vector.
 
     Returns a list of ``(rows, pos, neg)`` index triples.  The batch losses
-    do not group rows; they run on the pair list of :func:`label_pairs`.
+    do not group rows; they build each row's pairs from its label lists.
     Only the benchmark's tracer and the tests call it.
     """
     Y = _as_label_matrix(labels)
@@ -312,32 +346,95 @@ def group_by_label_pattern(labels) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     return groups
 
 
-def label_pairs(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major list of the (relevant, irrelevant) label pairs of a matrix.
+def _spans(ends: np.ndarray):
+    """Yield ``(start, stop)`` spans of consecutive units, whose sizes have
+    the running totals ``ends``, each holding at most ``_BLOCK_BUDGET`` in
+    total; a larger unit makes a span alone."""
+    start = 0
+    while start < len(ends):
+        budget = _BLOCK_BUDGET + (ends[start - 1] if start else 0)
+        stop = max(start + 1, int(ends.searchsorted(budget, side="right")))
+        yield start, stop
+        start = stop
 
-    Returns ``ptr, row, pos, neg``: row ``i`` owns pairs ``ptr[i]:ptr[i+1]``
-    (none if trivial); pair ``k`` is labels ``pos[k]`` (+1), ``neg[k]`` (-1).
+
+class _LabelLists:
+    """Each row's relevant and irrelevant labels, in CSR form, and the
+    builder of the (relevant, irrelevant) label pairs of any set of rows.
+
+    ``pos`` holds the relevant entries as flat indices ``i * c + p`` into the
+    ``(n, c)`` labels, row-major, row ``i`` owning
+    ``pos[pos_ptr[i]:pos_ptr[i + 1]]``; ``neg`` holds the irrelevant ones
+    alike.  Row ``i`` has ``count[i] = a_i b_i`` pairs, none if trivial, and
+    all rows in order have ``ends[i]`` pairs up to row ``i`` included.  Per
+    relevant entry it keeps the width ``b_i`` of its pair run and the place
+    in ``neg`` where its row's irrelevant entries start.
     """
-    Y = _as_label_matrix(labels)
-    a, b = label_split_sizes(Y)
-    ptr = np.concatenate(([0], np.cumsum(a * b)))
-    pos_row, pos_label = np.nonzero(Y > 0)
-    neg_label = np.nonzero(Y < 0)[1]
-    # each relevant label of row i repeats once per irrelevant label of row i;
-    # pair k of such a block takes the row's irrelevant labels in turn
-    reps = b[pos_row]
-    block_shift = np.cumsum(reps) - reps - (np.cumsum(b) - b)[pos_row]
-    neg = neg_label[np.arange(ptr[-1]) - np.repeat(block_shift, reps)]
-    return ptr, np.repeat(pos_row, reps), np.repeat(pos_label, reps), neg
+
+    def __init__(self, Y: np.ndarray):
+        c = Y.shape[1]
+        relevant = Y > 0
+        self.c = c
+        self.a = relevant.sum(axis=1)
+        self.count = self.a * (c - self.a)
+        self.ends = np.cumsum(self.count)
+        self.pos_ptr = np.concatenate(([0], np.cumsum(self.a)))
+        self.pos = np.flatnonzero(relevant)
+        self.neg = np.flatnonzero(~relevant)
+        row = self.pos // c
+        self.width = (c - self.a)[row]
+        # rows before row i hold i * c - pos_ptr[i] irrelevant entries
+        self.neg_start = row * c - self.pos_ptr[row]
+
+    def chunks(self):
+        """Slices of consecutive rows, in order, each holding at most
+        ``_BLOCK_BUDGET`` pairs; a row with more is a chunk alone."""
+        for start, stop in _spans(self.ends):
+            yield slice(start, stop)
+
+    def pairs(self, rows, at=None) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs of ``rows``, row by row, and in a row each relevant
+        label with each irrelevant label in turn (both in label order), as
+        flat indices ``ip`` (relevant) and ``iq`` (irrelevant) into a block
+        of scores ``(m, c)`` whose row ``at[k]`` holds row ``rows[k]``.
+
+        ``rows`` is an index array (a row may repeat), or a slice of rows
+        that the block holds in order from its row 0, with ``at`` unused.
+        """
+        c = self.c
+        if isinstance(rows, slice):
+            entries = slice(self.pos_ptr[rows.start], self.pos_ptr[rows.stop])
+            shift = -rows.start * c
+        else:
+            a = self.a[rows]
+            ends = a.cumsum()
+            entries = np.arange(ends[-1]) + (self.pos_ptr[rows] - ends + a).repeat(a)
+            shift = ((at - rows) * c).repeat(a)
+        width = self.width[entries]
+        first = width.cumsum()
+        first -= width  # each relevant entry's first pair in the result
+        ip = (self.pos[entries] + shift).repeat(width)
+        k = (self.neg_start[entries] - first).repeat(width)
+        k += np.arange(k.size)
+        iq = self.neg.take(k)
+        iq += shift if isinstance(rows, slice) else shift.repeat(width)
+        return ip, iq
+
+
+def _pair_margins(f: np.ndarray, ip: np.ndarray, iq: np.ndarray) -> np.ndarray:
+    """``f_p - f_q`` per pair, from flat scores ``f``, in a fresh array."""
+    z = f.take(ip)
+    z -= f.take(iq)
+    return z
 
 
 class BatchSurrogate:
     """One surrogate (``pa`` or a scheme ``u1``..``u4``) on a label matrix.
 
-    Built once per ``(n, c)`` label matrix.  For ``pa`` it holds the
-    :func:`label_pairs` list as flat indices into the ``(n, c)`` scores,
-    with each pair's scale ``1/|pairs|`` of its row; every row must then be
-    nontrivial.  For a scheme it holds the penalty ``weights`` of
+    Built once per ``(n, c)`` label matrix.  For ``pa`` it holds the rows'
+    :class:`_LabelLists` and each row's pair scale ``1/|pairs|``; every row
+    must then be nontrivial.  Its all-rows kernels build one chunk of rows'
+    pairs at a time.  For a scheme it holds the penalty ``weights`` of
     :func:`penalty_weight_matrix`.  The kernels take scores ``F`` shaped
     like the labels (or, for ``gradients`` of a block, like the block).
     """
@@ -347,13 +444,10 @@ class BatchSurrogate:
         self.n, self.c = self.Y.shape
         self.base = base
         if kind == "pa":
-            ptr, row, pos, neg = label_pairs(self.Y)
-            self._count = np.diff(ptr)
-            if np.any(self._count == 0):
+            self._lists = _LabelLists(self.Y)
+            if np.any(self._lists.count == 0):
                 raise ValueError("pairwise surrogate is undefined on trivial label vectors")
-            self._ptr, self._row_scale = ptr, 1.0 / self._count
-            self._scale = np.repeat(self._row_scale, self._count)
-            self._ip, self._iq = row * self.c + pos, row * self.c + neg
+            self._row_scale = 1.0 / self._lists.count
             self.weights = None
         else:
             self.weights = penalty_weight_matrix(kind, self.Y)
@@ -362,18 +456,6 @@ class BatchSurrogate:
     def _signed_weights(self) -> np.ndarray:
         # built on the first gradient; the bounds and their probe need none
         return self.weights * self.Y
-
-    def _margins(self, F: np.ndarray, block=None) -> np.ndarray:
-        """The base loss's arguments at scores ``F``, in a fresh array that
-        the kernels may overwrite: ``y_j f_j`` per label entry for a scheme,
-        ``f_p - f_q`` per pair for ``pa`` (of all rows, or of a block)."""
-        if self.weights is not None:
-            return (self.Y if block is None else block[0]) * F
-        ip, iq = (self._ip, self._iq) if block is None else block[:2]
-        flat = F.ravel()
-        z = flat.take(ip)
-        z -= flat.take(iq)
-        return z
 
     def gradients(self, F: np.ndarray, block=None, with_losses: bool = False):
         """Per-row loss gradients at scores ``F``, shaped like ``F``: of all
@@ -384,19 +466,40 @@ class BatchSurrogate:
         ``(gradients, row_losses(F))``, both from one pass of margins.
         The derivative and its scaling run in place on the margins.
         """
-        z = self._margins(F, block)
-        row_losses = self._row_losses(z) if with_losses else None
-        self.base.derivative(z, out=z)
         if self.weights is not None:
+            z = (self.Y if block is None else block[0]) * F
+            row_losses = self._row_losses(z, np.empty_like(z)) if with_losses else None
+            self.base.derivative(z, out=z)
             z *= self._signed_weights if block is None else block[1]
-            g = z
-        else:
-            ip, iq, scale = (self._ip, self._iq, self._scale) if block is None else block
-            z *= scale
-            g = np.bincount(ip, z, F.size)
-            g -= np.bincount(iq, z, F.size)
-            g = g.reshape(F.shape)
+            return z if row_losses is None else (z, row_losses)
+        if block is not None:
+            z = _pair_margins(F.ravel(), *block[:2])
+            return self._pair_gradients(z, block, F.size).reshape(F.shape)
+        g = np.empty(F.shape)
+        row_losses = np.empty(self.n) if with_losses else None
+        for rows, ip, iq, z in self._chunks(F):
+            if with_losses:
+                row_losses[rows] = self._row_losses(z, np.empty_like(z), rows)
+            scale = self._row_scale[rows].repeat(self._lists.count[rows])
+            g[rows] = self._pair_gradients(z, (ip, iq, scale), g[rows].size).reshape(-1, self.c)
         return g if row_losses is None else (g, row_losses)
+
+    def _chunks(self, F: np.ndarray):
+        """Yield each chunk of rows (a slice) of ``_LabelLists.chunks`` with
+        its pairs ``ip, iq`` and their margins at scores ``F``."""
+        for rows in self._lists.chunks():
+            ip, iq = self._lists.pairs(rows)
+            yield rows, ip, iq, _pair_margins(F[rows].ravel(), ip, iq)
+
+    def _pair_gradients(self, z: np.ndarray, pairs, size: int) -> np.ndarray:
+        """Flat gradients ``(size,)`` from the margins ``z`` of ``pairs``
+        ``(ip, iq, scale)``, overwriting ``z``."""
+        ip, iq, scale = pairs
+        self.base.derivative(z, out=z)
+        z *= scale
+        g = np.bincount(ip, z, size)
+        g -= np.bincount(iq, z, size)
+        return g
 
     def blocks(self, rows: np.ndarray):
         """Yield, for each block of ``rows`` ``(steps, b)``, the gathers that
@@ -410,16 +513,11 @@ class BatchSurrogate:
         """
         steps, b = rows.shape
         if self.weights is None:
-            sizes = self._count[rows].sum(axis=1)
+            sizes = self._lists.count[rows].sum(axis=1)
         else:
             sizes = np.full(steps, b * self.c)
-        ends = np.cumsum(sizes)
-        start = 0
-        while start < steps:
-            budget = _BLOCK_BUDGET + (ends[start - 1] if start else 0)
-            stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
+        for start, stop in _spans(np.cumsum(sizes)):
             yield from self._gather(rows[start:stop])
-            start = stop
 
     def _gather(self, rows: np.ndarray):
         """The blocks of :meth:`blocks` for rows ``(s, b)``, gathered at once."""
@@ -428,30 +526,37 @@ class BatchSurrogate:
             return
         b = rows.shape[1]
         rows = rows.ravel()
-        count = self._count[rows]
-        ends = np.cumsum(count)
-        # pair k of row i sits at i * c in the full scores and at j * c in
-        # its block's, for the row's place j in the block
-        k = np.arange(ends[-1]) + np.repeat(self._ptr[rows] - ends + count, count)
-        shift = np.repeat((np.arange(rows.size) % b - rows) * self.c, count)
-        ip, iq, scale = self._ip[k] + shift, self._iq[k] + shift, self._scale[k]
+        # a row's place in its block's scores
+        ip, iq = self._lists.pairs(rows, np.arange(rows.size) % b)
+        count = self._lists.count[rows]
+        scale = self._row_scale[rows].repeat(count)
         lo = 0
-        for hi in ends[b - 1::b].tolist():
+        for hi in count.cumsum()[b - 1::b].tolist():
             yield ip[lo:hi], iq[lo:hi], scale[lo:hi]
             lo = hi
 
     def row_losses(self, F: np.ndarray) -> np.ndarray:
         """Surrogate loss of each row at scores ``F`` ``(n, c)``; the one loss
         kernel, whose mean is the objective's loss term."""
-        return self._row_losses(self._margins(F))
-
-    def _row_losses(self, z: np.ndarray) -> np.ndarray:
-        """Per-row losses from all rows' margins ``z``, which it only reads."""
-        ell = self.base.value(z)
         if self.weights is not None:
-            return (self.weights * ell).sum(axis=1)
-        # every row owns pairs, so each ptr[i] starts a nonempty segment
-        return np.add.reduceat(ell, self._ptr[:-1]) * self._row_scale
+            z = self.Y * F
+            return self._row_losses(z, z)
+        out = np.empty(self.n)
+        for rows, _, _, z in self._chunks(F):
+            out[rows] = self._row_losses(z, z, rows)
+        return out
+
+    def _row_losses(self, z: np.ndarray, ell: np.ndarray, rows=None) -> np.ndarray:
+        """Per-row losses from margins ``z``: of all rows for a scheme, of the
+        chunk ``rows`` for ``pa``.  The loss values go into the one buffer
+        ``ell``, which may be ``z``."""
+        ell = self.base.value(z, out=ell)
+        if self.weights is not None:
+            ell *= self.weights
+            return ell.sum(axis=1)
+        # every row owns pairs, so each row's first pair starts a nonempty segment
+        count = self._lists.count[rows]
+        return np.add.reduceat(ell, count.cumsum() - count) * self._row_scale[rows]
 
 
 def univariate_batch(scores, labels, base: BaseLoss,
@@ -465,21 +570,28 @@ def univariate_batch(scores, labels, base: BaseLoss,
 
 def pairwise_batch_for(labels, base: BaseLoss):
     """A callable mapping scores ``F`` ``(n, c)`` to the pairwise surrogate's
-    values ``(n,)`` and gradients ``(n, c)``, on the pair list of ``labels``,
-    built once here.  Only the benchmark's tracer and the tests call it."""
+    values ``(n,)`` and gradients ``(n, c)``, on the label lists of
+    ``labels``, built once here.  Only the benchmark's tracer and the tests
+    call it."""
     batch = BatchSurrogate(labels, "pa", base)
     return lambda F: (batch.row_losses(F), batch.gradients(F))
 
 
-def ranking_loss_batch(scores, labels, partial: bool = False, pairs=None) -> np.ndarray:
+def ranking_loss_batch(scores, labels, partial: bool = False) -> np.ndarray:
     """Per-row (partial) ranking loss for nontrivial rows; NaN on trivial ones.
 
-    ``pairs`` short-circuits :func:`label_pairs` when the caller has built
-    the list of ``labels``.
+    It builds the label lists of ``labels`` and walks the rows in chunks of
+    at most ``_BLOCK_BUDGET`` pairs.
     """
     F = np.asarray(scores, dtype=np.float64)
-    ptr, row, pos, neg = pairs if pairs is not None else label_pairs(labels)
-    fp, fq = F[row, pos], F[row, neg]
-    wrong = (fp < fq) + 0.5 * (fp == fq) if partial else (fp <= fq).astype(np.float64)
+    lists = _LabelLists(_as_label_matrix(labels))
+    wrong_sums = np.empty(F.shape[0])
+    for rows in lists.chunks():
+        ip, iq = lists.pairs(rows)
+        f = F[rows].ravel()
+        fp, fq = f.take(ip), f.take(iq)
+        wrong = (fp < fq) + 0.5 * (fp == fq) if partial else (fp <= fq).astype(np.float64)
+        # ip // c is each pair's row in the chunk
+        wrong_sums[rows] = np.bincount(ip // lists.c, wrong, rows.stop - rows.start)
     with np.errstate(invalid="ignore"):  # 0/0 marks the trivial rows NaN
-        return np.bincount(row, wrong, F.shape[0]) / np.diff(ptr)
+        return wrong_sums / lists.count

@@ -112,19 +112,18 @@ class EvalReport:
 
 
 def evaluate(model: LinearModel, data: MultiLabelDataset) -> EvalReport:
-    """Ranking loss and partial ranking loss of a model, both on one
-    :func:`losses.label_pairs` list of the nontrivial rows."""
+    """Ranking loss and partial ranking loss of a model on its nontrivial
+    rows; each ``losses.ranking_loss_batch`` call builds the rows' label
+    lists and one chunk of their pairs at a time."""
     with _one_blas_thread():
         scores = predict(model, data.features)
     mask = losses.nontrivial_mask(data.labels)
     if not mask.any():
         raise ValueError("no nontrivial instances to evaluate")
     F, Y = scores[mask], data.labels[mask]
-    pairs = losses.label_pairs(Y)
     return EvalReport(
-        ranking_loss=float(losses.ranking_loss_batch(F, Y, pairs=pairs).mean()),
-        partial_ranking_loss=float(losses.ranking_loss_batch(F, Y, partial=True,
-                                                             pairs=pairs).mean()),
+        ranking_loss=float(losses.ranking_loss_batch(F, Y).mean()),
+        partial_ranking_loss=float(losses.ranking_loss_batch(F, Y, partial=True).mean()),
         n_evaluated=int(mask.sum()),
         n_skipped=int((~mask).sum()),
     )

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mlrank import losses
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
                            SQUARED_HINGE, BaseLoss, BatchSurrogate, LossEval,
-                           group_by_label_pattern, label_pairs,
-                           label_split_sizes, nontrivial_mask, pairwise_batch_for,
+                           group_by_label_pattern, label_split_sizes,
+                           nontrivial_mask, pairwise_batch_for,
                            pairwise_surrogate, partial_ranking_loss,
                            penalty_weight_matrix, penalty_weights,
                            ranking_loss, ranking_loss_batch, scheme_betas,
@@ -115,6 +115,41 @@ def test_derivative_in_place_is_bitwise_the_fresh_one(base):
         assert out.tobytes() == fresh.tobytes() and z.tobytes() == keep.tobytes()
         block = z[:24].reshape(4, 6).copy()
         assert base.derivative(block, out=block).tobytes() == fresh[:24].tobytes()
+
+
+# each base's value as a plain formula on fresh arrays
+TEXTBOOK_VALUES = {
+    "exponential": lambda z: np.exp(-np.maximum(z, -700.0)),
+    "logistic": lambda z: np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0),
+    "logistic_calibrated": lambda z: np.where(
+        z < 0.0, -z + np.log1p((np.e - 1.0) * np.exp(np.minimum(z, 0.0))),
+        np.log((np.e - 1.0) + np.exp(-np.maximum(z, 0.0)))),
+    "hinge": lambda z: np.maximum(0.0, 1.0 - z),
+    "squared_hinge": lambda z: np.maximum(0.0, 1.0 - z) ** 2,
+}
+
+
+@pytest.mark.parametrize("base", ALL_BASES, ids=lambda b: b.kind)
+def test_value_in_place_is_bitwise_the_fresh_one(base):
+    # as for the derivative: the exp() clamp and overflow edge, the
+    # extremes, both hinge kinks, signed zeros and NaN
+    edge = [700.0, 705.0, 709.0, 709.78, 710.0, 745.0, 1e308, np.inf,
+            1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.0, 5e-324, 0.5]
+    z = np.array(edge + [-v for v in edge] + [np.nan, -1.0, 1.0, 1.0])
+    z = np.concatenate([z, np.random.default_rng(4).normal(0.0, 30.0, 64)])
+    keep = z.copy()
+    with np.errstate(over="ignore", under="ignore"):
+        fresh = base.value(z)
+        assert z.tobytes() == keep.tobytes()
+        assert fresh.tobytes() == TEXTBOOK_VALUES[base.kind](z).tobytes()
+        buf = z.copy()
+        assert base.value(buf, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        out = np.full_like(z, 7.0)
+        assert base.value(z, out=out) is out
+        assert out.tobytes() == fresh.tobytes() and z.tobytes() == keep.tobytes()
+        block = z[:24].reshape(4, 6).copy()
+        assert base.value(block, out=block).tobytes() == fresh[:24].tobytes()
 
 
 def test_logistic_value_matches_logaddexp():
@@ -437,18 +472,111 @@ def _large_label_batch(rng, n=60, c=100):
     return F, Y
 
 
+def label_pairs(labels):
+    """Row-major list of the (relevant, irrelevant) label pairs of a matrix:
+    the flat pair list that the batch kernels once held, kept as their
+    reference.
+
+    Returns ``ptr, row, pos, neg``: row ``i`` owns pairs ``ptr[i]:ptr[i+1]``
+    (none if trivial); pair ``k`` is labels ``pos[k]`` (+1), ``neg[k]`` (-1).
+    """
+    Y = np.asarray(labels, dtype=np.float64)
+    a, b = label_split_sizes(Y)
+    ptr = np.concatenate(([0], np.cumsum(a * b)))
+    pos_row, pos_label = np.nonzero(Y > 0)
+    neg_label = np.nonzero(Y < 0)[1]
+    # each relevant label of row i repeats once per irrelevant label of row i;
+    # pair k of such a block takes the row's irrelevant labels in turn
+    reps = b[pos_row]
+    block_shift = np.cumsum(reps) - reps - (np.cumsum(b) - b)[pos_row]
+    neg = neg_label[np.arange(ptr[-1]) - np.repeat(block_shift, reps)]
+    return ptr, np.repeat(pos_row, reps), np.repeat(pos_label, reps), neg
+
+
+def flat_pair_kernels(F, Y, base):
+    """All rows' ``pa`` gradients and row losses over one flat pair list, as
+    the batch kernels computed them before they walked row chunks."""
+    ptr, row, pos, neg = label_pairs(Y)
+    c = Y.shape[1]
+    ip, iq = row * c + pos, row * c + neg
+    row_scale = 1.0 / np.diff(ptr)
+    z = F.ravel()[ip] - F.ravel()[iq]
+    row_losses = np.add.reduceat(base.value(z), ptr[:-1]) * row_scale
+    d = base.derivative(z) * np.repeat(row_scale, np.diff(ptr))
+    grads = np.bincount(ip, d, F.size) - np.bincount(iq, d, F.size)
+    return grads.reshape(F.shape), row_losses
+
+
+def flat_ranking_loss(F, Y, partial):
+    """:func:`ranking_loss_batch` over one flat pair list."""
+    ptr, row, pos, neg = label_pairs(Y)
+    fp, fq = F[row, pos], F[row, neg]
+    wrong = (fp < fq) + 0.5 * (fp == fq) if partial else (fp <= fq).astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        return np.bincount(row, wrong, F.shape[0]) / np.diff(ptr)
+
+
 def test_label_pairs_lists_each_rows_pairs_in_order():
+    # the builder's pairs of all rows (a slice) and of rows in any order,
+    # repeats included (an index array), against each row's labels
     rng = np.random.default_rng(11)
     _, Y = _large_label_batch(rng)
-    ptr, row, pos, neg = label_pairs(Y)
+    n, c = Y.shape
+    lists = losses._LabelLists(Y)
     a, b = label_split_sizes(Y)
+    ptr = np.concatenate(([0], np.cumsum(lists.count)))
     np.testing.assert_array_equal(np.diff(ptr), a * b)
-    for i in range(Y.shape[0]):
+    ip, iq = lists.pairs(slice(0, n))
+    row, pos, neg = ip // c, ip % c, iq % c
+    np.testing.assert_array_equal(iq // c, row)
+    for i in range(n):
         s, e = ptr[i], ptr[i + 1]
         assert (row[s:e] == i).all()
         p, q = np.flatnonzero(Y[i] > 0), np.flatnonzero(Y[i] < 0)
         np.testing.assert_array_equal(pos[s:e], np.repeat(p, q.size))
         np.testing.assert_array_equal(neg[s:e], np.tile(q, p.size))
+    # a chunk of rows starts at its own row 0
+    sub_ip, sub_iq = lists.pairs(slice(20, 30))
+    np.testing.assert_array_equal(sub_ip, ip[ptr[20]:ptr[30]] - 20 * c)
+    np.testing.assert_array_equal(sub_iq, iq[ptr[20]:ptr[30]] - 20 * c)
+    # rows in any order, a row twice and trivial rows, each at a place of
+    # its own: each row's pairs move to that place in its turn
+    rows = np.array([23, 7, 5, 7, 59, 0, 17])
+    at = np.array([3, 0, 6, 1, 2, 5, 4])
+    got_ip, got_iq = lists.pairs(rows, at)
+    want = [(ip[ptr[r]:ptr[r + 1]] + (j - r) * c, iq[ptr[r]:ptr[r + 1]] + (j - r) * c)
+            for r, j in zip(rows, at)]
+    np.testing.assert_array_equal(got_ip, np.concatenate([w[0] for w in want]))
+    np.testing.assert_array_equal(got_iq, np.concatenate([w[1] for w in want]))
+    # the reference list above lists the same pairs
+    ref_ptr, ref_row, ref_pos, ref_neg = label_pairs(Y)
+    np.testing.assert_array_equal(ref_ptr, ptr)
+    np.testing.assert_array_equal(ref_row * c + ref_pos, ip)
+    np.testing.assert_array_equal(ref_row * c + ref_neg, iq)
+
+
+@pytest.mark.parametrize("budget", [1, 300, None])
+def test_pair_kernels_are_chunk_invariant(monkeypatch, budget):
+    # bitwise the flat pair list's results, whatever the chunks: one row per
+    # chunk (budget 1), a few rows (300), or the default budget
+    if budget is not None:
+        monkeypatch.setattr(losses, "_BLOCK_BUDGET", budget)
+    rng = np.random.default_rng(14)
+    F, Y = _large_label_batch(rng)
+    for partial in (False, True):
+        assert (ranking_loss_batch(F, Y, partial=partial).tobytes()
+                == flat_ranking_loss(F, Y, partial).tobytes())
+    keep = nontrivial_mask(Y)
+    F, Y = F[keep], Y[keep]
+    for base in ALL_BASES:
+        batch = BatchSurrogate(Y, "pa", base)
+        with np.errstate(over="ignore"):
+            grads, row_losses = flat_pair_kernels(F, Y, base)
+            both = batch.gradients(F, with_losses=True)
+            assert batch.gradients(F).tobytes() == grads.tobytes(), base.kind
+            assert both[0].tobytes() == grads.tobytes(), base.kind
+            assert both[1].tobytes() == row_losses.tobytes(), base.kind
+            assert batch.row_losses(F).tobytes() == row_losses.tobytes(), base.kind
 
 
 def _counting_gathers(monkeypatch, budget):
@@ -482,8 +610,8 @@ def test_pair_list_batches_match_per_row_references(monkeypatch, budget):
     assert (r[keep] != p[keep]).any()  # the ties are really there
 
     # the gradients of every row once, one row per block, through ``blocks``:
-    # gathered at once under the default budget, or a few rows at a time
-    # under a budget of 500 pairs (the dense row alone)
+    # under the default budget of 2^13 pairs a few gathers of many rows, and
+    # under a budget of 500 pairs a few rows at a time (the dense row alone)
     chunks = _counting_gathers(monkeypatch, budget)
     rows = np.arange(keep.size)[:, None]
     for base in ALL_BASES:
@@ -497,8 +625,8 @@ def test_pair_list_batches_match_per_row_references(monkeypatch, budget):
             np.testing.assert_allclose(grads[k], ev.gradient, rtol=1e-12, atol=0.0)
     per_base = chunks[:len(chunks) // len(ALL_BASES)]
     assert sum(per_base) == len(rows)
-    assert (len(per_base) > 1) == (budget is not None)
-    assert budget is None or 1 in per_base and max(per_base) > 1
+    assert 1 < len(per_base) < len(rows) and max(per_base) > 1
+    assert (1 in per_base) == (budget is not None)
 
 
 @pytest.mark.parametrize("budget", [300, 2000])

@@ -1,5 +1,7 @@
 """Linear model, regularized objective oracle, model persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,16 +66,52 @@ def test_value_is_mean_of_per_row_reference_losses():
 
 
 def test_pa_objective_builds_label_pairs_once(monkeypatch):
-    builds = []
-    build = losses.label_pairs
+    # the label lists are built once per Objective, and no entry point
+    # builds more than one chunk of pairs at a time: 40 rows of 8 labels
+    # hold about 400 pairs, a chunk at most 60 (a row holds at most 16)
+    builds, chunks = [], []
 
-    def counting(labels):
-        builds.append(len(labels))
-        return build(labels)
+    class Counting(losses._LabelLists):
+        def __init__(self, Y):
+            builds.append(len(Y))
+            super().__init__(Y)
 
-    monkeypatch.setattr(losses, "label_pairs", counting)
-    obj = make_objective("pa")
+        def pairs(self, rows, at=None):
+            ip, iq = super().pairs(rows, at)
+            chunks.append(ip.size)
+            return ip, iq
+
+    monkeypatch.setattr(losses, "_LabelLists", Counting)
+    monkeypatch.setattr(losses, "_BLOCK_BUDGET", 60)
+    obj = make_objective("pa", n=40, c=8)
+    W = np.random.default_rng(4).normal(size=(obj.d, obj.c))
+    snap = obj.svrg_snapshot(W)
+    obj.value(W)
+    obj.full_gradient(W)
+    obj.svrg_epoch(snap, 0.1, np.random.default_rng(5).integers(obj.n, size=(6, 2)))
     assert builds == [obj.n]
+    assert len(chunks) > 3 * 4 and max(chunks) <= 60
+    assert obj.loss._lists.count.sum() > 6 * 60
+
+
+def test_pa_objective_memory_is_linear_in_labels():
+    # a delicious-density stand-in: 983 labels, 19 relevant per row, so
+    # 18.3 M label pairs, which a stored pair list would hold at 24 B each
+    n, d, c, k = 1000, 50, 983, 19
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(n, d))
+    Y = -np.ones((n, c))
+    np.put_along_axis(Y, np.argsort(rng.random((n, c)), axis=1)[:, :k], 1.0, axis=1)
+    W = rng.normal(size=(d, c)) * 0.01
+    tracemalloc.start()
+    try:
+        obj = Objective(X, Y, ObjectiveSpec("pa", LOGISTIC, 1e-3))
+        obj.svrg_snapshot(W)
+        losses.ranking_loss_batch(X @ W, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n * c * 8, peak / 2**20
 
 
 def test_objective_gradient_matches_finite_differences():

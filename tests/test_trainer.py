@@ -134,23 +134,33 @@ def test_evaluate_skips_trivial_rows():
 
 
 def test_evaluate_builds_label_pairs_once(monkeypatch):
+    # each of evaluate's two ranking losses builds the label lists of the
+    # nontrivial rows once and their pairs one chunk at a time: 60 rows of
+    # 6 labels hold about 450 pairs, a chunk at most 40 (a row at most 9)
     data = synthetic_linear(60, 4, 6, seed=16, noise=0.3)
     model = LinearModel(np.random.default_rng(16).normal(size=(4, 6)))
-    builds = []
-    build = losses.label_pairs
+    builds, chunks = [], []
 
-    def counting(labels):
-        builds.append(len(labels))
-        return build(labels)
+    class Counting(losses._LabelLists):
+        def __init__(self, Y):
+            builds.append(len(Y))
+            super().__init__(Y)
 
-    monkeypatch.setattr(losses, "label_pairs", counting)
+        def pairs(self, rows, at=None):
+            ip, iq = super().pairs(rows, at)
+            chunks.append(ip.size)
+            return ip, iq
+
+    monkeypatch.setattr(losses, "_LabelLists", Counting)
+    monkeypatch.setattr(losses, "_BLOCK_BUDGET", 40)
     surrogates = []
     monkeypatch.setattr(losses, "BatchSurrogate", lambda *args: surrogates.append(args))
     report = evaluate(model, data)
-    assert builds == [data.n]
+    assert builds == [data.n, data.n]
+    assert len(chunks) > 2 * 5 and max(chunks) <= 40
     assert surrogates == []  # evaluate computes no surrogate risk
     monkeypatch.undo()
-    # the same bits as the ranking losses that build their own list
+    # the same bits as the ranking losses of all rows at once
     F, Y = predict(model, data.features), data.labels
     assert report.ranking_loss == float(losses.ranking_loss_batch(F, Y).mean())
     assert report.partial_ranking_loss == float(losses.ranking_loss_batch(F, Y, partial=True).mean())
