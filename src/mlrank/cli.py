@@ -622,6 +622,8 @@ def cmd_bounds(args) -> int:
         raise ConfigError(
             f"model expects d={model.d} features but dataset provides {prepared.d}; "
             "match the --standardize/--bias flags used at training time")
+    if prepared.c != model.c:
+        raise ConfigError(f"model scores c={model.c} labels but dataset provides {prepared.c}")
     z_max, inputs = bounds_mod.model_bound_inputs(model, prepared, args.delta, args.log2)
     report = evaluate(model, prepared)
     shared = inputs[bounds_mod.BOUNDED_SCHEMES[0]]

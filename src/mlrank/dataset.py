@@ -416,10 +416,10 @@ class StandardizationParams:
     std: np.ndarray
 
 
-def standardize_fit(data: MultiLabelDataset) -> StandardizationParams:
-    """Population mean/std per feature; near-constant columns get std 1."""
-    mean = data.features.mean(axis=0)
-    std = data.features.std(axis=0)
+def standardize_fit(features: np.ndarray) -> StandardizationParams:
+    """Population mean/std per feature column; near-constant columns get std 1."""
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     return StandardizationParams(mean, std)
 

@@ -289,11 +289,12 @@ def univariate_surrogate(scores, labels, base: BaseLoss, kind: str) -> LossEval:
 # u1-u4 the penalty weights.  Two kernels on a score matrix, per-row
 # gradients and per-row losses, serve training, the model bounds and the
 # bounds probe; the SVRG snapshot takes both from one array of margins.
-# No list of all (relevant, irrelevant) label pairs is ever held: every pair
-# kernel, the ranking loss's included, walks the rows in chunks of at most
-# ``_BLOCK_BUDGET`` pairs and builds the pairs of one chunk at a time.  A
-# chunk holds whole rows, so each per-row sum adds the same values in the
-# same order as one pass over all rows would.
+# No list of all (relevant, irrelevant) label pairs is ever held: every
+# all-rows pair kernel, the ranking losses' included, takes the one walk of
+# ``_LabelLists.chunks``, which checks the scores' shape and builds the pairs
+# of one chunk of at most ``_BLOCK_BUDGET`` pairs at a time.  A chunk holds
+# whole rows, so each per-row sum adds the same values in the same order as
+# one pass over all rows would.
 # ---------------------------------------------------------------------------
 
 
@@ -346,6 +347,11 @@ def group_by_label_pattern(labels) -> list[tuple[np.ndarray, np.ndarray, np.ndar
     return groups
 
 
+def _check_scores(F: np.ndarray, shape: tuple[int, int]) -> None:
+    if F.shape != shape:
+        raise ValueError(f"scores shape {F.shape} does not match labels shape {shape}")
+
+
 def _spans(ends: np.ndarray):
     """Yield ``(start, stop)`` spans of consecutive units, whose sizes have
     the running totals ``ends``, each holding at most ``_BLOCK_BUDGET`` in
@@ -386,11 +392,17 @@ class _LabelLists:
         # rows before row i hold i * c - pos_ptr[i] irrelevant entries
         self.neg_start = row * c - self.pos_ptr[row]
 
-    def chunks(self):
-        """Slices of consecutive rows, in order, each holding at most
-        ``_BLOCK_BUDGET`` pairs; a row with more is a chunk alone."""
+    def chunks(self, F: np.ndarray):
+        """The one walk over all rows' pairs at scores ``F`` ``(n, c)``: per
+        chunk of consecutive rows (a slice holding at most ``_BLOCK_BUDGET``
+        pairs, a row with more alone) ``rows``, its :meth:`pairs` ``ip, iq``
+        and their scores ``f_p``, ``f_q`` in fresh arrays."""
+        _check_scores(F, (len(self.count), self.c))
         for start, stop in _spans(self.ends):
-            yield slice(start, stop)
+            rows = slice(start, stop)
+            ip, iq = self.pairs(rows)
+            f = F[rows].ravel()
+            yield rows, ip, iq, f.take(ip), f.take(iq)
 
     def pairs(self, rows, at=None) -> tuple[np.ndarray, np.ndarray]:
         """The pairs of ``rows``, row by row, and in a row each relevant
@@ -419,13 +431,6 @@ class _LabelLists:
         iq = self.neg.take(k)
         iq += shift if isinstance(rows, slice) else shift.repeat(width)
         return ip, iq
-
-
-def _pair_margins(f: np.ndarray, ip: np.ndarray, iq: np.ndarray) -> np.ndarray:
-    """``f_p - f_q`` per pair, from flat scores ``f``, in a fresh array."""
-    z = f.take(ip)
-    z -= f.take(iq)
-    return z
 
 
 class BatchSurrogate:
@@ -467,29 +472,27 @@ class BatchSurrogate:
         The derivative and its scaling run in place on the margins.
         """
         if self.weights is not None:
+            if block is None:
+                _check_scores(F, self.Y.shape)
             z = (self.Y if block is None else block[0]) * F
             row_losses = self._row_losses(z, np.empty_like(z)) if with_losses else None
             self.base.derivative(z, out=z)
             z *= self._signed_weights if block is None else block[1]
             return z if row_losses is None else (z, row_losses)
         if block is not None:
-            z = _pair_margins(F.ravel(), *block[:2])
+            f = F.ravel()
+            z = f.take(block[0])
+            z -= f.take(block[1])
             return self._pair_gradients(z, block, F.size).reshape(F.shape)
         g = np.empty(F.shape)
         row_losses = np.empty(self.n) if with_losses else None
-        for rows, ip, iq, z in self._chunks(F):
+        for rows, ip, iq, z, fq in self._lists.chunks(F):
+            z -= fq
             if with_losses:
                 row_losses[rows] = self._row_losses(z, np.empty_like(z), rows)
             scale = self._row_scale[rows].repeat(self._lists.count[rows])
             g[rows] = self._pair_gradients(z, (ip, iq, scale), g[rows].size).reshape(-1, self.c)
         return g if row_losses is None else (g, row_losses)
-
-    def _chunks(self, F: np.ndarray):
-        """Yield each chunk of rows (a slice) of ``_LabelLists.chunks`` with
-        its pairs ``ip, iq`` and their margins at scores ``F``."""
-        for rows in self._lists.chunks():
-            ip, iq = self._lists.pairs(rows)
-            yield rows, ip, iq, _pair_margins(F[rows].ravel(), ip, iq)
 
     def _pair_gradients(self, z: np.ndarray, pairs, size: int) -> np.ndarray:
         """Flat gradients ``(size,)`` from the margins ``z`` of ``pairs``
@@ -539,10 +542,12 @@ class BatchSurrogate:
         """Surrogate loss of each row at scores ``F`` ``(n, c)``; the one loss
         kernel, whose mean is the objective's loss term."""
         if self.weights is not None:
+            _check_scores(F, self.Y.shape)
             z = self.Y * F
             return self._row_losses(z, z)
         out = np.empty(self.n)
-        for rows, _, _, z in self._chunks(F):
+        for rows, _, _, z, fq in self._lists.chunks(F):
+            z -= fq
             out[rows] = self._row_losses(z, z, rows)
         return out
 
@@ -577,21 +582,15 @@ def pairwise_batch_for(labels, base: BaseLoss):
     return lambda F: (batch.row_losses(F), batch.gradients(F))
 
 
-def ranking_loss_batch(scores, labels, partial: bool = False) -> np.ndarray:
-    """Per-row (partial) ranking loss for nontrivial rows; NaN on trivial ones.
-
-    It builds the label lists of ``labels`` and walks the rows in chunks of
-    at most ``_BLOCK_BUDGET`` pairs.
-    """
-    F = np.asarray(scores, dtype=np.float64)
+def ranking_loss_batch(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ranking loss and partial ranking loss, NaN on trivial rows,
+    from one walk over the pairs: per row the counts of ``f_p < f_q`` and of
+    ``f_p == f_q``, whose sums of 0, 1/2 and 1 are exact at any chunking."""
     lists = _LabelLists(_as_label_matrix(labels))
-    wrong_sums = np.empty(F.shape[0])
-    for rows in lists.chunks():
-        ip, iq = lists.pairs(rows)
-        f = F[rows].ravel()
-        fp, fq = f.take(ip), f.take(iq)
-        wrong = (fp < fq) + 0.5 * (fp == fq) if partial else (fp <= fq).astype(np.float64)
-        # ip // c is each pair's row in the chunk
-        wrong_sums[rows] = np.bincount(ip // lists.c, wrong, rows.stop - rows.start)
+    below, ties = np.empty(len(lists.count)), np.empty(len(lists.count))
+    for rows, ip, _, fp, fq in lists.chunks(np.asarray(scores, dtype=np.float64)):
+        row = ip // lists.c  # each pair's row in the chunk
+        below[rows] = np.bincount(row, fp < fq, rows.stop - rows.start)
+        ties[rows] = np.bincount(row, fp == fq, rows.stop - rows.start)
     with np.errstate(invalid="ignore"):  # 0/0 marks the trivial rows NaN
-        return wrong_sums / lists.count
+        return (below + ties) / lists.count, (below + 0.5 * ties) / lists.count

@@ -76,7 +76,7 @@ def prepare_data(data: MultiLabelDataset, standardize: bool = True, bias: bool =
     labels = data.labels if rows is None else data.labels[rows]
     if standardize:
         if params is None:
-            params = standardize_fit(MultiLabelDataset(X[:, :data.d], labels))
+            params = standardize_fit(X[:, :data.d])
         X -= np.append(params.mean, np.zeros(int(bias)))
         X /= np.append(params.std, np.ones(int(bias)))
     return replace(data, features=X, labels=labels,
@@ -113,25 +113,27 @@ class EvalReport:
 
 def evaluate(model: LinearModel, data: MultiLabelDataset) -> EvalReport:
     """Ranking loss and partial ranking loss of a model on its nontrivial
-    rows; each ``losses.ranking_loss_batch`` call builds the rows' label
-    lists and one chunk of their pairs at a time."""
+    rows, both from one ``losses.ranking_loss_batch`` call: one build of the
+    rows' label lists and one walk over their pairs.  Raises ``ValueError``
+    when the model's label count is not the data's."""
     with _one_blas_thread():
         scores = predict(model, data.features)
     mask = losses.nontrivial_mask(data.labels)
     if not mask.any():
         raise ValueError("no nontrivial instances to evaluate")
-    F, Y = scores[mask], data.labels[mask]
+    ranking, partial = losses.ranking_loss_batch(scores[mask], data.labels[mask])
     return EvalReport(
-        ranking_loss=float(losses.ranking_loss_batch(F, Y).mean()),
-        partial_ranking_loss=float(losses.ranking_loss_batch(F, Y, partial=True).mean()),
+        ranking_loss=float(ranking.mean()),
+        partial_ranking_loss=float(partial.mean()),
         n_evaluated=int(mask.sum()),
         n_skipped=int((~mask).sum()),
     )
 
 
 # ---------------------------------------------------------------------------
-# Cross-validation task grid.  Workers get the dataset once via the pool
-# initializer; tasks carry row indices only.
+# Cross-validation task grid.  The task runner holds the dataset and the
+# fit settings in ``_POOL``, which forked workers inherit; tasks carry row
+# indices only.
 # ---------------------------------------------------------------------------
 
 _POOL: dict = {}
@@ -146,12 +148,6 @@ class _TaskSpec:
     train_rows: np.ndarray
     eval_rows: np.ndarray
     seed: int
-
-
-def _pool_init(data: MultiLabelDataset, algo: str, base_kind: str,
-               opt_cfg: OptimizerConfig, standardize: bool, bias: bool) -> None:
-    _POOL.update(data=data, algo=algo, base=BaseLoss(base_kind), opt_cfg=opt_cfg,
-                 standardize=standardize, bias=bias)
 
 
 def _run_task(task: _TaskSpec) -> FitRecord:
@@ -224,20 +220,21 @@ def _one_blas_thread():
 
 
 @contextmanager
-def _task_runner(workers: int, init_args: tuple):
-    """Yield ``run(tasks) -> results``, serving every phase of one call.
-
-    A serial loop at ``workers <= 1``, otherwise one forked process pool
-    whose workers get the data once, through the initializer.
-    """
-    if workers <= 1:
-        _pool_init(*init_args)
-        yield lambda tasks: [_run_task(t) for t in tasks]
-        return
-    with futures.ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_pool_init, initargs=init_args) as pool:
-        yield lambda tasks: list(pool.map(_run_task, tasks))
+def _task_runner(workers: int, **settings):
+    """Yield ``run(tasks) -> results``, serving every phase of one call, with
+    ``settings`` (the data and how to fit it) in ``_POOL`` until it closes:
+    a serial loop at ``workers <= 1``, otherwise one forked process pool,
+    whose workers inherit them."""
+    _POOL.update(settings)
+    try:
+        if workers <= 1:
+            yield lambda tasks: [_run_task(t) for t in tasks]
+        else:
+            with futures.ProcessPoolExecutor(
+                    max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                yield lambda tasks: list(pool.map(_run_task, tasks))
+    finally:
+        _POOL.clear()
 
 
 @dataclass(frozen=True)
@@ -348,8 +345,9 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
             select_tasks.append(_TaskSpec("select", f, li, lam, sub_rows, val_rows,
                                           task_seed(seed, f, li, algo, "select")))
 
-    init_args = (data, algo, base.kind, opt_cfg, standardize, bias)
-    with _one_blas_thread(), _task_runner(workers, init_args) as run:
+    settings = dict(data=data, algo=algo, base=base, opt_cfg=opt_cfg,
+                    standardize=standardize, bias=bias)
+    with _one_blas_thread(), _task_runner(workers, **settings) as run:
         # records come back in task order: fold-major, then lambda
         select = run(select_tasks)
         validation = np.array([r.ranking_loss for r in select]).reshape(k, len(grid))

@@ -53,7 +53,7 @@ def test_criterion_1_domination_chain():
     for c in range(2, 21):
         Y = random_nontrivial_rows(rng, draws_per_c, c)
         F = rng.normal(size=(draws_per_c, c)) * 2.0
-        r = ranking_loss_batch(F, Y)
+        r = ranking_loss_batch(F, Y)[0]
         total += draws_per_c
         for base in DOMINATING_BASES:
             u4, _ = univariate_batch(F, Y, base, "u4")

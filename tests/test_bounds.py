@@ -167,7 +167,7 @@ def test_dominating_surrogates_bound_ranking_loss_row_by_row(base):
     Y = np.where(rng.random((n, c)) < 0.4, 1.0, -1.0)
     Y = Y[nontrivial_mask(Y)]
     F = np.round(rng.normal(size=Y.shape), 1)
-    r = ranking_loss_batch(F, Y)
+    r = ranking_loss_batch(F, Y)[0]
     for which, factor in (("u2", c), ("u3", 1.0), ("u4", 1.0)):
         bound = factor * BatchSurrogate(Y, which, base).row_losses(F)
         assert (r <= bound + 1e-12).all(), which

@@ -16,6 +16,7 @@ from mlrank.cli import (ExperimentConfig, config_from_text, config_hash,
                         config_to_text, main, render_runtime_svg,
                         render_summary_markdown)
 from mlrank.dataset import load_sparse, save_sparse, synthetic_linear
+from mlrank.model import LinearModel, save_model
 from mlrank.optimizer import OptimizerConfig
 
 
@@ -198,6 +199,19 @@ def test_bounds_flags_must_match_training(tmp_path, dataset_file, capsys):
                  "--no-bias"])
     assert code == 2
     assert "match the --standardize/--bias flags" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", [2, 4])
+def test_bounds_rejects_a_model_of_another_label_count(tmp_path, dataset_file, capsys, c):
+    # the file has 3 labels; the model's d matches its 5 features and bias
+    model = tmp_path / "m.txt"
+    save_model(LinearModel(np.zeros((6, c)), algorithm="u3", base="logistic_calibrated"),
+               str(model))
+    assert main(["bounds", "--model", str(model), "--data", str(dataset_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: model scores c={c} labels but dataset provides 3"]
+    assert "ranking-loss bound" not in captured.out
 
 
 @pytest.mark.parametrize("module", ["mlrank", "mlrank.cli"])

@@ -448,8 +448,7 @@ def test_ranking_loss_batch_matches_per_row_and_flags_trivial():
     rng = np.random.default_rng(5)
     F, Y = _random_batch(rng, 15, 4)
     Y[3] = 1.0  # trivial row
-    r = ranking_loss_batch(F, Y)
-    p = ranking_loss_batch(F, Y, partial=True)
+    r, p = ranking_loss_batch(F, Y)
     assert np.isnan(r[3]) and np.isnan(p[3])
     for i in range(15):
         if i == 3:
@@ -563,9 +562,9 @@ def test_pair_kernels_are_chunk_invariant(monkeypatch, budget):
         monkeypatch.setattr(losses, "_BLOCK_BUDGET", budget)
     rng = np.random.default_rng(14)
     F, Y = _large_label_batch(rng)
-    for partial in (False, True):
-        assert (ranking_loss_batch(F, Y, partial=partial).tobytes()
-                == flat_ranking_loss(F, Y, partial).tobytes())
+    r, p = ranking_loss_batch(F, Y)
+    assert r.tobytes() == flat_ranking_loss(F, Y, False).tobytes()
+    assert p.tobytes() == flat_ranking_loss(F, Y, True).tobytes()
     keep = nontrivial_mask(Y)
     F, Y = F[keep], Y[keep]
     for base in ALL_BASES:
@@ -577,6 +576,23 @@ def test_pair_kernels_are_chunk_invariant(monkeypatch, budget):
             assert both[0].tobytes() == grads.tobytes(), base.kind
             assert both[1].tobytes() == row_losses.tobytes(), base.kind
             assert batch.row_losses(F).tobytes() == row_losses.tobytes(), base.kind
+
+
+@pytest.mark.parametrize("kind", ["pa", "u3"])
+def test_all_rows_kernels_reject_scores_not_shaped_like_the_labels(kind):
+    # a wider, a narrower and a one-column score matrix; the last would
+    # broadcast through the u1-u4 margins unchecked
+    rng = np.random.default_rng(15)
+    F, Y = _random_batch(rng, 12, 5)
+    batch = BatchSurrogate(Y, kind, LOGISTIC)
+    for shape in ((12, 6), (12, 4), (12, 1)):
+        G = rng.normal(size=shape)
+        calls = (lambda: ranking_loss_batch(G, Y), lambda: batch.gradients(G),
+                 lambda: batch.gradients(G, with_losses=True), lambda: batch.row_losses(G))
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"scores shape \(12, {shape[1]}\) does "
+                                                 r"not match labels shape \(12, 5\)"):
+                call()
 
 
 def _counting_gathers(monkeypatch, budget):
@@ -599,8 +615,7 @@ def _counting_gathers(monkeypatch, budget):
 def test_pair_list_batches_match_per_row_references(monkeypatch, budget):
     rng = np.random.default_rng(12)
     F, Y = _large_label_batch(rng)
-    r = ranking_loss_batch(F, Y)
-    p = ranking_loss_batch(F, Y, partial=True)
+    r, p = ranking_loss_batch(F, Y)
     trivial = ~nontrivial_mask(Y)
     np.testing.assert_array_equal(np.isnan(r), trivial)
     np.testing.assert_array_equal(np.isnan(p), trivial)

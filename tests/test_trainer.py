@@ -1,12 +1,14 @@
 """Training pipeline: preparation, fitting, evaluation, cross-validation."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from mlrank import bounds, losses, trainer
-from mlrank.dataset import synthetic_linear
+from mlrank.dataset import standardize_fit, synthetic_linear
 from mlrank.losses import LOGISTIC, BaseLoss
 from mlrank.model import LinearModel, predict
 from mlrank.optimizer import OptimizerConfig
@@ -61,6 +63,10 @@ def test_prepare_data_of_rows_is_prepare_data_of_the_subset(standardize, bias):
     if standardize:
         assert params.mean.tobytes() == want_params.mean.tobytes()
         assert params.std.tobytes() == want_params.std.tobytes()
+        # the statistics of the gathered rows' features alone
+        direct = standardize_fit(data.features[rows])
+        assert params.mean.tobytes() == direct.mean.tobytes()
+        assert params.std.tobytes() == direct.std.tobytes()
     # the evaluation side, with the training side's statistics
     got, _ = prepare_data(data, standardize, bias, params=params, rows=rest)
     want, _ = prepare_data(data.subset(rest), standardize, bias, params=want_params)
@@ -134,9 +140,10 @@ def test_evaluate_skips_trivial_rows():
 
 
 def test_evaluate_builds_label_pairs_once(monkeypatch):
-    # each of evaluate's two ranking losses builds the label lists of the
-    # nontrivial rows once and their pairs one chunk at a time: 60 rows of
-    # 6 labels hold about 450 pairs, a chunk at most 40 (a row at most 9)
+    # evaluate's two ranking losses come from one build of the label lists
+    # of the nontrivial rows and one walk over their pairs, a chunk at a
+    # time: 60 rows of 6 labels hold about 450 pairs, a chunk at most 40 (a
+    # row at most 9)
     data = synthetic_linear(60, 4, 6, seed=16, noise=0.3)
     model = LinearModel(np.random.default_rng(16).normal(size=(4, 6)))
     builds, chunks = [], []
@@ -156,14 +163,23 @@ def test_evaluate_builds_label_pairs_once(monkeypatch):
     surrogates = []
     monkeypatch.setattr(losses, "BatchSurrogate", lambda *args: surrogates.append(args))
     report = evaluate(model, data)
-    assert builds == [data.n, data.n]
-    assert len(chunks) > 2 * 5 and max(chunks) <= 40
+    assert builds == [data.n]
+    assert len(chunks) > 5 and max(chunks) <= 40
     assert surrogates == []  # evaluate computes no surrogate risk
     monkeypatch.undo()
     # the same bits as the ranking losses of all rows at once
     F, Y = predict(model, data.features), data.labels
-    assert report.ranking_loss == float(losses.ranking_loss_batch(F, Y).mean())
-    assert report.partial_ranking_loss == float(losses.ranking_loss_batch(F, Y, partial=True).mean())
+    ranking, partial = losses.ranking_loss_batch(F, Y)
+    assert report.ranking_loss == float(ranking.mean())
+    assert report.partial_ranking_loss == float(partial.mean())
+
+
+@pytest.mark.parametrize("c", [2, 4, 7])
+def test_evaluate_rejects_a_model_of_another_label_count(c):
+    data = synthetic_linear(30, 4, 3, seed=19, noise=0.3)
+    model = LinearModel(np.random.default_rng(19).normal(size=(4, c)))
+    with pytest.raises(ValueError, match=rf"scores shape \(30, {c}\) .* labels shape \(30, 3\)"):
+        evaluate(model, data)
 
 
 def test_evaluate_univariate_risks_match_univariate_batch():
@@ -328,6 +344,18 @@ def test_cross_validate_without_openblas_fails_loudly(monkeypatch, workers):
     data = synthetic_linear(30, 3, 2, seed=15)
     with pytest.raises(RuntimeError, match="OpenBLAS"):
         cross_validate(data, "u1", [1e-2], k=2, optimizer_cfg=CV_CFG, workers=workers)
+    assert trainer._POOL == {}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cross_validate_keeps_no_reference_to_the_data(workers):
+    data = synthetic_linear(30, 3, 2, seed=18)
+    features = weakref.ref(data.features)
+    cross_validate(data, "u1", [1e-2], k=2, optimizer_cfg=CV_CFG, workers=workers)
+    assert trainer._POOL == {}
+    del data
+    gc.collect()
+    assert features() is None
 
 
 def test_cross_validate_sorts_grid_ascending():
