@@ -6,14 +6,33 @@ univariate surrogates, then spot-checks the ordering guarantees between
 them on random draws.  A univariate scheme is named by its kind string,
 ``"u1"``..``"u4"``, whose weight table ``mlrank.losses.scheme_betas`` states.
 
+Every loss is computed on a label matrix, so one instance is a one-row
+matrix: ``BatchSurrogate(Y, kind, base)`` gives each row's surrogate value
+(``row_losses``) and gradient (``gradients``) at a score matrix, and
+``ranking_loss_batch`` each row's ranking and partial ranking loss.
+
 Run:  python3 demos/01_losses_tour.py
 """
 
 import numpy as np
 
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
-                           SQUARED_HINGE, pairwise_surrogate, partial_ranking_loss,
-                           penalty_weights, ranking_loss, univariate_surrogate)
+                           SQUARED_HINGE, BatchSurrogate, penalty_weight_matrix,
+                           ranking_loss_batch)
+
+
+def ranking_losses(f, y):
+    """Ranking loss and partial ranking loss of one instance."""
+    ranking, partial = ranking_loss_batch(f[None], y[None])
+    return ranking[0], partial[0]
+
+
+def surrogate(kind, base, f, y):
+    """Value and gradient of surrogate ``kind`` (``pa``, ``u1``..``u4``) at
+    one instance."""
+    batch = BatchSurrogate(y[None], kind, base)
+    return batch.row_losses(f[None])[0], batch.gradients(f[None])[0]
+
 
 rng = np.random.default_rng(0)
 
@@ -27,23 +46,24 @@ print(f"labels  y = {y}")
 print(f"scores  f = {f}")
 print(f"positive/negative split: |S+| = 2, |S-| = 3, 6 ordered pairs")
 print()
-print(f"ranking loss (ties count fully):  {ranking_loss(f, y):.4f}")
-print(f"partial ranking loss (ties half): {partial_ranking_loss(f, y):.4f}")
+ranking, partial = ranking_losses(f, y)
+print(f"ranking loss (ties count fully):  {ranking:.4f}")
+print(f"partial ranking loss (ties half): {partial:.4f}")
 print("the gap comes from the f=0.1 tie between label 1 and label 2")
 print()
 
 print("per-label weights of each univariate scheme (by kind string) at this y:")
 for kind in ("u1", "u2", "u3", "u4"):
-    w = penalty_weights(kind, y)
+    w = penalty_weight_matrix(kind, y[None])[0]
     print(f"  {kind}: {np.array2string(w, precision=3)}")
 print("u1 spreads 1/c uniformly; u2 divides by |S+||S-|; u3 balances the")
 print("two sides; u4 divides by the smaller side only")
 print()
 
 print("surrogate values with the logistic base loss:")
-print(f"  pairwise    : {pairwise_surrogate(f, y, LOGISTIC).value:.4f}")
+print(f"  pairwise    : {surrogate('pa', LOGISTIC, f, y)[0]:.4f}")
 for kind in ("u1", "u2", "u3", "u4"):
-    v = univariate_surrogate(f, y, LOGISTIC, kind).value
+    v = surrogate(kind, LOGISTIC, f, y)[0]
     print(f"  {kind} univariate: {v:.4f}")
 print()
 
@@ -73,10 +93,8 @@ for _ in range(2000):
         if 0 < (yy > 0).sum() < c:
             break
     ff = rng.normal(size=c) * 2
-    r = ranking_loss(ff, yy)
-    u4 = univariate_surrogate(ff, yy, HINGE, "u4").value
-    u2 = univariate_surrogate(ff, yy, HINGE, "u2").value
-    u3 = univariate_surrogate(ff, yy, HINGE, "u3").value
+    r = ranking_losses(ff, yy)[0]
+    u4, u2, u3 = (surrogate(kind, HINGE, ff, yy)[0] for kind in ("u4", "u2", "u3"))
     worst["r_u4"] = max(worst["r_u4"], r - u4)
     worst["u4_cu2"] = max(worst["u4_cu2"], u4 - c * u2)
     worst["r_u3"] = max(worst["r_u3"], r - u3)
@@ -88,10 +106,10 @@ print()
 print("=" * 72)
 print("Gradients power the trainer")
 print("=" * 72)
-ev = univariate_surrogate(f, y, LOGISTIC, "u3")
-step = f - 0.5 * ev.gradient
-after = univariate_surrogate(step, y, LOGISTIC, "u3")
-print(f"u3 value before gradient step: {ev.value:.4f}")
-print(f"u3 value after  gradient step: {after.value:.4f}")
-print(f"ranking loss before/after:     {ranking_loss(f, y):.4f} -> "
-      f"{ranking_loss(step, y):.4f}")
+before, gradient = surrogate("u3", LOGISTIC, f, y)
+step = f - 0.5 * gradient
+after = surrogate("u3", LOGISTIC, step, y)[0]
+print(f"u3 value before gradient step: {before:.4f}")
+print(f"u3 value after  gradient step: {after:.4f}")
+print(f"ranking loss before/after:     {ranking_losses(f, y)[0]:.4f} -> "
+      f"{ranking_losses(step, y)[0]:.4f}")

@@ -28,12 +28,14 @@ Two on-disk formats are supported:
 
   A file with any fault never loads; the first fault is named, in this
   order: token faults in file order (a byte that is not UTF-8, a bad label
-  list, a bad feature token, a feature index below 1, a negative label),
+  list, a bad feature token, a feature index below 1, a feature value that
+  is not finite, such as ``nan`` or ``1e400``, a negative label),
   then the instance and label counts, then the label and feature indices
   against ``c`` and ``d`` in file order.
 
 * **Dense CSV**: each row holds ``d`` feature values followed by ``c`` label
   columns, labels in ``{0, 1}`` or ``{-1, +1}`` (the former is remapped).
+  A feature value that is not finite names its line.
 
 Instances whose label vector is all-positive or all-negative carry no
 ranking information; loaders drop them by default and report the count.
@@ -41,9 +43,10 @@ ranking information; loaders drop them by default and report the count.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -334,6 +337,8 @@ def _block(lines: list[tuple[int, str, int]], path: str) -> tuple:
                     raise DatasetFormatError(path, lineno, f"bad feature token {tok!r}") from None
                 if idx[-1] < 1:
                     raise DatasetFormatError(path, lineno, f"feature index {idx[-1]} is not 1-based")
+                if not math.isfinite(vals[-1]):
+                    raise DatasetFormatError(path, lineno, f"feature value {val_s!r} is not finite")
             if any(l < 0 for l in ids[-1]):
                 raise DatasetFormatError(path, lineno, "negative label index")
         flat, vals = list(chain.from_iterable(ids)), np.array(vals)
@@ -351,7 +356,8 @@ def _block_arrays(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     One join and one split give the sides of all tokens.  Twice as many sides
     as tokens and a colon in every token mean one colon per token.  The sides
     then go through one ``np.array`` call per type, which converts like
-    ``int()`` and ``float()`` and rejects an empty side.
+    ``int()`` and ``float()`` and rejects an empty side.  An index below 1
+    or a value that is not finite is a fault too.
     """
     sides = ":".join(tokens).split(":") if tokens else []
     if (len(sides) != 2 * len(tokens)
@@ -360,7 +366,10 @@ def _block_arrays(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     idx = np.array(sides[0::2], dtype=np.int64)
     if idx.size and idx.min() < 1:
         raise ValueError("feature index below 1")
-    return idx, np.array(sides[1::2], dtype=np.float64)
+    vals = np.array(sides[1::2], dtype=np.float64)
+    if not np.isfinite(vals).all():
+        raise ValueError("feature value not finite")
+    return idx, vals
 
 
 def save_sparse(data: MultiLabelDataset, path: str) -> None:
@@ -390,6 +399,10 @@ def load_csv(path: str, label_count: int, keep_trivial: bool = False,
                                  f"{table.shape[1]} columns cannot hold {label_count} labels plus features")
     X = table[:, :-label_count]
     Y = table[:, -label_count:]
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        lineno, field = _csv_field(str(path), *bad[0])
+        raise DatasetFormatError(str(path), lineno, f"feature value {field!r} is not finite")
     values = np.unique(Y)
     if np.all(np.isin(values, (0.0, 1.0))):
         Y = 2.0 * Y - 1.0
@@ -397,6 +410,15 @@ def load_csv(path: str, label_count: int, keep_trivial: bool = False,
         raise DatasetFormatError(str(path), 0,
                                  f"label columns must lie in {{0,1}} or {{-1,+1}}, found {values}")
     return _drop_trivial(X, Y, name if name is not None else dataset_name(path), keep_trivial)
+
+
+def _csv_field(path: str, row: int, col: int) -> tuple[int, str]:
+    """Line number and text of field ``col`` of data row ``row``, counting
+    rows as ``np.loadtxt`` does: text after ``#`` and blank lines skipped."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        rows = (pair for pair in enumerate(fh, start=1) if pair[1].split("#", 1)[0].strip())
+        lineno, line = next(islice(rows, row, None))
+    return lineno, line.split("#", 1)[0].split(",")[col].strip()
 
 
 def save_csv(data: MultiLabelDataset, path: str) -> None:

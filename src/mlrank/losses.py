@@ -7,15 +7,18 @@ both label groups are populated; the ranking measures and all surrogates
 except the ``u1`` reweighting are undefined otherwise.
 
 Two families of surrogates are provided, both built from a convex
-margin-based base loss ``ell``:
+margin-based base loss ``ell``: ``pa`` averages ``ell(f_p - f_q)`` over an
+instance's relevant / irrelevant label pairs, the direct convexification of
+the ranking loss, and the univariate schemes ``u1``..``u4`` sum per-label
+penalties ``w_j * ell(y_j f_j)`` whose weights rescale each instance by
+functions of its label split sizes, all stated once by :func:`scheme_betas`.
 
-* ``pairwise_surrogate``: averages ``ell(f_p - f_q)`` over relevant /
-  irrelevant label pairs, the direct convexification of the ranking loss.
-* ``univariate_surrogate``: sums per-label penalties ``w_j * ell(y_j f_j)``
-  where the weights ``w_j`` come from a scheme, named by its kind string
-  ``u1``..``u4``.  The four schemes rescale each instance by different
-  functions of the label split sizes, all stated once by
-  :func:`scheme_betas`.
+Each has one implementation, on a label matrix: a :class:`BatchSurrogate`
+holds one surrogate's per-row structure and gives every row's loss and
+gradient at a score matrix, and :func:`ranking_loss_batch` gives every row's
+ranking loss and partial ranking loss.  A single instance is a one-row
+matrix.  The per-row formulas the kernels are checked against live with the
+tests, in ``tests/loss_reference.py``.
 
 All gradients are analytic, using fixed one-sided derivatives at the hinge
 kinks so that stochastic optimizers see deterministic subgradients.
@@ -74,10 +77,6 @@ class BaseLoss:
     def dominates_zero_one(self) -> bool:
         """True when ``ell(z) >= [[z <= 0]]`` pointwise."""
         return self.kind != "logistic"
-
-    @property
-    def has_kink(self) -> bool:
-        return self.kind in ("hinge", "squared_hinge")
 
     def value(self, z, out=None):
         """Pointwise loss, computed into ``out`` (``z`` itself allowed) and
@@ -168,47 +167,6 @@ HINGE = BaseLoss("hinge")
 SQUARED_HINGE = BaseLoss("squared_hinge")
 
 
-def _as_label_vector(labels) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError(f"labels must be one-dimensional, got shape {y.shape}")
-    if not np.all(np.abs(y) == 1.0):
-        raise ValueError("labels must take values in {-1, +1}")
-    return y
-
-
-def split_labels(labels) -> tuple[np.ndarray, np.ndarray]:
-    """Return index arrays of the relevant (+1) and irrelevant (-1) labels.
-
-    Raises ``ValueError`` on a trivial vector (either side empty).
-    """
-    y = _as_label_vector(labels)
-    pos = np.flatnonzero(y > 0)
-    neg = np.flatnonzero(y < 0)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("trivial label vector: need at least one relevant and one irrelevant label")
-    return pos, neg
-
-
-def ranking_loss(scores, labels) -> float:
-    """Fraction of (relevant, irrelevant) label pairs ordered wrongly.
-
-    A pair ``(p, q)`` counts as a full mistake when ``scores[p] <= scores[q]``;
-    ties are penalized like inversions.  Result lies in ``[0, 1]``.
-    """
-    f = np.asarray(scores, dtype=np.float64)
-    pos, neg = split_labels(labels)
-    return float(np.mean(f[pos][:, None] <= f[neg][None, :]))
-
-
-def partial_ranking_loss(scores, labels) -> float:
-    """Like :func:`ranking_loss` but ties cost 1/2 instead of 1."""
-    f = np.asarray(scores, dtype=np.float64)
-    pos, neg = split_labels(labels)
-    diffs = f[pos][:, None] - f[neg][None, :]
-    return float(np.mean((diffs < 0.0) + 0.5 * (diffs == 0.0)))
-
-
 def scheme_betas(kind: str, a, b):
     """``(beta_plus, beta_minus)`` of scheme ``kind`` for ``a`` relevant and
     ``b`` irrelevant labels.
@@ -242,44 +200,6 @@ def scheme_betas(kind: str, a, b):
         return 1 / a, 1 / b
     w = 1 / np.minimum(a, b)
     return w, w
-
-
-def penalty_weights(kind: str, labels) -> np.ndarray:
-    """Per-label weight vector ``w`` of scheme ``kind``, with ``w_j`` applied
-    to ``ell(y_j f_j)``: the one row of :func:`penalty_weight_matrix`."""
-    return penalty_weight_matrix(kind, _as_label_vector(labels)[None])[0]
-
-
-@dataclass(frozen=True)
-class LossEval:
-    """Value and gradient (with respect to the score vector) of a surrogate."""
-
-    value: float
-    gradient: np.ndarray
-
-
-def pairwise_surrogate(scores, labels, base: BaseLoss) -> LossEval:
-    """Average of ``ell(f_p - f_q)`` over relevant/irrelevant pairs ``(p, q)``."""
-    f = np.asarray(scores, dtype=np.float64)
-    pos, neg = split_labels(labels)
-    scale = 1.0 / (pos.size * neg.size)
-    diffs = f[pos][:, None] - f[neg][None, :]
-    grad = np.zeros_like(f)
-    derivs = base.derivative(diffs) * scale
-    grad[pos] = derivs.sum(axis=1)
-    grad[neg] = -derivs.sum(axis=0)
-    return LossEval(float(base.value(diffs).sum() * scale), grad)
-
-
-def univariate_surrogate(scores, labels, base: BaseLoss, kind: str) -> LossEval:
-    """Weighted sum of per-label losses ``w_j * ell(y_j f_j)`` of scheme ``kind``."""
-    f = np.asarray(scores, dtype=np.float64)
-    y = _as_label_vector(labels)
-    if f.shape != y.shape:
-        raise ValueError(f"scores shape {f.shape} does not match labels shape {y.shape}")
-    w = penalty_weights(kind, y)
-    z = y * f
-    return LossEval(float(w @ base.value(z)), w * y * base.derivative(z))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +240,8 @@ def nontrivial_mask(labels) -> np.ndarray:
 
 
 def penalty_weight_matrix(kind: str, labels) -> np.ndarray:
-    """Stacked :func:`penalty_weights` of scheme ``kind`` for a label matrix."""
+    """Per-label weights ``(n, c)`` of scheme ``kind`` for a label matrix,
+    with ``w_ij`` applied to ``ell(y_ij f_ij)``."""
     Y = _as_label_matrix(labels)
     with np.errstate(divide="ignore"):
         beta_plus, beta_minus = scheme_betas(kind, *label_split_sizes(Y))
@@ -583,9 +504,13 @@ def pairwise_batch_for(labels, base: BaseLoss):
 
 
 def ranking_loss_batch(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ranking loss and partial ranking loss, NaN on trivial rows,
-    from one walk over the pairs: per row the counts of ``f_p < f_q`` and of
-    ``f_p == f_q``, whose sums of 0, 1/2 and 1 are exact at any chunking."""
+    """Per-row ranking loss and partial ranking loss, NaN on trivial rows.
+
+    A row's ranking loss is the fraction of its (relevant ``p``, irrelevant
+    ``q``) label pairs with ``f_p <= f_q``, ties counted as inversions; the
+    partial ranking loss counts a tie 1/2.  Both come from one walk over the
+    pairs: per row the counts of ``f_p < f_q`` and of ``f_p == f_q``, whose
+    sums of 0, 1/2 and 1 are exact at any chunking."""
     lists = _LabelLists(_as_label_matrix(labels))
     below, ties = np.empty(len(lists.count)), np.empty(len(lists.count))
     for rows, ip, _, fp, fq in lists.chunks(np.asarray(scores, dtype=np.float64)):

@@ -13,22 +13,23 @@ penalty::
 :class:`Objective` implements the oracle protocol of
 :mod:`mlrank.optimizer`: ``n``, ``lam``, ``svrg_snapshot`` (value, full
 gradient ``mu`` and per-sample loss gradients at the snapshot) and
-``svrg_epoch(snap, eta, rows)``, which runs
-one epoch of mini-batch SVRG inner steps, one per row of ``rows`` (shape
-``(steps, b)``).  Each step asks the score-space block hook
-``svrg_direction`` for the ``(b, c)`` deltas of its ``b`` rows, from the
-block's gathers that :meth:`mlrank.losses.BatchSurrogate.blocks` yields and
-the snapshot's loss gradients of its rows, gathered once per epoch; then it
-updates one dense ``W`` in place: it scales ``W`` by ``1 - 2 eta lambda``,
-subtracts ``eta (mu - 2 lambda W_snap)`` (computed once per epoch) and
-subtracts the block's rank-``b`` term ``eta X_R^T Delta_R / b``.  A step
-gathers ``X_R`` with ``take``, multiplies with ``dot`` and scales the deltas
-in place: on 16-row blocks each numpy call costs more than its arithmetic.
-A snapshot forms each loss margin once, for both its loss gradients and
-its value.  Outside the protocol, ``value`` and ``full_gradient`` give the
-objective and its gradient at ``W``, for checks against an independent
-solver.  Every
-entry point reaches the loss through one
+``svrg_epoch(snap, eta, rows)``, which runs one epoch of mini-batch SVRG
+inner steps, one per row of ``rows`` (shape ``(steps, b)``).
+
+Each step asks the score-space block hook ``svrg_direction`` for the
+``(b, c)`` deltas of its ``b`` rows, from the block's gathers that
+:meth:`mlrank.losses.BatchSurrogate.blocks` yields and the snapshot's loss
+gradients of its rows, gathered once per epoch.  Then it updates one dense
+``W`` in place: it scales ``W`` by ``1 - 2 eta lambda``, subtracts
+``eta (mu - 2 lambda W_snap)`` (computed once per epoch) and subtracts the
+block's rank-``b`` term ``eta X_R^T Delta_R / b``.  A step gathers ``X_R``
+with ``take``, multiplies with ``dot`` and scales the deltas in place: on
+16-row blocks each numpy call costs more than its arithmetic.  A snapshot
+forms each loss margin once, for both its loss gradients and its value.
+
+Outside the protocol, ``value`` and ``full_gradient`` give the objective
+and its gradient at ``W``, for checks against an independent solver.
+Every entry point reaches the loss through one
 :class:`mlrank.losses.BatchSurrogate` and its two kernels on scores:
 per-row loss gradients, and per-row losses, whose mean is the loss term.
 """

@@ -353,6 +353,35 @@ def test_malformed_invocation_exits_2_without_traceback(tmp_path, dataset_file, 
     assert proc.stderr.splitlines()[-1].startswith(("error: ", "mlrank: error: "))
 
 
+@pytest.mark.parametrize("fmt", ["sparse", "csv"])
+@pytest.mark.parametrize("value", ["nan", "1e400"])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_non_finite_feature_value_exits_2_naming_its_line(tmp_path, dataset_file, command,
+                                                         value, fmt):
+    # a value that reads as nan or inf is a fault of the file, named before
+    # any training starts, not an objective that turns non-finite
+    data = tmp_path / f"data.{'txt' if fmt == 'sparse' else 'csv'}"
+    if fmt == "sparse":
+        lines = dataset_file.read_text(encoding="utf-8").splitlines()
+        lines[5] = re.sub(r"(\d+):\S+", rf"\1:{value}", lines[5], count=1)
+    else:
+        assert main(["convert", str(dataset_file), str(data), "--to", "csv"]) == 0
+        lines = data.read_text(encoding="utf-8").splitlines()
+        lines[5] = ",".join([value] + lines[5].split(",")[1:])
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = {"train": ["train", "--lam", "1e-2", "--out", str(tmp_path / "m.txt")],
+            "cv": ["cv", "--grid", "1e-2"]}[command]
+    argv += ["--data", str(data), "--algo", "u1", "--format", fmt]
+    if fmt == "csv":
+        argv += ["--labels", "3"]
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {data}:6: feature value {value!r} is not finite\n"
+
+
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_nothing_to_train_on_exits_2_without_warnings(tmp_path, dataset_file, command):
     header, *rows = dataset_file.read_text(encoding="utf-8").splitlines()

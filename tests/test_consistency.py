@@ -8,7 +8,7 @@ import pytest
 
 from mlrank import consistency as cons
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
-                           SQUARED_HINGE, penalty_weights)
+                           SQUARED_HINGE, penalty_weight_matrix)
 
 
 def dist_c2_with_trivial():
@@ -76,7 +76,7 @@ def test_scheme_weights_agree_across_modules(kind):
             y = np.array(bits)
             a = int((y > 0).sum())
             if 0 < a < c:
-                w = penalty_weights(kind, y)
+                w = penalty_weight_matrix(kind, y[None])[0]
                 assert pen.beta_plus(y) == w[np.argmax(y > 0)]
                 assert pen.beta_minus(y) == w[np.argmax(y < 0)]
                 beta_plus, beta_minus = _TABLE[kind](a, c - a)

@@ -109,6 +109,10 @@ def test_sparse_errors_carry_line_numbers(tmp_path):
         ("1 2 2\n0 1.0:2\n", 2, "bad feature token '1.0:2'"),
         ("1 3 2\n0 1:2:3 3\n", 2, "bad feature token '1:2:3'"),  # as many colons as tokens
         ("1 2 2\n0 1:1 2:2 2:x 0:3\n", 2, "bad feature token '2:x'"),
+        ("1 2 2\n0 1:nan\n", 2, "feature value 'nan' is not finite"),
+        ("2 2 2\n0 1:1.0\n1 2:1e400\n", 3, "feature value '1e400' is not finite"),
+        ("1 2 2\n0 2:-inf 1:x\n", 2, "feature value '-inf' is not finite"),
+        ("1 2 2\n0 0:nan\n", 2, "feature index 0 is not 1-based"),
         ("-1 1:1.0\n", 1, "negative label index"),
         ("1 2 2\n0,-1 1:1.0\n", 2, "negative label index"),
         ("1:1.0\n", 0, "no labels present and no header to set the label count"),
@@ -194,6 +198,8 @@ def reference_load_sparse(path, keep_trivial=False):
                 raise DatasetFormatError(path, lineno, f"bad feature token {tok!r}")
             if idx < 1:
                 raise DatasetFormatError(path, lineno, f"feature index {idx} is not 1-based")
+            if not np.isfinite(val):
+                raise DatasetFormatError(path, lineno, f"feature value {val_s!r} is not finite")
             feats.append((idx, val))
         if any(l < 0 for l in label_ids):
             raise DatasetFormatError(path, lineno, "negative label index")
@@ -376,6 +382,16 @@ def test_csv_rejects_mixed_label_values(tmp_path):
     path = write(tmp_path, "1.0,1,0\n2.0,0.5,1\n", name="d.csv")
     with pytest.raises(DatasetFormatError):
         load_csv(path, 2)
+
+
+@pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
+def test_csv_rejects_a_non_finite_feature_naming_its_line(tmp_path, value):
+    # comment and blank lines count as lines, not as data rows
+    path = write(tmp_path, f"# x1,x2,y1,y2\n1.0,2.0,1,0\n\n0.5,{value},0,1\n", name="d.csv")
+    with pytest.raises(DatasetFormatError) as err:
+        load_csv(path, 2)
+    assert str(err.value) == f"{path}:4: feature value {value!r} is not finite"
+    assert err.value.line == 4
 
 
 def test_cross_format_roundtrip(tmp_path):

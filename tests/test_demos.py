@@ -21,6 +21,7 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # no warnings either
 
 
 def test_readme_imports_resolve():

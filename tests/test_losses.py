@@ -1,19 +1,24 @@
-"""Base losses, ranking measures, and surrogate values/gradients."""
+"""Base losses, ranking measures, and surrogate values/gradients: the batch
+kernels of ``mlrank.losses`` and the per-row references they are checked
+against (``loss_reference``)."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loss_reference import (LossEval, pairwise_surrogate, partial_ranking_loss,
+                            ranking_loss, split_labels, univariate_surrogate)
 from mlrank import losses
 from mlrank.losses import (EXPONENTIAL, HINGE, LOGISTIC, LOGISTIC_CALIBRATED,
-                           SQUARED_HINGE, BaseLoss, BatchSurrogate, LossEval,
+                           SQUARED_HINGE, BaseLoss, BatchSurrogate,
                            group_by_label_pattern, label_split_sizes,
                            nontrivial_mask, pairwise_batch_for,
-                           pairwise_surrogate, partial_ranking_loss,
-                           penalty_weight_matrix, penalty_weights,
-                           ranking_loss, ranking_loss_batch, scheme_betas,
-                           split_labels, univariate_batch, univariate_surrogate)
+                           penalty_weight_matrix, ranking_loss_batch,
+                           scheme_betas, univariate_batch)
 
 ALL_BASES = (EXPONENTIAL, LOGISTIC, LOGISTIC_CALIBRATED, HINGE, SQUARED_HINGE)
 SCHEMES = ("u1", "u2", "u3", "u4")
@@ -261,18 +266,17 @@ def test_ranking_loss_permutation_invariant(c, seed):
 
 def test_scheme_weights_frozen_example():
     y = np.array([1.0, -1.0, -1.0, -1.0])  # |S+| = 1, |S-| = 3
-    np.testing.assert_allclose(penalty_weights("u1", y), 0.25)
-    np.testing.assert_allclose(penalty_weights("u2", y), 1.0 / 3.0)
-    np.testing.assert_allclose(penalty_weights("u3", y),
+    np.testing.assert_allclose(penalty_weight_matrix("u1", y[None])[0], 0.25)
+    np.testing.assert_allclose(penalty_weight_matrix("u2", y[None])[0], 1.0 / 3.0)
+    np.testing.assert_allclose(penalty_weight_matrix("u3", y[None])[0],
                                [1.0, 1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_allclose(penalty_weights("u4", y), 1.0)
+    np.testing.assert_allclose(penalty_weight_matrix("u4", y[None])[0], 1.0)
 
 
 def test_unknown_scheme_kind_rejected():
     y = np.array([1.0, -1.0, -1.0])
     message = r"unknown penalty scheme 'u5', expected one of"
     for call in (lambda: scheme_betas("u5", 1, 2),
-                 lambda: penalty_weights("u5", y),
                  lambda: penalty_weight_matrix("u5", y[None]),
                  lambda: univariate_surrogate(np.zeros(3), y, LOGISTIC, "u5"),
                  lambda: BatchSurrogate(y[None], "u5", LOGISTIC)):
@@ -283,10 +287,10 @@ def test_unknown_scheme_kind_rejected():
 def test_trivial_vector_scheme_behavior():
     y = np.ones(3)
     # u1's uniform weight needs no label split; the ratio schemes do
-    np.testing.assert_allclose(penalty_weights("u1", y), 1 / 3)
+    np.testing.assert_allclose(penalty_weight_matrix("u1", y[None])[0], 1 / 3)
     for kind in ("u2", "u3", "u4"):
         with pytest.raises(ValueError):
-            penalty_weights(kind, y)
+            penalty_weight_matrix(kind, y[None])[0]
     with pytest.raises(ValueError):
         penalty_weight_matrix("u2", np.ones((2, 3)))
 
@@ -370,7 +374,7 @@ def _central_diff(fn, f, h=1e-6):
 
 
 def _away_from_kinks(f, y, base, margin=1e-3):
-    if not base.has_kink:
+    if base.kind not in ("hinge", "squared_hinge"):
         return True
     return bool(np.all(np.abs(y * f - 1.0) > margin))
 
@@ -387,7 +391,8 @@ def test_gradients_match_finite_differences():
                 continue
             ev = pairwise_surrogate(f, y, base)
             pair_diffs = f[y > 0][:, None] - f[y < 0][None, :]
-            if base.has_kink and np.any(np.abs(pair_diffs - 1.0) < 1e-3):
+            if (base.kind in ("hinge", "squared_hinge")
+                    and np.any(np.abs(pair_diffs - 1.0) < 1e-3)):
                 continue
             fd = _central_diff(lambda g: pairwise_surrogate(g, y, base).value, f)
             np.testing.assert_allclose(ev.gradient, fd, rtol=1e-5, atol=1e-8)
@@ -705,3 +710,33 @@ def test_nontrivial_mask_and_split_sizes():
 def test_loss_eval_is_value_gradient_pair():
     ev = LossEval(1.5, np.zeros(2))
     assert ev.value == 1.5 and ev.gradient.shape == (2,)
+
+
+def test_every_public_losses_callable_has_a_caller_outside_the_tests():
+    # the library holds one implementation of each loss: a public function
+    # or class of mlrank.losses that only the tests reach belongs with them.
+    # A reference is a name read, or an attribute of the module as
+    # ``losses`` read, outside the top-level definition of the same name.
+    root = Path(__file__).resolve().parents[1]
+    source = root / "src" / "mlrank" / "losses.py"
+    public = {node.name for node in ast.parse(source.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    referenced = set()
+    for path in sorted((root / "src" / "mlrank").glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "losses"):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    referenced.add(name)
+    assert len(public) >= 8
+    assert sorted(public - referenced) == []

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from loss_reference import pairwise_surrogate, univariate_surrogate
 from mlrank.dataset import synthetic_linear
 from mlrank import losses
 from mlrank.losses import BASE_KINDS, LOGISTIC, BaseLoss
@@ -32,9 +33,9 @@ def per_sample_gradient(obj, W, i):
     """Gradient of sample ``i``'s objective term from the per-row reference loss."""
     scores = obj.X[i] @ W
     if obj.spec.surrogate == "pa":
-        ev = losses.pairwise_surrogate(scores, obj.Y[i], obj.spec.base)
+        ev = pairwise_surrogate(scores, obj.Y[i], obj.spec.base)
     else:
-        ev = losses.univariate_surrogate(scores, obj.Y[i], obj.spec.base, obj.spec.surrogate)
+        ev = univariate_surrogate(scores, obj.Y[i], obj.spec.base, obj.spec.surrogate)
     return np.outer(obj.X[i], ev.gradient) + 2.0 * obj.spec.lam * W
 
 
@@ -54,10 +55,10 @@ def test_value_is_mean_of_per_row_reference_losses():
         obj = make_objective(algo, lam=0.03, c=5)
         W = rng.normal(size=(obj.d, obj.c))
         if algo == "pa":
-            per_row = [losses.pairwise_surrogate(obj.X[i] @ W, obj.Y[i], LOGISTIC).value
+            per_row = [pairwise_surrogate(obj.X[i] @ W, obj.Y[i], LOGISTIC).value
                        for i in range(obj.n)]
         else:
-            per_row = [losses.univariate_surrogate(obj.X[i] @ W, obj.Y[i], LOGISTIC, algo).value
+            per_row = [univariate_surrogate(obj.X[i] @ W, obj.Y[i], LOGISTIC, algo).value
                        for i in range(obj.n)]
         expected = np.mean(per_row) + 0.03 * np.sum(W * W)
         assert obj.value(W) == pytest.approx(expected, rel=1e-12)
