@@ -37,7 +37,6 @@ import os
 import sys
 import typing
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -522,12 +521,6 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _fraction_str(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return f"{x:.12g}"
-
-
 def cmd_consistency(args) -> int:
     if args.scheme not in SCHEME_KINDS:
         raise ConfigError(f"scheme must be one of u1..u4, not {args.scheme!r}")
@@ -543,17 +536,15 @@ def cmd_consistency(args) -> int:
     tau = cons.necessary_condition_tau(args.scheme, args.c)
     if tau.holds:
         print(f"{args.scheme} at c={args.c}: product condition holds, tau = "
-              f"{_fraction_str(tau.tau)}")
+              f"{tau.tau}")
     else:
         k1, k2, r1, r2 = tau.witness
         print(f"{args.scheme} at c={args.c}: product condition FAILS; split sizes "
-              f"{k1} and {k2} give ratios {_fraction_str(r1)} vs {_fraction_str(r2)}")
+              f"{k1} and {k2} give ratios {r1} vs {r2}")
     records.append({"type": "tau", "scheme": args.scheme, "c": args.c,
                     "holds": tau.holds,
-                    "tau": _fraction_str(tau.tau) if tau.holds else None,
-                    "witness": None if tau.holds else
-                    [str(tau.witness[0]), str(tau.witness[1]),
-                     _fraction_str(tau.witness[2]), _fraction_str(tau.witness[3])]})
+                    "tau": str(tau.tau) if tau.holds else None,
+                    "witness": None if tau.holds else [str(x) for x in tau.witness]})
 
     if not tau.holds:
         dist = cons.tau_witness_distribution(args.scheme, args.c)

@@ -2,16 +2,17 @@
 
 Everything here works conditionally on one instance: a
 :class:`ConditionalDistribution` lists the label vectors that have positive
-probability.  A :class:`PenaltyAssignment` fixes, per label vector ``y``,
+probability.  A :class:`PenaltyAssignment` fixes the weights of a label
+vector ``y`` as functions of its split sizes ``(a, b) = (|S+|, |S-|)``:
 
-* ``alpha(y)``: the weight of each (relevant, irrelevant) pair in the target
-  ranking measure,
-* ``beta_plus(y)`` / ``beta_minus(y)``: the per-label weights of the
+* ``alpha(a, b)``: the weight of each (relevant, irrelevant) pair in the
+  target ranking measure,
+* ``betas(a, b)``: the per-label weights ``(beta_plus, beta_minus)`` of the
   reweighted univariate surrogate.
 
 It is the one type for arbitrary weights.  :func:`scheme_assignment` builds
 the named kinds ``u1``..``u4`` from :func:`mlrank.losses.scheme_betas`, the
-function that also gives the training weights.
+function that also gives the training weights, with ``alpha = 1 / (a b)``.
 
 From the pair (distribution, penalties) two families of statistics follow:
 
@@ -25,14 +26,14 @@ From the pair (distribution, penalties) two families of statistics follow:
 Consistency of the surrogate then reduces to sign agreement between the two
 families (``check_consistency_on_distribution``), a necessary product
 condition ``beta_plus * beta_minus = tau * alpha^2`` with a single constant
-``tau`` (``necessary_condition_tau``, exact rational arithmetic for the
-named schemes), and explicit counterexample generators for the schemes and
+``tau`` (``necessary_condition_tau``, in exact rational arithmetic over the
+split sizes), and explicit counterexample generators for the schemes and
 for the hinge base; ``random_violation_search`` audits a named scheme.
 Mass and product differences within ``_TOL = 1e-12`` count as ties.
 
 Trivial label vectors (all-positive or all-negative) generate no ranking
 pairs, so they never enter the ``delta`` sums; they do enter the ``phi``
-sums, querying only the weight side that exists for them.
+sums, using only the weight side that exists for them.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .losses import BaseLoss, scheme_betas
+from .losses import BaseLoss, label_split_sizes, scheme_betas
 
 MEASURES = ("ranking", "partial")
 _TOL = 1e-12
@@ -82,56 +84,40 @@ class ConditionalDistribution:
 
 @dataclass(frozen=True)
 class PenaltyAssignment:
-    """Pair weight ``alpha`` and label weights ``beta_plus`` / ``beta_minus``.
+    """Pair weight ``alpha(a, b)`` and label weights ``betas(a, b) ->
+    (beta_plus, beta_minus)`` of a label vector with ``a`` relevant and
+    ``b`` irrelevant labels.
 
-    Each callable maps a label vector to a positive float.  ``alpha`` is only
-    ever queried on nontrivial vectors; the ``beta`` sides are queried on any
-    vector that has a label of that sign.
+    Both are elementwise in the split sizes, the signature of
+    :func:`mlrank.losses.scheme_betas`: :func:`compute_stats` passes count
+    arrays, one entry per atom, and :func:`necessary_condition_tau` passes
+    ``Fraction`` sizes, so weights built from the sizes by arithmetic are
+    exact there.  A weight that divides by zero may come out ``inf``; it is
+    an error only where a statistic uses it, so ``alpha`` matters on
+    nontrivial vectors only and a ``beta`` side only where labels of its
+    sign exist.
     """
 
-    alpha: Callable[[np.ndarray], float]
-    beta_plus: Callable[[np.ndarray], float]
-    beta_minus: Callable[[np.ndarray], float]
-
-
-def _split_sizes(y: np.ndarray) -> tuple[int, int]:
-    a = int((y > 0).sum())
-    return a, y.size - a
-
-
-def _pair_normalizer(y: np.ndarray) -> float:
-    a, b = _split_sizes(y)
-    if a == 0 or b == 0:
-        raise ValueError("pair weight is undefined on trivial label vectors")
-    return 1.0 / (a * b)
+    alpha: Callable
+    betas: Callable
 
 
 def scheme_assignment(kind: str) -> PenaltyAssignment:
     """Penalties of the named univariate schemes against the per-pair-averaged
-    ranking measure (``alpha = 1 / (|S+| |S-|)``).
-
-    A side raises ``ValueError`` only when queried on a vector where its
-    weight is undefined, so ``u3`` keeps the side a trivial vector has.
-    """
-
-    def beta(y: np.ndarray, side: int) -> float:
-        a, b = _split_sizes(y)
-        with np.errstate(divide="ignore"):
-            value = float(scheme_betas(kind, np.int64(a), np.int64(b))[side])
-        if value == np.inf:
-            raise ValueError("u3 weight queried on an absent label side" if kind == "u3"
-                             else f"{kind} weights are undefined on trivial label vectors")
-        return value
-
-    return PenaltyAssignment(alpha=_pair_normalizer,
-                             beta_plus=lambda y: beta(y, 0),
-                             beta_minus=lambda y: beta(y, 1))
+    ranking measure (``alpha = 1 / (|S+| |S-|)``).  A trivial vector keeps
+    the weights :func:`mlrank.losses.scheme_betas` defines on it: ``u1``
+    both sides, ``u3`` the side present, ``u2`` and ``u4`` none."""
+    return PenaltyAssignment(alpha=lambda a, b: 1 / (a * b), betas=partial(scheme_betas, kind))
 
 
 def uniform_assignment() -> PenaltyAssignment:
     """All weights 1; useful for hand-built analyses."""
-    const = lambda y: 1.0
-    return PenaltyAssignment(alpha=const, beta_plus=const, beta_minus=const)
+    return PenaltyAssignment(alpha=lambda a, b: 1, betas=lambda a, b: (1, 1))
+
+
+def _in_atom_order(terms: np.ndarray) -> np.ndarray:
+    """Sum of ``terms`` over its first axis, one atom after the other."""
+    return np.cumsum(terms, axis=0)[-1]
 
 
 @dataclass
@@ -155,33 +141,39 @@ class LabelStats:
 
 
 def compute_stats(dist: ConditionalDistribution, penalties: PenaltyAssignment) -> LabelStats:
-    c = dist.c
-    phi_plus = np.zeros(c)
-    phi_minus = np.zeros(c)
-    delta_plus = np.zeros(c)
-    delta_minus = np.zeros(c)
-    delta_pairwise = np.zeros((c, c, 2, 2))
-    alpha_mass = 0.0
-    trivial_mass = 0.0
-    for y, p in zip(dist.atoms, dist.probs):
-        pos = y > 0
-        neg = ~pos
-        if pos.any():
-            phi_plus[pos] += penalties.beta_plus(y) * p
-        if neg.any():
-            phi_minus[neg] += penalties.beta_minus(y) * p
-        if pos.any() and neg.any():
-            ap = penalties.alpha(y) * p
-            alpha_mass += ap
-            delta_plus[pos] += ap
-            delta_minus[neg] += ap
-            r = np.where(pos, 0, 1)
-            delta_pairwise[np.arange(c)[:, None], np.arange(c)[None, :],
-                           r[:, None], r[None, :]] += ap
-        else:
-            trivial_mass += p
-    return LabelStats(phi_plus, phi_minus, delta_plus, delta_minus,
-                      delta_pairwise, alpha_mass, trivial_mass)
+    """The marginals of all atoms at once, from one call of each weight
+    function on the atoms' split sizes.  Every sum adds its atoms' terms in
+    atom order.  Raises ``ValueError`` if a weight a sum uses is not finite.
+    """
+    pos = dist.atoms > 0
+    a, b = label_split_sizes(dist.atoms)
+    nontrivial = (a > 0) & (b > 0)
+    with np.errstate(divide="ignore"):
+        alpha = penalties.alpha(a, b)
+        beta_plus, beta_minus = penalties.betas(a, b)
+    # per atom, weight times probability where a sum uses the weight, else 0
+    used = []
+    for weight, mask in ((alpha, nontrivial), (beta_plus, a > 0), (beta_minus, b > 0)):
+        bad = mask & ~np.isfinite(weight)
+        if bad.any():
+            raise ValueError(f"penalty weights are undefined on the label vector "
+                             f"{dist.atoms[np.argmax(bad)]} of the support")
+        used.append(np.where(mask, weight * dist.probs, 0.0))
+    ap, bp, bm = used
+    m, c = dist.atoms.shape
+    r = np.where(pos, 0, 1)
+    pairwise = np.zeros((m, c, c, 2, 2))
+    pairwise[np.arange(m)[:, None, None], np.arange(c)[:, None], np.arange(c),
+             r[:, :, None], r[:, None, :]] = ap[:, None, None]
+    return LabelStats(
+        phi_plus=_in_atom_order(np.where(pos, bp[:, None], 0.0)),
+        phi_minus=_in_atom_order(np.where(pos, 0.0, bm[:, None])),
+        delta_plus=_in_atom_order(np.where(pos, ap[:, None], 0.0)),
+        delta_minus=_in_atom_order(np.where(pos, 0.0, ap[:, None])),
+        delta_pairwise=_in_atom_order(pairwise),
+        alpha_mass=float(_in_atom_order(ap)),
+        trivial_mass=float(_in_atom_order(np.where(nontrivial, 0.0, dist.probs))),
+    )
 
 
 def conditional_risk(scores, stats: LabelStats, base: BaseLoss) -> float:
@@ -200,18 +192,18 @@ def zero_one_conditional_risk(scores, dist: ConditionalDistribution,
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
     f = np.asarray(scores, dtype=np.float64)
+    a, b = label_split_sizes(dist.atoms)
+    nontrivial = (a > 0) & (b > 0)
+    with np.errstate(divide="ignore"):
+        weighted = penalties.alpha(a, b) * dist.probs
     total = 0.0
-    for y, p in zip(dist.atoms, dist.probs):
-        pos = np.flatnonzero(y > 0)
-        neg = np.flatnonzero(y < 0)
-        if pos.size == 0 or neg.size == 0:
-            continue
-        diffs = f[pos][:, None] - f[neg][None, :]
+    for y, ap in zip(dist.atoms[nontrivial], weighted[nontrivial]):
+        diffs = f[y > 0][:, None] - f[y < 0][None, :]
         if measure == "ranking":
             wrong = (diffs <= 0.0).sum()
         else:
             wrong = (diffs < 0.0).sum() + 0.5 * (diffs == 0.0).sum()
-        total += penalties.alpha(y) * p * float(wrong)
+        total += ap * float(wrong)
     return total
 
 
@@ -458,65 +450,52 @@ def check_consistency_on_distribution(dist: ConditionalDistribution,
 
 @dataclass
 class TauCheck:
-    """Result of testing ``beta_plus(y) beta_minus(y) = tau * alpha(y)^2``."""
+    """Result of testing ``beta_plus beta_minus = tau * alpha^2`` on every
+    nontrivial split size, in ``Fraction`` arithmetic."""
 
     holds: bool
-    tau: Fraction | float | None
-    witness: tuple | None  # (id1, id2, ratio1, ratio2) on failure
+    tau: Fraction | None
+    witness: tuple | None  # (k1, k2, ratio1, ratio2) on failure
 
 
-def scheme_product_ratio(kind: str, n_pos: int, c: int) -> Fraction:
-    """Exact ``beta+ beta- / alpha^2`` for a label vector with ``n_pos``
-    relevant labels out of ``c``, under the named scheme."""
+def product_ratio(penalties, n_pos: int, c: int) -> Fraction:
+    """Exact ``beta+ beta- / alpha^2`` of a label vector with ``n_pos``
+    relevant labels out of ``c``, for a scheme kind string or a
+    :class:`PenaltyAssignment` evaluated at ``Fraction`` split sizes."""
     if not 1 <= n_pos <= c - 1:
         raise ValueError("ratio defined for nontrivial split sizes only")
-    pairs = n_pos * (c - n_pos)  # alpha = 1 / pairs
-    beta_plus, beta_minus = scheme_betas(kind, Fraction(n_pos), Fraction(c - n_pos))
-    return beta_plus * beta_minus * pairs * pairs
+    pen = scheme_assignment(penalties) if isinstance(penalties, str) else penalties
+    a, b = Fraction(n_pos), Fraction(c - n_pos)
+    beta_plus, beta_minus = pen.betas(a, b)
+    return Fraction(beta_plus) * Fraction(beta_minus) / Fraction(pen.alpha(a, b)) ** 2
 
 
 def necessary_condition_tau(penalties, c: int) -> TauCheck:
     """Test the product condition over every nontrivial label vector.
 
-    ``penalties`` is a scheme kind string (exact rational arithmetic; the
-    ratio depends only on the split size) or a :class:`PenaltyAssignment`
-    (float enumeration over all ``2^c - 2`` nontrivial vectors, ``c <= 20``).
+    ``penalties`` is a scheme kind string or a :class:`PenaltyAssignment`.
+    Weights are functions of the split sizes, so the sizes ``k = 1..c-1``
+    stand for all ``2^c - 2`` nontrivial vectors, and the ratios, ``tau``
+    and the witness ratios are exact :func:`product_ratio` values.
     """
     if c < 2:
         raise ValueError("need c >= 2 labels")
-    if isinstance(penalties, str):
-        ratios = [(k, scheme_product_ratio(penalties, k, c)) for k in range(1, c)]
-        first_k, first_r = ratios[0]
-        for k, r in ratios[1:]:
-            if r != first_r:
-                return TauCheck(False, None, (first_k, k, first_r, r))
-        return TauCheck(True, first_r, None)
-
-    if c > 20:
-        raise ValueError("enumeration over label vectors is capped at c = 20")
-    first: tuple[np.ndarray, float] | None = None
-    for bits in itertools.product((1.0, -1.0), repeat=c):
-        y = np.array(bits)
-        a, b = _split_sizes(y)
-        if a == 0 or b == 0:
-            continue
-        r = penalties.beta_plus(y) * penalties.beta_minus(y) / penalties.alpha(y) ** 2
-        if first is None:
-            first = (y, r)
-        elif abs(r - first[1]) > _TOL * max(abs(r), abs(first[1]), 1.0):
-            return TauCheck(False, None, (first[0], y, first[1], r))
-    return TauCheck(True, first[1], None)
+    ratios = [(k, product_ratio(penalties, k, c)) for k in range(1, c)]
+    first_k, first_r = ratios[0]
+    for k, r in ratios[1:]:
+        if r != first_r:
+            return TauCheck(False, None, (first_k, k, first_r, r))
+    return TauCheck(True, first_r, None)
 
 
-def _ratio_bounds_for_classes(kind: str, y_a: np.ndarray, y_b: np.ndarray
-                              ) -> tuple[float, float]:
-    """(mass-ratio sign flip points) ``t_phi < t_delta`` for atoms ``a``, ``b``."""
+def _ratio_bounds_for_classes(kind: str, c: int, k_a: int, k_b: int) -> tuple[float, float]:
+    """(mass-ratio sign flip points) ``t_phi < t_delta`` for atoms with
+    ``k_a`` and ``k_b`` relevant labels out of ``c``."""
     pen = scheme_assignment(kind)
-    alpha_a, alpha_b = pen.alpha(y_a), pen.alpha(y_b)
-    prod_a = pen.beta_plus(y_a) * pen.beta_minus(y_a)
-    prod_b = pen.beta_plus(y_b) * pen.beta_minus(y_b)
-    t_delta = alpha_a / alpha_b
-    t_phi = float(np.sqrt(prod_a / prod_b))
+    beta_plus_a, beta_minus_a = pen.betas(k_a, c - k_a)
+    beta_plus_b, beta_minus_b = pen.betas(k_b, c - k_b)
+    t_delta = pen.alpha(k_a, c - k_a) / pen.alpha(k_b, c - k_b)
+    t_phi = float(np.sqrt(beta_plus_a * beta_minus_a / (beta_plus_b * beta_minus_b)))
     return t_phi, t_delta
 
 
@@ -550,7 +529,7 @@ def tau_witness_distribution(kind: str, c: int) -> ConditionalDistribution:
     y_b = -np.ones(c)
     y_b[1:k2 + 1] = 1.0
 
-    t_phi, t_delta = _ratio_bounds_for_classes(kind, y_a, y_b)
+    t_phi, t_delta = _ratio_bounds_for_classes(kind, c, k1, k2)
     if not t_phi < t_delta:
         raise ValueError("critical ratios are not separated; construction failed")
     t = 0.5 * (t_phi + t_delta)  # mass ratio P(B) / P(A)

@@ -35,7 +35,8 @@ Two on-disk formats are supported:
 
 * **Dense CSV**: each row holds ``d`` feature values followed by ``c`` label
   columns, labels in ``{0, 1}`` or ``{-1, +1}`` (the former is remapped).
-  A feature value that is not finite names its line.
+  A feature value that is not finite names its line, and so does the first
+  label cell outside the encoding.
 
 Instances whose label vector is all-positive or all-negative carry no
 ranking information; loaders drop them by default and report the count.
@@ -407,8 +408,13 @@ def load_csv(path: str, label_count: int, keep_trivial: bool = False,
     if np.all(np.isin(values, (0.0, 1.0))):
         Y = 2.0 * Y - 1.0
     elif not np.all(np.isin(values, (-1.0, 1.0))):
-        raise DatasetFormatError(str(path), 0,
-                                 f"label columns must lie in {{0,1}} or {{-1,+1}}, found {values}")
+        # the first label cell other than 1 sets the encoding; the first
+        # cell outside it is named
+        zero = Y.flat[np.argmax(Y != 1.0)] == 0.0
+        row, col = np.argwhere(~np.isin(Y, (0.0 if zero else -1.0, 1.0)))[0]
+        lineno, field = _csv_field(str(path), row, X.shape[1] + col)
+        raise DatasetFormatError(str(path), lineno,
+                                 f"label columns must lie in {{0,1}} or {{-1,+1}}, found {field!r}")
     return _drop_trivial(X, Y, name if name is not None else dataset_name(path), keep_trivial)
 
 
@@ -439,9 +445,19 @@ class StandardizationParams:
 
 
 def standardize_fit(features: np.ndarray) -> StandardizationParams:
-    """Population mean/std per feature column; near-constant columns get std 1."""
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
+    """Population mean/std per feature column; near-constant columns get std 1.
+
+    Raises ``ValueError`` naming the first (1-based) column whose mean or
+    std is not finite, as when its values' sum or squares overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = features.mean(axis=0)
+        std = features.std(axis=0)
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"feature column {j + 1}: standardization statistics are not finite "
+                         f"(mean {mean[j]:.6g}, std {std[j]:.6g})")
     std = np.where(std < 1e-12, 1.0, std)
     return StandardizationParams(mean, std)
 

@@ -119,7 +119,10 @@ class NonFiniteObjectiveError(RuntimeError):
 
     def __init__(self, message: str, trace: OptimizationTrace):
         super().__init__(message + " (trace attached as .trace)")
-        self.trace = trace
+        self.message, self.trace = message, trace
+
+    def __reduce__(self):  # so a pool worker's error reaches the parent whole
+        return type(self), (self.message, self.trace)
 
 
 def _clamp_step(eta: float, step_max: float) -> float:

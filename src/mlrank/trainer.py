@@ -60,6 +60,8 @@ def prepare_data(data: MultiLabelDataset, standardize: bool = True, bias: bool =
                  params: StandardizationParams | None = None, rows=None
                  ) -> tuple[MultiLabelDataset, StandardizationParams | None]:
     """Standardize (fitting on the prepared rows unless ``params`` given) and add bias.
+    Raises ``ValueError`` naming a feature column whose statistics or
+    standardized values are not finite.
 
     ``rows``, when given, selects the instances to prepare: the result is
     the one ``prepare_data(data.subset(rows), ...)`` gives, bit for bit,
@@ -77,8 +79,14 @@ def prepare_data(data: MultiLabelDataset, standardize: bool = True, bias: bool =
     if standardize:
         if params is None:
             params = standardize_fit(X[:, :data.d])
-        X -= np.append(params.mean, np.zeros(int(bias)))
-        X /= np.append(params.std, np.ones(int(bias)))
+        with np.errstate(over="ignore"):
+            X -= np.append(params.mean, np.zeros(int(bias)))
+            X /= np.append(params.std, np.ones(int(bias)))
+        # finite statistics bound the rows they are fitted on, not held-out rows
+        bad = ~np.isfinite(X).all(axis=0)
+        if bad.any():
+            raise ValueError(f"feature column {np.argmax(bad) + 1}: a value overflows when "
+                             "standardized by the statistics of the training rows")
     return replace(data, features=X, labels=labels,
                    dropped_trivial=data.dropped_trivial if rows is None else 0), params
 

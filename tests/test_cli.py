@@ -1,21 +1,26 @@
 """Command line driver: subcommands, config files, artifacts, exit codes."""
 
 import dataclasses
+import io
 import json
 import re
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlrank
 from mlrank.cli import (ExperimentConfig, config_from_text, config_hash,
                         config_to_text, main, render_runtime_svg,
                         render_summary_markdown)
-from mlrank.dataset import load_sparse, save_sparse, synthetic_linear
+from mlrank.dataset import load_sparse, save_csv, save_sparse, synthetic_linear
 from mlrank.model import LinearModel, save_model
 from mlrank.optimizer import OptimizerConfig
 
@@ -380,6 +385,68 @@ def test_non_finite_feature_value_exits_2_naming_its_line(tmp_path, dataset_file
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"error: {data}:6: feature value {value!r} is not finite\n"
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_overflowing_standardization_exits_2_naming_its_column(tmp_path, command):
+    # finite values whose sum or squares overflow: the training rows' mean
+    # or std is not finite, or a held-out row overflows when standardized
+    data = synthetic_linear(60, 5, 3, seed=21, noise=0.05, name="syn")
+    data.features[3:5, 0] = 1.7e308
+    path = tmp_path / "big.txt"
+    save_sparse(data, str(path))
+    argv = {"train": ["train", "--lam", "1e-2", "--out", str(tmp_path / "m.txt")],
+            "cv": ["cv", "--grid", "1e-2", "--workers", "2"]}[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli", *argv, "--data", str(path),
+                           "--algo", "u1"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: feature column 1: ")
+
+
+# a numeric field of a dataset file: a header count, a label id or cell, a
+# feature index or value
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+@pytest.fixture(scope="module")
+def clean_files(tmp_path_factory):
+    data = synthetic_linear(30, 4, 3, seed=5, noise=0.05, name="fuzz")
+    root = tmp_path_factory.mktemp("fuzz")
+    save_sparse(data, str(root / "clean.txt"))
+    save_csv(data, str(root / "clean.csv"))
+    return root
+
+
+@settings(max_examples=50, deadline=None)
+@given(fmt=st.sampled_from(["sparse", "csv"]), command=st.sampled_from(["train", "cv"]),
+       field=st.integers(min_value=0), value=st.sampled_from(
+           ["nan", "inf", "-inf", "1e400", "1.7e308", "-1.7e308", "2", "-2", "0.5"]))
+def test_a_corrupt_number_exits_0_or_2_with_at_most_one_line(clean_files, fmt, command,
+                                                              field, value):
+    # one numeric field of a sparse or CSV file is replaced by a non-finite,
+    # overflowing or extreme value, or by a label outside {0, 1, -1}
+    ext = "txt" if fmt == "sparse" else "csv"
+    text = (clean_files / f"clean.{ext}").read_text(encoding="utf-8")
+    spans = [m.span() for m in _NUMBER.finditer(text)]
+    start, end = spans[field % len(spans)]
+    path = clean_files / f"corrupt.{ext}"
+    path.write_text(text[:start] + value + text[end:], encoding="utf-8")
+    argv = {"train": ["train", "--lam", "1e-2", "--out", str(clean_files / "m.txt")],
+            "cv": ["cv", "--grid", "1e-2", "--folds", "2"]}[command]
+    argv += ["--data", str(path), "--algo", "u1", "--format", fmt, "--epochs", "2"]
+    if fmt == "csv":
+        argv += ["--labels", "3"]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 2), lines
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue(), lines
 
 
 @pytest.mark.parametrize("command", ["train", "cv"])

@@ -45,27 +45,32 @@ def test_distribution_validation():
 
 
 def test_scheme_assignment_beta_values():
-    y = np.array([1.0, -1.0, -1.0, -1.0])
+    a, b = 1, 3  # the split sizes of y = (+1, -1, -1, -1)
     u1 = cons.scheme_assignment("u1")
-    assert u1.beta_plus(y) == pytest.approx(0.25)
-    assert u1.beta_minus(y) == pytest.approx(0.25)
+    assert u1.betas(a, b)[0] == pytest.approx(0.25)
+    assert u1.betas(a, b)[1] == pytest.approx(0.25)
     u2 = cons.scheme_assignment("u2")
-    assert u2.beta_plus(y) == pytest.approx(1 / 3)
+    assert u2.betas(a, b)[0] == pytest.approx(1 / 3)
     u3 = cons.scheme_assignment("u3")
-    assert u3.beta_plus(y) == pytest.approx(1.0)
-    assert u3.beta_minus(y) == pytest.approx(1 / 3)
+    assert u3.betas(a, b)[0] == pytest.approx(1.0)
+    assert u3.betas(a, b)[1] == pytest.approx(1 / 3)
     u4 = cons.scheme_assignment("u4")
-    assert u4.beta_plus(y) == u4.beta_minus(y) == pytest.approx(1.0)
+    assert u4.betas(a, b)[0] == u4.betas(a, b)[1] == pytest.approx(1.0)
     # alpha is the pair normalizer shared by all schemes
-    assert u1.alpha(y) == pytest.approx(1 / 3)
+    assert u1.alpha(a, b) == pytest.approx(1 / 3)
+
+
+def _inv(n):
+    return Fraction(1, n) if n else None
 
 
 # the scheme_betas docstring table, (beta_plus, beta_minus) for a relevant
-# and b irrelevant labels, restated in exact arithmetic
-_TABLE = {"u1": lambda a, b: (Fraction(1, a + b),) * 2,
-          "u2": lambda a, b: (Fraction(1, a * b),) * 2,
-          "u3": lambda a, b: (Fraction(1, a), Fraction(1, b)),
-          "u4": lambda a, b: (Fraction(1, min(a, b)),) * 2}
+# and b irrelevant labels, restated in exact arithmetic; None where a weight
+# divides by zero
+_TABLE = {"u1": lambda a, b: (_inv(a + b),) * 2,
+          "u2": lambda a, b: (_inv(a * b),) * 2,
+          "u3": lambda a, b: (_inv(a), _inv(b)),
+          "u4": lambda a, b: (_inv(min(a, b)),) * 2}
 
 
 @pytest.mark.parametrize("kind", sorted(_TABLE))
@@ -75,22 +80,29 @@ def test_scheme_weights_agree_across_modules(kind):
         for bits in itertools.product((1.0, -1.0), repeat=c):
             y = np.array(bits)
             a = int((y > 0).sum())
+            # compute_stats passes the split sizes as int64 counts
+            with np.errstate(divide="ignore"):
+                beta_plus, beta_minus = pen.betas(np.int64(a), np.int64(c - a))
             if 0 < a < c:
                 w = penalty_weight_matrix(kind, y[None])[0]
-                assert pen.beta_plus(y) == w[np.argmax(y > 0)]
-                assert pen.beta_minus(y) == w[np.argmax(y < 0)]
-                beta_plus, beta_minus = _TABLE[kind](a, c - a)
-                assert cons.scheme_product_ratio(kind, a, c) == \
-                    beta_plus * beta_minus * (a * (c - a)) ** 2
+                assert beta_plus == w[np.argmax(y > 0)]
+                assert beta_minus == w[np.argmax(y < 0)]
+                exact_plus, exact_minus = _TABLE[kind](a, c - a)
+                assert cons.product_ratio(kind, a, c) == \
+                    exact_plus * exact_minus * (a * (c - a)) ** 2
                 continue
-            # trivial: u1 needs no split, u3 answers for the side present
-            # (which holds all c labels); u2 and u4 answer for neither side
-            for side, present in ((pen.beta_plus, a == c), (pen.beta_minus, a == 0)):
-                if kind == "u1" or (kind == "u3" and present):
-                    assert side(y) == 1.0 / c
-                else:
-                    with pytest.raises(ValueError):
-                        side(y)
+            # trivial: u1 needs no split and u3 weighs the side present (which
+            # holds all c labels), so each weighs a lone trivial atom's labels
+            # 1/c; u2 and u4 weigh neither side, so compute_stats rejects it
+            dist = cons.ConditionalDistribution(y[None], np.ones(1))
+            if kind in ("u1", "u3"):
+                stats = cons.compute_stats(dist, pen)
+                assert np.all(np.where(y > 0, stats.phi_plus, stats.phi_minus) == 1.0 / c)
+                if kind == "u1":  # defined on the side absent too
+                    assert beta_plus == beta_minus == 1.0 / c
+            else:
+                with pytest.raises(ValueError, match="undefined on the label vector"):
+                    cons.compute_stats(dist, pen)
 
 
 def test_stats_hand_example():
@@ -130,8 +142,9 @@ def test_conditional_risk_matches_brute_force():
         f = rng.normal(size=2)
         expected = 0.0
         for y, p in zip(dist.atoms, dist.probs):
+            a = int((y > 0).sum())
             for j in range(2):
-                beta = pen.beta_plus(y) if y[j] > 0 else pen.beta_minus(y)
+                beta = pen.betas(a, 2 - a)[0 if y[j] > 0 else 1]
                 expected += p * beta * LOGISTIC.value(np.array(y[j] * f[j]))
         got = cons.conditional_risk(f, cons.compute_stats(dist, pen), LOGISTIC)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -356,21 +369,22 @@ def test_witnesses_at_four_labels_are_exact():
 
 def test_scheme_product_ratio_formulas():
     # ratios depend on the split size k only
-    assert cons.scheme_product_ratio("u1", 1, 4) == Fraction(9, 16)
-    assert cons.scheme_product_ratio("u2", 3, 7) == Fraction(1)
-    assert cons.scheme_product_ratio("u3", 2, 4) == Fraction(4)
-    assert cons.scheme_product_ratio("u4", 1, 4) == Fraction(9)
+    assert cons.product_ratio("u1", 1, 4) == Fraction(9, 16)
+    assert cons.product_ratio("u2", 3, 7) == Fraction(1)
+    assert cons.product_ratio("u3", 2, 4) == Fraction(4)
+    assert cons.product_ratio("u4", 1, 4) == Fraction(9)
 
 
 def test_general_assignment_tau_by_enumeration():
     check = cons.necessary_condition_tau(cons.uniform_assignment(), 3)
     assert check.holds and check.tau == pytest.approx(1.0)
-    lopsided = cons.PenaltyAssignment(
-        alpha=lambda y: 1.0,
-        beta_plus=lambda y: float((y > 0).sum()),
-        beta_minus=lambda y: 1.0)
-    check = cons.necessary_condition_tau(lopsided, 3)
+    check = cons.necessary_condition_tau(count_weighted(), 3)
     assert not check.holds
+    # the exact path is one path: a scheme's assignment checks as its kind
+    for kind in _TABLE:
+        for c in (2, 3, 4, 12):
+            assert cons.necessary_condition_tau(cons.scheme_assignment(kind), c) == \
+                cons.necessary_condition_tau(kind, c)
 
 
 def test_witness_distribution_violates_and_u2_has_none():
@@ -431,3 +445,117 @@ def test_random_search_is_deterministic():
     a = cons.random_violation_search("u3", 4, 100, seed=9)
     b = cons.random_violation_search("u3", 4, 100, seed=9)
     assert [v.trial for v in a.violations] == [v.trial for v in b.violations]
+
+
+# ---------------------------------------------------------------------------
+# references: the per-atom statistics loop and the product condition by
+# enumeration of label vectors
+# ---------------------------------------------------------------------------
+
+
+def count_weighted():
+    """Unit pair weights; a relevant label weighs the count of relevant
+    labels, an irrelevant label 1."""
+    return cons.PenaltyAssignment(alpha=lambda a, b: 1, betas=lambda a, b: (a, 1))
+
+
+# exact weights (alpha, (beta_plus, beta_minus)) at a relevant and b
+# irrelevant labels, restated independently of mlrank
+_EXACT_WEIGHTS = {
+    **{kind: (lambda a, b: Fraction(1, a * b), table) for kind, table in _TABLE.items()},
+    "uniform": (lambda a, b: Fraction(1), lambda a, b: (Fraction(1), Fraction(1))),
+    "count": (lambda a, b: Fraction(1), lambda a, b: (Fraction(a), Fraction(1))),
+}
+
+
+def _assignment(name):
+    if name in _TABLE:
+        return cons.scheme_assignment(name)
+    return cons.uniform_assignment() if name == "uniform" else count_weighted()
+
+
+def reference_stats(dist, name):
+    """:func:`compute_stats` as one pass over the atoms in order, each
+    weight the correctly rounded float of its exact value."""
+    alpha, betas = _EXACT_WEIGHTS[name]
+    c = dist.c
+    phi_plus, phi_minus = np.zeros(c), np.zeros(c)
+    delta_plus, delta_minus = np.zeros(c), np.zeros(c)
+    delta_pairwise = np.zeros((c, c, 2, 2))
+    alpha_mass = trivial_mass = 0.0
+    for y, p in zip(dist.atoms, dist.probs):
+        pos = y > 0
+        neg = ~pos
+        a, b = int(pos.sum()), int(neg.sum())
+        if a:
+            phi_plus[pos] += float(betas(a, b)[0]) * p
+        if b:
+            phi_minus[neg] += float(betas(a, b)[1]) * p
+        if a and b:
+            ap = float(alpha(a, b)) * p
+            alpha_mass += ap
+            delta_plus[pos] += ap
+            delta_minus[neg] += ap
+            r = np.where(pos, 0, 1)
+            delta_pairwise[np.arange(c)[:, None], np.arange(c)[None, :],
+                           r[:, None], r[None, :]] += ap
+        else:
+            trivial_mass += p
+    return (phi_plus, phi_minus, delta_plus, delta_minus, delta_pairwise,
+            alpha_mass, trivial_mass)
+
+
+def _reference_supports(rng):
+    """Random supports over all label vectors, trivial ones included, and
+    every label vector at c <= 8, each with random probabilities."""
+    for _ in range(200):
+        c = int(rng.integers(2, 7))
+        atoms = cons.enumerate_label_vectors(c, nontrivial_only=False)
+        idx = rng.choice(len(atoms), size=int(rng.integers(1, min(len(atoms), 9) + 1)),
+                         replace=False)
+        yield atoms[idx]
+    for c in range(2, 9):
+        yield cons.enumerate_label_vectors(c, nontrivial_only=False)
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_WEIGHTS))
+def test_stats_equal_the_per_atom_reference_exactly(name):
+    rng = np.random.default_rng(11)
+    checked = 0
+    for atoms in _reference_supports(rng):
+        if name in ("u2", "u4"):  # weights undefined on trivial vectors
+            pos = (atoms > 0).sum(axis=1)
+            atoms = atoms[(pos > 0) & (pos < atoms.shape[1])]
+            if not len(atoms):
+                continue
+        probs = rng.dirichlet(np.ones(len(atoms)))
+        probs = np.maximum(probs, 1e-12)
+        dist = cons.ConditionalDistribution(atoms, probs / probs.sum())
+        got = cons.compute_stats(dist, _assignment(name))
+        want = reference_stats(dist, name)
+        fields = (got.phi_plus, got.phi_minus, got.delta_plus, got.delta_minus,
+                  got.delta_pairwise, got.alpha_mass, got.trivial_mass)
+        for field_got, field_want in zip(fields, want):
+            assert np.shape(field_got) == np.shape(field_want)
+            assert np.all(field_got == field_want), (name, atoms)
+        checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_WEIGHTS))
+def test_tau_agrees_with_enumerating_every_label_vector(name):
+    alpha, betas = _EXACT_WEIGHTS[name]
+    for c in range(2, 9):
+        ratios = set()
+        for y in cons.enumerate_label_vectors(c):
+            a = int((y > 0).sum())
+            beta_plus, beta_minus = betas(a, c - a)
+            ratios.add(beta_plus * beta_minus / alpha(a, c - a) ** 2)
+        # the named schemes by kind, the others as assignments
+        check = cons.necessary_condition_tau(name if name in _TABLE else _assignment(name), c)
+        assert check.holds == (len(ratios) == 1), (name, c)
+        if check.holds:
+            assert check.witness is None and check.tau == ratios.pop()
+        else:
+            _, _, r1, r2 = check.witness
+            assert check.tau is None and r1 != r2 and {r1, r2} <= ratios, (name, c)

@@ -384,6 +384,17 @@ def test_csv_rejects_mixed_label_values(tmp_path):
         load_csv(path, 2)
 
 
+@pytest.mark.parametrize("value", ["nan", "2", "-1"])
+def test_csv_label_fault_names_its_line(tmp_path, value):
+    # the cells before line 3 hold 0 and 1, so a -1 there breaks their encoding
+    path = write(tmp_path, f"1.0,2.0,1,0\n3.0,4.0,0,1\n5.0,6.0,1,{value}\n", name="d.csv")
+    with pytest.raises(DatasetFormatError) as err:
+        load_csv(path, 2)
+    assert str(err.value) == \
+        f"{path}:3: label columns must lie in {{0,1}} or {{-1,+1}}, found {value!r}"
+    assert err.value.line == 3
+
+
 @pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
 def test_csv_rejects_a_non_finite_feature_naming_its_line(tmp_path, value):
     # comment and blank lines count as lines, not as data rows

@@ -1,5 +1,7 @@
 """Variance-reduced solver with automatic step sizes."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -165,6 +167,10 @@ def test_non_finite_objective_raises_with_trace():
     with pytest.raises(NonFiniteObjectiveError) as err:
         minimize_svrg_bb(oracle, np.zeros((2, 2)), OptimizerConfig(outer_epochs=3))
     assert isinstance(err.value.trace, OptimizationTrace)
+    # a pool worker's error crosses to the parent by pickle, message and trace whole
+    again = pickle.loads(pickle.dumps(err.value))
+    assert type(again) is NonFiniteObjectiveError and str(again) == str(err.value)
+    assert again.trace.records == err.value.trace.records
 
 
 def test_trace_csv(tmp_path):
