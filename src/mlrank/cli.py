@@ -386,9 +386,13 @@ def _summarize_bench_csvs(paths) -> tuple[dict[str, dict[str, tuple[float, float
     """Summary of bench CSVs: per (dataset, algo) cell the mean and std of the
     fold ranking losses and the sum of the fold ``seconds``, plus the
     algorithms in order of first appearance.  Blank lines are skipped; a
-    malformed row, or one whose (dataset, algo, fold) repeats an earlier
-    row's, raises :class:`ConfigError` naming its file and line."""
-    per_cell: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    malformed row, one whose numbers are not finite, whose losses lie
+    outside [0, 1] or whose ``seconds`` is negative or takes its cell's sum
+    past the float range, or one whose (dataset, algo, fold) repeats an
+    earlier row's, raises :class:`ConfigError` naming its file and line, and
+    so do files with no data rows."""
+    fold_losses: dict[tuple[str, str], list[float]] = {}
+    seconds: dict[str, dict[str, float]] = {}
     algos: list[str] = []
     seen: dict[tuple[str, str, str], str] = {}
     for path in paths:
@@ -404,9 +408,14 @@ def _summarize_bench_csvs(paths) -> tuple[dict[str, dict[str, tuple[float, float
                     raise ConfigError(f"{path}:{lineno}: expected 7 cells, found {len(cells)}")
                 dataset, algo = cells[0], cells[1]
                 try:
-                    fold = (float(cells[4]), float(cells[6]))
+                    lam, ranking, partial, secs = map(float, cells[3:])
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                # a comparison with nan is false, so these also reject nan
+                if not (np.isfinite(lam) and 0.0 <= ranking <= 1.0 and 0.0 <= partial <= 1.0
+                        and 0.0 <= secs < np.inf):
+                    raise ConfigError(f"{path}:{lineno}: lambda and seconds must be finite, "
+                                      "seconds >= 0 and losses in [0, 1]")
                 key = (dataset, algo, cells[2])
                 if key in seen:
                     raise ConfigError(f"{path}:{lineno}: dataset {dataset}, algo {algo}, "
@@ -414,13 +423,17 @@ def _summarize_bench_csvs(paths) -> tuple[dict[str, dict[str, tuple[float, float
                 seen[key] = f"{path}:{lineno}"
                 if algo not in algos:
                     algos.append(algo)
-                per_cell.setdefault((dataset, algo), []).append(fold)
+                fold_losses.setdefault((dataset, algo), []).append(ranking)
+                cell = seconds.setdefault(dataset, {})
+                cell[algo] = cell.get(algo, 0.0) + secs
+                if cell[algo] == np.inf:
+                    raise ConfigError(f"{path}:{lineno}: the seconds of dataset {dataset}, "
+                                      f"algo {algo} sum past the float range")
+    if not fold_losses:
+        raise ConfigError(f"{', '.join(map(str, paths))}: no data rows")
     table: dict[str, dict[str, tuple[float, float]]] = {}
-    seconds: dict[str, dict[str, float]] = {}
-    for (dataset, algo), folds in per_cell.items():
-        losses_ = np.array([f[0] for f in folds])
-        table.setdefault(dataset, {})[algo] = (float(losses_.mean()), float(losses_.std()))
-        seconds.setdefault(dataset, {})[algo] = float(sum(f[1] for f in folds))
+    for (dataset, algo), losses_ in fold_losses.items():
+        table.setdefault(dataset, {})[algo] = (float(np.mean(losses_)), float(np.std(losses_)))
     return table, seconds, algos
 
 

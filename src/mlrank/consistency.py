@@ -19,12 +19,14 @@ From the pair (distribution, penalties) two families of statistics follow:
 * ``phi`` marginals drive the surrogate: the conditional surrogate risk is
   ``sum_j phi_plus[j] * ell(f_j) + phi_minus[j] * ell(-f_j)``, separable per
   coordinate, which gives closed-form Bayes scores for the classical bases.
-* ``delta`` marginals drive the target measure: its Bayes predictors are
-  exactly the score vectors ordering labels consistently with the pairwise
-  ``delta`` comparisons.
+* ``delta`` masses drive the target measure: the c x c ``pair_mass[p, q]``
+  is what it charges when ``f_p <= f_q``, so its Bayes predictors are
+  exactly the score vectors ordering each pair ``(p, q)`` by
+  ``pair_mass[p, q]`` against ``pair_mass[q, p]``.
 
-Consistency of the surrogate then reduces to sign agreement between the two
-families (``check_consistency_on_distribution``), a necessary product
+Label pairs are compared as c x c matrices throughout.  Consistency of the
+surrogate then reduces to sign agreement between the two families
+(``check_consistency_on_distribution``), a necessary product
 condition ``beta_plus * beta_minus = tau * alpha^2`` with a single constant
 ``tau`` (``necessary_condition_tau``, in exact rational arithmetic over the
 split sizes), and explicit counterexample generators for the schemes and
@@ -124,18 +126,18 @@ def _in_atom_order(terms: np.ndarray) -> np.ndarray:
 class LabelStats:
     """``phi``/``delta`` marginals of one (distribution, penalties) pair.
 
-    ``delta_pairwise[p, q, r, k]`` sums ``alpha(y) P(y)`` over nontrivial
-    atoms with ``y_p = sigma_r`` and ``y_q = sigma_k`` where ``sigma_0 = +1``
-    and ``sigma_1 = -1``.  ``alpha_mass`` is the common value of
-    ``delta_plus[j] + delta_minus[j]``; ``trivial_mass`` is the probability
-    excluded from the ``delta`` sums.
+    ``pair_mass[p, q]`` (c, c) sums ``alpha(y) P(y)`` over nontrivial atoms
+    with ``y_p = +1`` and ``y_q = -1``: what the measure charges when
+    ``f_p <= f_q``, half of it on a tie under the partial measure.
+    ``alpha_mass`` is the common value of ``delta_plus[j] + delta_minus[j]``;
+    ``trivial_mass`` is the probability excluded from the ``delta`` sums.
     """
 
     phi_plus: np.ndarray
     phi_minus: np.ndarray
     delta_plus: np.ndarray
     delta_minus: np.ndarray
-    delta_pairwise: np.ndarray
+    pair_mass: np.ndarray
     alpha_mass: float
     trivial_mass: float
 
@@ -160,17 +162,13 @@ def compute_stats(dist: ConditionalDistribution, penalties: PenaltyAssignment) -
                              f"{dist.atoms[np.argmax(bad)]} of the support")
         used.append(np.where(mask, weight * dist.probs, 0.0))
     ap, bp, bm = used
-    m, c = dist.atoms.shape
-    r = np.where(pos, 0, 1)
-    pairwise = np.zeros((m, c, c, 2, 2))
-    pairwise[np.arange(m)[:, None, None], np.arange(c)[:, None], np.arange(c),
-             r[:, :, None], r[:, None, :]] = ap[:, None, None]
     return LabelStats(
         phi_plus=_in_atom_order(np.where(pos, bp[:, None], 0.0)),
         phi_minus=_in_atom_order(np.where(pos, 0.0, bm[:, None])),
         delta_plus=_in_atom_order(np.where(pos, ap[:, None], 0.0)),
         delta_minus=_in_atom_order(np.where(pos, 0.0, ap[:, None])),
-        delta_pairwise=_in_atom_order(pairwise),
+        pair_mass=_in_atom_order(np.where(pos[:, :, None] & ~pos[:, None, :],
+                                          ap[:, None, None], 0.0)),
         alpha_mass=float(_in_atom_order(ap)),
         trivial_mass=float(_in_atom_order(np.where(nontrivial, 0.0, dist.probs))),
     )
@@ -186,25 +184,17 @@ def conditional_risk(scores, stats: LabelStats, base: BaseLoss) -> float:
     return float(pos_term.sum() + neg_term.sum())
 
 
-def zero_one_conditional_risk(scores, dist: ConditionalDistribution,
-                              penalties: PenaltyAssignment, measure: str = "partial") -> float:
-    """Conditional risk of the weighted (partial) ranking measure, by enumeration."""
+def zero_one_conditional_risk(scores, stats: LabelStats, measure: str = "partial") -> float:
+    """Conditional risk ``sum_{p,q} pair_mass[p, q] loss(f_p, f_q)`` of the
+    weighted ranking measure, ``loss = [f_p <= f_q]``, or of the partial
+    one, ``loss = [f_p < f_q] + 1/2 [f_p = f_q]``, from the
+    :func:`compute_stats` of a distribution and penalty assignment."""
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
     f = np.asarray(scores, dtype=np.float64)
-    a, b = label_split_sizes(dist.atoms)
-    nontrivial = (a > 0) & (b > 0)
-    with np.errstate(divide="ignore"):
-        weighted = penalties.alpha(a, b) * dist.probs
-    total = 0.0
-    for y, ap in zip(dist.atoms[nontrivial], weighted[nontrivial]):
-        diffs = f[y > 0][:, None] - f[y < 0][None, :]
-        if measure == "ranking":
-            wrong = (diffs <= 0.0).sum()
-        else:
-            wrong = (diffs < 0.0).sum() + 0.5 * (diffs == 0.0).sum()
-        total += ap * float(wrong)
-    return total
+    below, ties = f[:, None] < f, f[:, None] == f
+    wrong = below + (1.0 if measure == "ranking" else 0.5) * ties
+    return float((stats.pair_mass * wrong).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +292,22 @@ class PairRequirement:
 def measure_requirements(stats: LabelStats, measure: str = "partial") -> list[PairRequirement]:
     """Pairwise score constraints characterizing the measure's Bayes set.
 
-    For each label pair, ``delta_pairwise`` decides the optimal order: the
-    side with smaller opposing mass must be ranked higher.  Under the partial
-    measure a tie in mass makes any order optimal; under the full ranking
-    measure equal scores additionally pay both sides, so ties in score are
-    suboptimal whenever mass is present.  Masses within ``_TOL`` tie.
+    For each label pair ``p < q``, ``pair_mass[p, q]`` against
+    ``pair_mass[q, p]`` decides the optimal order: the side with smaller
+    opposing mass must be ranked higher.  Under the partial measure a tie in
+    mass makes any order optimal; under the full ranking measure equal scores
+    additionally pay both sides, so ties in score are suboptimal whenever
+    mass is present.  Masses within ``_TOL`` tie.
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
-    reqs: list[PairRequirement] = []
-    c = stats.delta_pairwise.shape[0]
-    for p in range(c):
-        for q in range(p + 1, c):
-            dpm = float(stats.delta_pairwise[p, q, 0, 1])
-            dmp = float(stats.delta_pairwise[p, q, 1, 0])
-            if dpm > dmp + _TOL:
-                reqs.append(PairRequirement(p, q, ">", dpm, dmp))
-            elif dmp > dpm + _TOL:
-                reqs.append(PairRequirement(p, q, "<", dpm, dmp))
-            elif measure == "ranking" and max(dpm, dmp) > _TOL:
-                reqs.append(PairRequirement(p, q, "!=", dpm, dmp))
-    return reqs
+    pm = stats.pair_mass
+    above, below = pm > pm.T + _TOL, pm.T > pm + _TOL
+    apart = (measure == "ranking") & (np.maximum(pm, pm.T) > _TOL)
+    relation = np.select([above, below, apart], [">", "<", "!="], "")
+    return [PairRequirement(int(p), int(q), str(relation[p, q]), float(pm[p, q]),
+                            float(pm[q, p]))
+            for p, q in zip(*np.nonzero(np.triu(relation != "", 1)))]
 
 
 @dataclass
@@ -428,19 +413,16 @@ def check_consistency_on_distribution(dist: ConditionalDistribution,
         raise ValueError(f"audit applies to bases with a strictly monotone Bayes link "
                          f"{MONOTONE_BASES}, not {base.kind!r}")
     stats = compute_stats(dist, penalties)
-    dp, dm = stats.delta_plus, stats.delta_minus
-    pp, pm = stats.phi_plus, stats.phi_minus
-    c = dist.c
-    for p in range(c):
-        for q in range(c):
-            if p == q:
-                continue
-            delta_hi, delta_lo = float(dp[p] * dm[q]), float(dm[p] * dp[q])
-            phi_hi, phi_lo = float(pp[p] * pm[q]), float(pm[p] * pp[q])
-            if delta_hi - delta_lo > _TOL and not (phi_hi - phi_lo > _TOL):
-                witness = PairWitness(p, q, (delta_hi, delta_lo), (phi_hi, phi_lo))
-                return ConsistencyVerdict(False, witness, stats)
-    return ConsistencyVerdict(True, None, stats)
+    # H[p, q] = delta+_p delta-_q and Phi[p, q] = phi+_p phi-_q
+    H = np.multiply.outer(stats.delta_plus, stats.delta_minus)
+    Phi = np.multiply.outer(stats.phi_plus, stats.phi_minus)
+    conflict = (H - H.T > _TOL) & ~(Phi - Phi.T > _TOL)
+    if not conflict.any():
+        return ConsistencyVerdict(True, None, stats)
+    p, q = np.unravel_index(np.argmax(conflict), conflict.shape)
+    witness = PairWitness(int(p), int(q), (float(H[p, q]), float(H[q, p])),
+                          (float(Phi[p, q]), float(Phi[q, p])))
+    return ConsistencyVerdict(False, witness, stats)
 
 
 # ---------------------------------------------------------------------------

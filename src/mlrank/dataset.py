@@ -164,7 +164,7 @@ def _label_ids(token: str) -> list[int]:
     return [int(t) for t in token.split(",") if t]
 
 
-def load_sparse(path: str, keep_trivial: bool = False, name: str | None = None) -> MultiLabelDataset:
+def load_sparse(path: str, keep_trivial: bool = False) -> MultiLabelDataset:
     """Load the sparse text format.
 
     Dimensions come from the header when present, otherwise from the maximum
@@ -172,7 +172,7 @@ def load_sparse(path: str, keep_trivial: bool = False, name: str | None = None) 
     :class:`DatasetFormatError` with the line number.
     """
     X, Y = _parse(str(path))
-    return _drop_trivial(X, Y, name if name is not None else dataset_name(path), keep_trivial)
+    return _drop_trivial(X, Y, dataset_name(path), keep_trivial)
 
 
 def dataset_name(path: str) -> str:
@@ -386,8 +386,7 @@ def save_sparse(data: MultiLabelDataset, path: str) -> None:
             fh.write(((labels + " " + feats).strip() or "1:0") + "\n")
 
 
-def load_csv(path: str, label_count: int, keep_trivial: bool = False,
-             name: str | None = None) -> MultiLabelDataset:
+def load_csv(path: str, label_count: int, keep_trivial: bool = False) -> MultiLabelDataset:
     """Load a dense CSV whose last ``label_count`` columns are labels."""
     if label_count is None or label_count < 1:
         raise ValueError(f"a CSV dataset needs a positive label count, not {label_count!r}")
@@ -415,7 +414,7 @@ def load_csv(path: str, label_count: int, keep_trivial: bool = False,
         lineno, field = _csv_field(str(path), row, X.shape[1] + col)
         raise DatasetFormatError(str(path), lineno,
                                  f"label columns must lie in {{0,1}} or {{-1,+1}}, found {field!r}")
-    return _drop_trivial(X, Y, name if name is not None else dataset_name(path), keep_trivial)
+    return _drop_trivial(X, Y, dataset_name(path), keep_trivial)
 
 
 def _csv_field(path: str, row: int, col: int) -> tuple[int, str]:

@@ -94,10 +94,12 @@ def prepare_data(data: MultiLabelDataset, standardize: bool = True, bias: bool =
 def train_with_trace(data: MultiLabelDataset, algo: str, lam: float,
                      base: BaseLoss = LOGISTIC, cfg: OptimizerConfig | None = None
                      ) -> tuple[LinearModel, OptimizationTrace]:
-    """Fit one linear model from a zero start; returns the trace as well."""
+    """Fit one linear model from a zero start; returns the trace as well.
+    Overflow in the solve prints no numpy warning: the optimizer's own
+    finiteness check is what reports a diverging fit."""
     cfg = cfg or OptimizerConfig()
     objective = Objective(data.features, data.labels, ObjectiveSpec(algo, base, lam))
-    with _one_blas_thread():
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         W, trace = minimize_svrg_bb(objective, np.zeros((data.d, data.c)), cfg)
     model = LinearModel(W, algorithm=algo, base=base.kind, lam=lam, seed=cfg.seed)
     return model, trace
@@ -121,20 +123,22 @@ class EvalReport:
 
 def evaluate(model: LinearModel, data: MultiLabelDataset) -> EvalReport:
     """Ranking loss and partial ranking loss of a model on its nontrivial
-    rows, both from one ``losses.ranking_loss_batch`` call: one build of the
-    rows' label lists and one walk over their pairs.  Raises ``ValueError``
-    when the model's label count is not the data's."""
-    with _one_blas_thread():
+    rows, both from one ``losses.ranking_loss_batch`` call on all rows: one
+    build of the label lists and one walk over their pairs.  The trivial
+    rows are the ones it scores NaN; a score that overflows ranks as
+    +-inf.  Raises ``ValueError`` when the model's label count is not the
+    data's."""
+    with _one_blas_thread(), np.errstate(over="ignore"):
         scores = predict(model, data.features)
-    mask = losses.nontrivial_mask(data.labels)
-    if not mask.any():
+    ranking, partial = losses.ranking_loss_batch(scores, data.labels)
+    scored = ~np.isnan(ranking)
+    if not scored.any():
         raise ValueError("no nontrivial instances to evaluate")
-    ranking, partial = losses.ranking_loss_batch(scores[mask], data.labels[mask])
     return EvalReport(
-        ranking_loss=float(ranking.mean()),
-        partial_ranking_loss=float(partial.mean()),
-        n_evaluated=int(mask.sum()),
-        n_skipped=int((~mask).sum()),
+        ranking_loss=float(ranking[scored].mean()),
+        partial_ranking_loss=float(partial[scored].mean()),
+        n_evaluated=int(scored.sum()),
+        n_skipped=int((~scored).sum()),
     )
 
 

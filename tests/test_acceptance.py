@@ -225,7 +225,7 @@ def test_criterion_6_benchmark_reproduction():
     workers = min(4, os.cpu_count() or 1)
     failures = []
     for name, targets in TABLE_TARGETS.items():
-        data = load_sparse(str(data_dir / f"{name}.txt"), name=name)
+        data = load_sparse(str(data_dir / f"{name}.txt"))
         for algo, target in targets.items():
             result = cross_validate(data, algo, grid, k=3, seed=0,
                                     workers=workers)

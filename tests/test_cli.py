@@ -406,9 +406,33 @@ def test_overflowing_standardization_exits_2_naming_its_column(tmp_path, command
     assert line.startswith("error: feature column 1: ")
 
 
+@pytest.mark.parametrize("argv", [["train", "--lam", "1e-2", "--out", "{tmp}/m.txt"],
+                                  ["cv", "--grid", "1e-2", "--workers", "1"],
+                                  ["cv", "--grid", "1e-2", "--workers", "2"]],
+                         ids=["train", "cv-1-worker", "cv-2-workers"])
+def test_a_diverging_fit_exits_1_with_one_line(tmp_path, argv):
+    # unstandardized values near the float limit overflow the objective:
+    # the optimizer reports it, and numpy prints no warning
+    data = synthetic_linear(60, 5, 3, seed=21, noise=0.05, name="syn")
+    data.features[3:5, 0] = 1.7e308
+    path = tmp_path / "big.txt"
+    save_sparse(data, str(path))
+    env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlrank.cli", *(a.format(tmp=tmp_path)
+                                                                 for a in argv),
+                           "--data", str(path), "--algo", "u1", "--no-standardize"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: training aborted: ")
+
+
 # a numeric field of a dataset file: a header count, a label id or cell, a
 # feature index or value
 _NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+_BENCH_HEADER = "dataset,algo,fold,lambda,ranking_loss,partial_ranking_loss,seconds\n"
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +441,30 @@ def clean_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     save_sparse(data, str(root / "clean.txt"))
     save_csv(data, str(root / "clean.csv"))
+    (root / "clean.bench").write_text(_BENCH_HEADER + "syn,u1,0,0.01,0.25,0.2,0.013\n"
+                                      "syn,u1,1,0.01,0.3,0.25,0.02\n"
+                                      "syn,pa,0,0.1,0.2,0.15,0.05\n", encoding="utf-8")
     return root
+
+
+def _corrupt(clean, field, value, path):
+    """Write ``clean`` to ``path`` with its numeric field ``field`` (modulo
+    their count) replaced by ``value``."""
+    text = clean.read_text(encoding="utf-8")
+    spans = [m.span() for m in _NUMBER.finditer(text)]
+    start, end = spans[field % len(spans)]
+    path.write_text(text[:start] + value + text[end:], encoding="utf-8")
+
+
+def _main_in_process(argv):
+    """Exit code of ``main(argv)``, its stderr, and its stderr lines plus
+    the messages of the warnings it raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), err.getvalue().splitlines() + [str(w.message) for w in caught]
 
 
 @settings(max_examples=50, deadline=None)
@@ -429,24 +476,30 @@ def test_a_corrupt_number_exits_0_or_2_with_at_most_one_line(clean_files, fmt, c
     # one numeric field of a sparse or CSV file is replaced by a non-finite,
     # overflowing or extreme value, or by a label outside {0, 1, -1}
     ext = "txt" if fmt == "sparse" else "csv"
-    text = (clean_files / f"clean.{ext}").read_text(encoding="utf-8")
-    spans = [m.span() for m in _NUMBER.finditer(text)]
-    start, end = spans[field % len(spans)]
     path = clean_files / f"corrupt.{ext}"
-    path.write_text(text[:start] + value + text[end:], encoding="utf-8")
+    _corrupt(clean_files / f"clean.{ext}", field, value, path)
     argv = {"train": ["train", "--lam", "1e-2", "--out", str(clean_files / "m.txt")],
             "cv": ["cv", "--grid", "1e-2", "--folds", "2"]}[command]
     argv += ["--data", str(path), "--algo", "u1", "--format", fmt, "--epochs", "2"]
     if fmt == "csv":
         argv += ["--labels", "3"]
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
-            redirect_stdout(io.StringIO()):
-        warnings.simplefilter("always")
-        code = main(argv)
-    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    code, err, lines = _main_in_process(argv)
     assert code in (0, 2), lines
-    assert len(lines) <= 1 and "Traceback" not in err.getvalue(), lines
+    assert len(lines) <= 1 and "Traceback" not in err, lines
+
+
+@settings(max_examples=50, deadline=None)
+@given(field=st.integers(min_value=0), value=st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "1.7e308", "-1", "2", "-0.5", "zz", ""]))
+def test_a_corrupt_bench_number_exits_0_or_2_with_at_most_one_line(clean_files, field,
+                                                                    value):
+    # one fold, lambda, loss or seconds cell of a bench CSV is replaced
+    path = clean_files / "corrupt_bench.csv"
+    _corrupt(clean_files / "clean.bench", field, value, path)
+    code, err, lines = _main_in_process(["report", str(path), "--outdir",
+                                         str(clean_files / "rep")])
+    assert code in (0, 2), lines
+    assert len(lines) <= 1 and "Traceback" not in err, lines
 
 
 @pytest.mark.parametrize("command", ["train", "cv"])
@@ -514,6 +567,31 @@ def test_report_names_the_line_of_a_non_numeric_cell(tmp_path, capsys):
                    encoding="utf-8")
     assert main(["report", str(csv), "--outdir", str(tmp_path / "rep")]) == 2
     assert f"error: {csv}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "syn,u1,1,0.0001,0.1,0.1,inf", "syn,u1,1,0.0001,nan,0.1,0.01",
+    "syn,u1,1,zz,0.1,0.1,0.01", "syn,u1,1,0.0001,0.1,x,0.01",
+    "syn,u1,1,0.0001,0.1,0.1,-0.5", "syn,u1,1,0.0001,1.5,0.1,0.01",
+    "syn,u1,1,0.0001,0.1,-0.1,0.01", "syn,u1,1,0.0001,0.1,0.1,1e308",
+], ids=["inf-seconds", "nan-loss", "zz-lambda", "x-partial", "negative-seconds",
+        "loss-above-1", "negative-partial", "seconds-sum-overflows"])
+def test_report_rejects_a_bad_number_naming_its_line(tmp_path, capsys, row):
+    # the first row's seconds are finite, but twice them are not
+    csv = tmp_path / "bench.csv"
+    csv.write_text(_BENCH_HEADER + "syn,u1,0,0.0001,0.1,0.1,1e308\n" + row + "\n",
+                   encoding="utf-8")
+    assert main(["report", str(csv), "--outdir", str(tmp_path / "rep")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {csv}:3: ")
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_rejects_files_without_data_rows(tmp_path, capsys):
+    csv = tmp_path / "bench.csv"
+    csv.write_text(_BENCH_HEADER + "\n", encoding="utf-8")
+    assert main(["report", str(csv), "--outdir", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err == f"error: {csv}: no data rows\n"
 
 
 def test_report_rejects_a_repeated_row_naming_its_line(tmp_path, capsys):

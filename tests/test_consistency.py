@@ -113,9 +113,9 @@ def test_stats_hand_example():
     np.testing.assert_allclose(stats.delta_minus, [0.1, 0.2])
     assert stats.alpha_mass == pytest.approx(0.3)
     assert stats.trivial_mass == pytest.approx(0.7)
-    # pairwise tensor: P(y0 = +1, y1 = -1) and the mirror
-    assert stats.delta_pairwise[0, 1, 0, 1] == pytest.approx(0.2)
-    assert stats.delta_pairwise[0, 1, 1, 0] == pytest.approx(0.1)
+    # pair masses: P(y0 = +1, y1 = -1) and the mirror
+    assert stats.pair_mass[0, 1] == pytest.approx(0.2)
+    assert stats.pair_mass[1, 0] == pytest.approx(0.1)
 
 
 def test_marginal_identity_links_pairwise_and_marginals():
@@ -128,8 +128,7 @@ def test_marginal_identity_links_pairwise_and_marginals():
             for q in range(4):
                 if p == q:
                     continue
-                lhs = (stats.delta_pairwise[p, q, 0, 1]
-                       - stats.delta_pairwise[p, q, 1, 0])
+                lhs = stats.pair_mass[p, q] - stats.pair_mass[q, p]
                 rhs = stats.delta_plus[p] - stats.delta_plus[q]
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -152,15 +151,15 @@ def test_conditional_risk_matches_brute_force():
 
 def test_zero_one_conditional_risk_hand_example():
     dist = dist_c2_with_trivial()
-    pen = cons.uniform_assignment()
+    stats = cons.compute_stats(dist, cons.uniform_assignment())
     # f orders label 0 above label 1: only the (-1, +1) atom penalized
-    assert cons.zero_one_conditional_risk(np.array([1.0, 0.0]), dist, pen,
+    assert cons.zero_one_conditional_risk(np.array([1.0, 0.0]), stats,
                                           "partial") == pytest.approx(0.1)
     # tie: both nontrivial atoms at half weight
-    assert cons.zero_one_conditional_risk(np.zeros(2), dist, pen,
+    assert cons.zero_one_conditional_risk(np.zeros(2), stats,
                                           "partial") == pytest.approx(0.15)
     # strict measure charges ties in full
-    assert cons.zero_one_conditional_risk(np.zeros(2), dist, pen,
+    assert cons.zero_one_conditional_risk(np.zeros(2), stats,
                                           "ranking") == pytest.approx(0.3)
 
 
@@ -295,14 +294,15 @@ def test_membership_agrees_with_exhaustive_orderings():
     for trial in range(30):
         dist = random_distribution(rng, 3, support=3)
         pen = cons.scheme_assignment("u2")
+        stats = cons.compute_stats(dist, pen)
         for measure in ("partial", "ranking"):
-            best = min(cons.zero_one_conditional_risk(f, dist, pen, measure)
+            best = min(cons.zero_one_conditional_risk(f, stats, measure)
                        for f in score_pool.values())
             pred = cons.bayes_surrogate(dist, pen, LOGISTIC)
             if not np.isfinite(pred.scores).all():
                 continue
             report = cons.zero_one_bayes_membership(pred, dist, pen, measure)
-            risk = cons.zero_one_conditional_risk(pred.scores, dist, pen, measure)
+            risk = cons.zero_one_conditional_risk(pred.scores, stats, measure)
             # membership True must mean the ordering attains the minimum
             if report.member is True:
                 assert risk == pytest.approx(best, abs=1e-9)
@@ -448,8 +448,8 @@ def test_random_search_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# references: the per-atom statistics loop and the product condition by
-# enumeration of label vectors
+# references: the per-atom statistics and risk loops, the per-pair audit
+# loop, and the product condition by enumeration of label vectors
 # ---------------------------------------------------------------------------
 
 
@@ -518,10 +518,10 @@ def _reference_supports(rng):
         yield cons.enumerate_label_vectors(c, nontrivial_only=False)
 
 
-@pytest.mark.parametrize("name", sorted(_EXACT_WEIGHTS))
-def test_stats_equal_the_per_atom_reference_exactly(name):
-    rng = np.random.default_rng(11)
-    checked = 0
+def _reference_distributions(rng, name):
+    """The supports of :func:`_reference_supports` with random
+    probabilities, less their trivial atoms under weights ``name`` leaves
+    undefined on them."""
     for atoms in _reference_supports(rng):
         if name in ("u2", "u4"):  # weights undefined on trivial vectors
             pos = (atoms > 0).sum(axis=1)
@@ -530,14 +530,25 @@ def test_stats_equal_the_per_atom_reference_exactly(name):
                 continue
         probs = rng.dirichlet(np.ones(len(atoms)))
         probs = np.maximum(probs, 1e-12)
-        dist = cons.ConditionalDistribution(atoms, probs / probs.sum())
+        yield cons.ConditionalDistribution(atoms, probs / probs.sum())
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_WEIGHTS))
+def test_stats_equal_the_per_atom_reference_exactly(name):
+    rng = np.random.default_rng(11)
+    checked = 0
+    for dist in _reference_distributions(rng, name):
         got = cons.compute_stats(dist, _assignment(name))
         want = reference_stats(dist, name)
+        *marginals, delta_pairwise, alpha_mass, trivial_mass = want
+        # the pair masses are the tensor's mixed-sign quarter and its mirror
         fields = (got.phi_plus, got.phi_minus, got.delta_plus, got.delta_minus,
-                  got.delta_pairwise, got.alpha_mass, got.trivial_mass)
+                  got.pair_mass, got.pair_mass.T, got.alpha_mass, got.trivial_mass)
+        want = (*marginals, delta_pairwise[:, :, 0, 1], delta_pairwise[:, :, 1, 0],
+                alpha_mass, trivial_mass)
         for field_got, field_want in zip(fields, want):
             assert np.shape(field_got) == np.shape(field_want)
-            assert np.all(field_got == field_want), (name, atoms)
+            assert np.all(field_got == field_want), (name, dist.atoms)
         checked += 1
     assert checked > 150
 
@@ -559,3 +570,77 @@ def test_tau_agrees_with_enumerating_every_label_vector(name):
         else:
             _, _, r1, r2 = check.witness
             assert check.tau is None and r1 != r2 and {r1, r2} <= ratios, (name, c)
+
+
+def reference_zero_one_risk(scores, dist, name, measure):
+    """The measure's conditional risk as one pass over the atoms in order,
+    each atom's pairs compared by the sign of their score difference."""
+    alpha, _ = _EXACT_WEIGHTS[name]
+    f = np.asarray(scores, dtype=np.float64)
+    total = 0.0
+    for y, p in zip(dist.atoms, dist.probs):
+        a, b = int((y > 0).sum()), int((y < 0).sum())
+        if not (a and b):
+            continue
+        diffs = f[y > 0][:, None] - f[y < 0][None, :]
+        if measure == "ranking":
+            wrong = (diffs <= 0.0).sum()
+        else:
+            wrong = (diffs < 0.0).sum() + 0.5 * (diffs == 0.0).sum()
+        total += float(alpha(a, b)) * p * float(wrong)
+    return total
+
+
+@pytest.mark.parametrize("measure", cons.MEASURES)
+@pytest.mark.parametrize("name", sorted(_EXACT_WEIGHTS))
+def test_zero_one_risk_agrees_with_the_per_atom_reference(name, measure):
+    rng = np.random.default_rng(12)
+    checked = 0
+    for dist in _reference_distributions(rng, name):
+        stats = cons.compute_stats(dist, _assignment(name))
+        for scores in (rng.normal(size=dist.c), rng.integers(0, 3, size=dist.c)):
+            got = cons.zero_one_conditional_risk(scores, stats, measure)
+            want = reference_zero_one_risk(scores, dist, name, measure)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, dist.atoms, scores)
+        checked += 1
+    assert checked > 150
+
+
+def reference_witness(stats):
+    """The audit's first conflict over label pairs in row-major order, as
+    ``(p, q, delta_products, phi_products)``, or None."""
+    dp, dm = stats.delta_plus, stats.delta_minus
+    pp, pm = stats.phi_plus, stats.phi_minus
+    c = len(dp)
+    for p in range(c):
+        for q in range(c):
+            if p == q:
+                continue
+            delta_hi, delta_lo = float(dp[p] * dm[q]), float(dm[p] * dp[q])
+            phi_hi, phi_lo = float(pp[p] * pm[q]), float(pm[p] * pp[q])
+            if delta_hi - delta_lo > 1e-12 and not (phi_hi - phi_lo > 1e-12):
+                return p, q, (delta_hi, delta_lo), (phi_hi, phi_lo)
+    return None
+
+
+def test_audit_witness_equals_the_per_pair_reference_exactly():
+    rng = np.random.default_rng(13)
+    found = clean = 0
+    for c in (4, 6, 12):
+        pool = cons.enumerate_label_vectors(c)
+        for trial in range(700):
+            kind = ("u1", "u2", "u3", "u4")[trial % 4]
+            idx = rng.choice(len(pool), size=int(rng.integers(2, 9)), replace=False)
+            probs = np.maximum(rng.dirichlet(np.ones(len(idx))), 1e-12)
+            dist = cons.ConditionalDistribution(pool[idx], probs / probs.sum())
+            verdict = cons.check_consistency_on_distribution(dist, cons.scheme_assignment(kind))
+            want = reference_witness(verdict.stats)
+            if want is None:
+                assert verdict.consistent and verdict.witness is None
+                clean += 1
+            else:
+                w = verdict.witness
+                assert not verdict.consistent
+                assert (w.p, w.q, w.delta_products, w.phi_products) == want
+                found += 1
+    assert found > 200 and clean > 200, (found, clean)
