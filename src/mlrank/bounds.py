@@ -176,14 +176,21 @@ def model_bound_inputs(model: LinearModel, data: MultiLabelDataset, delta: float
     rows, ``n`` their count; ``rho`` and ``B`` are the base loss's constants
     on ``[-z_max, z_max]``, ``z_max`` the largest ``|score|``; the norms are
     the plug-in ``||W||_F`` and largest feature row norm.  Raises
-    ``ValueError`` for a base below the 0/1 step.
+    ``ValueError`` for a base below the 0/1 step, and naming the first
+    instance whose scores or computed feature norm are not finite.
     """
     base = BaseLoss(model.base)
     if not base.dominates_zero_one:
         raise ValueError(
             f"base {base.kind!r} lies below the 0/1 loss, so its surrogate risks bound no "
             "ranking loss; train with base logistic_calibrated")
-    scores = predict(model, data.features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = predict(model, data.features)
+        row_norms = np.linalg.norm(data.features, axis=1)
+    bad = ~(np.isfinite(scores).all(axis=1) & np.isfinite(row_norms))
+    if bad.any():
+        raise ValueError(f"instance {np.argmax(bad) + 1}: a score or the feature norm is not "
+                         "finite, so no bound applies")
     mask = losses.nontrivial_mask(data.labels)
     if not mask.any():
         raise ValueError("no nontrivial instances to bound")
@@ -191,7 +198,7 @@ def model_bound_inputs(model: LinearModel, data: MultiLabelDataset, delta: float
     z_max = float(np.abs(scores).max())
     shared = dict(n=int(mask.sum()), c=data.c, rho=base_lipschitz(base, z_max),
                   B=base_sup(base, z_max), weight_norm=float(np.linalg.norm(model.weights)),
-                  feature_norm=float(np.linalg.norm(data.features, axis=1).max()),
+                  feature_norm=float(row_norms.max()),
                   delta=delta, log2=log2)
     return z_max, {which: BoundInputs(
         empirical_risk=float(losses.BatchSurrogate(Y, which, base).row_losses(F).mean()),

@@ -466,9 +466,10 @@ def cmd_convert(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_smoke(_experiment(args))
+    spec = ObjectiveSpec(cfg.algos[0], BaseLoss(cfg.base), args.lam)  # lambda checked before the read
     data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
     prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
-    model, trace = train_with_trace(prepared, cfg.algos[0], args.lam, BaseLoss(cfg.base),
+    model, trace = train_with_trace(prepared, spec.surrogate, spec.lam, spec.base,
                                     _optimizer_config(cfg))
     save_model(model, args.out)
     if args.trace:
@@ -619,6 +620,8 @@ def _fmt_atom(atom: np.ndarray) -> str:
 
 def cmd_bounds(args) -> int:
     cfg = _experiment(args)
+    if not 0.0 < args.delta < 1.0:
+        raise ConfigError(f"--delta must lie in (0, 1), not {args.delta!r}")
     model = load_model(args.model)
     data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
     prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)

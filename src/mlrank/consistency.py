@@ -22,9 +22,12 @@ From the pair (distribution, penalties) two families of statistics follow:
 * ``delta`` masses drive the target measure: the c x c ``pair_mass[p, q]``
   is what it charges when ``f_p <= f_q``, so its Bayes predictors are
   exactly the score vectors ordering each pair ``(p, q)`` by
-  ``pair_mass[p, q]`` against ``pair_mass[q, p]``.
+  ``pair_mass[p, q]`` against ``pair_mass[q, p]``.  ``measure_requirements``
+  holds that set as two c x c boolean matrices.
 
-Label pairs are compared as c x c matrices throughout.  Consistency of the
+Label pairs are compared as c x c matrices throughout, the membership test
+included: one array expression per assignment of a score vector's
+unspecified coordinates.  Consistency of the
 surrogate then reduces to sign agreement between the two families
 (``check_consistency_on_distribution``), a necessary product
 condition ``beta_plus * beta_minus = tau * alpha^2`` with a single constant
@@ -271,57 +274,42 @@ def bayes_numeric_oracle(dist: ConditionalDistribution, penalties: PenaltyAssign
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairRequirement:
-    """Ordering the target measure demands between two label scores."""
+def measure_requirements(stats: LabelStats, measure: str = "partial"
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The measure's Bayes set as two c x c boolean matrices ``(above, apart)``.
 
-    p: int
-    q: int
-    relation: str  # ">", "<", or "!="
-    delta_pm: float
-    delta_mp: float
-
-    def satisfied(self, fp: float, fq: float) -> bool:
-        if self.relation == ">":
-            return fp > fq
-        if self.relation == "<":
-            return fp < fq
-        return fp != fq
-
-
-def measure_requirements(stats: LabelStats, measure: str = "partial") -> list[PairRequirement]:
-    """Pairwise score constraints characterizing the measure's Bayes set.
-
-    For each label pair ``p < q``, ``pair_mass[p, q]`` against
-    ``pair_mass[q, p]`` decides the optimal order: the side with smaller
-    opposing mass must be ranked higher.  Under the partial measure a tie in
-    mass makes any order optimal; under the full ranking measure equal scores
-    additionally pay both sides, so ties in score are suboptimal whenever
-    mass is present.  Masses within ``_TOL`` tie.
+    ``above[p, q]`` demands ``f_p > f_q``: the side with the smaller opposing
+    mass must be ranked higher, so it holds where ``pair_mass[p, q]``
+    exceeds ``pair_mass[q, p]``.  Under the partial measure a tie in mass
+    makes any order optimal; under the full ranking measure equal scores
+    additionally pay both sides, so ``apart[p, q]``, set for ``p < q`` only,
+    demands ``f_p != f_q`` where the masses tie but are present.  Masses
+    within ``_TOL`` tie.
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
     pm = stats.pair_mass
-    above, below = pm > pm.T + _TOL, pm.T > pm + _TOL
-    apart = (measure == "ranking") & (np.maximum(pm, pm.T) > _TOL)
-    relation = np.select([above, below, apart], [">", "<", "!="], "")
-    return [PairRequirement(int(p), int(q), str(relation[p, q]), float(pm[p, q]),
-                            float(pm[q, p]))
-            for p, q in zip(*np.nonzero(np.triu(relation != "", 1)))]
+    above = pm > pm.T + _TOL
+    apart = np.triu((measure == "ranking") & (np.maximum(pm, pm.T) > _TOL)
+                    & ~above & ~above.T, 1)
+    return above, apart
 
 
 @dataclass
 class MembershipReport:
     """Outcome of testing a score vector against the measure's Bayes set.
 
-    ``member`` is ``None`` when the verdict hinges on coordinates the
-    surrogate minimizer leaves unspecified and no tested assignment settles
-    it; those constraints are listed in ``unresolved`` rather than classified.
+    ``violations`` and ``unresolved`` are ``(k, 2)`` arrays of the label
+    pairs ``(p, q)``, ``p < q``, whose requirement the scores break, in
+    row-major order.  ``member`` is ``None`` when the verdict hinges on
+    coordinates the surrogate minimizer leaves unspecified and no tested
+    assignment settles it; the pairs touching those coordinates are listed
+    in ``unresolved`` rather than classified.
     """
 
     member: bool | None
-    violations: list[PairRequirement]
-    unresolved: list[PairRequirement]
+    violations: np.ndarray
+    unresolved: np.ndarray
     scores: np.ndarray
 
 
@@ -335,39 +323,32 @@ def zero_one_bayes_membership(predictor, dist: ConditionalDistribution,
 
     ``predictor`` is a plain score vector or a :class:`BayesPredictor`.
     Unspecified coordinates are resolved by searching assignments over
-    ``{-1, 0, +1}``; if some assignment meets every requirement the vector
-    counts as a member.
+    ``{-1, 0, +1}``, a plain vector having the one empty assignment; the
+    first assignment that breaks the fewest requirements is reported, and
+    the vector counts as a member if it breaks none.
     """
-    stats = compute_stats(dist, penalties)
-    reqs = measure_requirements(stats, measure)
+    above, apart = measure_requirements(compute_stats(dist, penalties), measure)
     if isinstance(predictor, BayesPredictor):
-        scores = np.asarray(predictor.scores, dtype=np.float64).copy()
-        free = np.flatnonzero(predictor.unspecified)
+        scores = np.asarray(predictor.scores, dtype=np.float64)
+        free = np.asarray(predictor.unspecified, dtype=bool)
     else:
-        scores = np.asarray(predictor, dtype=np.float64).copy()
-        free = np.array([], dtype=np.int64)
-
-    if free.size == 0:
-        violations = [r for r in reqs if not r.satisfied(scores[r.p], scores[r.q])]
-        return MembershipReport(not violations, violations, [], scores)
-
-    best_scores = None
-    best_violations: list[PairRequirement] | None = None
-    for assignment in itertools.product(_UNSPECIFIED_CANDIDATES, repeat=free.size):
-        trial = scores.copy()
-        trial[free] = assignment
-        violations = [r for r in reqs if not r.satisfied(trial[r.p], trial[r.q])]
-        if not violations:
-            return MembershipReport(True, [], [], trial)
-        if best_violations is None or len(violations) < len(best_violations):
-            best_scores, best_violations = trial, violations
-
-    free_set = set(free.tolist())
-    involves_free = [r for r in best_violations if r.p in free_set or r.q in free_set]
-    hard = [r for r in best_violations if r.p not in free_set and r.q not in free_set]
-    if hard:
-        return MembershipReport(False, hard, involves_free, best_scores)
-    return MembershipReport(None, [], involves_free, best_scores)
+        scores = np.asarray(predictor, dtype=np.float64)
+        free = np.zeros(scores.shape, dtype=bool)
+    best = None
+    for assignment in itertools.product(_UNSPECIFIED_CANDIDATES, repeat=int(free.sum())):
+        f = scores.copy()
+        f[free] = assignment
+        broken = (above & ~(f[:, None] > f)) | (apart & (f[:, None] == f))
+        broken = np.triu(broken | broken.T, 1)
+        if best is None or broken.sum() < best[1].sum():
+            best = f, broken
+        if not broken.any():
+            break
+    f, broken = best
+    on_free = broken & (free[:, None] | free)
+    hard = broken & ~on_free
+    member = False if hard.any() else None if on_free.any() else True
+    return MembershipReport(member, np.argwhere(hard), np.argwhere(on_free), f)
 
 
 # ---------------------------------------------------------------------------

@@ -507,15 +507,17 @@ def ranking_loss_batch(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """Per-row ranking loss and partial ranking loss, NaN on trivial rows.
 
     A row's ranking loss is the fraction of its (relevant ``p``, irrelevant
-    ``q``) label pairs with ``f_p <= f_q``, ties counted as inversions; the
-    partial ranking loss counts a tie 1/2.  Both come from one walk over the
-    pairs: per row the counts of ``f_p < f_q`` and of ``f_p == f_q``, whose
-    sums of 0, 1/2 and 1 are exact at any chunking."""
+    ``q``) label pairs not ordered ``f_p > f_q``, so ties and NaN scores
+    count as inversions; the partial ranking loss counts a tie 1/2.  Both
+    come from one walk over the pairs: per row the counts of ``f_p > f_q``
+    and of ``f_p == f_q``, whose sums of 0, 1/2 and 1 are exact at any
+    chunking."""
     lists = _LabelLists(_as_label_matrix(labels))
-    below, ties = np.empty(len(lists.count)), np.empty(len(lists.count))
+    above, ties = np.empty(len(lists.count)), np.empty(len(lists.count))
     for rows, ip, _, fp, fq in lists.chunks(np.asarray(scores, dtype=np.float64)):
         row = ip // lists.c  # each pair's row in the chunk
-        below[rows] = np.bincount(row, fp < fq, rows.stop - rows.start)
+        above[rows] = np.bincount(row, fp > fq, rows.stop - rows.start)
         ties[rows] = np.bincount(row, fp == fq, rows.stop - rows.start)
+    wrong = lists.count - above
     with np.errstate(invalid="ignore"):  # 0/0 marks the trivial rows NaN
-        return (below + ties) / lists.count, (below + 0.5 * ties) / lists.count
+        return wrong / lists.count, (wrong - 0.5 * ties) / lists.count

@@ -20,12 +20,12 @@ training portion, so the reported test metrics never see the selection data;
 ``select_on_test_folds=True`` swaps in the cheaper protocol that scores the
 grid on the test folds directly.  The (fold x lambda) task grid of both
 phases, selection and final scoring, runs on one task runner per call: a
-serial loop, or one forked process pool.  For the whole call numpy's bundled
-OpenBLAS runs at one thread in the calling process, which the pool's workers
-inherit, so their fits make no thread-count call, and the caller's thread
-count is restored afterwards.  Every task
-derives its own seed from the master seed and its grid coordinates, so
-results do not depend on scheduling order or pool size.
+serial loop, or one forked process pool of at most one worker per selection
+task.  For the whole call numpy's bundled OpenBLAS runs at one thread in the
+calling process, which the pool's workers inherit, so their fits make no
+thread-count call, and the caller's thread count is restored afterwards.
+Every task derives its own seed from the master seed and its grid
+coordinates, so results do not depend on scheduling order or pool size.
 """
 
 from __future__ import annotations
@@ -359,7 +359,9 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
 
     settings = dict(data=data, algo=algo, base=base, opt_cfg=opt_cfg,
                     standardize=standardize, bias=bias)
-    with _one_blas_thread(), _task_runner(workers, **settings) as run:
+    # the selection phase has the most tasks; a pool forks all its workers at once
+    with _one_blas_thread(), _task_runner(min(workers, len(select_tasks)),
+                                          **settings) as run:
         # records come back in task order: fold-major, then lambda
         select = run(select_tasks)
         validation = np.array([r.ranking_loss for r in select]).reshape(k, len(grid))

@@ -35,20 +35,21 @@ def split_labels(labels) -> tuple[np.ndarray, np.ndarray]:
 def ranking_loss(scores, labels) -> float:
     """Fraction of (relevant, irrelevant) label pairs ordered wrongly.
 
-    A pair ``(p, q)`` counts as a full mistake when ``scores[p] <= scores[q]``;
-    ties are penalized like inversions.  Result lies in ``[0, 1]``.
+    A pair ``(p, q)`` counts as a full mistake unless ``scores[p] > scores[q]``:
+    ties, and NaN scores, are penalized like inversions.  Result lies in
+    ``[0, 1]``.
     """
     f = np.asarray(scores, dtype=np.float64)
     pos, neg = split_labels(labels)
-    return float(np.mean(f[pos][:, None] <= f[neg][None, :]))
+    return float(np.mean(~(f[pos][:, None] > f[neg][None, :])))
 
 
 def partial_ranking_loss(scores, labels) -> float:
     """Like :func:`ranking_loss` but ties cost 1/2 instead of 1."""
     f = np.asarray(scores, dtype=np.float64)
     pos, neg = split_labels(labels)
-    diffs = f[pos][:, None] - f[neg][None, :]
-    return float(np.mean((diffs < 0.0) + 0.5 * (diffs == 0.0)))
+    fp, fq = f[pos][:, None], f[neg][None, :]
+    return float(np.mean(~(fp > fq) - 0.5 * (fp == fq)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import mlrank
 from mlrank.cli import (ExperimentConfig, config_from_text, config_hash,
                         config_to_text, main, render_runtime_svg,
                         render_summary_markdown)
-from mlrank.dataset import load_sparse, save_csv, save_sparse, synthetic_linear
+from mlrank.dataset import (MultiLabelDataset, load_sparse, save_csv, save_sparse,
+                            synthetic_linear)
 from mlrank.model import LinearModel, save_model
 from mlrank.optimizer import OptimizerConfig
 
@@ -217,6 +218,34 @@ def test_bounds_rejects_a_model_of_another_label_count(tmp_path, dataset_file, c
     assert captured.err.splitlines() == [
         f"error: model scores c={c} labels but dataset provides 3"]
     assert "ranking-loss bound" not in captured.out
+
+
+def test_bounds_reject_an_overflowing_instance_with_one_line(tmp_path):
+    # instance 1's scores overflow and its feature norm, 1.4e300, overflows
+    # when computed
+    features = np.array([[1e300, 1e300], [1.0, 2.0], [0.5, 0.1]])
+    labels = np.array([[1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+    data, model = tmp_path / "big.txt", tmp_path / "m.txt"
+    save_sparse(MultiLabelDataset(features, labels, "big"), str(data))
+    save_model(LinearModel(np.array([[1e10, -1.0, 0.0], [-1e10, 1.0, 0.0]]), algorithm="u3",
+                           base="logistic_calibrated"), str(model))
+    code, _, lines = _main_in_process(["bounds", "--model", str(model), "--data", str(data),
+                                       "--no-standardize", "--no-bias"])
+    assert code == 2
+    assert lines == ["error: instance 1: a score or the feature norm is not finite, "
+                     "so no bound applies"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["train", "--algo", "u1", "--lam", "nan", "--out", "{tmp}/m.txt"], "not nan"),
+    (["bounds", "--model", "{tmp}/missing-model.txt", "--delta", "1.5"], "not 1.5"),
+])
+def test_a_bad_value_exits_2_before_any_file_is_read(tmp_path, argv, named):
+    code, _, lines = _main_in_process([a.format(tmp=tmp_path) for a in argv]
+                                      + ["--data", str(tmp_path / "missing.txt")])
+    assert code == 2
+    [line] = lines
+    assert line.startswith("error: ") and named in line
 
 
 @pytest.mark.parametrize("module", ["mlrank", "mlrank.cli"])

@@ -263,13 +263,15 @@ def test_calibrated_logistic_bayes_scores_follow_the_phi_ratio():
 
 
 def test_measure_requirements_hand_example():
-    stats = cons.compute_stats(dist_c2_with_trivial(), cons.uniform_assignment())
-    reqs = cons.measure_requirements(stats, "partial")
-    assert len(reqs) == 1
-    req = reqs[0]
-    assert (req.p, req.q) == (0, 1)
-    assert req.satisfied(1.0, 0.0)
-    assert not req.satisfied(0.0, 0.0)
+    dist, pen = dist_c2_with_trivial(), cons.uniform_assignment()
+    above, apart = cons.measure_requirements(cons.compute_stats(dist, pen), "partial")
+    # pair_mass[0, 1] = 0.2 beats pair_mass[1, 0] = 0.1: label 0 must rank above label 1
+    np.testing.assert_array_equal(above, [[False, True], [False, False]])
+    assert not apart.any()
+    assert cons.zero_one_bayes_membership(np.array([1.0, 0.0]), dist, pen, "partial").member
+    tied = cons.zero_one_bayes_membership(np.array([0.0, 0.0]), dist, pen, "partial")
+    assert tied.member is False
+    assert tied.violations.tolist() == [[0, 1]] and tied.unresolved.shape == (0, 2)
 
 
 def test_membership_partial_vs_ranking_on_symmetric_distribution():
@@ -308,6 +310,21 @@ def test_membership_agrees_with_exhaustive_orderings():
                 assert risk == pytest.approx(best, abs=1e-9)
             elif report.member is False:
                 assert risk > best - 1e-12
+
+
+def test_membership_is_undecided_when_only_unspecified_labels_break_it():
+    atoms = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+    dist = cons.ConditionalDistribution(atoms, np.array([0.5, 0.5]))
+    pen = cons.uniform_assignment()
+    pred = cons.bayes_surrogate(dist, pen, HINGE)
+    # labels 1 and 2 are relevant in exactly one atom each: phi_plus == phi_minus
+    np.testing.assert_array_equal(pred.unspecified, [False, True, True, False])
+    # ranking needs f0 > f1, f2 > f3 = -1 with f1 != f2, which {-1, 0, 1} cannot give
+    report = cons.zero_one_bayes_membership(pred, dist, pen, "ranking")
+    assert report.member is None
+    assert report.unresolved.tolist() == [[1, 3]]
+    assert report.violations.shape == (0, 2)
+    np.testing.assert_array_equal(report.scores, [1.0, -1.0, 0.0, -1.0])
 
 
 def test_membership_reports_violations():
@@ -449,7 +466,8 @@ def test_random_search_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # references: the per-atom statistics and risk loops, the per-pair audit
-# loop, and the product condition by enumeration of label vectors
+# and membership loops, and the product condition by enumeration of label
+# vectors
 # ---------------------------------------------------------------------------
 
 
@@ -644,3 +662,95 @@ def test_audit_witness_equals_the_per_pair_reference_exactly():
                 assert (w.p, w.q, w.delta_products, w.phi_products) == want
                 found += 1
     assert found > 200 and clean > 200, (found, clean)
+
+
+def reference_requirements(stats, measure):
+    """The measure's requirements as ``(p, q, relation)``, one per label
+    pair ``p < q`` that has one, in row-major order; ``relation`` is
+    ``">"``, ``"<"`` or ``"!="``."""
+    pm = stats.pair_mass
+    reqs = []
+    for p, q in itertools.combinations(range(len(pm)), 2):
+        m_pq, m_qp = float(pm[p, q]), float(pm[q, p])
+        if m_pq > m_qp + 1e-12:
+            reqs.append((p, q, ">"))
+        elif m_qp > m_pq + 1e-12:
+            reqs.append((p, q, "<"))
+        elif measure == "ranking" and max(m_pq, m_qp) > 1e-12:
+            reqs.append((p, q, "!="))
+    return reqs
+
+
+def _reference_satisfied(relation, fp, fq):
+    return fp > fq if relation == ">" else fp < fq if relation == "<" else fp != fq
+
+
+def reference_membership(predictor, stats, measure):
+    """Membership as ``(member, violations, unresolved, scores)``, the pairs
+    as lists of ``(p, q)``: every assignment of the unspecified coordinates
+    over ``{-1, 0, 1}`` in order, each requirement checked on its own, the
+    first assignment breaking none or else the first breaking the fewest."""
+    reqs = reference_requirements(stats, measure)
+    if isinstance(predictor, cons.BayesPredictor):
+        scores = np.asarray(predictor.scores, dtype=np.float64).copy()
+        free = np.flatnonzero(predictor.unspecified).tolist()
+    else:
+        scores = np.asarray(predictor, dtype=np.float64).copy()
+        free = []
+    best = None
+    for assignment in itertools.product((-1.0, 0.0, 1.0), repeat=len(free)):
+        trial = scores.copy()
+        trial[free] = assignment
+        broken = [(p, q) for p, q, rel in reqs if not _reference_satisfied(rel, trial[p], trial[q])]
+        if not broken:
+            return True, [], [], trial
+        if best is None or len(broken) < len(best[1]):
+            best = trial, broken
+    trial, broken = best
+    on_free = [(p, q) for p, q in broken if p in free or q in free]
+    hard = [(p, q) for p, q in broken if (p, q) not in on_free]
+    return (False if hard else None), hard, on_free, trial
+
+
+def _membership_cases(rng):
+    """2016 random distributions at c = 2..6, each with an assignment of
+    ``uniform``, ``u1``, ``u3`` and a base of hinge, logistic, squared hinge,
+    exponential in turn.  Every third support may hold trivial atoms, and
+    every fourth distribution has equal probabilities, which ties hinge
+    Bayes scores."""
+    bases = (HINGE, LOGISTIC, SQUARED_HINGE, EXPONENTIAL)
+    for trial in range(2016):
+        c = int(rng.integers(2, 7))
+        pool = cons.enumerate_label_vectors(c, nontrivial_only=trial % 3 != 0)
+        idx = rng.choice(len(pool), size=int(rng.integers(1, min(len(pool), 8) + 1)),
+                         replace=False)
+        probs = np.full(len(idx), 1.0 / len(idx))
+        if trial % 4:
+            probs = np.maximum(rng.dirichlet(np.ones(len(idx))), 1e-12)
+            probs = probs / probs.sum()
+        dist = cons.ConditionalDistribution(pool[idx], probs)
+        yield dist, _assignment(("uniform", "u1", "u3")[trial % 3]), bases[trial // 3 % 4]
+
+
+def test_membership_equals_the_per_pair_reference_exactly():
+    rng = np.random.default_rng(14)
+    verdicts = {True: 0, False: 0, None: 0}
+    for dist, pen, base in _membership_cases(rng):
+        stats = cons.compute_stats(dist, pen)
+        pred = cons.bayes_surrogate(dist, pen, base)
+        for measure in cons.MEASURES:
+            above, apart = cons.measure_requirements(stats, measure)
+            relations = {(p, q): ">" if above[p, q] else "<" if above[q, p] else "!="
+                         for p, q in zip(*np.nonzero(above | above.T | apart)) if p < q}
+            assert sorted(relations.items()) == [((p, q), rel) for p, q, rel
+                                                 in reference_requirements(stats, measure)]
+            for predictor in (pred, pred.scores):
+                got = cons.zero_one_bayes_membership(predictor, dist, pen, measure)
+                member, hard, on_free, scores = reference_membership(predictor, stats, measure)
+                assert got.member is member, (dist.atoms, dist.probs, base.kind, measure)
+                assert got.violations.shape[1:] == got.unresolved.shape[1:] == (2,)
+                assert got.violations.tolist() == [list(pq) for pq in hard]
+                assert got.unresolved.tolist() == [list(pq) for pq in on_free]
+                assert got.scores.tobytes() == scores.tobytes()
+                verdicts[member] += 1
+    assert min(verdicts.values()) >= 10, verdicts

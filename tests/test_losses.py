@@ -515,7 +515,7 @@ def flat_ranking_loss(F, Y, partial):
     """:func:`ranking_loss_batch` over one flat pair list."""
     ptr, row, pos, neg = label_pairs(Y)
     fp, fq = F[row, pos], F[row, neg]
-    wrong = (fp < fq) + 0.5 * (fp == fq) if partial else (fp <= fq).astype(np.float64)
+    wrong = ~(fp > fq) - (0.5 * (fp == fq) if partial else 0.0)
     with np.errstate(invalid="ignore"):
         return np.bincount(row, wrong, F.shape[0]) / np.diff(ptr)
 
@@ -620,14 +620,21 @@ def _counting_gathers(monkeypatch, budget):
 def test_pair_list_batches_match_per_row_references(monkeypatch, budget):
     rng = np.random.default_rng(12)
     F, Y = _large_label_batch(rng)
-    r, p = ranking_loss_batch(F, Y)
     trivial = ~nontrivial_mask(Y)
-    np.testing.assert_array_equal(np.isnan(r), trivial)
-    np.testing.assert_array_equal(np.isnan(p), trivial)
     keep = np.flatnonzero(~trivial)
-    np.testing.assert_array_equal(r[keep], [ranking_loss(F[i], Y[i]) for i in keep])
-    np.testing.assert_array_equal(p[keep], [partial_ranking_loss(F[i], Y[i]) for i in keep])
-    assert (r[keep] != p[keep]).any()  # the ties are really there
+    # the scores again with +-inf and NaN in 300 places: a NaN misorders
+    # each of its pairs and equal infinities tie
+    G = F.copy()
+    G.flat[np.random.default_rng(16).choice(G.size, 300, replace=False)] = \
+        np.resize([np.inf, -np.inf, np.nan], 300)
+    for scores in (F, G):
+        r, p = ranking_loss_batch(scores, Y)
+        np.testing.assert_array_equal(np.isnan(r), trivial)
+        np.testing.assert_array_equal(np.isnan(p), trivial)
+        np.testing.assert_array_equal(r[keep], [ranking_loss(scores[i], Y[i]) for i in keep])
+        np.testing.assert_array_equal(p[keep],
+                                      [partial_ranking_loss(scores[i], Y[i]) for i in keep])
+        assert (r[keep] != p[keep]).any()  # the ties are really there
 
     # the gradients of every row once, one row per block, through ``blocks``:
     # under the default budget of 2^13 pairs a few gathers of many rows, and

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mlrank import bounds, losses, trainer
-from mlrank.dataset import standardize_fit, synthetic_linear
+from mlrank.dataset import MultiLabelDataset, standardize_fit, synthetic_linear
 from mlrank.losses import LOGISTIC, BaseLoss
 from mlrank.model import LinearModel, predict
 from mlrank.optimizer import OptimizerConfig
@@ -137,6 +137,16 @@ def test_evaluate_skips_trivial_rows():
     all_trivial = type(data)(data.features, np.ones_like(labels))
     with pytest.raises(ValueError):
         evaluate(model, all_trivial)
+
+
+def test_evaluate_counts_a_nan_score_as_misordering_its_pairs():
+    data = MultiLabelDataset(np.array([[1.0, 1.0], [1.0, 2.0]]),
+                             np.array([[1.0, -1.0, -1.0], [1.0, -1.0, 1.0]]))
+    # label 0 scores NaN on every row; row 1 also ranks label 2 (0) below label 1 (1)
+    model = LinearModel(np.array([[np.nan, -1.0, 0.0], [1.0, 1.0, 0.0]]))
+    report = evaluate(model, data)
+    assert report.ranking_loss == report.partial_ranking_loss == 1.0
+    assert report.n_evaluated == 2
 
 
 def test_evaluate_builds_label_pairs_once(monkeypatch):
@@ -276,6 +286,36 @@ def test_cross_validate_worker_pool_is_deterministic():
         np.testing.assert_array_equal(r1.fold_partial_losses, r2.fold_partial_losses)
         assert r1.best_lambda == r2.best_lambda
         assert r1.fits == r2.fits
+
+
+def test_cross_validate_forks_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size asked for and runs the tasks in this process."""
+
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(trainer.futures, "ProcessPoolExecutor", InProcessPool)
+    data = synthetic_linear(30, 3, 2, seed=19)
+    kwargs = dict(k=2, seed=4, optimizer_cfg=CV_CFG)
+    many = cross_validate(data, "u1", [1e-6, 1e-2], workers=10 ** 6, **kwargs)
+    assert sizes == [4]  # 2 folds x 2 lambdas of selection
+    one = cross_validate(data, "u1", [1e-6, 1e-2], workers=1, **kwargs)
+    assert sizes == [4]
+    np.testing.assert_array_equal(many.validation_losses, one.validation_losses)
+    np.testing.assert_array_equal(many.fold_ranking_losses, one.fold_ranking_losses)
+    assert many.fits == one.fits
 
 
 @pytest.mark.parametrize("workers", [1, 2])
