@@ -7,8 +7,8 @@ them on random draws.  A univariate scheme is named by its kind string,
 ``"u1"``..``"u4"``, whose weight table ``mlrank.losses.scheme_betas`` states.
 
 Every loss is computed on a label matrix, so one instance is a one-row
-matrix: ``BatchSurrogate(Y, kind, base)`` gives each row's surrogate value
-(``row_losses``) and gradient (``gradients``) at a score matrix, and
+matrix: ``BatchSurrogate(Y, kind, base).losses_and_gradients`` gives each
+row's surrogate value and gradient at a score matrix in one pass, and
 ``ranking_loss_batch`` each row's ranking and partial ranking loss.
 
 Run:  python3 demos/01_losses_tour.py
@@ -30,8 +30,8 @@ def ranking_losses(f, y):
 def surrogate(kind, base, f, y):
     """Value and gradient of surrogate ``kind`` (``pa``, ``u1``..``u4``) at
     one instance."""
-    batch = BatchSurrogate(y[None], kind, base)
-    return batch.row_losses(f[None])[0], batch.gradients(f[None])[0]
+    values, gradients = BatchSurrogate(y[None], kind, base).losses_and_gradients(f[None])
+    return values[0], gradients[0]
 
 
 rng = np.random.default_rng(0)

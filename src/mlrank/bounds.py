@@ -200,9 +200,10 @@ def model_bound_inputs(model: LinearModel, data: MultiLabelDataset, delta: float
                   B=base_sup(base, z_max), weight_norm=float(np.linalg.norm(model.weights)),
                   feature_norm=float(row_norms.max()),
                   delta=delta, log2=log2)
-    return z_max, {which: BoundInputs(
-        empirical_risk=float(losses.BatchSurrogate(Y, which, base).row_losses(F).mean()),
-        **shared) for which in BOUNDED_SCHEMES}
+    risks = {which: losses.BatchSurrogate(Y, which, base).losses_and_gradients(F)[0].mean()
+             for which in BOUNDED_SCHEMES}
+    return z_max, {which: BoundInputs(empirical_risk=float(risk), **shared)
+                   for which, risk in risks.items()}
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,7 @@ def empirical_lipschitz_probe(which: str, base: BaseLoss, c: int, trials: int = 
     F1 = rng.uniform(-_PROBE_RADIUS, _PROBE_RADIUS, size=(trials, c))
     F2 = rng.uniform(-_PROBE_RADIUS, _PROBE_RADIUS, size=(trials, c))
     surrogate = losses.BatchSurrogate(Y, which, base)
-    v1, v2 = surrogate.row_losses(F1), surrogate.row_losses(F2)
+    v1, v2 = surrogate.losses_and_gradients(F1)[0], surrogate.losses_and_gradients(F2)[0]
     gaps = np.linalg.norm(F1 - F2, axis=1)
     valid = gaps > 0.0
     ratios = np.abs(v1 - v2)[valid] / gaps[valid]

@@ -545,6 +545,8 @@ def cmd_consistency(args) -> int:
         raise ConfigError(f"--show must be >= 0, not {args.show}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, not {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, not {args.seed}")
     records: list[dict] = []
 
     tau = cons.necessary_condition_tau(args.scheme, args.c)

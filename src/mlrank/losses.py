@@ -14,25 +14,25 @@ penalties ``w_j * ell(y_j f_j)`` whose weights rescale each instance by
 functions of its label split sizes, all stated once by :func:`scheme_betas`.
 
 Each has one implementation, on a label matrix: a :class:`BatchSurrogate`
-holds one surrogate's per-row structure and gives every row's loss and
-gradient at a score matrix, and :func:`ranking_loss_batch` gives every row's
-ranking loss and partial ranking loss.  A single instance is a one-row
-matrix.  The per-row formulas the kernels are checked against live with the
-tests, in ``tests/loss_reference.py``.
+holds one surrogate's per-row structure and has two kernels on scores, one
+giving every row's loss and gradient in one pass and one giving the
+gradients of a block of rows, and :func:`ranking_loss_batch` gives every
+row's ranking loss and partial ranking loss.  A single instance is a
+one-row matrix.  The per-row formulas the kernels are checked against live
+with the tests, in ``tests/loss_reference.py``.
 
 All gradients are analytic, using fixed one-sided derivatives at the hinge
 kinks so that stochastic optimizers see deterministic subgradients.
 ``BaseLoss.derivative`` and ``BaseLoss.value`` can run in place on an array
-of margins, so the batch gradient kernel forms its margins, their derivative
-and its scaling in one array, and the loss kernel its values in one buffer.
-Its 16-row calls in the SVRG inner loop cost what their numpy calls cost,
-not their arithmetic.
+of margins, so a kernel forms its margins, their derivative and its scaling
+in one array, and the losses in one buffer besides.  The block kernel's
+16-row calls in the SVRG inner loop cost what their numpy calls cost, not
+their arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -206,9 +206,9 @@ def scheme_betas(kind: str, a, b):
 # Batch paths.  A :class:`BatchSurrogate` holds one surrogate's per-row
 # structure on a label matrix, built once and O(n c) in size: for ``pa``
 # each row's relevant and irrelevant labels (:class:`_LabelLists`), for
-# u1-u4 the penalty weights.  Two kernels on a score matrix, per-row
-# gradients and per-row losses, serve training, the model bounds and the
-# bounds probe; the SVRG snapshot takes both from one array of margins.
+# u1-u4 the penalty weights.  Two kernels on scores serve training, the
+# model bounds and the bounds probe: every row's losses and gradients from
+# one array of margins, and the gradients of one SVRG block.
 # No list of all (relevant, irrelevant) label pairs is ever held: every
 # all-rows pair kernel, the ranking losses' included, takes the one walk of
 # ``_LabelLists.chunks``, which checks the scores' shape and builds the pairs
@@ -359,10 +359,11 @@ class BatchSurrogate:
 
     Built once per ``(n, c)`` label matrix.  For ``pa`` it holds the rows'
     :class:`_LabelLists` and each row's pair scale ``1/|pairs|``; every row
-    must then be nontrivial.  Its all-rows kernels build one chunk of rows'
-    pairs at a time.  For a scheme it holds the penalty ``weights`` of
-    :func:`penalty_weight_matrix`.  The kernels take scores ``F`` shaped
-    like the labels (or, for ``gradients`` of a block, like the block).
+    must then be nontrivial.  For a scheme it holds the penalty ``weights``
+    of :func:`penalty_weight_matrix` and the signed weights ``w_ij y_ij``.
+    It has two kernels on scores: :meth:`losses_and_gradients` of all rows,
+    at scores shaped like the labels, and :meth:`gradients` of one block
+    that :meth:`blocks` yields, at scores shaped like the block.
     """
 
     def __init__(self, labels, kind: str, base: BaseLoss):
@@ -377,43 +378,49 @@ class BatchSurrogate:
             self.weights = None
         else:
             self.weights = penalty_weight_matrix(kind, self.Y)
+            self._signed_weights = self.weights * self.Y
 
-    @cached_property
-    def _signed_weights(self) -> np.ndarray:
-        # built on the first gradient; the bounds and their probe need none
-        return self.weights * self.Y
-
-    def gradients(self, F: np.ndarray, block=None, with_losses: bool = False):
-        """Per-row loss gradients at scores ``F``, shaped like ``F``: of all
-        rows, or of one block that :meth:`blocks` yields, whose rows ``F``
-        then holds in block order.
-
-        With ``with_losses`` (all rows only) it returns the pair
-        ``(gradients, row_losses(F))``, both from one pass of margins.
-        The derivative and its scaling run in place on the margins.
-        """
+    def losses_and_gradients(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's loss ``(n,)`` and loss gradient ``(n, c)`` at scores
+        ``F`` ``(n, c)``, both from one pass of margins: the losses go into
+        a buffer of their own, then the derivative and its scaling run in
+        place on the margins.  For ``pa`` the pass walks one chunk of rows'
+        pairs at a time."""
+        base = self.base
         if self.weights is not None:
-            if block is None:
-                _check_scores(F, self.Y.shape)
-            z = (self.Y if block is None else block[0]) * F
-            row_losses = self._row_losses(z, np.empty_like(z)) if with_losses else None
-            self.base.derivative(z, out=z)
-            z *= self._signed_weights if block is None else block[1]
-            return z if row_losses is None else (z, row_losses)
-        if block is not None:
-            f = F.ravel()
-            z = f.take(block[0])
-            z -= f.take(block[1])
-            return self._pair_gradients(z, block, F.size).reshape(F.shape)
+            _check_scores(F, self.Y.shape)
+            z = self.Y * F
+            ell = base.value(z, out=np.empty_like(z))
+            ell *= self.weights
+            values = ell.sum(axis=1)
+            base.derivative(z, out=z)
+            z *= self._signed_weights
+            return values, z
         g = np.empty(F.shape)
-        row_losses = np.empty(self.n) if with_losses else None
+        values = np.empty(self.n)
         for rows, ip, iq, z, fq in self._lists.chunks(F):
             z -= fq
-            if with_losses:
-                row_losses[rows] = self._row_losses(z, np.empty_like(z), rows)
-            scale = self._row_scale[rows].repeat(self._lists.count[rows])
+            ell = base.value(z, out=np.empty_like(z))
+            # every row owns pairs, so each row's first pair starts a nonempty segment
+            count = self._lists.count[rows]
+            values[rows] = np.add.reduceat(ell, count.cumsum() - count) * self._row_scale[rows]
+            scale = self._row_scale[rows].repeat(count)
             g[rows] = self._pair_gradients(z, (ip, iq, scale), g[rows].size).reshape(-1, self.c)
-        return g if row_losses is None else (g, row_losses)
+        return values, g
+
+    def gradients(self, F: np.ndarray, block) -> np.ndarray:
+        """Loss gradients of one block that :meth:`blocks` yields, at the
+        block's scores ``F`` ``(b, c)``, shaped like ``F``.  The derivative
+        and its scaling run in place on the margins."""
+        if self.weights is not None:
+            z = block[0] * F
+            self.base.derivative(z, out=z)
+            z *= block[1]
+            return z
+        f = F.ravel()
+        z = f.take(block[0])
+        z -= f.take(block[1])
+        return self._pair_gradients(z, block, F.size).reshape(F.shape)
 
     def _pair_gradients(self, z: np.ndarray, pairs, size: int) -> np.ndarray:
         """Flat gradients ``(size,)`` from the margins ``z`` of ``pairs``
@@ -459,39 +466,13 @@ class BatchSurrogate:
             yield ip[lo:hi], iq[lo:hi], scale[lo:hi]
             lo = hi
 
-    def row_losses(self, F: np.ndarray) -> np.ndarray:
-        """Surrogate loss of each row at scores ``F`` ``(n, c)``; the one loss
-        kernel, whose mean is the objective's loss term."""
-        if self.weights is not None:
-            _check_scores(F, self.Y.shape)
-            z = self.Y * F
-            return self._row_losses(z, z)
-        out = np.empty(self.n)
-        for rows, _, _, z, fq in self._lists.chunks(F):
-            z -= fq
-            out[rows] = self._row_losses(z, z, rows)
-        return out
-
-    def _row_losses(self, z: np.ndarray, ell: np.ndarray, rows=None) -> np.ndarray:
-        """Per-row losses from margins ``z``: of all rows for a scheme, of the
-        chunk ``rows`` for ``pa``.  The loss values go into the one buffer
-        ``ell``, which may be ``z``."""
-        ell = self.base.value(z, out=ell)
-        if self.weights is not None:
-            ell *= self.weights
-            return ell.sum(axis=1)
-        # every row owns pairs, so each row's first pair starts a nonempty segment
-        count = self._lists.count[rows]
-        return np.add.reduceat(ell, count.cumsum() - count) * self._row_scale[rows]
-
 
 def univariate_batch(scores, labels, base: BaseLoss,
                      kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Values ``(n,)`` and gradients ``(n, c)`` of the univariate surrogate
     of scheme ``kind``.  Only the benchmark's tracer and the tests call it."""
-    batch = BatchSurrogate(labels, kind, base)
-    F = np.asarray(scores, dtype=np.float64)
-    return batch.row_losses(F), batch.gradients(F)
+    return BatchSurrogate(labels, kind, base).losses_and_gradients(
+        np.asarray(scores, dtype=np.float64))
 
 
 def pairwise_batch_for(labels, base: BaseLoss):
@@ -499,8 +480,7 @@ def pairwise_batch_for(labels, base: BaseLoss):
     values ``(n,)`` and gradients ``(n, c)``, on the label lists of
     ``labels``, built once here.  Only the benchmark's tracer and the tests
     call it."""
-    batch = BatchSurrogate(labels, "pa", base)
-    return lambda F: (batch.row_losses(F), batch.gradients(F))
+    return BatchSurrogate(labels, "pa", base).losses_and_gradients
 
 
 def ranking_loss_batch(scores, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -27,11 +27,11 @@ with ``take``, multiplies with ``dot`` and scales the deltas in place: on
 16-row blocks each numpy call costs more than its arithmetic.  A snapshot
 forms each loss margin once, for both its loss gradients and its value.
 
-Outside the protocol, ``value`` and ``full_gradient`` give the objective
-and its gradient at ``W``, for checks against an independent solver.
-Every entry point reaches the loss through one
-:class:`mlrank.losses.BatchSurrogate` and its two kernels on scores:
-per-row loss gradients, and per-row losses, whose mean is the loss term.
+Outside the protocol, ``value`` gives the snapshot's value at ``W``, for
+checks against an independent solver.  Every entry point reaches the loss
+through one :class:`mlrank.losses.BatchSurrogate` and its two kernels on
+scores: every row's losses and loss gradients, for the snapshot, and the
+loss gradients of one block, for the inner steps.
 """
 
 from __future__ import annotations
@@ -100,16 +100,17 @@ class Objective:
     """Regularized empirical surrogate risk of a linear model on fixed data.
 
     Implements the optimizer oracle protocol: ``n``, ``lam``,
-    ``svrg_snapshot`` and ``svrg_epoch``; ``value`` and ``full_gradient``
-    serve checks against an independent solver.  An epoch holds
-    the iterate as one dense ``W`` and calls the score-space block hook
+    ``svrg_snapshot`` and ``svrg_epoch``; ``value`` serves checks against
+    an independent solver.  An epoch holds the iterate as one dense ``W``
+    and calls the score-space block hook
     ``svrg_direction(X_R @ W, block_R, G_R)`` once per inner step, for the
     step's block ``R`` of ``b`` rows: ``block_R`` is what ``loss.blocks``
     yields for it and ``G_R`` the snapshot's loss gradients of its rows.
     Every entry point reaches the loss through the one
-    :class:`mlrank.losses.BatchSurrogate` built here, ``loss``: its
-    ``gradients`` (of all rows, or of a block) and the mean of its
-    ``row_losses``.
+    :class:`mlrank.losses.BatchSurrogate` built here, ``loss``: the
+    snapshot through its ``losses_and_gradients``, a step through its
+    block ``gradients``.  Raises ``ValueError`` on data with no rows, row
+    counts that differ or a trivial label vector.
     """
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, spec: ObjectiveSpec):
@@ -117,6 +118,8 @@ class Objective:
         self.Y = np.asarray(Y, dtype=np.float64)
         if self.X.shape[0] != self.Y.shape[0]:
             raise ValueError("feature and label row counts differ")
+        if self.X.shape[0] == 0:
+            raise ValueError("objective requires at least one row; the data is empty")
         if not losses.nontrivial_mask(self.Y).all():
             raise ValueError("objective requires nontrivial label vectors; filter the data first")
         self.spec = spec
@@ -129,18 +132,16 @@ class Objective:
     # -- objective and oracle interface -----------------------------------
 
     def value(self, W: np.ndarray) -> float:
-        return float(self.loss.row_losses(self.X @ W).mean()) + self.lam * float(np.sum(W * W))
-
-    def full_gradient(self, W: np.ndarray) -> np.ndarray:
-        return self.X.T @ self.loss.gradients(self.X @ W) / self.n + 2.0 * self.lam * W
+        """The objective at ``W``: the value of :meth:`svrg_snapshot`."""
+        return self.svrg_snapshot(W)["value"]
 
     def svrg_snapshot(self, W: np.ndarray) -> dict[str, Any]:
         """Cache the snapshot's value, full gradient ``mu`` and per-sample loss
         gradients, the losses and their gradients from one array of margins."""
-        grads, row_losses = self.loss.gradients(self.X @ W, with_losses=True)
+        values, grads = self.loss.losses_and_gradients(self.X @ W)
         return {"W": W.copy(), "mu": self.X.T @ grads / self.n + 2.0 * self.lam * W,
                 "loss_grads": grads,
-                "value": float(row_losses.mean()) + self.lam * float(np.sum(W * W))}
+                "value": float(values.mean()) + self.lam * float(np.sum(W * W))}
 
     def svrg_direction(self, scores: np.ndarray, block, snap_grads: np.ndarray) -> np.ndarray:
         """Deltas ``(b, c)``: loss gradients of one block of

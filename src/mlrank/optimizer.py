@@ -61,8 +61,8 @@ class OptimizerConfig:
     ``inner_steps`` is the number of samples an SVRG epoch draws, ``None``
     meaning ``2n``; the epoch takes them in steps of ``_BLOCK_ROWS``.
     Construction raises ``ValueError`` unless ``outer_epochs >= 1``,
-    ``inner_steps`` is ``None`` or ``>= 1``, ``initial_step > 0`` and
-    ``tolerance >= 0``.
+    ``inner_steps`` is ``None`` or ``>= 1``, ``initial_step > 0``,
+    ``tolerance >= 0`` and ``seed >= 0``.
     """
 
     outer_epochs: int = 30
@@ -80,6 +80,8 @@ class OptimizerConfig:
             raise ValueError(f"initial_step must be > 0, not {self.initial_step}")
         if not self.tolerance >= 0:
             raise ValueError(f"tolerance must be >= 0, not {self.tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
 @dataclass

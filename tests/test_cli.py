@@ -237,12 +237,21 @@ def test_bounds_reject_an_overflowing_instance_with_one_line(tmp_path):
 
 
 @pytest.mark.parametrize("argv,named", [
-    (["train", "--algo", "u1", "--lam", "nan", "--out", "{tmp}/m.txt"], "not nan"),
-    (["bounds", "--model", "{tmp}/missing-model.txt", "--delta", "1.5"], "not 1.5"),
+    (["train", "--algo", "u1", "--lam", "nan", "--out", "{tmp}/m.txt",
+      "--data", "{tmp}/missing.txt"], "not nan"),
+    (["bounds", "--model", "{tmp}/missing-model.txt", "--delta", "1.5",
+      "--data", "{tmp}/missing.txt"], "not 1.5"),
+    (["train", "--algo", "u1", "--lam", "0.1", "--out", "{tmp}/m.txt", "--seed", "-1",
+      "--data", "{tmp}/missing.txt"], "not -1"),
+    (["cv", "--algo", "u1", "--seed", "-1", "--data", "{tmp}/missing.txt"], "not -1"),
+    (["bench", "--seed", "-2", "--data", "{tmp}/missing.txt"], "not -2"),
+    (["bench", "--config", "{tmp}/seed.cfg"], "not -3"),
+    (["consistency", "--scheme", "u3", "--seed", "-1"], "--seed must be >= 0, not -1"),
 ])
 def test_a_bad_value_exits_2_before_any_file_is_read(tmp_path, argv, named):
-    code, _, lines = _main_in_process([a.format(tmp=tmp_path) for a in argv]
-                                      + ["--data", str(tmp_path / "missing.txt")])
+    # the config file is read, but not the dataset it names
+    (tmp_path / "seed.cfg").write_text(f"datasets = {tmp_path / 'missing.txt'}\nseed = -3\n")
+    code, _, lines = _main_in_process([a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     [line] = lines
     assert line.startswith("error: ") and named in line

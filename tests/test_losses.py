@@ -576,11 +576,9 @@ def test_pair_kernels_are_chunk_invariant(monkeypatch, budget):
         batch = BatchSurrogate(Y, "pa", base)
         with np.errstate(over="ignore"):
             grads, row_losses = flat_pair_kernels(F, Y, base)
-            both = batch.gradients(F, with_losses=True)
-            assert batch.gradients(F).tobytes() == grads.tobytes(), base.kind
-            assert both[0].tobytes() == grads.tobytes(), base.kind
-            assert both[1].tobytes() == row_losses.tobytes(), base.kind
-            assert batch.row_losses(F).tobytes() == row_losses.tobytes(), base.kind
+            got_losses, got_grads = batch.losses_and_gradients(F)
+            assert got_grads.tobytes() == grads.tobytes(), base.kind
+            assert got_losses.tobytes() == row_losses.tobytes(), base.kind
 
 
 @pytest.mark.parametrize("kind", ["pa", "u3"])
@@ -592,8 +590,7 @@ def test_all_rows_kernels_reject_scores_not_shaped_like_the_labels(kind):
     batch = BatchSurrogate(Y, kind, LOGISTIC)
     for shape in ((12, 6), (12, 4), (12, 1)):
         G = rng.normal(size=shape)
-        calls = (lambda: ranking_loss_batch(G, Y), lambda: batch.gradients(G),
-                 lambda: batch.gradients(G, with_losses=True), lambda: batch.row_losses(G))
+        calls = (lambda: ranking_loss_batch(G, Y), lambda: batch.losses_and_gradients(G))
         for call in calls:
             with pytest.raises(ValueError, match=rf"scores shape \(12, {shape[1]}\) does "
                                                  r"not match labels shape \(12, 5\)"):
@@ -719,31 +716,54 @@ def test_loss_eval_is_value_gradient_pair():
     assert ev.value == 1.5 and ev.gradient.shape == (2,)
 
 
+def _loads(tree, owners=()):
+    """Yield each node of ``tree`` that loads a value, with the names of the
+    functions and classes it lies in."""
+    for child in ast.iter_child_nodes(tree):
+        inner = owners
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner += (child.name,)
+        if isinstance(getattr(child, "ctx", None), ast.Load):
+            yield child, inner
+        yield from _loads(child, inner)
+
+
 def test_every_public_losses_callable_has_a_caller_outside_the_tests():
     # the library holds one implementation of each loss: a public function
     # or class of mlrank.losses that only the tests reach belongs with them.
     # A reference is a name read, or an attribute of the module as
-    # ``losses`` read, outside the top-level definition of the same name.
+    # ``losses`` read, outside the definition of the same name.  Likewise
+    # a public method of the batch surrogate or the objective needs some
+    # attribute ``x.<method>`` read outside its own definition: a kernel
+    # that only the tests call belongs with them.
     root = Path(__file__).resolve().parents[1]
-    source = root / "src" / "mlrank" / "losses.py"
-    public = {node.name for node in ast.parse(source.read_text(encoding="utf-8")).body
+    src = root / "src" / "mlrank"
+    modules = {name: ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+               for name in ("losses", "model")}
+    public = {node.name for node in modules["losses"].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")}
-    referenced = set()
-    for path in sorted((root / "src" / "mlrank").glob("*.py")) + sorted((root / "bench").glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = getattr(stmt, "name", None)
-            for node in ast.walk(stmt):
-                if not isinstance(getattr(node, "ctx", None), ast.Load):
-                    continue
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                      and node.value.id == "losses"):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
-                    referenced.add(name)
+    methods = {f"{cls.name}.{node.name}": node.name
+               for module, cls_name in (("losses", "BatchSurrogate"), ("model", "Objective"))
+               for cls in modules[module].body
+               if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    referenced, attributes = set(), set()
+    for path in sorted(src.glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        for node, owners in _loads(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr not in owners:
+                attributes.add(node.attr)
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "losses"):
+                name = node.attr
+            else:
+                continue
+            if name not in owners:
+                referenced.add(name)
     assert len(public) >= 8
     assert sorted(public - referenced) == []
+    assert len(methods) >= 7
+    assert sorted(m for m, name in methods.items() if name not in attributes) == []

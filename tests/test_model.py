@@ -39,14 +39,18 @@ def per_sample_gradient(obj, W, i):
     return np.outer(obj.X[i], ev.gradient) + 2.0 * obj.spec.lam * W
 
 
+def full_gradient(obj, W):
+    """The objective's gradient at ``W``: the snapshot's ``mu``."""
+    return obj.svrg_snapshot(W)["mu"]
+
+
 def test_full_gradient_is_mean_of_per_sample():
     rng = np.random.default_rng(1)
     for algo in ALGOS:
         obj = make_objective(algo, lam=0.01)
         W = rng.normal(size=(obj.d, obj.c))
-        full = obj.full_gradient(W)
         mean = np.mean([per_sample_gradient(obj, W, i) for i in range(obj.n)], axis=0)
-        np.testing.assert_allclose(full, mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(full_gradient(obj, W), mean, rtol=1e-10, atol=1e-12)
 
 
 def test_value_is_mean_of_per_row_reference_losses():
@@ -88,7 +92,6 @@ def test_pa_objective_builds_label_pairs_once(monkeypatch):
     W = np.random.default_rng(4).normal(size=(obj.d, obj.c))
     snap = obj.svrg_snapshot(W)
     obj.value(W)
-    obj.full_gradient(W)
     obj.svrg_epoch(snap, 0.1, np.random.default_rng(5).integers(obj.n, size=(6, 2)))
     assert builds == [obj.n]
     assert len(chunks) > 3 * 4 and max(chunks) <= 60
@@ -120,7 +123,7 @@ def test_objective_gradient_matches_finite_differences():
     for algo in ALGOS:
         obj = make_objective(algo, lam=0.05)
         W = rng.normal(size=(obj.d, obj.c)) * 0.5
-        grad = obj.full_gradient(W)
+        grad = full_gradient(obj, W)
         h = 1e-6
         for _ in range(6):
             i, j = rng.integers(obj.d), rng.integers(obj.c)
@@ -146,7 +149,7 @@ def test_regularizer_contributes():
     obj1 = make_objective("u2", lam=1.0)
     W = np.ones((obj0.d, obj0.c))
     assert obj1.value(W) == pytest.approx(obj0.value(W) + np.sum(W * W))
-    np.testing.assert_allclose(obj1.full_gradient(W) - obj0.full_gradient(W), 2.0 * W)
+    np.testing.assert_allclose(full_gradient(obj1, W) - full_gradient(obj0, W), 2.0 * W)
 
 
 def block_delta(obj, W, R, snap):
@@ -172,8 +175,6 @@ def test_svrg_direction_identities():
         obj = make_objective(algo, lam=0.02, c=5)
         W_tilde = rng.normal(size=(obj.d, obj.c))
         snap = obj.svrg_snapshot(W_tilde)
-        np.testing.assert_allclose(snap["mu"], obj.full_gradient(W_tilde), rtol=1e-12)
-        assert snap["value"] == obj.value(W_tilde)
         # at the snapshot point every loss-gradient difference vanishes
         R = np.array([0, 3, 7, 3])
         np.testing.assert_allclose(block_delta(obj, W_tilde, R, snap), 0.0, atol=1e-12)
@@ -191,7 +192,7 @@ def test_svrg_direction_identities():
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
         # the direction of a block of every row once is the full gradient
         np.testing.assert_allclose(block_direction(obj, W, np.arange(obj.n), snap),
-                                   obj.full_gradient(W), rtol=1e-10, atol=1e-12)
+                                   full_gradient(obj, W), rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("lam, eta, steps", [
@@ -246,14 +247,19 @@ def test_svrg_epoch_is_bitwise_the_reference_loop(base):
 
 @pytest.mark.parametrize("base", BASE_KINDS)
 def test_svrg_snapshot_is_bitwise_the_separate_kernels(base):
-    # a snapshot forms each margin once for both the gradients and the losses
+    # a snapshot forms each margin once for both the gradients and the
+    # losses; its loss gradients are the block kernel's on one block of
+    # every row
     rng = np.random.default_rng(17)
     for algo in ALGOS:
         obj = make_objective(algo, lam=0.02, c=5, base=BaseLoss(base))
         W = rng.normal(size=(obj.d, obj.c))
         snap = obj.svrg_snapshot(W)
-        assert snap["loss_grads"].tobytes() == obj.loss.gradients(obj.X @ W).tobytes(), algo
-        assert snap["mu"].tobytes() == obj.full_gradient(W).tobytes(), algo
+        (block,) = obj.loss.blocks(np.arange(obj.n)[None])
+        grads = obj.loss.gradients(obj.X @ W, block)
+        assert snap["loss_grads"].tobytes() == grads.tobytes(), algo
+        mu = obj.X.T @ grads / obj.n + 2.0 * obj.lam * W
+        assert snap["mu"].tobytes() == mu.tobytes(), algo
 
 
 def test_objective_rejects_trivial_rows():
@@ -262,6 +268,14 @@ def test_objective_rejects_trivial_rows():
     labels[4] = 1.0
     with pytest.raises(ValueError):
         Objective(data.features, labels, ObjectiveSpec("u3", LOGISTIC, 0.0))
+
+
+def test_objective_rejects_zero_rows():
+    # no rows would make every mean NaN: the first snapshot's value among them
+    X, Y = np.empty((0, 3)), np.empty((0, 2))
+    for algo in ("pa", "u3"):
+        with pytest.raises(ValueError, match="the data is empty"):
+            Objective(X, Y, ObjectiveSpec(algo, LOGISTIC, 0.1))
 
 
 def test_model_save_load_roundtrip(tmp_path):

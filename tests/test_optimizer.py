@@ -243,7 +243,8 @@ def test_default_fit_reaches_lbfgs_optimum(base, lam):
 
         def value_and_gradient(w):
             W = w.reshape(shape)
-            return obj.value(W), obj.full_gradient(W).ravel()
+            snap = obj.svrg_snapshot(W)
+            return snap["value"], snap["mu"].ravel()
 
         res = minimize(value_and_gradient, np.zeros(shape).ravel(), jac=True,
                        method="L-BFGS-B",

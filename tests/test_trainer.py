@@ -114,7 +114,7 @@ def test_zero_model_surrogate_risks():
     data = synthetic_linear(40, 5, 2, seed=4)
     model = LinearModel(np.zeros((5, 2)), base="logistic")
     F = np.zeros((data.n, data.c))
-    risks = {algo: losses.BatchSurrogate(data.labels, algo, LOGISTIC).row_losses(F)
+    risks = {algo: losses.BatchSurrogate(data.labels, algo, LOGISTIC).losses_and_gradients(F)[0]
              for algo in ("pa", "u1", "u2", "u3")}
     # all scores zero: each coordinate contributes ell(0) = ln 2
     np.testing.assert_allclose(risks["u3"], 2 * LN2)
