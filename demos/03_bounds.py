@@ -13,7 +13,7 @@ from mlrank import bounds as B
 from mlrank.dataset import synthetic_linear
 from mlrank.losses import LOGISTIC, LOGISTIC_CALIBRATED
 from mlrank.optimizer import OptimizerConfig
-from mlrank.trainer import evaluate, prepare_data, train
+from mlrank.trainer import evaluate, prepare_data, train_with_trace
 
 print("=" * 72)
 print("The worked example")
@@ -76,8 +76,8 @@ data = synthetic_linear(400, 10, 4, seed=3, noise=0.1)
 prepped, _ = prepare_data(data)
 # the calibrated logistic base has ell(0) = 1, so its surrogate risks dominate
 # the ranking loss; the plain logistic base (ell(0) = ln 2) bounds nothing
-model = train(prepped, "u3", 1e-3, base=LOGISTIC_CALIBRATED,
-              cfg=OptimizerConfig(outer_epochs=10, seed=0))
+model, _ = train_with_trace(prepped, "u3", 1e-3, base=LOGISTIC_CALIBRATED,
+                            cfg=OptimizerConfig(outer_epochs=10, seed=0))
 rep = evaluate(model, prepped)
 z_max, inputs = B.model_bound_inputs(model, prepped, delta=0.05)
 print(f"empirical ranking loss  : {rep.ranking_loss:.4f}")

@@ -16,9 +16,11 @@ flag given, which sets the field its argparse ``dest`` names, then a nonempty
 ``MLRANK_THREADS``, which sets ``workers`` and parses like ``--workers``.
 Defaults live in :class:`ExperimentConfig` and, for the solver,
 ``OptimizerConfig``.  :meth:`ExperimentConfig.validate` rejects what no run
-could use before any data is read.  Every command that reads a dataset
-reports the trivial rows its loader dropped; ``bench``, ``report``,
-``cv --csv`` and ``consistency --report`` print ``wrote <path>`` per file.
+could use before any data is read, the hinge base included.  A label
+count (``--labels``) selects the CSV reader, and its absence the sparse
+one.  Every command that reads a dataset reports the trivial rows its loader
+dropped; ``bench``, ``report``, ``cv --csv`` and ``consistency --report``
+print ``wrote <path>`` per file.
 
 Exit codes: 0 success, 1 task failure (training aborted), 2 invalid
 configuration or malformed input data, 3 I/O error.  A stdout closed early
@@ -46,9 +48,10 @@ from . import consistency as cons
 from .dataset import (DatasetFormatError, MultiLabelDataset, dataset_name, load_csv,
                       load_sparse, save_csv, save_sparse)
 from .losses import SCHEME_KINDS, BaseLoss
-from .model import SURROGATES, ObjectiveSpec, load_model, save_model
+from .model import SURROGATES, load_model, save_model
 from .optimizer import NonFiniteObjectiveError, OptimizerConfig
-from .trainer import CvResult, cross_validate, evaluate, prepare_data, train_with_trace
+from .trainer import (CvResult, cross_validate, evaluate, fit_spec, prepare_data,
+                      train_with_trace)
 
 EXIT_OK = 0
 EXIT_TASK = 1
@@ -72,7 +75,6 @@ class ExperimentConfig:
     """
 
     datasets: list[str] = field(default_factory=list)
-    format: str = "sparse"
     label_count: int | None = None
     algos: list[str] = field(default_factory=lambda: list(SURROGATES))
     base: str = "logistic"
@@ -81,7 +83,6 @@ class ExperimentConfig:
     seed: int = 0
     outer_epochs: int = OptimizerConfig.outer_epochs
     inner_steps: int | None = OptimizerConfig.inner_steps
-    initial_step: float = OptimizerConfig.initial_step
     tolerance: float = OptimizerConfig.tolerance
     standardize: bool = True
     bias: bool = True
@@ -93,9 +94,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise :class:`ConfigError` on a config no run could use: no dataset
         or algorithm, two datasets of one name (which names their results),
-        csv without ``label_count``, an empty lambda grid, ``folds < 2``,
-        ``workers < 1``, or what ``BaseLoss``, ``ObjectiveSpec`` (algorithm,
-        lambda) or ``OptimizerConfig`` (solver fields) rejects."""
+        ``label_count < 1``, an empty lambda grid, ``folds < 2``,
+        ``workers < 1``, or what ``BaseLoss``, ``fit_spec`` (algorithm, hinge
+        base, lambda) or ``OptimizerConfig`` (solver fields) rejects."""
         if not self.datasets:
             raise ConfigError("no datasets given")
         names = [dataset_name(p) for p in self.datasets]
@@ -103,10 +104,8 @@ class ExperimentConfig:
             if name in names[:i]:
                 raise ConfigError(f"datasets {self.datasets[names.index(name)]} and "
                                   f"{self.datasets[i]} share the name {name!r}")
-        if self.format not in ("sparse", "csv"):
-            raise ConfigError(f"format must be sparse or csv, not {self.format!r}")
-        if self.format == "csv" and not self.label_count:
-            raise ConfigError("csv format requires label_count")
+        if self.label_count is not None and self.label_count < 1:
+            raise ConfigError(f"label_count must be >= 1, not {self.label_count}")
         if not self.algos:
             raise ConfigError("no algorithms given")
         if not self.lambda_grid:
@@ -119,7 +118,7 @@ class ExperimentConfig:
             base = BaseLoss(self.base)
             for algo in self.algos:
                 for lam in self.lambda_grid:
-                    ObjectiveSpec(algo, base, lam)
+                    fit_spec(algo, base, lam)
             _optimizer_config(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -249,12 +248,13 @@ def _cross_validate(data: MultiLabelDataset, algo: str, cfg: ExperimentConfig) -
                           standardize=cfg.standardize, bias=cfg.bias)
 
 
-def _load_dataset(path: str, fmt: str, label_count: int | None,
+def _load_dataset(path: str, label_count: int | None,
                   keep_trivial: bool = False) -> MultiLabelDataset:
-    """Load a dataset and say how many trivial rows the loader dropped;
-    raise :class:`ConfigError` if it dropped every row."""
-    data = (load_csv(path, label_count, keep_trivial=keep_trivial) if fmt == "csv"
-            else load_sparse(path, keep_trivial=keep_trivial))
+    """Load a dataset, CSV if ``label_count`` is given, and say how many
+    trivial rows the loader dropped; raise :class:`ConfigError` if it
+    dropped every row."""
+    data = (load_sparse(path, keep_trivial=keep_trivial) if label_count is None
+            else load_csv(path, label_count, keep_trivial=keep_trivial))
     if data.n == 0:
         raise ConfigError(f"{path}: all {data.dropped_trivial} instances are trivial; "
                           "nothing is left to use")
@@ -454,8 +454,7 @@ def _write_report(outdir: Path, stem: str, csv_paths,
 
 
 def cmd_convert(args) -> int:
-    fmt_in = args.from_format or ("csv" if args.input.endswith(".csv") else "sparse")
-    data = _load_dataset(args.input, fmt_in, args.labels, args.keep_trivial)
+    data = _load_dataset(args.input, args.labels, args.keep_trivial)
     if args.to == "csv":
         save_csv(data, args.output)
     else:
@@ -466,8 +465,8 @@ def cmd_convert(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_smoke(_experiment(args))
-    spec = ObjectiveSpec(cfg.algos[0], BaseLoss(cfg.base), args.lam)  # lambda checked before the read
-    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
+    spec = fit_spec(cfg.algos[0], BaseLoss(cfg.base), args.lam)  # lambda checked before the read
+    data = _load_dataset(cfg.datasets[0], cfg.label_count)
     prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
     model, trace = train_with_trace(prepared, spec.surrogate, spec.lam, spec.base,
                                     _optimizer_config(cfg))
@@ -484,7 +483,7 @@ def cmd_train(args) -> int:
 
 def cmd_cv(args) -> int:
     cfg = _apply_smoke(_experiment(args))
-    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
+    data = _load_dataset(cfg.datasets[0], cfg.label_count)
     result = _cross_validate(data, cfg.algos[0], cfg)
     print(f"dataset {result.dataset}: n={data.n} d={data.d} c={data.c}")
     print(f"algorithm {result.algorithm} ({result.protocol}), {result.folds} folds, "
@@ -511,7 +510,7 @@ def cmd_bench(args) -> int:
 
     csv_paths: list[Path] = []
     for path in run_cfg.datasets:
-        data = _load_dataset(path, run_cfg.format, run_cfg.label_count)
+        data = _load_dataset(path, run_cfg.label_count)
         results = []
         for algo in run_cfg.algos:
             result = _cross_validate(data, algo, run_cfg)
@@ -625,7 +624,7 @@ def cmd_bounds(args) -> int:
     if not 0.0 < args.delta < 1.0:
         raise ConfigError(f"--delta must lie in (0, 1), not {args.delta!r}")
     model = load_model(args.model)
-    data = _load_dataset(cfg.datasets[0], cfg.format, cfg.label_count)
+    data = _load_dataset(cfg.datasets[0], cfg.label_count)
     prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
     if prepared.d != model.d:
         raise ConfigError(
@@ -666,8 +665,7 @@ def cmd_report(args) -> int:
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", help="dataset file format: sparse (default) or csv")
-    p.add_argument("--labels", dest="label_count", help="label column count (csv format)")
+    p.add_argument("--labels", dest="label_count", help="label column count of a CSV file")
 
 
 def _add_preprocess_args(p: argparse.ArgumentParser) -> None:
@@ -687,7 +685,6 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     p.add_argument("--epochs", dest="outer_epochs", help="outer epochs")
     p.add_argument("--inner-steps", help="samples drawn per epoch (default 2n)")
-    p.add_argument("--eta0", dest="initial_step", help="first-epoch step size")
     p.add_argument("--tolerance", help="relative objective change to stop at")
     _add_preprocess_args(p)
 
@@ -710,8 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--to", choices=("sparse", "csv"), required=True)
-    p.add_argument("--from", dest="from_format", choices=("sparse", "csv"), default=None)
-    p.add_argument("--labels", type=int, default=None)
+    p.add_argument("--labels", type=int, default=None, help="label column count of a CSV file")
     p.add_argument("--keep-trivial", action="store_true")
     p.set_defaults(func=cmd_convert)
 

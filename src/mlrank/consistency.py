@@ -32,8 +32,10 @@ surrogate then reduces to sign agreement between the two families
 (``check_consistency_on_distribution``), a necessary product
 condition ``beta_plus * beta_minus = tau * alpha^2`` with a single constant
 ``tau`` (``necessary_condition_tau``, in exact rational arithmetic over the
-split sizes), and explicit counterexample generators for the schemes and
-for the hinge base; ``random_violation_search`` audits a named scheme.
+split sizes), and explicit counterexamples: a generator for the schemes
+(``tau_witness_distribution``) and one fixed ``c = 2`` witness for the
+hinge base (``hinge_counterexample``, which takes no argument);
+``random_violation_search`` audits a named scheme.
 Mass and product differences within ``_TOL = 1e-12`` count as ties.
 
 Trivial label vectors (all-positive or all-negative) generate no ranking
@@ -512,33 +514,19 @@ class HingeCounterexampleRecord:
     membership: MembershipReport
 
 
-def hinge_counterexample(masses: tuple[float, float] = (0.2, 0.1)
-                         ) -> HingeCounterexampleRecord:
+def hinge_counterexample() -> HingeCounterexampleRecord:
     """Construct the hinge inconsistency witness at ``c = 2``, under
     :func:`uniform_assignment` weights.
 
     Support: ``y1 = (+1, +1)`` with the bulk of the mass, plus the two
     single-positive vectors ``y2 = (+1, -1)`` and ``y3 = (-1, +1)`` with
-    ``masses``.  When the total perturbation is small enough both hinge
-    Bayes scores are forced to ``+1``, yet unequal weighted masses on
-    ``y2`` / ``y3`` force a strict order between the labels.
-
-    Raises ``ValueError`` when the masses are too large to pin the hinge
-    scores or when the weighted masses coincide (no strict order required,
-    hence no counterexample).
+    masses 0.2 and 0.1.  Their total stays below 0.5, which pins both
+    hinge Bayes scores at ``+1``, yet their unequal masses force a strict
+    order between the labels.
     """
     pen = uniform_assignment()
-    m2, m3 = float(masses[0]), float(masses[1])
-    if m2 <= 0.0 or m3 <= 0.0:
-        raise ValueError("both perturbation masses must be positive")
+    m2, m3 = 0.2, 0.1
     eps = m2 + m3
-    # under unit weights both hinge scores sit at +1 while y1's mass 1 - eps exceeds eps
-    if eps >= 0.5:
-        raise ValueError(f"total perturbation {eps} must stay below 0.5 "
-                         "to pin both hinge scores at +1")
-    if abs(m2 - m3) <= 1e-15:
-        raise ValueError("weighted masses of the single-positive atoms must differ; "
-                         "equal masses demand no strict order")
     atoms = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
     dist = ConditionalDistribution(atoms, np.array([1.0 - eps, m2, m3]))
     bayes = bayes_surrogate(dist, pen, BaseLoss("hinge"))

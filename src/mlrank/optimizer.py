@@ -28,13 +28,13 @@ from consecutive snapshots by the Barzilai-Borwein rule
 
     eta_k = ||dW||^2 / (m * <dW, dG>)
 
-with the first epoch on a fixed ``initial_step``.  Steps are clamped to
-``[_STEP_MIN, min(_STEP_MAX, 1 / (4 lam))]`` (``_STEP_MAX`` at ``lam = 0``),
-which keeps the regularizer's shrink factor ``1 - 2 eta lam`` in
-``[1/2, 1)``.  Because the inner
-recursion is not monotone, the returned iterate is the best snapshot seen
-(including the initial point), so the final objective never exceeds the
-starting one.
+with the first epoch on ``_INITIAL_STEP``, a solver rule like the clamp:
+in SVRG-BB (Tan et al., NeurIPS 2016) BB sets every later step.  Steps are
+clamped to ``[_STEP_MIN, min(_STEP_MAX, 1 / (4 lam))]`` (``_STEP_MAX`` at
+``lam = 0``), which keeps the regularizer's shrink factor ``1 - 2 eta lam``
+in ``[1/2, 1)``.  Because the inner recursion is not monotone, the returned
+iterate is the best snapshot seen (including the initial point), so the
+final objective never exceeds the starting one.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_INITIAL_STEP = 0.1
 _STEP_MIN = 1e-10
 _STEP_MAX = 1e3
 # BB denominators at or below this multiple of ||dW||^2 are treated as zero
@@ -61,13 +62,12 @@ class OptimizerConfig:
     ``inner_steps`` is the number of samples an SVRG epoch draws, ``None``
     meaning ``2n``; the epoch takes them in steps of ``_BLOCK_ROWS``.
     Construction raises ``ValueError`` unless ``outer_epochs >= 1``,
-    ``inner_steps`` is ``None`` or ``>= 1``, ``initial_step > 0``,
-    ``tolerance >= 0`` and ``seed >= 0``.
+    ``inner_steps`` is ``None`` or ``>= 1``, ``tolerance >= 0`` and
+    ``seed >= 0``.
     """
 
     outer_epochs: int = 30
     inner_steps: int | None = None
-    initial_step: float = 0.1
     tolerance: float = 1e-7
     seed: int = 0
 
@@ -76,8 +76,6 @@ class OptimizerConfig:
             raise ValueError(f"outer_epochs must be >= 1, not {self.outer_epochs}")
         if self.inner_steps is not None and self.inner_steps < 1:
             raise ValueError(f"inner_steps must be >= 1, not {self.inner_steps}")
-        if not self.initial_step > 0:
-            raise ValueError(f"initial_step must be > 0, not {self.initial_step}")
         if not self.tolerance >= 0:
             raise ValueError(f"tolerance must be >= 0, not {self.tolerance}")
         if self.seed < 0:
@@ -154,7 +152,7 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
     best_W, best_value = W_snap.copy(), value
     _check_finite(value, "initial objective", trace)
 
-    eta = _clamp_step(cfg.initial_step, step_max)
+    eta = _clamp_step(_INITIAL_STEP, step_max)
     prev_W: np.ndarray | None = None
     prev_mu: np.ndarray | None = None
 

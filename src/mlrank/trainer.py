@@ -6,6 +6,9 @@ only in the surrogate objective:
 * ``pa``: pairwise surrogate over relevant/irrelevant label pairs,
 * ``u1`` .. ``u4``: univariate surrogates under the four penalty schemes.
 
+Every fit takes its objective from :func:`fit_spec`, which refuses the
+hinge base (train ``squared_hinge`` instead).
+
 ``evaluate`` scores the (partial) ranking loss only; the surrogate risks of
 the deviation bounds come from :func:`mlrank.bounds.model_bound_inputs`.
 ``train_with_trace`` solves, and ``evaluate`` scores, with numpy's bundled
@@ -46,7 +49,7 @@ import numpy as np
 from . import losses
 from .dataset import MultiLabelDataset, StandardizationParams, kfold_split, standardize_fit
 from .losses import LOGISTIC, BaseLoss
-from .model import SURROGATES, LinearModel, Objective, ObjectiveSpec, predict
+from .model import LinearModel, Objective, ObjectiveSpec, predict
 from .optimizer import OptimizationTrace, OptimizerConfig, minimize_svrg_bb
 
 
@@ -91,6 +94,16 @@ def prepare_data(data: MultiLabelDataset, standardize: bool = True, bias: bool =
                    dropped_trivial=data.dropped_trivial if rows is None else 0), params
 
 
+def fit_spec(algo: str, base: BaseLoss, lam: float) -> ObjectiveSpec:
+    """The objective of a fit.  Raises ``ValueError`` on what ``ObjectiveSpec``
+    rejects and on the hinge base, whose SVRG-BB fits end far above their
+    optimum with nothing to certify them."""
+    if base.kind == "hinge":
+        raise ValueError("the hinge base is not trained, for nothing certifies its fits; "
+                         "use squared_hinge, the smooth margin loss")
+    return ObjectiveSpec(algo, base, lam)
+
+
 def train_with_trace(data: MultiLabelDataset, algo: str, lam: float,
                      base: BaseLoss = LOGISTIC, cfg: OptimizerConfig | None = None
                      ) -> tuple[LinearModel, OptimizationTrace]:
@@ -98,17 +111,11 @@ def train_with_trace(data: MultiLabelDataset, algo: str, lam: float,
     Overflow in the solve prints no numpy warning: the optimizer's own
     finiteness check is what reports a diverging fit."""
     cfg = cfg or OptimizerConfig()
-    objective = Objective(data.features, data.labels, ObjectiveSpec(algo, base, lam))
+    objective = Objective(data.features, data.labels, fit_spec(algo, base, lam))
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         W, trace = minimize_svrg_bb(objective, np.zeros((data.d, data.c)), cfg)
     model = LinearModel(W, algorithm=algo, base=base.kind, lam=lam, seed=cfg.seed)
     return model, trace
-
-
-def train(data: MultiLabelDataset, algo: str, lam: float, base: BaseLoss = LOGISTIC,
-          cfg: OptimizerConfig | None = None) -> LinearModel:
-    model, _ = train_with_trace(data, algo, lam, base, cfg)
-    return model
 
 
 @dataclass
@@ -324,16 +331,16 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
 
     Returns per-fold test metrics at the selected lambda.  The grid is
     sorted ascending and ties in mean validation loss break toward the
-    smaller lambda.
+    smaller lambda.  The grid (by :func:`fit_spec`) and ``seed`` (as
+    ``OptimizerConfig`` checks one) are checked before any fold is drawn.
     """
-    if algo not in SURROGATES:
-        raise ValueError(f"unknown algorithm {algo!r}, expected one of {SURROGATES}")
-    grid = sorted(float(l) for l in lambda_grid)
+    grid = sorted(fit_spec(algo, base, float(lam)).lam for lam in lambda_grid)
     if not grid:
         raise ValueError("lambda grid is empty")
+    # checked as a solver seed is; each task then replaces it with its own
+    opt_cfg = replace(optimizer_cfg or OptimizerConfig(), seed=seed)
     if not losses.nontrivial_mask(data.labels).all():
         raise ValueError("cross_validate requires nontrivial instances; filter the data first")
-    opt_cfg = optimizer_cfg or OptimizerConfig()
     fold_of = kfold_split(data.n, k, seed)
     all_rows = np.arange(data.n)
 

@@ -70,7 +70,9 @@ def test_config_errors_carry_line_numbers():
     # unknown keys, and values that do not parse as their field's declared type
     for line in ("bogus_key = 1", "workers = none", "folds = none", "seed = none",
                  "standardize = 0", "bias = off", "smoke = yes", "folds = 2.5",
-                 "tolerance = small", "lambda_grid = 1e-4,x", "datasets = y"):
+                 "tolerance = small", "lambda_grid = 1e-4,x", "datasets = y",
+                 # keys of settings that are now fixed or follow label_count
+                 "format = sparse", "initial_step = 0.1"):
         with pytest.raises(ConfigError, match=r"^<config>:2: "):
             config_from_text(f"datasets = x\n{line}\n")
     with pytest.raises(ConfigError):
@@ -95,7 +97,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(datasets=["x"], lambda_grid=[-1.0]).validate()
     with pytest.raises(ConfigError):
-        ExperimentConfig(datasets=["x"], format="csv").validate()
+        ExperimentConfig(datasets=["x"], label_count=0).validate()
 
 
 def test_every_solver_option_is_a_config_field_with_its_default():
@@ -247,6 +249,11 @@ def test_bounds_reject_an_overflowing_instance_with_one_line(tmp_path):
     (["bench", "--seed", "-2", "--data", "{tmp}/missing.txt"], "not -2"),
     (["bench", "--config", "{tmp}/seed.cfg"], "not -3"),
     (["consistency", "--scheme", "u3", "--seed", "-1"], "--seed must be >= 0, not -1"),
+    (["train", "--algo", "u1", "--lam", "0.1", "--out", "{tmp}/m.txt", "--base", "hinge",
+      "--data", "{tmp}/missing.txt"], "use squared_hinge"),
+    (["cv", "--algo", "u1", "--base", "hinge", "--data", "{tmp}/missing.txt"],
+     "use squared_hinge"),
+    (["bench", "--base", "hinge", "--data", "{tmp}/missing.txt"], "use squared_hinge"),
 ])
 def test_a_bad_value_exits_2_before_any_file_is_read(tmp_path, argv, named):
     # the config file is read, but not the dataset it names
@@ -335,10 +342,10 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--data", "{csv}", "--format", "csv", "--algo", "u1", "--lam", "1",
+    ["train", "--data", "{csv}", "--algo", "u1", "--lam", "1",
      "--out", "{tmp}/m2.txt"],
     ["convert", "{csv}", "{tmp}/back.txt", "--to", "sparse"],
-    ["bounds", "--model", "{model}", "--data", "{csv}", "--format", "csv"],
+    ["bounds", "--model", "{model}", "--data", "{csv}"],
     ["train", "--data", "{sparse}", "--algo", "u1", "--lam", "1", "--out", "{tmp}/m2.txt",
      "--inner-steps", "0"],
     ["cv", "--data", "{sparse}", "--algo", "u1", "--grid", "1e-4", "--epochs", "0"],
@@ -348,7 +355,7 @@ def test_config_type_error_exits_2_without_traceback(tmp_path, dataset_file):
     ["cv", "--data", "{sparse}", "--algo", "u1", "--grid", "inf"],
     ["cv", "--data", "{sparse}", "--algo", "u1", "--grid", "1e400"],
     ["train", "--data", "{sparse}", "--algo", "u1", "--lam", "inf", "--out", "{tmp}/m2.txt"],
-    ["cv", "--data", "{csv}", "--format", "csv", "--algo", "u1"],
+    ["cv", "--data", "{csv}", "--algo", "u1"],
     ["cv", "--data", "{sparse}", "--algo", "u1", "--keep-trivial"],
     ["bench", "--config", "{config}"],
     ["report", "{bad_cell}", "--outdir", "{tmp}/rep"],
@@ -414,7 +421,7 @@ def test_non_finite_feature_value_exits_2_naming_its_line(tmp_path, dataset_file
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     argv = {"train": ["train", "--lam", "1e-2", "--out", str(tmp_path / "m.txt")],
             "cv": ["cv", "--grid", "1e-2"]}[command]
-    argv += ["--data", str(data), "--algo", "u1", "--format", fmt]
+    argv += ["--data", str(data), "--algo", "u1"]
     if fmt == "csv":
         argv += ["--labels", "3"]
     env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
@@ -518,7 +525,7 @@ def test_a_corrupt_number_exits_0_or_2_with_at_most_one_line(clean_files, fmt, c
     _corrupt(clean_files / f"clean.{ext}", field, value, path)
     argv = {"train": ["train", "--lam", "1e-2", "--out", str(clean_files / "m.txt")],
             "cv": ["cv", "--grid", "1e-2", "--folds", "2"]}[command]
-    argv += ["--data", str(path), "--algo", "u1", "--format", fmt, "--epochs", "2"]
+    argv += ["--data", str(path), "--algo", "u1", "--epochs", "2"]
     if fmt == "csv":
         argv += ["--labels", "3"]
     code, err, lines = _main_in_process(argv)
@@ -596,6 +603,35 @@ def test_every_dataset_reader_reports_dropped_rows(tmp_path, dataset_file, capsy
     capsys.readouterr()
     assert main([a.format(data=data, model=model, tmp=tmp_path) for a in argv]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "trivial: dropped 2 trivial instances"
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "{data}", "{tmp}/out.txt", "--to", "sparse"],
+    ["train", "--data", "{data}", "--algo", "u3", "--lam", "1e-2", "--out", "{tmp}/m2.txt",
+     "--epochs", "1"],
+    ["cv", "--data", "{data}", "--algo", "u3", "--grid", "1e-2", "--epochs", "1"],
+    ["bench", "--data", "{data}", "--algos", "u3", "--grid", "1e-2", "--smoke",
+     "--outdir", "{tmp}/res"],
+    ["bounds", "--model", "{model}", "--data", "{data}"],
+], ids=["convert", "train", "cv", "bench", "bounds"])
+def test_a_label_count_selects_the_csv_reader(tmp_path, dataset_file, capsys, argv):
+    # with --labels every dataset reader reads CSV, whatever the file's name,
+    # so a sparse file given a label count is a malformed CSV, not read as
+    # sparse text with the count ignored
+    csv, model = tmp_path / "syn.data", tmp_path / "m.txt"
+    assert main(["convert", str(dataset_file), str(csv), "--to", "csv"]) == 0
+    assert main(["train", "--data", str(dataset_file), "--algo", "u3", "--lam", "1e-2",
+                 "--out", str(model), "--epochs", "1", "--base", "logistic_calibrated"]) == 0
+    capsys.readouterr()
+
+    def run(data):
+        return main([a.format(data=data, model=model, tmp=tmp_path) for a in argv]
+                    + ["--labels", "3"])
+
+    assert run(csv) == 0
+    capsys.readouterr()
+    assert run(dataset_file) == 2
+    assert capsys.readouterr().err.startswith(f"error: {dataset_file}:0: not numeric CSV")
 
 
 def test_report_names_the_line_of_a_non_numeric_cell(tmp_path, capsys):
@@ -677,8 +713,7 @@ def test_exit_codes(tmp_path, dataset_file):
 def test_non_utf8_dataset_exits_2_naming_its_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"2 2 2\n0 1:1.0\n1 2:\xff\n")
-    assert main(["convert", str(bad), str(tmp_path / "out.csv"),
-                 "--from", "sparse", "--to", "csv"]) == 2
+    assert main(["convert", str(bad), str(tmp_path / "out.csv"), "--to", "csv"]) == 2
     assert capsys.readouterr().err == (
         f"error: {bad}:3: not UTF-8 text: cannot decode 0xff (invalid start byte)\n")
     assert not (tmp_path / "out.csv").exists()

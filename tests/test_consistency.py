@@ -352,16 +352,6 @@ def test_hinge_counterexample_regression():
     assert 0.0 < record.epsilon < 1.0
 
 
-def test_hinge_counterexample_rejects_balanced_masses():
-    with pytest.raises(ValueError):
-        cons.hinge_counterexample(masses=(0.15, 0.15))
-
-
-def test_hinge_counterexample_needs_room_for_trivial_mass():
-    with pytest.raises(ValueError):
-        cons.hinge_counterexample(masses=(0.7, 0.4))
-
-
 # ---------------------------------------------------------------------------
 # necessary product condition
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from mlrank import optimizer
 from mlrank.dataset import MultiLabelDataset, synthetic_linear
 from mlrank.losses import LOGISTIC, BaseLoss
 from mlrank.model import Objective, ObjectiveSpec
@@ -94,14 +95,14 @@ def test_svrg_bb_reads_only_the_oracle_protocol():
     assert trace_proxy.objectives == trace.objectives
 
 
-def test_result_never_worse_than_init():
+def test_result_never_worse_than_init(monkeypatch):
     # a hostile step schedule may wander; the returned iterate must not
     oracle = quadratic(seed=4)
     W0 = np.zeros((3, 2))
     for eta in (1e-6, 0.1, 5.0):
-        cfg = OptimizerConfig(outer_epochs=3, initial_step=eta, seed=0)
+        monkeypatch.setattr(optimizer, "_INITIAL_STEP", eta)
         try:
-            W, _ = minimize_svrg_bb(oracle, W0, cfg)
+            W, _ = minimize_svrg_bb(oracle, W0, OptimizerConfig(outer_epochs=3, seed=0))
         except NonFiniteObjectiveError:
             continue
         assert oracle.value(W) <= oracle.value(W0) + 1e-12
@@ -155,8 +156,7 @@ def test_tolerance_stop_sets_converged():
 
 
 def test_out_of_range_settings_are_rejected():
-    for bad in (dict(outer_epochs=0), dict(inner_steps=0), dict(initial_step=0.0),
-                dict(initial_step=float("nan")), dict(tolerance=-1e-9)):
+    for bad in (dict(outer_epochs=0), dict(inner_steps=0), dict(tolerance=-1e-9)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             OptimizerConfig(**bad)
     OptimizerConfig(inner_steps=1, tolerance=0.0)

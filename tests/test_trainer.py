@@ -13,7 +13,7 @@ from mlrank.losses import LOGISTIC, BaseLoss
 from mlrank.model import LinearModel, predict
 from mlrank.optimizer import OptimizerConfig
 from mlrank.trainer import (cross_validate, evaluate, prepare_data, task_seed,
-                            train, train_with_trace)
+                            train_with_trace)
 
 LN2 = np.log(2.0)
 
@@ -92,8 +92,8 @@ def test_training_fits_separable_data():
     data = synthetic_linear(80, 6, 2, seed=2)
     prepped, _ = prepare_data(data)
     for algo in ("pa", "u3"):
-        model = train(prepped, algo, 1e-8,
-                      cfg=OptimizerConfig(outer_epochs=10, seed=0))
+        model = train_with_trace(prepped, algo, 1e-8,
+                                 cfg=OptimizerConfig(outer_epochs=10, seed=0))[0]
         report = evaluate(model, prepped)
         assert report.ranking_loss < 0.05, algo
 
@@ -104,7 +104,7 @@ def test_schemes_coincide_at_two_labels():
     data = synthetic_linear(50, 4, 2, seed=3, noise=0.05)
     prepped, _ = prepare_data(data)
     cfg = OptimizerConfig(outer_epochs=5, seed=7)
-    fits = [train(prepped, algo, 1e-4, cfg=cfg).weights
+    fits = [train_with_trace(prepped, algo, 1e-4, cfg=cfg)[0].weights
             for algo in ("u2", "u3", "u4")]
     np.testing.assert_array_equal(fits[0], fits[1])
     np.testing.assert_array_equal(fits[0], fits[2])
@@ -220,13 +220,13 @@ def test_train_with_trace_reports_progress():
 def test_train_rejects_unknown_algorithm():
     data = synthetic_linear(10, 3, 2, seed=7)
     with pytest.raises(ValueError):
-        train(data, "boost", 0.1)
+        train_with_trace(data, "boost", 0.1)
 
 
 def test_huge_regularizer_is_stabilized():
     data = synthetic_linear(30, 4, 2, seed=8)
     prepped, _ = prepare_data(data)
-    model = train(prepped, "u2", 1e2, cfg=OptimizerConfig(outer_epochs=5, seed=0))
+    model = train_with_trace(prepped, "u2", 1e2, cfg=OptimizerConfig(outer_epochs=5, seed=0))[0]
     assert np.all(np.isfinite(model.weights))
     assert np.linalg.norm(model.weights) < 0.1
 
@@ -288,7 +288,10 @@ def test_cross_validate_worker_pool_is_deterministic():
         assert r1.fits == r2.fits
 
 
-def test_cross_validate_forks_no_more_workers_than_tasks(monkeypatch):
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The size of each process pool ``trainer`` asks for; the pools run
+    their tasks in this process."""
     sizes = []
 
     class InProcessPool:
@@ -307,12 +310,16 @@ def test_cross_validate_forks_no_more_workers_than_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(trainer.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_cross_validate_forks_no_more_workers_than_tasks(pool_sizes):
     data = synthetic_linear(30, 3, 2, seed=19)
     kwargs = dict(k=2, seed=4, optimizer_cfg=CV_CFG)
     many = cross_validate(data, "u1", [1e-6, 1e-2], workers=10 ** 6, **kwargs)
-    assert sizes == [4]  # 2 folds x 2 lambdas of selection
+    assert pool_sizes == [4]  # 2 folds x 2 lambdas of selection
     one = cross_validate(data, "u1", [1e-6, 1e-2], workers=1, **kwargs)
-    assert sizes == [4]
+    assert pool_sizes == [4]
     np.testing.assert_array_equal(many.validation_losses, one.validation_losses)
     np.testing.assert_array_equal(many.fold_ranking_losses, one.fold_ranking_losses)
     assert many.fits == one.fits
@@ -404,6 +411,35 @@ def test_cross_validate_sorts_grid_ascending():
                             optimizer_cfg=CV_CFG)
     assert result.lambda_grid == [1e-8, 1e-2]
     assert result.best_lambda == result.lambda_grid[result.best_lambda_index]
+
+
+def test_cross_validate_checks_seed_and_lambdas_before_drawing_folds(pool_sizes, monkeypatch):
+    # a bad master seed or lambda is named by its value; no fold is drawn
+    # and no pool starts
+    def no_folds(*args):
+        raise AssertionError("folds were drawn")
+
+    monkeypatch.setattr(trainer, "kfold_split", no_folds)
+    data = synthetic_linear(30, 3, 2, seed=20)
+    with pytest.raises(ValueError, match="^seed must be >= 0, not -1$"):
+        cross_validate(data, "u1", [1e-2], seed=-1, optimizer_cfg=CV_CFG, workers=2)
+    with pytest.raises(ValueError, match="^lambda must be finite and nonnegative, not nan$"):
+        cross_validate(data, "u1", [1e-2, float("nan")], optimizer_cfg=CV_CFG, workers=2)
+    assert pool_sizes == []
+
+
+def test_training_refuses_the_hinge_base(pool_sizes):
+    # SVRG-BB leaves hinge fits far from their optimum; the smooth margin
+    # loss the error names trains
+    data, _ = prepare_data(synthetic_linear(30, 3, 2, seed=21))
+    with pytest.raises(ValueError, match="use squared_hinge"):
+        train_with_trace(data, "u3", 1e-2, BaseLoss("hinge"), CV_CFG)
+    with pytest.raises(ValueError, match="use squared_hinge"):
+        cross_validate(data, "u3", [1e-2], base=BaseLoss("hinge"), optimizer_cfg=CV_CFG,
+                       workers=2)
+    assert pool_sizes == []
+    model, _ = train_with_trace(data, "u3", 1e-2, BaseLoss("squared_hinge"), CV_CFG)
+    assert model.base == "squared_hinge"
 
 
 def test_cross_validate_rejects_bad_input():
