@@ -176,8 +176,9 @@ def model_bound_inputs(model: LinearModel, data: MultiLabelDataset, delta: float
     rows, ``n`` their count; ``rho`` and ``B`` are the base loss's constants
     on ``[-z_max, z_max]``, ``z_max`` the largest ``|score|``; the norms are
     the plug-in ``||W||_F`` and largest feature row norm.  Raises
-    ``ValueError`` for a base below the 0/1 step, and naming the first
-    instance whose scores or computed feature norm are not finite.
+    ``ValueError`` for a base below the 0/1 step, naming the first
+    instance whose scores or computed feature norm are not finite, and when
+    ``||W||_F`` or an empirical risk is not finite.
     """
     base = BaseLoss(model.base)
     if not base.dominates_zero_one:
@@ -196,12 +197,17 @@ def model_bound_inputs(model: LinearModel, data: MultiLabelDataset, delta: float
         raise ValueError("no nontrivial instances to bound")
     F, Y = scores[mask], data.labels[mask]
     z_max = float(np.abs(scores).max())
+    with np.errstate(over="ignore"):
+        weight_norm = float(np.linalg.norm(model.weights))
+        risks = {which: losses.BatchSurrogate(Y, which, base).losses_and_gradients(F)[0].mean()
+                 for which in BOUNDED_SCHEMES}
+    if not np.isfinite([weight_norm, *risks.values()]).all():
+        raise ValueError(f"the weight norm ({weight_norm:.6g}) or an empirical risk is not "
+                         "finite, so no bound applies")
     shared = dict(n=int(mask.sum()), c=data.c, rho=base_lipschitz(base, z_max),
-                  B=base_sup(base, z_max), weight_norm=float(np.linalg.norm(model.weights)),
+                  B=base_sup(base, z_max), weight_norm=weight_norm,
                   feature_norm=float(row_norms.max()),
                   delta=delta, log2=log2)
-    risks = {which: losses.BatchSurrogate(Y, which, base).losses_and_gradients(F)[0].mean()
-             for which in BOUNDED_SCHEMES}
     return z_max, {which: BoundInputs(empirical_risk=float(risk), **shared)
                    for which, risk in risks.items()}
 

@@ -26,12 +26,13 @@ Two on-disk formats are supported:
   output arrays plus 16 bytes per stored value.  Neither is a multiple of
   the file size.
 
-  A file with any fault never loads; the first fault is named, in this
-  order: token faults in file order (a byte that is not UTF-8, a bad label
-  list, a bad feature token, a feature index below 1, a feature value that
-  is not finite, such as ``nan`` or ``1e400``, a negative label),
-  then the instance and label counts, then the label and feature indices
-  against ``c`` and ``d`` in file order.
+  A file with any fault never loads.  The first faulty line is named; a
+  line's faults are, in order: a byte that is not UTF-8, a bad label list
+  (named as a CSV row when it holds comma-separated numbers), a negative
+  label, a label ``>= c``, then per feature token bad syntax, an index
+  below 1, a value that is not finite (``nan``, ``1e400``) and an index
+  ``> d``.  Without a header ``c`` and ``d`` are unbounded, but an index
+  beyond int64 is a fault.  Then come the counts, and last an allocation.
 
 * **Dense CSV**: each row holds ``d`` feature values followed by ``c`` label
   columns, labels in ``{0, 1}`` or ``{-1, +1}`` (the former is remapped).
@@ -120,17 +121,13 @@ def _drop_trivial(X: np.ndarray, Y: np.ndarray, name: str, keep: bool) -> MultiL
 
 
 def _parse_header(tokens: list[str]) -> tuple[int, int, int] | None:
-    # A header is exactly three bare integers; data lines have ':' or ','
-    # in their tokens or fewer/more fields that fail integer parsing.
-    if len(tokens) != 3:
-        return None
+    # A header is exactly three nonnegative integers; a data line's tokens
+    # hold ':' or ',', which int() rejects, or are not three.
     try:
-        n, d, c = (int(t) for t in tokens)
+        n, d, c = map(int, tokens)
     except ValueError:
         return None
-    if any(":" in t or "," in t for t in tokens) or min(n, d, c) < 0:
-        return None
-    return n, d, c
+    return (n, d, c) if min(n, d, c) >= 0 else None
 
 
 def _lines(path: str):
@@ -160,10 +157,6 @@ def _lines(path: str):
             yield from lines
 
 
-def _label_ids(token: str) -> list[int]:
-    return [int(t) for t in token.split(",") if t]
-
-
 def load_sparse(path: str, keep_trivial: bool = False) -> MultiLabelDataset:
     """Load the sparse text format.
 
@@ -187,13 +180,13 @@ def _parse(path: str) -> tuple[np.ndarray, np.ndarray]:
 
     Each line holding tokens is kept as ``(line number, body, colon count)``
     until the colons of its block reach ``_BLOCK_TOKENS``; then
-    :func:`_block` converts the block.  With a header the output is
-    allocated before the first block and each converted block is scattered
-    into its rows at once; without one, the blocks wait for the end of the
-    file to set the shape.  Faults are raised in the order the module
-    docstring states.
+    :func:`_block` converts the block, or raises its first faulty line.
+    With a header the output is allocated before the first block and each
+    converted block is scattered into its rows at once; without one, the
+    blocks wait for the end of the file to set the shape.
     """
     header, out, blocks, block, pending = None, None, [], [], 0
+    d = c = math.inf  # the header's, once read
     keep = blocks.append  # where converted blocks go: the queue, or the output
     try:
         for lineno, raw in enumerate(_lines(path), start=1):
@@ -204,23 +197,23 @@ def _parse(path: str) -> tuple[np.ndarray, np.ndarray]:
                 header = _parse_header(body.split())
                 if header is not None:
                     out = _Output(path, *header)
-                    keep = out.add
+                    keep, (_, d, c) = out.add, header
                     continue
             colons = body.count(":")
             block.append((lineno, body, colons))
             pending += colons
             if pending >= _BLOCK_TOKENS:
                 full, block, pending = block, [], 0
-                keep(_block(full, path))
+                keep(_block(full, path, d, c))
     except DatasetFormatError:
-        # the pending lines' token faults come before an undecodable byte
-        _block(block, path)
+        # the pending lines' faults come before an undecodable byte
+        _block(block, path, d, c)
         raise
-    keep(_block(block, path))
+    keep(_block(block, path, d, c))
     block = full = None  # free the last lines before a headerless output is allocated
     if out is None:
-        n = sum(len(linenos) for linenos, *_ in blocks)
-        d = max((int(idx.max()) for _, _, idx, *_ in blocks if idx.size), default=0)
+        n = sum(len(counts) for counts, *_ in blocks)
+        d = max((int(idx.max()) for _, idx, *_ in blocks if idx.size), default=0)
         c = max((int(ids.max()) for *_, ids in blocks if ids.size), default=-1) + 1
         out = _Output(path, n, d, c)
         for b in blocks:
@@ -230,40 +223,28 @@ def _parse(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 class _Output:
     """The ``(n, d)`` features and ``(n, c)`` labels of a load, filled one
-    converted block at a time, and the first fault of each kind the blocks
-    hold, raised by :meth:`result` in the order the module docstring states.
+    converted block at a time.
 
     ``X`` comes from ``np.zeros`` and ``Y`` from ``np.empty``, and a block
     writes only its own rows, so rows a header declares but the file does
     not hold are never touched.  An array too large to allocate is a fault
-    of its own, raised last.
+    of its own, raised by :meth:`result` after the counts.
     """
 
     def __init__(self, path: str, n: int, d: int, c: int):
-        self.path, self.n, self.d, self.c = path, n, d, c
-        self.rows = 0  # instances added
-        self.range_fault = self.int64_fault = self.alloc_fault = None
+        self.path, self.n, self.c = path, n, c
+        self.rows, self.alloc_fault = 0, None  # instances added, and a failed allocation
         try:
             self.X = np.zeros((n, d))
             self.Y = np.empty((n, c))
-        except MemoryError:  # a huge header, or ids far beyond the data without one
+        except (MemoryError, ValueError, OverflowError):  # a huge header, or ids far off
             self.alloc_fault = ValueError(f"{path}: {n} x {d} features and {n} x {c} labels "
                                           "do not fit in memory")
-        except (ValueError, OverflowError) as exc:  # no array has this shape
-            self.alloc_fault = ValueError(f"{path}: {exc}")
 
     def add(self, block: tuple) -> None:
-        linenos, counts, idx, vals, label_counts, ids = block
+        counts, idx, vals, label_counts, ids = block
         start, self.rows = self.rows, self.rows + len(counts)
-        if self.range_fault is None:
-            self.range_fault = _range_fault(self.path, block, self.d, self.c)
-        if self.int64_fault is None:
-            try:  # an index beyond int64 raises OverflowError
-                idx.astype(np.int64, copy=False), ids.astype(np.int64, copy=False)
-            except (ValueError, OverflowError) as exc:
-                self.int64_fault = ValueError(f"{self.path}: {exc}")
-        if (self.range_fault or self.int64_fault or self.alloc_fault
-                or self.rows > self.n):
+        if self.alloc_fault or self.rows > self.n:
             return  # the load fails; nothing more to fill
         rows = np.arange(start, self.rows)
         self.Y[start:self.rows] = -1.0
@@ -280,97 +261,80 @@ class _Output:
         if self.c == 0:
             raise DatasetFormatError(path, 0, "header declares 0 labels" if headed else
                                      "no labels present and no header to set the label count")
-        for fault in (self.range_fault, self.int64_fault, self.alloc_fault):
-            if fault is not None:
-                raise fault
+        if self.alloc_fault is not None:
+            raise self.alloc_fault
         return self.X, self.Y
 
 
-def _range_fault(path: str, block: tuple, d: int, c: int) -> DatasetFormatError | None:
-    """The first label index ``>= c`` or feature index ``> d`` of a block,
-    labels before features on the same line, or None."""
-    linenos, counts, idx, _, label_counts, ids = block
-    bad_ids, bad_idx = ids >= c, idx > d
-    if not (bad_ids.any() or bad_idx.any()):
-        return None
-    at_id = np.repeat(linenos, label_counts)[bad_ids]
-    at_idx = np.repeat(linenos, counts)[bad_idx]
-    if at_id.size and (not at_idx.size or at_id[0] <= at_idx[0]):
-        return DatasetFormatError(path, int(at_id[0]),
-                                  f"label index {ids[bad_ids][0]} out of range for c={c}")
-    return DatasetFormatError(path, int(at_idx[0]),
-                              f"feature index {idx[bad_idx][0]} out of range for d={d}")
+def _block(lines: list[tuple[int, str, int]], path: str, d: float, c: float) -> tuple:
+    """Per-line feature counts, feature indices and values, per-line label
+    counts and label ids of a block of ``(line number, body, colon count)``.
 
-
-def _block(lines: list[tuple[int, str, int]], path: str) -> tuple:
-    """Line numbers, per-line feature counts, feature indices and values,
-    per-line label counts and label ids of a block of ``(line number, body,
-    colon count)``.
-
-    The label lists are split off and the feature tokens converted by one
-    :func:`_block_arrays` call.  If that fails, the lines are checked one
-    token at a time to raise the first token fault.  An index beyond int64
-    is no token fault; the block then keeps its indices as Python ints.
+    The label lists are split off, and one join and one split give the sides
+    of all feature tokens, which one ``np.array`` call per type converts like
+    ``int()`` and ``float()``.  If that fails, if there are not twice as many
+    sides as tokens with a colon in every token (one colon per token), or if
+    a value is out of range for the counts ``d`` and ``c``, the first faulty
+    line, as :func:`_line_fault` finds it, is raised.
     """
     heads = []  # (label list, feature tokens) per line
     for _, body, _ in lines:
         label_s, *feats = body.split(None, 1)
         heads.append(("", body) if ":" in label_s else (label_s, feats[0] if feats else ""))
     try:
-        ids = [_label_ids(label_s) for label_s, _ in heads]
-        idx, vals = _block_arrays(" ".join(feats for _, feats in heads).split())
+        ids = [[int(t) for t in label_s.split(",") if t] for label_s, _ in heads]
         flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64)
-        if flat.size and flat.min() < 0:
-            raise ValueError("negative label index")
+        tokens = " ".join(feats for _, feats in heads).split()
+        sides = ":".join(tokens).split(":") if tokens else []
+        idx, vals = np.array(sides[0::2], dtype=np.int64), np.array(sides[1::2], dtype=np.float64)
+        if (len(sides) != 2 * len(tokens) or not all(map(operator.contains, tokens, repeat(":")))
+                or flat.size and (flat.min() < 0 or flat.max() >= c)
+                or idx.size and (idx.min() < 1 or idx.max() > d)
+                or not np.isfinite(vals).all()):
+            raise ValueError("a line of the block is faulty")
     except (ValueError, OverflowError):
-        ids, idx, vals = [], [], []
         for (lineno, _, _), (label_s, feats) in zip(lines, heads):
-            try:
-                ids.append(_label_ids(label_s))
-            except ValueError:
-                raise DatasetFormatError(path, lineno, f"bad label list {label_s!r}") from None
-            for tok in feats.split():
-                idx_s, _, val_s = tok.partition(":")
-                try:
-                    idx.append(int(idx_s))
-                    vals.append(float(val_s))
-                except ValueError:
-                    raise DatasetFormatError(path, lineno, f"bad feature token {tok!r}") from None
-                if idx[-1] < 1:
-                    raise DatasetFormatError(path, lineno, f"feature index {idx[-1]} is not 1-based")
-                if not math.isfinite(vals[-1]):
-                    raise DatasetFormatError(path, lineno, f"feature value {val_s!r} is not finite")
-            if any(l < 0 for l in ids[-1]):
-                raise DatasetFormatError(path, lineno, "negative label index")
-        flat, vals = list(chain.from_iterable(ids)), np.array(vals)
+            fault = _line_fault(label_s, feats, d, c)
+            if fault is not None:
+                raise DatasetFormatError(path, lineno, fault) from None
+        raise  # unreachable: the conversions fail only on a faulty line
+    return [count for _, _, count in lines], idx, vals, [len(line_ids) for line_ids in ids], flat
+
+
+def _line_fault(label_s: str, feats: str, d: float, c: float) -> str | None:
+    """The first fault of a line, label list ``label_s`` and feature tokens
+    ``feats``, in the order the module docstring states, or None."""
+    try:
+        ids = [int(t) for t in label_s.split(",") if t]
+    except ValueError:
+        try:  # two or more comma-separated numbers: a CSV row
+            csv = len([float(t) for t in label_s.split(",")]) > 1
+        except ValueError:
+            csv = False
+        return f"bad label list {label_s!r}" + (
+            ": a CSV row? a CSV file is read with its label count (--labels)" if csv else "")
+    if any(label < 0 for label in ids):
+        return "negative label index"
+    for label in ids:
+        if label >= c:
+            return f"label index {label} out of range for c={c}"
+        if label >= 2 ** 63:  # beyond int64
+            return f"label index {label} does not fit in 64 bits"
+    for tok in feats.split():
+        idx_s, _, val_s = tok.partition(":")
         try:
-            idx, flat = np.array(idx, dtype=np.int64), np.array(flat, dtype=np.int64)
-        except OverflowError:
-            idx, flat = np.array(idx, dtype=object), np.array(flat, dtype=object)
-    return (np.array([lineno for lineno, _, _ in lines]), [count for _, _, count in lines], idx, vals,
-            [len(line_ids) for line_ids in ids], flat)
-
-
-def _block_arrays(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """1-based indices and values of ``idx:val`` feature tokens.
-
-    One join and one split give the sides of all tokens.  Twice as many sides
-    as tokens and a colon in every token mean one colon per token.  The sides
-    then go through one ``np.array`` call per type, which converts like
-    ``int()`` and ``float()`` and rejects an empty side.  An index below 1
-    or a value that is not finite is a fault too.
-    """
-    sides = ":".join(tokens).split(":") if tokens else []
-    if (len(sides) != 2 * len(tokens)
-            or not all(map(operator.contains, tokens, repeat(":")))):
-        raise ValueError("malformed feature token")
-    idx = np.array(sides[0::2], dtype=np.int64)
-    if idx.size and idx.min() < 1:
-        raise ValueError("feature index below 1")
-    vals = np.array(sides[1::2], dtype=np.float64)
-    if not np.isfinite(vals).all():
-        raise ValueError("feature value not finite")
-    return idx, vals
+            idx, val = int(idx_s), float(val_s)
+        except ValueError:
+            return f"bad feature token {tok!r}"
+        if idx < 1:
+            return f"feature index {idx} is not 1-based"
+        if not math.isfinite(val):
+            return f"feature value {val_s!r} is not finite"
+        if idx > d:
+            return f"feature index {idx} out of range for d={d}"
+        if idx >= 2 ** 63:
+            return f"feature index {idx} does not fit in 64 bits"
+    return None
 
 
 def save_sparse(data: MultiLabelDataset, path: str) -> None:
@@ -446,12 +410,16 @@ class StandardizationParams:
 def standardize_fit(features: np.ndarray) -> StandardizationParams:
     """Population mean/std per feature column; near-constant columns get std 1.
 
-    Raises ``ValueError`` naming the first (1-based) column whose mean or
-    std is not finite, as when its values' sum or squares overflow.
+    The std is ``np.std``'s over axis 0, without its whole deviation matrix:
+    see :func:`_squared_deviation_sums`.  Raises ``ValueError`` naming the
+    first (1-based) column whose mean or std is not finite, as when its
+    values' sum or squares overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean = features.mean(axis=0)
-        std = features.std(axis=0)
+        # numpy sums one column pairwise, and no row or one needs no blocks
+        std = (features.std(axis=0) if min(features.shape) <= 1
+               else np.sqrt(_squared_deviation_sums(features, mean) / len(features)))
     bad = ~(np.isfinite(mean) & np.isfinite(std))
     if bad.any():
         j = int(np.argmax(bad))
@@ -459,6 +427,27 @@ def standardize_fit(features: np.ndarray) -> StandardizationParams:
                          f"(mean {mean[j]:.6g}, std {std[j]:.6g})")
     std = np.where(std < 1e-12, 1.0, std)
     return StandardizationParams(mean, std)
+
+
+def _squared_deviation_sums(X: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Column sums of ``(X - mean) ** 2``, ``np.std``'s bit for bit, squared
+    one block of about ``_BLOCK_TOKENS`` values at a time.
+
+    Over two or more columns of a row-major ``X``, as ``prepare_data``
+    passes, numpy's axis-0 sum adds one row after another.  Each block's
+    buffer holds the running sum as row 0, so its ``sum(axis=0)`` continues
+    the same additions.
+    """
+    rows = max(1, _BLOCK_TOKENS // X.shape[1])
+    buf, total = np.empty((min(len(X), rows) + 1, X.shape[1])), None
+    for start in range(0, len(X), rows):
+        part = X[start:start + rows]
+        block = np.subtract(part, mean, out=buf[1:1 + len(part)])
+        block *= block
+        if total is not None:
+            buf[0] = total
+        total = buf[int(total is None):1 + len(block)].sum(axis=0)
+    return total
 
 
 def kfold_split(n: int, k: int, seed: int) -> np.ndarray:

@@ -94,6 +94,8 @@ class ObjectiveSpec:
             raise ValueError(f"unknown surrogate {self.surrogate!r}, expected one of {SURROGATES}")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lambda must be finite and nonnegative, not {self.lam!r}")
+        if 4.0 * self.lam == np.inf:  # the solver's step bound takes 1 / (4 lambda)
+            raise ValueError(f"lambda {self.lam!r} is too large: 4 * lambda overflows")
 
 
 class Objective:

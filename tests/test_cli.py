@@ -238,6 +238,40 @@ def test_bounds_reject_an_overflowing_instance_with_one_line(tmp_path):
                      "so no bound applies"]
 
 
+def test_bounds_reject_an_overflowing_weight_norm_with_one_line(tmp_path):
+    # a finite bias weight of 1.7e308 overflows ||W||_F and the empirical risks
+    data, model = tmp_path / "s.txt", tmp_path / "m.txt"
+    save_sparse(synthetic_linear(40, 5, 3, seed=0, noise=0.1), str(data))
+    assert main(["train", "--data", str(data), "--algo", "u3", "--lam", "1e-2", "--epochs", "2",
+                 "--base", "logistic_calibrated", "--out", str(model)]) == 0
+    lines = model.read_text(encoding="utf-8").splitlines()
+    lines[-1] = " ".join(["1.7e308"] + lines[-1].split()[1:])
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, lines = _main_in_process(["bounds", "--model", str(model), "--data", str(data)])
+    assert code == 2
+    assert lines == ["error: the weight norm (inf) or an empirical risk is not finite, "
+                     "so no bound applies"]
+
+
+def test_a_large_finite_lambda_trains(tmp_path, dataset_file):
+    # 1e12 keeps 4 * lambda finite; only a lambda whose 4 * lambda overflows is refused
+    assert main(["train", "--data", str(dataset_file), "--algo", "u1", "--lam", "1e12",
+                 "--epochs", "2", "--out", str(tmp_path / "m.txt")]) == 0
+
+
+def test_a_csv_read_without_labels_names_the_flag(tmp_path, dataset_file):
+    # without --labels a CSV is read as sparse text; its first row is named
+    # as a CSV row
+    csv = tmp_path / "s.csv"
+    assert main(["convert", str(dataset_file), str(csv), "--to", "csv"]) == 0
+    code, _, lines = _main_in_process(["train", "--data", str(csv), "--algo", "u1", "--lam", "1",
+                                       "--out", str(tmp_path / "m.txt")])
+    assert code == 2
+    [line] = lines
+    assert line.startswith(f"error: {csv}:1: bad label list ")
+    assert line.endswith(": a CSV row? a CSV file is read with its label count (--labels)")
+
+
 @pytest.mark.parametrize("argv,named", [
     (["train", "--algo", "u1", "--lam", "nan", "--out", "{tmp}/m.txt",
       "--data", "{tmp}/missing.txt"], "not nan"),
@@ -254,6 +288,9 @@ def test_bounds_reject_an_overflowing_instance_with_one_line(tmp_path):
     (["cv", "--algo", "u1", "--base", "hinge", "--data", "{tmp}/missing.txt"],
      "use squared_hinge"),
     (["bench", "--base", "hinge", "--data", "{tmp}/missing.txt"], "use squared_hinge"),
+    (["train", "--algo", "u1", "--lam", "1e308", "--out", "{tmp}/m.txt",
+      "--data", "{tmp}/missing.txt"], "4 * lambda overflows"),
+    (["bench", "--grid", "1e-2,1e308", "--data", "{tmp}/missing.txt"], "4 * lambda overflows"),
 ])
 def test_a_bad_value_exits_2_before_any_file_is_read(tmp_path, argv, named):
     # the config file is read, but not the dataset it names
@@ -543,6 +580,53 @@ def test_a_corrupt_bench_number_exits_0_or_2_with_at_most_one_line(clean_files, 
     _corrupt(clean_files / "clean.bench", field, value, path)
     code, err, lines = _main_in_process(["report", str(path), "--outdir",
                                          str(clean_files / "rep")])
+    assert code in (0, 2), lines
+    assert len(lines) <= 1 and "Traceback" not in err, lines
+
+
+_FIELD_VALUES = ["nan", "inf", "1.7e308", "-1.7e308", "1e400", "-1", "2", "-0.5", "zz", "", "0",
+                 "99999999999999999999"]
+
+
+@pytest.fixture(scope="module")
+def clean_run_files(clean_files):
+    """A model trained on ``clean.txt`` for ``bounds``, and a bench config
+    whose every line holds a number; datasets and outdir come as flags."""
+    model = clean_files / "clean.model"
+    code = main(["train", "--data", str(clean_files / "clean.txt"), "--algo", "u3",
+                 "--lam", "1e-2", "--epochs", "2", "--base", "logistic_calibrated",
+                 "--out", str(model)])
+    assert code == 0
+    (clean_files / "clean.config").write_text(
+        "algos = u1\nlambda_grid = 0.01,1\nfolds = 2\nseed = 0\nouter_epochs = 2\n"
+        "inner_steps = 30\ntolerance = 1e-07\nworkers = 1\n", encoding="utf-8")
+    return clean_files
+
+
+@settings(max_examples=50, deadline=None)
+@given(field=st.integers(min_value=0), value=st.sampled_from(_FIELD_VALUES))
+def test_a_corrupt_model_number_exits_0_or_2_with_at_most_one_line(clean_run_files, field,
+                                                                    value):
+    # the format version, d, c, lambda, seed or a weight of a model file
+    path = clean_run_files / "corrupt.model"
+    _corrupt(clean_run_files / "clean.model", field, value, path)
+    code, err, lines = _main_in_process(["bounds", "--model", str(path), "--data",
+                                         str(clean_run_files / "clean.txt")])
+    assert code in (0, 2), lines
+    assert len(lines) <= 1 and "Traceback" not in err, lines
+
+
+@settings(max_examples=50, deadline=None)
+@given(field=st.integers(min_value=0), value=st.sampled_from(_FIELD_VALUES))
+def test_a_corrupt_config_number_exits_0_or_2_with_at_most_one_line(clean_run_files, field,
+                                                                     value):
+    # a lambda, the folds, seed, epochs, inner steps, tolerance or workers
+    # of a bench config
+    path = clean_run_files / "corrupt.config"
+    _corrupt(clean_run_files / "clean.config", field, value, path)
+    code, err, lines = _main_in_process(["bench", "--config", str(path), "--data",
+                                         str(clean_run_files / "clean.txt"), "--outdir",
+                                         str(clean_run_files / "bench")])
     assert code in (0, 2), lines
     assert len(lines) <= 1 and "Traceback" not in err, lines
 

@@ -1,5 +1,6 @@
 """Sparse/CSV loaders, splits, preprocessing, synthetic generator."""
 
+import math
 import os
 import re
 import subprocess
@@ -117,14 +118,19 @@ def test_sparse_errors_carry_line_numbers(tmp_path):
         ("1 2 2\n0,-1 1:1.0\n", 2, "negative label index"),
         ("1:1.0\n", 0, "no labels present and no header to set the label count"),
         ("1 2 0\n 1:1\n", 0, "header declares 0 labels"),
-        # every token is checked before any index is checked against d or c
-        ("2 2 2\n0 5:1.0\n1 1:x\n", 3, "bad feature token '1:x'"),
+        # the first faulty line is named, whatever its fault
+        ("2 2 2\n0 5:1.0\n1 1:x\n", 2, "feature index 5 out of range for d=2"),
+        ("2 2 2\n0 1:x\n5 1:1.0\n", 2, "bad feature token '1:x'"),
+        ("1 2 2\n5,-1 1:1.0\n", 2, "negative label index"),
+        ("1 2 2\n1 2:1.0 1:x\n", 2, "bad feature token '1:x'"),
+        ("1 2 0\n0 1:1\n", 2, "label index 0 out of range for c=0"),
         # a byte that is not UTF-8 names the line str.splitlines puts it on
         (b"2 2 2\n0 1:1.0\n1 2:\xff\n", 3,
          "not UTF-8 text: cannot decode 0xff (invalid start byte)"),
         (b"2 2 2\r0 1:1.0\xc2\x851 2:\xe2\x82\n", 3,
          "not UTF-8 text: cannot decode 0xe2 0x82 (invalid continuation byte)"),
         (b"1 2 2\n0 1:x\n\xff\n", 2, "bad feature token '1:x'"),
+        (b"2 2 2\n0 5:1.0\n\xff\n", 2, "feature index 5 out of range for d=2"),
         (b"5 2 2\n0 1:1.0\n\xff\n", 3, "not UTF-8 text: cannot decode 0xff (invalid start byte)"),
     ]
     path = write(tmp_path, "")
@@ -154,7 +160,12 @@ def test_sparse_load_reads_the_file_once(tmp_path):
 
 def test_sparse_index_beyond_int64_without_header_is_a_value_error(tmp_path):
     path = write(tmp_path, "0 1:1.0\n1 99999999999999999999:1.0\n")
-    with pytest.raises(ValueError, match=re.escape(path)):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: feature index 99999999999999999999 does not fit in 64 bits")):
+        load_sparse(path)
+    path = write(tmp_path, "0 1:1.0\n9223372036854775808,0 1:1.0\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:2: label index 9223372036854775808 does not fit in 64 bits")):
         load_sparse(path)
 
 
@@ -166,10 +177,12 @@ def test_sparse_ids_too_large_to_allocate_are_a_value_error(tmp_path):
 
 
 def reference_load_sparse(path, keep_trivial=False):
-    """The sparse loader written one line and one token at a time."""
+    """The sparse loader written one line and one token at a time: the first
+    faulty line in file order, then the counts, then the allocation."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     header, rows, saw_first = None, [], False
+    d = c = math.inf  # unbounded without a header
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -179,14 +192,28 @@ def reference_load_sparse(path, keep_trivial=False):
             saw_first = True
             header = _parse_header(tokens)
             if header is not None:
+                _, d, c = header
                 continue
         label_ids, feat_tokens = [], tokens
         if ":" not in tokens[0]:
             try:
                 label_ids = [int(t) for t in tokens[0].split(",") if t]
             except ValueError:
-                raise DatasetFormatError(path, lineno, f"bad label list {tokens[0]!r}")
+                message = f"bad label list {tokens[0]!r}"
+                try:
+                    if len([float(t) for t in tokens[0].split(",")]) > 1:
+                        message += ": a CSV row? a CSV file is read with its label count (--labels)"
+                except ValueError:
+                    pass
+                raise DatasetFormatError(path, lineno, message)
             feat_tokens = tokens[1:]
+        if any(l < 0 for l in label_ids):
+            raise DatasetFormatError(path, lineno, "negative label index")
+        for l in label_ids:
+            if l >= c:
+                raise DatasetFormatError(path, lineno, f"label index {l} out of range for c={c}")
+            if l >= 2 ** 63:
+                raise DatasetFormatError(path, lineno, f"label index {l} does not fit in 64 bits")
         feats = []
         for tok in feat_tokens:
             idx_s, _, val_s = tok.partition(":")
@@ -200,19 +227,21 @@ def reference_load_sparse(path, keep_trivial=False):
                 raise DatasetFormatError(path, lineno, f"feature index {idx} is not 1-based")
             if not np.isfinite(val):
                 raise DatasetFormatError(path, lineno, f"feature value {val_s!r} is not finite")
+            if idx > d:
+                raise DatasetFormatError(path, lineno, f"feature index {idx} out of range for d={d}")
+            if idx >= 2 ** 63:
+                raise DatasetFormatError(path, lineno, f"feature index {idx} does not fit in 64 bits")
             feats.append((idx, val))
-        if any(l < 0 for l in label_ids):
-            raise DatasetFormatError(path, lineno, "negative label index")
-        rows.append((label_ids, feats, lineno))
+        rows.append((label_ids, feats))
     if not rows:
         raise DatasetFormatError(path, 0, "no instances found")
     if header is not None:
-        n_decl, d, c = header
+        n_decl = header[0]
         if n_decl != len(rows):
             raise DatasetFormatError(path, 0, f"header declares {n_decl} instances, found {len(rows)}")
     else:
-        d = max((idx for _, feats, _ in rows for idx, _ in feats), default=0)
-        c = max((l for ids, _, _ in rows for l in ids), default=-1) + 1
+        d = max((idx for _, feats in rows for idx, _ in feats), default=0)
+        c = max((l for ids, _ in rows for l in ids), default=-1) + 1
     if c == 0 and header is not None:
         raise DatasetFormatError(path, 0, "header declares 0 labels")
     if c == 0:
@@ -221,14 +250,9 @@ def reference_load_sparse(path, keep_trivial=False):
         X, Y = np.zeros((len(rows), d)), np.full((len(rows), c), -1.0)
     except MemoryError:
         raise ValueError("too large to allocate") from None
-    for i, (label_ids, feats, lineno) in enumerate(rows):
-        for l in label_ids:
-            if l >= c:
-                raise DatasetFormatError(path, lineno, f"label index {l} out of range for c={c}")
-            Y[i, l] = 1.0
+    for i, (label_ids, feats) in enumerate(rows):
+        Y[i, label_ids] = 1.0
         for idx, val in feats:
-            if idx > d:
-                raise DatasetFormatError(path, lineno, f"feature index {idx} out of range for d={d}")
             X[i, idx - 1] = val
     return _drop_trivial(X, Y, "ref", keep_trivial)
 
@@ -258,7 +282,7 @@ def mutated_sparse_text(draw):
         piece = draw(st.sampled_from([" 1:9", " 2:-7.5", " 1:1_0", " 1:\u0663", " 2:1e400",
                                       " 1:nan", "\n1 2:3", "1:2:3", " 1:2:3 7", "1:", ":5", " 7", "1.0:2",
                                       " 0:1", " 9:1", "-1", "",
-                                      # beyond int64: kept as Python ints, never stored
+                                      # beyond int64: a fault without a header
                                       " 99999999999999999999:1", "99999999999999999999",
                                       "9223372036854775808,0"]))
         cut = len(text[pos:].split(" ", 1)[0].split("\n", 1)[0]) if draw(st.booleans()) else 0
@@ -448,6 +472,30 @@ def test_standardize_constant_feature_floor():
     assert params.std[0] == 1.0
     assert np.all(out.features[:, 0] == 0.0)
     assert np.all(np.isfinite(out.features))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 72, 294])
+def test_standardize_fit_is_numpy_mean_and_std_bit_for_bit(d):
+    # on the strided first d columns that prepare_data passes, over many blocks
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((2407, d + 1)) * rng.uniform(0.01, 100.0, d + 1)
+    X += rng.uniform(-50.0, 50.0, d + 1)
+    params = dataset.standardize_fit(X[:, :d])
+    assert params.mean.tobytes() == X[:, :d].mean(axis=0).tobytes()
+    assert params.std.tobytes() == X[:, :d].std(axis=0).tobytes()
+
+
+def test_standardization_holds_one_block_of_deviations():
+    # a scene-shaped training fold: np.std's whole deviation matrix would
+    # double the peak over the prepared features
+    data = synthetic_linear(1605, 294, 6, seed=7)
+    tracemalloc.start()
+    try:
+        out, _ = prepare_data(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.features.nbytes
 
 
 def test_append_bias():

@@ -733,9 +733,12 @@ def test_every_public_losses_callable_has_a_caller_outside_the_tests():
     # or class of mlrank.losses that only the tests reach belongs with them,
     # and so does one of the modules that load, model, solve, train and
     # drive.  (bounds and consistency keep their reference paths, which the
-    # tests compare against.)  A reference is a name read, or an attribute
-    # of the module as ``<module>`` read, outside the definition of the
-    # same name.  Likewise a public method of the batch surrogate or the
+    # tests compare against.)  A reference to ``name`` of ``module`` is one
+    # of: an attribute ``<module>.name`` read; a name bound by ``from
+    # .<module> import`` or ``from mlrank.<module> import``; a read of
+    # ``name`` in ``module`` itself.  Reads inside the definition of the
+    # same name do not count, and a variable that only shares the name is
+    # no reference.  Likewise a public method of the batch surrogate or the
     # objective needs some attribute ``x.<method>`` read outside its own
     # definition: a kernel that only the tests call belongs with them.
     root = Path(__file__).resolve().parents[1]
@@ -743,7 +746,8 @@ def test_every_public_losses_callable_has_a_caller_outside_the_tests():
     names = ("losses", "dataset", "model", "optimizer", "trainer", "cli")
     modules = {name: ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
                for name in names}
-    public = {f"{name}.{node.name}": node.name for name in names for node in modules[name].body
+    public = {f"{name}.{node.name}": (name, node.name) for name in names
+              for node in modules[name].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")}
     methods = {f"{cls.name}.{node.name}": node.name
@@ -752,21 +756,24 @@ def test_every_public_losses_callable_has_a_caller_outside_the_tests():
                if isinstance(cls, ast.ClassDef) and cls.name == cls_name
                for node in cls.body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    referenced, attributes = set(), set()
+    sources = {**{f".{name}": name for name in names},
+               **{f"mlrank.{name}": name for name in names}}
+    referenced, attributes = set(), set()  # (module, name) pairs; attribute names
     for path in sorted(src.glob("*.py")) + sorted((root / "bench").glob("*.py")):
-        for node, owners in _loads(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = path.stem if path.parent == src else None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = sources.get("." * node.level + (node.module or ""))
+                referenced.update((module, alias.name) for alias in node.names)
+        for node, owners in _loads(tree):
             if isinstance(node, ast.Attribute) and node.attr not in owners:
                 attributes.add(node.attr)
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in names):
-                name = node.attr
-            else:
-                continue
-            if name not in owners:
-                referenced.add(name)
+                if isinstance(node.value, ast.Name) and node.value.id in names:
+                    referenced.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Name) and node.id not in owners:
+                referenced.add((own, node.id))
     assert len(public) >= 50
-    assert sorted(p for p, name in public.items() if name not in referenced) == []
+    assert sorted(p for p, ref in public.items() if ref not in referenced) == []
     assert len(methods) >= 7
     assert sorted(m for m, name in methods.items() if name not in attributes) == []
