@@ -18,7 +18,10 @@ Defaults live in :class:`ExperimentConfig` and, for the solver,
 ``OptimizerConfig``.  :meth:`ExperimentConfig.validate` rejects what no run
 could use before any data is read, the hinge base included.  A label
 count (``--labels``) selects the CSV reader, and its absence the sparse
-one.  Every command that reads a dataset reports the trivial rows its loader
+one.  Features are always prepared by :func:`mlrank.trainer.prepare_data`:
+standardized (``train`` and ``bounds`` on the whole file, ``cv`` and
+``bench`` on each fold's training rows) and given a bias column.
+Every command that reads a dataset reports the trivial rows its loader
 dropped; ``bench``, ``report``, ``cv --csv`` and ``consistency --report``
 print ``wrote <path>`` per file.
 
@@ -82,10 +85,7 @@ class ExperimentConfig:
     folds: int = 3
     seed: int = 0
     outer_epochs: int = OptimizerConfig.outer_epochs
-    inner_steps: int | None = OptimizerConfig.inner_steps
     tolerance: float = OptimizerConfig.tolerance
-    standardize: bool = True
-    bias: bool = True
     select_on_test_folds: bool = False
     workers: int = 1
     outdir: str = "results"
@@ -94,6 +94,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise :class:`ConfigError` on a config no run could use: no dataset
         or algorithm, two datasets of one name (which names their results),
+        an algorithm given twice (which would repeat its CSV rows),
         ``label_count < 1``, an empty lambda grid, ``folds < 2``,
         ``workers < 1``, or what ``BaseLoss``, ``fit_spec`` (algorithm, hinge
         base, lambda) or ``OptimizerConfig`` (solver fields) rejects."""
@@ -108,6 +109,9 @@ class ExperimentConfig:
             raise ConfigError(f"label_count must be >= 1, not {self.label_count}")
         if not self.algos:
             raise ConfigError("no algorithms given")
+        for i, algo in enumerate(self.algos):
+            if algo in self.algos[:i]:
+                raise ConfigError(f"algorithm {algo!r} is given twice")
         if not self.lambda_grid:
             raise ConfigError("lambda grid is empty")
         if self.folds < 2:
@@ -204,13 +208,12 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def _apply_smoke(cfg: ExperimentConfig) -> ExperimentConfig:
-    """With ``smoke`` on, a copy at CI scale: few epochs, short inner loops,
-    two-point grid.  With it off, ``cfg`` itself."""
+    """With ``smoke`` on, a copy at CI scale: few epochs, two-point grid.
+    With it off, ``cfg`` itself."""
     if not cfg.smoke:
         return cfg
     cfg = dataclasses.replace(cfg)
     cfg.outer_epochs = min(cfg.outer_epochs, 3)
-    cfg.inner_steps = min(cfg.inner_steps, 500) if cfg.inner_steps else 500
     if len(cfg.lambda_grid) > 2:
         cfg.lambda_grid = [min(cfg.lambda_grid), max(cfg.lambda_grid)]
     return cfg
@@ -244,8 +247,7 @@ def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
 def _cross_validate(data: MultiLabelDataset, algo: str, cfg: ExperimentConfig) -> CvResult:
     return cross_validate(data, algo, cfg.lambda_grid, k=cfg.folds, seed=cfg.seed,
                           base=BaseLoss(cfg.base), optimizer_cfg=_optimizer_config(cfg),
-                          select_on_test_folds=cfg.select_on_test_folds, workers=cfg.workers,
-                          standardize=cfg.standardize, bias=cfg.bias)
+                          select_on_test_folds=cfg.select_on_test_folds, workers=cfg.workers)
 
 
 def _load_dataset(path: str, label_count: int | None,
@@ -467,7 +469,7 @@ def cmd_train(args) -> int:
     cfg = _apply_smoke(_experiment(args))
     spec = fit_spec(cfg.algos[0], BaseLoss(cfg.base), args.lam)  # lambda checked before the read
     data = _load_dataset(cfg.datasets[0], cfg.label_count)
-    prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
+    prepared, _ = prepare_data(data)
     model, trace = train_with_trace(prepared, spec.surrogate, spec.lam, spec.base,
                                     _optimizer_config(cfg))
     save_model(model, args.out)
@@ -625,11 +627,10 @@ def cmd_bounds(args) -> int:
         raise ConfigError(f"--delta must lie in (0, 1), not {args.delta!r}")
     model = load_model(args.model)
     data = _load_dataset(cfg.datasets[0], cfg.label_count)
-    prepared, _ = prepare_data(data, cfg.standardize, cfg.bias)
+    prepared, _ = prepare_data(data)
     if prepared.d != model.d:
-        raise ConfigError(
-            f"model expects d={model.d} features but dataset provides {prepared.d}; "
-            "match the --standardize/--bias flags used at training time")
+        raise ConfigError(f"model expects d={model.d} features but dataset provides "
+                          f"{prepared.d}, bias included")
     if prepared.c != model.c:
         raise ConfigError(f"model scores c={model.c} labels but dataset provides {prepared.c}")
     z_max, inputs = bounds_mod.model_bound_inputs(model, prepared, args.delta, args.log2)
@@ -668,13 +669,6 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--labels", dest="label_count", help="label column count of a CSV file")
 
 
-def _add_preprocess_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-standardize", dest="standardize", action="store_false",
-                   help="skip zero-mean/unit-variance feature scaling")
-    p.add_argument("--no-bias", dest="bias", action="store_false",
-                   help="skip the constant bias feature")
-
-
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
     """The dataset, algorithm and solver flags of ``train`` and ``cv``."""
     p.add_argument("--data", dest="datasets", nargs=1, required=True, metavar="PATH")
@@ -684,9 +678,7 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--smoke", action="store_true")
     _add_dataset_args(p)
     p.add_argument("--epochs", dest="outer_epochs", help="outer epochs")
-    p.add_argument("--inner-steps", help="samples drawn per epoch (default 2n)")
     p.add_argument("--tolerance", help="relative objective change to stop at")
-    _add_preprocess_args(p)
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -757,7 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log2", action="store_true", default=False,
                    help="use log base 2 in the confidence term")
     _add_dataset_args(p)
-    _add_preprocess_args(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("report", help="summary table and charts from bench CSVs")

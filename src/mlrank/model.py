@@ -2,8 +2,8 @@
 
 The model scores instance ``x`` as ``f(x) = W^T x`` with ``W`` of shape
 ``(d, c)``.  A per-label offset is obtained by appending a constant feature
-to the data (the ``bias`` of :func:`mlrank.trainer.prepare_data`) rather
-than by a separate bias term.
+to the data (the bias column :func:`mlrank.trainer.prepare_data` appends)
+rather than by a separate bias term.
 
 The training objective is the mean surrogate loss plus a squared Frobenius
 penalty::

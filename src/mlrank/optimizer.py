@@ -20,19 +20,22 @@ block's gathers ``block_R``, minus the snapshot's loss gradients ``G_R`` of
 the block's rows; the step's direction is
 ``X_R^T Delta_R / b + mu_snap + 2 lambda (W - W_snap)``.
 
-``minimize_svrg_bb`` runs epochs of ``m`` inner steps, each on a block of
-``b = 16`` samples it draws with replacement (mS2GD, Konecny et al. 2016),
-so an epoch reads ``inner_steps`` rows rounded up to whole blocks.  It takes
-the last inner iterate as the next snapshot, and sets the epoch step size
-from consecutive snapshots by the Barzilai-Borwein rule
+``minimize_svrg_bb`` runs epochs of ``m = ceil(2n / b)`` inner steps, each
+on a block of ``b = 16`` samples it draws with replacement (mS2GD, Konecny
+et al. 2016), so an epoch reads ``2n`` rows rounded up to whole blocks, the
+epoch length of SVRG (Johnson & Zhang, NeurIPS 2013) and SVRG-BB (Tan et
+al., NeurIPS 2016) for convex objectives.  It takes the last inner iterate
+as the next snapshot, and sets the epoch step size from consecutive
+snapshots by the Barzilai-Borwein rule
 
     eta_k = ||dW||^2 / (m * <dW, dG>)
 
-with the first epoch on ``_INITIAL_STEP``, a solver rule like the clamp:
-in SVRG-BB (Tan et al., NeurIPS 2016) BB sets every later step.  Steps are
-clamped to ``[_STEP_MIN, min(_STEP_MAX, 1 / (4 lam))]`` (``_STEP_MAX`` at
-``lam = 0``), which keeps the regularizer's shrink factor ``1 - 2 eta lam``
-in ``[1/2, 1)``.  Because the inner recursion is not monotone, the returned
+with the first epoch on ``_INITIAL_STEP``.  The epoch length and the first
+step are solver rules like the clamp, which no option sets: in SVRG-BB, BB
+sets every later step.  Steps are clamped to
+``[_STEP_MIN, min(_STEP_MAX, 1 / (4 lam))]`` (``_STEP_MAX`` at ``lam = 0``),
+which keeps the regularizer's shrink factor ``1 - 2 eta lam`` in
+``[1/2, 1)``.  Because the inner recursion is not monotone, the returned
 iterate is the best snapshot seen (including the initial point), so the
 final objective never exceeds the starting one.
 """
@@ -57,25 +60,17 @@ _BLOCK_ROWS = 16
 
 @dataclass
 class OptimizerConfig:
-    """Knobs of ``minimize_svrg_bb``.
-
-    ``inner_steps`` is the number of samples an SVRG epoch draws, ``None``
-    meaning ``2n``; the epoch takes them in steps of ``_BLOCK_ROWS``.
-    Construction raises ``ValueError`` unless ``outer_epochs >= 1``,
-    ``inner_steps`` is ``None`` or ``>= 1``, ``tolerance >= 0`` and
-    ``seed >= 0``.
+    """Knobs of ``minimize_svrg_bb``.  Construction raises ``ValueError``
+    unless ``outer_epochs >= 1``, ``tolerance >= 0`` and ``seed >= 0``.
     """
 
     outer_epochs: int = 30
-    inner_steps: int | None = None
     tolerance: float = 1e-7
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.outer_epochs < 1:
             raise ValueError(f"outer_epochs must be >= 1, not {self.outer_epochs}")
-        if self.inner_steps is not None and self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be >= 1, not {self.inner_steps}")
         if not self.tolerance >= 0:
             raise ValueError(f"tolerance must be >= 0, not {self.tolerance}")
         if self.seed < 0:
@@ -139,8 +134,7 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
     """Minimize the oracle's objective; returns (best iterate, trace)."""
     cfg = cfg or OptimizerConfig()
     n = oracle.n
-    samples = cfg.inner_steps if cfg.inner_steps is not None else 2 * n
-    m = -(-samples // _BLOCK_ROWS)  # inner steps per epoch
+    m = -(-2 * n // _BLOCK_ROWS)  # inner steps per epoch: 2n samples
     step_max = min(_STEP_MAX, 1.0 / (4.0 * oracle.lam)) if oracle.lam > 0.0 else _STEP_MAX
     rng = np.random.default_rng(cfg.seed)
     trace = OptimizationTrace()

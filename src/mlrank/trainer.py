@@ -47,7 +47,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import losses
-from .dataset import MultiLabelDataset, StandardizationParams, kfold_split, standardize_fit
+from .dataset import (_BLOCK_TOKENS, MultiLabelDataset, StandardizationParams, kfold_split,
+                      standardize_fit)
 from .losses import LOGISTIC, BaseLoss
 from .model import LinearModel, Objective, ObjectiveSpec, predict
 from .optimizer import OptimizationTrace, OptimizerConfig, minimize_svrg_bb
@@ -59,37 +60,42 @@ def task_seed(master_seed: int, fold: int, lam_index: int, algo: str, phase: str
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
 
 
-def prepare_data(data: MultiLabelDataset, standardize: bool = True, bias: bool = True,
-                 params: StandardizationParams | None = None, rows=None
-                 ) -> tuple[MultiLabelDataset, StandardizationParams | None]:
-    """Standardize (fitting on the prepared rows unless ``params`` given) and add bias.
-    Raises ``ValueError`` naming a feature column whose statistics or
-    standardized values are not finite.
+def prepare_data(data: MultiLabelDataset, params: StandardizationParams | None = None,
+                 rows=None) -> tuple[MultiLabelDataset, StandardizationParams]:
+    """Standardize the features (fitting on the prepared rows unless
+    ``params`` given) and append a bias column of ones.  Raises
+    ``ValueError`` naming a feature column whose statistics or standardized
+    values are not finite.
 
     ``rows``, when given, selects the instances to prepare: the result is
     the one ``prepare_data(data.subset(rows), ...)`` gives, bit for bit,
     without the copy of the rows that ``subset`` makes.  The features are
-    built in one ``(n, d + bias)`` array: the rows are gathered into it and
-    the bias column written, then whole rows are standardized in place, the
-    bias column by a shift of 0 and a scale of 1, which leave it 1.  Whole
-    rows are contiguous and the first ``d`` columns alone are not: passes
-    over those took twice as long.
+    built in one ``(n, d + 1)`` array: the rows are gathered into it about
+    ``_BLOCK_TOKENS`` values at a time and the bias column written, then
+    whole rows are standardized in place, the bias column by a shift of 0
+    and a scale of 1, which leave it 1.  Whole rows are contiguous and the
+    first ``d`` columns alone are not: passes over those took twice as long.
     """
-    X = np.empty((data.n if rows is None else len(rows), data.d + bias))
-    X[:, :data.d] = data.features if rows is None else data.features[rows]
-    X[:, data.d:] = 1.0
+    d = data.d
+    X = np.empty((data.n if rows is None else len(rows), d + 1))
+    if rows is None:
+        X[:, :d] = data.features
+    else:
+        step = max(1, _BLOCK_TOKENS // max(d, 1))
+        for start in range(0, len(rows), step):
+            X[start:start + step, :d] = data.features[rows[start:start + step]]
+    X[:, d] = 1.0
     labels = data.labels if rows is None else data.labels[rows]
-    if standardize:
-        if params is None:
-            params = standardize_fit(X[:, :data.d])
-        with np.errstate(over="ignore"):
-            X -= np.append(params.mean, np.zeros(int(bias)))
-            X /= np.append(params.std, np.ones(int(bias)))
-        # finite statistics bound the rows they are fitted on, not held-out rows
-        bad = ~np.isfinite(X).all(axis=0)
-        if bad.any():
-            raise ValueError(f"feature column {np.argmax(bad) + 1}: a value overflows when "
-                             "standardized by the statistics of the training rows")
+    if params is None:
+        params = standardize_fit(X[:, :d])
+    with np.errstate(over="ignore"):
+        X -= np.append(params.mean, 0.0)
+        X /= np.append(params.std, 1.0)
+    # finite statistics bound the rows they are fitted on, not held-out rows
+    bad = ~np.isfinite(X).all(axis=0)
+    if bad.any():
+        raise ValueError(f"feature column {np.argmax(bad) + 1}: a value overflows when "
+                         "standardized by the statistics of the training rows")
     return replace(data, features=X, labels=labels,
                    dropped_trivial=data.dropped_trivial if rows is None else 0), params
 
@@ -171,9 +177,8 @@ class _TaskSpec:
 
 def _run_task(task: _TaskSpec) -> FitRecord:
     # each side is prepared straight from the pool's data, in one array
-    data, standardize, bias = _POOL["data"], _POOL["standardize"], _POOL["bias"]
-    train_set, params = prepare_data(data, standardize, bias, rows=task.train_rows)
-    eval_set, _ = prepare_data(data, standardize, bias, params=params, rows=task.eval_rows)
+    train_set, params = prepare_data(_POOL["data"], rows=task.train_rows)
+    eval_set, _ = prepare_data(_POOL["data"], params=params, rows=task.eval_rows)
     cfg = replace(_POOL["opt_cfg"], seed=task.seed)
     t0 = time.perf_counter()
     model, trace = train_with_trace(train_set, _POOL["algo"], task.lam, _POOL["base"], cfg)
@@ -325,8 +330,7 @@ class CvResult:
 def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
                    seed: int = 0, base: BaseLoss = LOGISTIC,
                    optimizer_cfg: OptimizerConfig | None = None,
-                   select_on_test_folds: bool = False, workers: int = 1,
-                   standardize: bool = True, bias: bool = True) -> CvResult:
+                   select_on_test_folds: bool = False, workers: int = 1) -> CvResult:
     """Select lambda by k-fold grid search, then score the chosen model.
 
     Returns per-fold test metrics at the selected lambda.  The grid is
@@ -364,11 +368,9 @@ def cross_validate(data: MultiLabelDataset, algo: str, lambda_grid, k: int = 3,
             select_tasks.append(_TaskSpec("select", f, li, lam, sub_rows, val_rows,
                                           task_seed(seed, f, li, algo, "select")))
 
-    settings = dict(data=data, algo=algo, base=base, opt_cfg=opt_cfg,
-                    standardize=standardize, bias=bias)
     # the selection phase has the most tasks; a pool forks all its workers at once
-    with _one_blas_thread(), _task_runner(min(workers, len(select_tasks)),
-                                          **settings) as run:
+    with _one_blas_thread(), _task_runner(min(workers, len(select_tasks)), data=data,
+                                          algo=algo, base=base, opt_cfg=opt_cfg) as run:
         # records come back in task order: fold-major, then lambda
         select = run(select_tasks)
         validation = np.array([r.ranking_loss for r in select]).reshape(k, len(grid))

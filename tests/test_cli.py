@@ -42,7 +42,7 @@ def dataset_file(tmp_path):
 def test_config_text_roundtrip():
     cfg = ExperimentConfig(datasets=["a.txt", "b.txt"], algos=["pa", "u3"],
                            lambda_grid=[1e-8, 1.0], folds=5, seed=9,
-                           inner_steps=None, select_on_test_folds=True,
+                           label_count=4, select_on_test_folds=True,
                            workers=4, smoke=True)
     back = config_from_text(config_to_text(cfg))
     assert back == cfg
@@ -54,25 +54,27 @@ def test_config_parsing_features():
 datasets = x.txt
 seed = 3          # trailing comment
 lambda_grid = 1e-4,1e-2
-inner_steps = none
-standardize = false
+label_count = none
+select_on_test_folds = true
 """
     cfg = config_from_text(text)
     assert cfg.datasets == ["x.txt"]
     assert cfg.seed == 3
     assert cfg.lambda_grid == [1e-4, 1e-2]
-    assert cfg.inner_steps is None
-    assert cfg.standardize is False
+    assert cfg.label_count is None
+    assert cfg.select_on_test_folds is True
 
 
 def test_config_errors_carry_line_numbers():
     from mlrank.cli import ConfigError
     # unknown keys, and values that do not parse as their field's declared type
     for line in ("bogus_key = 1", "workers = none", "folds = none", "seed = none",
-                 "standardize = 0", "bias = off", "smoke = yes", "folds = 2.5",
+                 "select_on_test_folds = 0", "smoke = off", "smoke = yes", "folds = 2.5",
                  "tolerance = small", "lambda_grid = 1e-4,x", "datasets = y",
-                 # keys of settings that are now fixed or follow label_count
-                 "format = sparse", "initial_step = 0.1"):
+                 # keys of settings that are now fixed or follow label_count, as
+                 # an older config_<tag>.txt holds them
+                 "format = sparse", "initial_step = 0.1", "inner_steps = none",
+                 "standardize = true", "bias = true"):
         with pytest.raises(ConfigError, match=r"^<config>:2: "):
             config_from_text(f"datasets = x\n{line}\n")
     with pytest.raises(ConfigError):
@@ -199,14 +201,17 @@ def test_bounds_rejects_a_corrupt_model_naming_its_line(tmp_path, dataset_file, 
     assert proc.stderr.startswith(f"error: {model}:{lineno}: "), proc.stderr
 
 
-def test_bounds_flags_must_match_training(tmp_path, dataset_file, capsys):
+@pytest.mark.parametrize("d", [5, 7])
+def test_bounds_rejects_a_model_of_another_feature_count(tmp_path, dataset_file, capsys, d):
+    # the file has 5 features, 6 with the bias; the model's c matches its 3 labels
     model = tmp_path / "m.txt"
-    main(["train", "--data", str(dataset_file), "--algo", "u1", "--lam", "1e-4",
-          "--out", str(model), "--epochs", "2"])
-    code = main(["bounds", "--model", str(model), "--data", str(dataset_file),
-                 "--no-bias"])
-    assert code == 2
-    assert "match the --standardize/--bias flags" in capsys.readouterr().err
+    save_model(LinearModel(np.zeros((d, 3)), algorithm="u3", base="logistic_calibrated"),
+               str(model))
+    assert main(["bounds", "--model", str(model), "--data", str(dataset_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: model expects d={d} features but dataset provides 6, bias included"]
+    assert "ranking-loss bound" not in captured.out
 
 
 @pytest.mark.parametrize("c", [2, 4])
@@ -223,16 +228,16 @@ def test_bounds_rejects_a_model_of_another_label_count(tmp_path, dataset_file, c
 
 
 def test_bounds_reject_an_overflowing_instance_with_one_line(tmp_path):
-    # instance 1's scores overflow and its feature norm, 1.4e300, overflows
-    # when computed
-    features = np.array([[1e300, 1e300], [1.0, 2.0], [0.5, 0.1]])
+    # instance 1's first feature, standardized to about 1.39, is the only
+    # one whose product with a 1.7e308 weight overflows its score
+    features = np.array([[3.0, 0.0], [1.0, 2.0], [0.5, 0.1]])
     labels = np.array([[1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
     data, model = tmp_path / "big.txt", tmp_path / "m.txt"
     save_sparse(MultiLabelDataset(features, labels, "big"), str(data))
-    save_model(LinearModel(np.array([[1e10, -1.0, 0.0], [-1e10, 1.0, 0.0]]), algorithm="u3",
-                           base="logistic_calibrated"), str(model))
-    code, _, lines = _main_in_process(["bounds", "--model", str(model), "--data", str(data),
-                                       "--no-standardize", "--no-bias"])
+    weights = np.zeros((3, 3))
+    weights[0, 0] = 1.7e308
+    save_model(LinearModel(weights, algorithm="u3", base="logistic_calibrated"), str(model))
+    code, _, lines = _main_in_process(["bounds", "--model", str(model), "--data", str(data)])
     assert code == 2
     assert lines == ["error: instance 1: a score or the feature norm is not finite, "
                      "so no bound applies"]
@@ -291,6 +296,7 @@ def test_a_csv_read_without_labels_names_the_flag(tmp_path, dataset_file):
     (["train", "--algo", "u1", "--lam", "1e308", "--out", "{tmp}/m.txt",
       "--data", "{tmp}/missing.txt"], "4 * lambda overflows"),
     (["bench", "--grid", "1e-2,1e308", "--data", "{tmp}/missing.txt"], "4 * lambda overflows"),
+    (["bench", "--algos", "u1,u1", "--data", "{tmp}/missing.txt"], "'u1' is given twice"),
 ])
 def test_a_bad_value_exits_2_before_any_file_is_read(tmp_path, argv, named):
     # the config file is read, but not the dataset it names
@@ -488,21 +494,19 @@ def test_overflowing_standardization_exits_2_naming_its_column(tmp_path, command
     assert line.startswith("error: feature column 1: ")
 
 
-@pytest.mark.parametrize("argv", [["train", "--lam", "1e-2", "--out", "{tmp}/m.txt"],
-                                  ["cv", "--grid", "1e-2", "--workers", "1"],
-                                  ["cv", "--grid", "1e-2", "--workers", "2"]],
+@pytest.mark.parametrize("argv", [["train", "--lam", "1e-4", "--out", "{tmp}/m.txt"],
+                                  ["cv", "--grid", "1e-4", "--workers", "1"],
+                                  ["cv", "--grid", "1e-4", "--workers", "2"]],
                          ids=["train", "cv-1-worker", "cv-2-workers"])
 def test_a_diverging_fit_exits_1_with_one_line(tmp_path, argv):
-    # unstandardized values near the float limit overflow the objective:
-    # the optimizer reports it, and numpy prints no warning
-    data = synthetic_linear(60, 5, 3, seed=21, noise=0.05, name="syn")
-    data.features[3:5, 0] = 1.7e308
-    path = tmp_path / "big.txt"
-    save_sparse(data, str(path))
+    # SVRG-BB diverges on the exponential base at a small lambda: the
+    # objective overflows, the optimizer reports it, and numpy prints no warning
+    path = tmp_path / "syn.txt"
+    save_sparse(synthetic_linear(60, 5, 3, seed=1, noise=0.05, name="syn"), str(path))
     env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "mlrank.cli", *(a.format(tmp=tmp_path)
                                                                  for a in argv),
-                           "--data", str(path), "--algo", "u1", "--no-standardize"],
+                           "--data", str(path), "--algo", "u1", "--base", "exponential"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1, proc.stderr
     [line] = proc.stderr.splitlines()
@@ -599,7 +603,7 @@ def clean_run_files(clean_files):
     assert code == 0
     (clean_files / "clean.config").write_text(
         "algos = u1\nlambda_grid = 0.01,1\nfolds = 2\nseed = 0\nouter_epochs = 2\n"
-        "inner_steps = 30\ntolerance = 1e-07\nworkers = 1\n", encoding="utf-8")
+        "tolerance = 1e-07\nworkers = 1\n", encoding="utf-8")
     return clean_files
 
 
@@ -620,8 +624,7 @@ def test_a_corrupt_model_number_exits_0_or_2_with_at_most_one_line(clean_run_fil
 @given(field=st.integers(min_value=0), value=st.sampled_from(_FIELD_VALUES))
 def test_a_corrupt_config_number_exits_0_or_2_with_at_most_one_line(clean_run_files, field,
                                                                      value):
-    # a lambda, the folds, seed, epochs, inner steps, tolerance or workers
-    # of a bench config
+    # a lambda, the folds, seed, epochs, tolerance or workers of a bench config
     path = clean_run_files / "corrupt.config"
     _corrupt(clean_run_files / "clean.config", field, value, path)
     code, err, lines = _main_in_process(["bench", "--config", str(path), "--data",

@@ -457,9 +457,9 @@ def test_kfold_split_partitions():
 
 def test_standardize_fit_apply():
     data = synthetic_linear(200, 6, 2, seed=3)
-    out, params = prepare_data(data, bias=False)
-    assert np.all(np.abs(out.features.mean(axis=0)) < 1e-10)
-    assert np.all(np.abs(out.features.std(axis=0) - 1.0) < 1e-6)
+    out, params = prepare_data(data)
+    assert np.all(np.abs(out.features[:, :6].mean(axis=0)) < 1e-10)
+    assert np.all(np.abs(out.features[:, :6].std(axis=0) - 1.0) < 1e-6)
     np.testing.assert_array_equal(params.mean, data.features.mean(axis=0))
 
 
@@ -467,7 +467,7 @@ def test_standardize_constant_feature_floor():
     X = np.ones((10, 2))
     X[:, 1] = np.arange(10, dtype=float)
     data = MultiLabelDataset(X, np.tile([1.0, -1.0], (10, 1)))
-    out, params = prepare_data(data, bias=False)
+    out, params = prepare_data(data)
     # constant column centers to zero without dividing by ~0
     assert params.std[0] == 1.0
     assert np.all(out.features[:, 0] == 0.0)
@@ -500,10 +500,12 @@ def test_standardization_holds_one_block_of_deviations():
 
 def test_append_bias():
     data = synthetic_linear(10, 3, 2, seed=5)
-    out, _ = prepare_data(data, standardize=False)
+    out, params = prepare_data(data)
     assert out.d == 4
+    # the bias column is left 1 by standardization; the features are not
     np.testing.assert_array_equal(out.features[:, -1], 1.0)
-    np.testing.assert_array_equal(out.features[:, :3], data.features)
+    np.testing.assert_array_equal(out.features[:, :3],
+                                  (data.features - params.mean) / params.std)
 
 
 def test_subset():

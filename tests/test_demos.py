@@ -1,5 +1,6 @@
 """The demos and the README's examples run against the package."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -44,3 +45,15 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv).func is not None, argv
+
+
+def test_readme_names_only_existing_flags():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {option for sub in subparsers.choices.values()
+               for option in sub._option_string_actions}
+    # every --flag but pip's, from the installation command
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme)) - {"--no-build-isolation"}
+    assert named
+    assert named <= options, sorted(named - options)

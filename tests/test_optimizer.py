@@ -156,10 +156,10 @@ def test_tolerance_stop_sets_converged():
 
 
 def test_out_of_range_settings_are_rejected():
-    for bad in (dict(outer_epochs=0), dict(inner_steps=0), dict(tolerance=-1e-9)):
+    for bad in (dict(outer_epochs=0), dict(tolerance=-1e-9), dict(seed=-1)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             OptimizerConfig(**bad)
-    OptimizerConfig(inner_steps=1, tolerance=0.0)
+    OptimizerConfig(outer_epochs=1, tolerance=0.0, seed=0)
 
 
 def test_non_finite_objective_raises_with_trace():
