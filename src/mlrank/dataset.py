@@ -17,8 +17,12 @@ Two on-disk formats are supported:
 
   A load reads the file once, one ``\\n``-terminated piece at a time.  The
   lines of a block, about ``_BLOCK_TOKENS`` feature tokens, are split once to
-  take off their label lists, and the tokens converted with one ``np.array``
-  call per type.  A header gives the shape before the first block, so the
+  take off their label lists.  An index and a value are read as ``int()``
+  and ``float()`` read them, underscores and non-ASCII digits included:
+  numpy's C text reader converts the block's tokens in one call; where it
+  refuses one, one ``np.array`` call per type converts them exactly; where
+  that fails, a scan of the block's lines names the first faulty one.
+  A header gives the shape before the first block, so the
   output arrays are allocated then and each block is scattered into its
   own rows as soon as it is converted: a headed load holds the output
   arrays plus one block.  Without a header the shape is known only at the
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -270,12 +275,11 @@ def _block(lines: list[tuple[int, str, int]], path: str, d: float, c: float) -> 
     """Per-line feature counts, feature indices and values, per-line label
     counts and label ids of a block of ``(line number, body, colon count)``.
 
-    The label lists are split off, and one join and one split give the sides
-    of all feature tokens, which one ``np.array`` call per type converts like
-    ``int()`` and ``float()``.  If that fails, if there are not twice as many
-    sides as tokens with a colon in every token (one colon per token), or if
-    a value is out of range for the counts ``d`` and ``c``, the first faulty
-    line, as :func:`_line_fault` finds it, is raised.
+    The label lists are split off, and :func:`_features` converts all
+    feature tokens: numpy's C text reader first, then, where it refuses a
+    token, the exact ``np.array`` conversion.  If that fails, or if a value
+    is out of range for the counts ``d`` and ``c``, a scan of the lines
+    raises the first faulty one, as :func:`_line_fault` finds it.
     """
     heads = []  # (label list, feature tokens) per line
     for _, body, _ in lines:
@@ -284,11 +288,8 @@ def _block(lines: list[tuple[int, str, int]], path: str, d: float, c: float) -> 
     try:
         ids = [[int(t) for t in label_s.split(",") if t] for label_s, _ in heads]
         flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64)
-        tokens = " ".join(feats for _, feats in heads).split()
-        sides = ":".join(tokens).split(":") if tokens else []
-        idx, vals = np.array(sides[0::2], dtype=np.int64), np.array(sides[1::2], dtype=np.float64)
-        if (len(sides) != 2 * len(tokens) or not all(map(operator.contains, tokens, repeat(":")))
-                or flat.size and (flat.min() < 0 or flat.max() >= c)
+        idx, vals = _features(" ".join(feats for _, feats in heads).split())
+        if (flat.size and (flat.min() < 0 or flat.max() >= c)
                 or idx.size and (idx.min() < 1 or idx.max() > d)
                 or not np.isfinite(vals).all()):
             raise ValueError("a line of the block is faulty")
@@ -299,6 +300,53 @@ def _block(lines: list[tuple[int, str, int]], path: str, d: float, c: float) -> 
                 raise DatasetFormatError(path, lineno, fault) from None
         raise  # unreachable: the conversions fail only on a faulty line
     return [count for _, _, count in lines], idx, vals, [len(line_ids) for line_ids in ids], flat
+
+
+# One feature token as numpy's C text reader reads it: index, then value.
+_TOKEN = np.dtype([("i", np.int64), ("v", np.float64)])
+
+
+def _reads_like_python() -> bool:
+    """Whether numpy's C reader refuses an index that ``int()`` refuses.
+    The reader of numpy 1.23 read ``1.5`` as the int64 1, under a
+    ``DeprecationWarning``; where it still does, :func:`_features` converts
+    every token exactly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            np.loadtxt(["1.5:0"], delimiter=":", dtype=_TOKEN)
+        except ValueError:
+            return True
+    return False
+
+
+_C_READER = _reads_like_python()
+
+
+def _features(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The indices and values of feature tokens ``idx:val``, as ``int()``
+    and ``float()`` read them.
+
+    numpy's C text reader converts them in one call.  It reads a subset of
+    what ``int()`` and ``float()`` read, the same numbers to the bit, and
+    needs exactly two fields per token.  Where it raises (an underscore, a
+    non-ASCII digit, an index beyond int64, a bad token), one join and one
+    split give the sides of all tokens, which one ``np.array`` call per type
+    converts exactly; raises ``ValueError`` or ``OverflowError`` if that
+    fails or a token does not hold exactly one colon.  No token, no call:
+    the reader warns on empty input.
+    """
+    if tokens and _C_READER:
+        try:
+            pairs = np.loadtxt(tokens, delimiter=":", dtype=_TOKEN, ndmin=1)
+            return pairs["i"], pairs["v"]
+        except ValueError:
+            pass
+    sides = ":".join(tokens).split(":") if tokens else []
+    idx, vals = np.array(sides[0::2], dtype=np.int64), np.array(sides[1::2], dtype=np.float64)
+    if len(sides) != 2 * len(tokens) or not all(map(operator.contains, tokens, repeat(":"))):
+        raise ValueError("a token does not hold exactly one colon")
+    return idx, vals
 
 
 def _line_fault(label_s: str, feats: str, d: float, c: float) -> str | None:

@@ -156,12 +156,10 @@ def evaluate(model: LinearModel, data: MultiLabelDataset) -> EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# Cross-validation task grid.  The task runner holds the dataset and the
-# fit settings in ``_POOL``, which forked workers inherit; tasks carry row
-# indices only.
+# Cross-validation task grid.  Each call hands its dataset and fit settings
+# to its task runner, which passes them to every task: directly in a serial
+# loop, or once to each forked pool worker; tasks carry row indices only.
 # ---------------------------------------------------------------------------
-
-_POOL: dict = {}
 
 
 @dataclass(frozen=True)
@@ -175,13 +173,14 @@ class _TaskSpec:
     seed: int
 
 
-def _run_task(task: _TaskSpec) -> FitRecord:
-    # each side is prepared straight from the pool's data, in one array
-    train_set, params = prepare_data(_POOL["data"], rows=task.train_rows)
-    eval_set, _ = prepare_data(_POOL["data"], params=params, rows=task.eval_rows)
-    cfg = replace(_POOL["opt_cfg"], seed=task.seed)
+def _run_task(task: _TaskSpec, data: MultiLabelDataset, algo: str, base: BaseLoss,
+              opt_cfg: OptimizerConfig) -> FitRecord:
+    # each side is prepared straight from the call's data, in one array
+    train_set, params = prepare_data(data, rows=task.train_rows)
+    eval_set, _ = prepare_data(data, params=params, rows=task.eval_rows)
+    cfg = replace(opt_cfg, seed=task.seed)
     t0 = time.perf_counter()
-    model, trace = train_with_trace(train_set, _POOL["algo"], task.lam, _POOL["base"], cfg)
+    model, trace = train_with_trace(train_set, algo, task.lam, base, cfg)
     seconds = time.perf_counter() - t0
     report = evaluate(model, eval_set)
     return FitRecord(task.phase, task.fold, task.lam_index, len(trace.records),
@@ -243,22 +242,33 @@ def _one_blas_thread():
         set_threads(before)
 
 
+# A pool worker's settings, set once as it starts: each worker is a process
+# of its own, serving one call.
+_worker_settings: dict = {}
+
+
+def _start_worker(settings: dict) -> None:
+    global _worker_settings
+    _worker_settings = settings
+
+
+def _run_worker_task(task: _TaskSpec) -> FitRecord:
+    return _run_task(task, **_worker_settings)
+
+
 @contextmanager
 def _task_runner(workers: int, **settings):
-    """Yield ``run(tasks) -> results``, serving every phase of one call, with
-    ``settings`` (the data and how to fit it) in ``_POOL`` until it closes:
-    a serial loop at ``workers <= 1``, otherwise one forked process pool,
-    whose workers inherit them."""
-    _POOL.update(settings)
-    try:
-        if workers <= 1:
-            yield lambda tasks: [_run_task(t) for t in tasks]
-        else:
-            with futures.ProcessPoolExecutor(
-                    max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                yield lambda tasks: list(pool.map(_run_task, tasks))
-    finally:
-        _POOL.clear()
+    """Yield ``run(tasks) -> results``, serving every phase of one call with
+    ``settings``, the data and how to fit it: a serial loop at
+    ``workers <= 1``, otherwise one forked process pool.  Its workers get
+    the settings as they start, inherited through the fork, not pickled."""
+    if workers <= 1:
+        yield lambda tasks: [_run_task(t, **settings) for t in tasks]
+        return
+    with futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(settings,)) as pool:
+        yield lambda tasks: list(pool.map(_run_worker_task, tasks))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -282,6 +283,11 @@ def mutated_sparse_text(draw):
         piece = draw(st.sampled_from([" 1:9", " 2:-7.5", " 1:1_0", " 1:\u0663", " 2:1e400",
                                       " 1:nan", "\n1 2:3", "1:2:3", " 1:2:3 7", "1:", ":5", " 7", "1.0:2",
                                       " 0:1", " 9:1", "-1", "",
+                                      # read alike by numpy's C reader and by int()/float()
+                                      " +1:2", " 01:2", " 1:infinity", " 1:-0", " 1:.5",
+                                      " 1:1e-400",
+                                      # read by int()/float() only
+                                      " 1:1_000.5", " 1_0:2",
                                       # beyond int64: a fault without a header
                                       " 99999999999999999999:1", "99999999999999999999",
                                       "9223372036854775808,0"]))
@@ -311,6 +317,33 @@ def test_sparse_loader_matches_line_by_line_reference(tmp_path_factory, text, bl
             # no format fault, but ids too large for the dense arrays
             outcomes.append("too large")
     assert outcomes[0] == outcomes[1], text
+
+
+@pytest.mark.parametrize("c_reader", [True, False])
+@pytest.mark.parametrize("header", ["3 12 2\n", ""])
+def test_tokens_only_python_reads_load_as_written_plainly(tmp_path, monkeypatch, c_reader,
+                                                          header):
+    # numpy's C reader refuses underscores and non-ASCII digits; int() and
+    # float() read them, so the block they are in is converted exactly
+    monkeypatch.setattr(dataset, "_C_READER", c_reader and dataset._C_READER)
+    odd = load_sparse(write(tmp_path, header + "0 1_0:2 3:1.5\n1 \u0663:1.5 1:1_0\n"
+                                     "0,1 12:-0.25\n", "odd.txt"), keep_trivial=True)
+    plain = load_sparse(write(tmp_path, header + "0 10:2 3:1.5\n1 3:1.5 1:10\n"
+                                       "0,1 12:-0.25\n", "plain.txt"), keep_trivial=True)
+    assert odd.features.shape == plain.features.shape == (3, 12)
+    assert odd.features.tobytes() == plain.features.tobytes()
+    assert odd.labels.tobytes() == plain.labels.tobytes()
+
+
+def test_labels_only_lines_load_without_a_warning(tmp_path):
+    # a block with no feature token makes no call to numpy's C reader,
+    # which warns on empty input
+    path = write(tmp_path, "2 3 2\n0\n1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = load_sparse(path)
+    assert data.features.tobytes() == np.zeros((2, 3)).tobytes()
+    np.testing.assert_array_equal(data.labels, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_sparse_load_memory_is_about_the_output(tmp_path):

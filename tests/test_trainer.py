@@ -1,6 +1,7 @@
 """Training pipeline: preparation, fitting, evaluation, cross-validation."""
 
 import gc
+import threading
 import tracemalloc
 import weakref
 
@@ -292,8 +293,9 @@ def pool_sizes(monkeypatch):
     class InProcessPool:
         """Records the pool size asked for and runs the tasks in this process."""
 
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -305,6 +307,8 @@ def pool_sizes(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(trainer.futures, "ProcessPoolExecutor", InProcessPool)
+    # the in-process worker's settings go with the test
+    monkeypatch.setattr(trainer, "_worker_settings", {})
     return sizes
 
 
@@ -386,7 +390,6 @@ def test_cross_validate_without_openblas_fails_loudly(monkeypatch, workers):
     data = synthetic_linear(30, 3, 2, seed=15)
     with pytest.raises(RuntimeError, match="OpenBLAS"):
         cross_validate(data, "u1", [1e-2], k=2, optimizer_cfg=CV_CFG, workers=workers)
-    assert trainer._POOL == {}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -394,10 +397,42 @@ def test_cross_validate_keeps_no_reference_to_the_data(workers):
     data = synthetic_linear(30, 3, 2, seed=18)
     features = weakref.ref(data.features)
     cross_validate(data, "u1", [1e-2], k=2, optimizer_cfg=CV_CFG, workers=workers)
-    assert trainer._POOL == {}
     del data
     gc.collect()
     assert features() is None
+
+
+def test_cross_validate_in_two_threads_equals_its_sequential_runs():
+    # each call hands its own data and settings to its tasks, so two calls
+    # at once do not read each other's
+    sets = [synthetic_linear(120, 6, 4, seed=1, noise=0.1),
+            synthetic_linear(150, 9, 5, seed=2, noise=0.1)]
+
+    def run(data):
+        return cross_validate(data, "u3", [1e-2, 1e-1], k=3, workers=1)
+
+    expected = [run(data) for data in sets]
+    results, errors, start = [None, None], [], threading.Barrier(2)
+
+    def work(i):
+        try:
+            start.wait(timeout=60)
+            results[i] = run(sets[i])
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for got, want in zip(results, expected):
+        assert got.fits == want.fits
+        np.testing.assert_array_equal(got.validation_losses, want.validation_losses)
+        np.testing.assert_array_equal(got.fold_ranking_losses, want.fold_ranking_losses)
+        np.testing.assert_array_equal(got.fold_partial_losses, want.fold_partial_losses)
 
 
 def test_cross_validate_sorts_grid_ascending():
