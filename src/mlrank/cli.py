@@ -265,6 +265,17 @@ def _load_dataset(path: str, label_count: int | None,
     return data
 
 
+def _check_csv_names(paths) -> None:
+    """Raise :class:`ConfigError` if a dataset name, the first cell of its
+    bench CSV rows, holds a comma or a line break.  The path is quoted, for
+    it holds the name."""
+    for path in paths:
+        name = dataset_name(path)
+        if set(name) & {",", "\r", "\n"}:
+            raise ConfigError(f"dataset {str(path)!r}: its name {name!r} holds a comma or a "
+                              "line break, which a bench CSV cell cannot hold")
+
+
 def _write(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
     print(f"wrote {path}")
@@ -485,6 +496,8 @@ def cmd_train(args) -> int:
 
 def cmd_cv(args) -> int:
     cfg = _apply_smoke(_experiment(args))
+    if args.csv:
+        _check_csv_names(cfg.datasets)
     data = _load_dataset(cfg.datasets[0], cfg.label_count)
     result = _cross_validate(data, cfg.algos[0], cfg)
     print(f"dataset {result.dataset}: n={data.n} d={data.d} c={data.c}")
@@ -505,6 +518,7 @@ def cmd_cv(args) -> int:
 def cmd_bench(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8") if args.config else None
     cfg = _experiment(args, text, args.config or "<config>")
+    _check_csv_names(cfg.datasets)
     run_cfg = _apply_smoke(cfg)
     tag = config_hash(cfg)
     outdir = Path(cfg.outdir)

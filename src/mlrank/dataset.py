@@ -17,14 +17,13 @@ Two on-disk formats are supported:
 
   A load reads the file once, one ``\\n``-terminated piece at a time.  The
   lines of a block, about ``_BLOCK_TOKENS`` feature tokens, are split once to
-  take off their label lists.  An index and a value are read as ``int()``
-  and ``float()`` read them, underscores and non-ASCII digits included:
-  numpy's C text reader converts the block's tokens in one call; where it
-  refuses one, one ``np.array`` call per type converts them exactly; where
-  that fails, a scan of the block's lines names the first faulty one.
-  A header gives the shape before the first block, so the
-  output arrays are allocated then and each block is scattered into its
-  own rows as soon as it is converted: a headed load holds the output
+  take off their label lists, and numpy's C text reader converts all their
+  feature tokens in one call, each one index and one value as it reads an
+  int64 and a float64 (no underscores, no non-ASCII digits).  Where it
+  refuses one, a scan that reads each token with the same call names the
+  first faulty line.  A header gives the shape before the first block, so
+  the output arrays are allocated then and each block is scattered into
+  its own rows as soon as it is converted: a headed load holds the output
   arrays plus one block.  Without a header the shape is known only at the
   end of the file, so the converted blocks wait for it: the load holds the
   output arrays plus 16 bytes per stored value.  Neither is a multiple of
@@ -35,13 +34,13 @@ Two on-disk formats are supported:
   (named as a CSV row when it holds comma-separated numbers), a negative
   label, a label ``>= c``, then per feature token bad syntax, an index
   below 1, a value that is not finite (``nan``, ``1e400``) and an index
-  ``> d``.  Without a header ``c`` and ``d`` are unbounded, but an index
+  ``> d``.  Without a header ``c`` and ``d`` are unbounded, but a label
   beyond int64 is a fault.  Then come the counts, and last an allocation.
 
 * **Dense CSV**: each row holds ``d`` feature values followed by ``c`` label
   columns, labels in ``{0, 1}`` or ``{-1, +1}`` (the former is remapped).
-  A feature value that is not finite names its line, and so does the first
-  label cell outside the encoding.
+  The first row numpy's reader refuses names its line, and so do a feature
+  value that is not finite and the first label cell outside the encoding.
 
 Instances whose label vector is all-positive or all-negative carry no
 ranking information; loaders drop them by default and report the count.
@@ -50,10 +49,8 @@ ranking information; loaders drop them by default and report the count.
 from __future__ import annotations
 
 import math
-import operator
-import warnings
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -276,10 +273,9 @@ def _block(lines: list[tuple[int, str, int]], path: str, d: float, c: float) -> 
     counts and label ids of a block of ``(line number, body, colon count)``.
 
     The label lists are split off, and :func:`_features` converts all
-    feature tokens: numpy's C text reader first, then, where it refuses a
-    token, the exact ``np.array`` conversion.  If that fails, or if a value
-    is out of range for the counts ``d`` and ``c``, a scan of the lines
-    raises the first faulty one, as :func:`_line_fault` finds it.
+    feature tokens in one call.  If a conversion fails, or if a value is out
+    of range for the counts ``d`` and ``c``, a scan of the lines raises the
+    first faulty one, as :func:`_line_fault` finds it.
     """
     heads = []  # (label list, feature tokens) per line
     for _, body, _ in lines:
@@ -306,52 +302,21 @@ def _block(lines: list[tuple[int, str, int]], path: str, d: float, c: float) -> 
 _TOKEN = np.dtype([("i", np.int64), ("v", np.float64)])
 
 
-def _reads_like_python() -> bool:
-    """Whether numpy's C reader refuses an index that ``int()`` refuses.
-    The reader of numpy 1.23 read ``1.5`` as the int64 1, under a
-    ``DeprecationWarning``; where it still does, :func:`_features` converts
-    every token exactly."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            np.loadtxt(["1.5:0"], delimiter=":", dtype=_TOKEN)
-        except ValueError:
-            return True
-    return False
-
-
-_C_READER = _reads_like_python()
-
-
 def _features(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The indices and values of feature tokens ``idx:val``, as ``int()``
-    and ``float()`` read them.
-
-    numpy's C text reader converts them in one call.  It reads a subset of
-    what ``int()`` and ``float()`` read, the same numbers to the bit, and
-    needs exactly two fields per token.  Where it raises (an underscore, a
-    non-ASCII digit, an index beyond int64, a bad token), one join and one
-    split give the sides of all tokens, which one ``np.array`` call per type
-    converts exactly; raises ``ValueError`` or ``OverflowError`` if that
-    fails or a token does not hold exactly one colon.  No token, no call:
-    the reader warns on empty input.
-    """
-    if tokens and _C_READER:
-        try:
-            pairs = np.loadtxt(tokens, delimiter=":", dtype=_TOKEN, ndmin=1)
-            return pairs["i"], pairs["v"]
-        except ValueError:
-            pass
-    sides = ":".join(tokens).split(":") if tokens else []
-    idx, vals = np.array(sides[0::2], dtype=np.int64), np.array(sides[1::2], dtype=np.float64)
-    if len(sides) != 2 * len(tokens) or not all(map(operator.contains, tokens, repeat(":"))):
-        raise ValueError("a token does not hold exactly one colon")
-    return idx, vals
+    """The indices and values of feature tokens ``idx:val``, as numpy's C
+    text reader reads an int64 and a float64, in one call.  Raises
+    ``ValueError`` where it refuses a token: one colon too many or few,
+    ``1.5:0``, ``1_0:2``, ``99999999999999999999:1``.  No token, no call:
+    the reader warns on empty input."""
+    pairs = (np.loadtxt(tokens, delimiter=":", dtype=_TOKEN, ndmin=1) if tokens
+             else np.empty(0, _TOKEN))
+    return pairs["i"], pairs["v"]
 
 
 def _line_fault(label_s: str, feats: str, d: float, c: float) -> str | None:
     """The first fault of a line, label list ``label_s`` and feature tokens
-    ``feats``, in the order the module docstring states, or None."""
+    ``feats``, in the order the module docstring states, or None.  Each
+    feature token is read by :func:`_features`, as its block was."""
     try:
         ids = [int(t) for t in label_s.split(",") if t]
     except ValueError:
@@ -369,19 +334,16 @@ def _line_fault(label_s: str, feats: str, d: float, c: float) -> str | None:
         if label >= 2 ** 63:  # beyond int64
             return f"label index {label} does not fit in 64 bits"
     for tok in feats.split():
-        idx_s, _, val_s = tok.partition(":")
         try:
-            idx, val = int(idx_s), float(val_s)
+            (idx,), (val,) = _features([tok])
         except ValueError:
             return f"bad feature token {tok!r}"
         if idx < 1:
             return f"feature index {idx} is not 1-based"
         if not math.isfinite(val):
-            return f"feature value {val_s!r} is not finite"
+            return f"feature value {tok.partition(':')[2]!r} is not finite"
         if idx > d:
             return f"feature index {idx} out of range for d={d}"
-        if idx >= 2 ** 63:
-            return f"feature index {idx} does not fit in 64 bits"
     return None
 
 
@@ -402,10 +364,13 @@ def load_csv(path: str, label_count: int, keep_trivial: bool = False) -> MultiLa
     """Load a dense CSV whose last ``label_count`` columns are labels."""
     if label_count is None or label_count < 1:
         raise ValueError(f"a CSV dataset needs a positive label count, not {label_count!r}")
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        if next(_csv_rows(fh), None) is None:  # the reader warns on no data
+            raise DatasetFormatError(str(path), 0, "no instances found")
     try:
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        table = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8")
     except ValueError as exc:
-        raise DatasetFormatError(str(path), 0, f"not numeric CSV: {exc}")
+        raise _csv_fault(str(path), exc) from None
     if table.shape[1] <= label_count:
         raise DatasetFormatError(str(path), 0,
                                  f"{table.shape[1]} columns cannot hold {label_count} labels plus features")
@@ -429,12 +394,39 @@ def load_csv(path: str, label_count: int, keep_trivial: bool = False) -> MultiLa
     return _drop_trivial(X, Y, dataset_name(path), keep_trivial)
 
 
+def _csv_rows(fh):
+    """``(line number, line)`` of each data row of the text file ``fh``, as
+    numpy's reader counts rows: a line is a row unless nothing is left of it
+    before ``#`` and its line break."""
+    return ((lineno, line) for lineno, line in enumerate(fh, start=1)
+            if line.split("#", 1)[0].rstrip("\n"))
+
+
+def _csv_fault(path: str, exc: ValueError) -> DatasetFormatError:
+    """The first row the reader refuses, read alone, or whose cell count is
+    not the first row's, named by its line; or else (a byte that is not
+    UTF-8 in a comment) the reader's error ``exc`` on the whole file."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        width = None
+        for lineno, line in _csv_rows(fh):
+            try:
+                cells = np.loadtxt([line], delimiter=",", ndmin=1).size
+            except ValueError as err:  # numpy names the row of this one-line read
+                return DatasetFormatError(path, lineno, "not numeric CSV: "
+                                          + str(err).replace(" at row 0,", " at"))
+            if width is None:
+                width = cells
+            elif cells != width:
+                return DatasetFormatError(path, lineno,
+                                          f"the first row has {width} cells, this one {cells}")
+    return DatasetFormatError(path, 0, f"not numeric CSV: {exc}")
+
+
 def _csv_field(path: str, row: int, col: int) -> tuple[int, str]:
     """Line number and text of field ``col`` of data row ``row``, counting
-    rows as ``np.loadtxt`` does: text after ``#`` and blank lines skipped."""
+    rows as :func:`_csv_rows` does."""
     with open(path, encoding="utf-8", errors="replace") as fh:
-        rows = (pair for pair in enumerate(fh, start=1) if pair[1].split("#", 1)[0].strip())
-        lineno, line = next(islice(rows, row, None))
+        lineno, line = next(islice(_csv_rows(fh), row, None))
     return lineno, line.split("#", 1)[0].split(",")[col].strip()
 
 

@@ -39,6 +39,7 @@ import glob
 import hashlib
 import multiprocessing
 import os
+import threading
 import time
 from concurrent import futures
 from contextlib import contextmanager
@@ -215,6 +216,12 @@ def _openblas_thread_calls():
     return get, set_
 
 
+# The open pins of _one_blas_thread in this process and the count the first
+# found; a forked child gets a new lock, which the fork may copy held.
+_pins = {"open": 0, "before": 1, "lock": threading.Lock()}
+os.register_at_fork(after_in_child=lambda: _pins.update(lock=threading.Lock()))
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS at one thread in this process.
@@ -222,24 +229,30 @@ def _one_blas_thread():
     Single-threaded BLAS keeps results identical across pool sizes and
     between a serial fit and the same fit in a task, keeps pool workers
     from oversubscribing the cores, and keeps no helper thread spinning
-    through the single-threaded inner steps.  Re-entrant: at one thread
-    already it makes no set call, because any set call in a forked worker,
-    even to 1, restarts OpenBLAS's thread server, whose thread spins on a
-    core before it sleeps.  So enter it in the parent, before a pool forks:
-    a forked worker inherits the count.
+    through the single-threaded inner steps.  The count is per process, so
+    the first open pin, in any thread, sets it and the last to close
+    restores it.  At one thread already no set call is made, because any
+    set call in a forked worker, even to 1, restarts OpenBLAS's thread
+    server, whose thread spins on a core before it sleeps.  So enter it in
+    the parent, before a pool forks: a forked worker inherits the count.
     """
     get, set_threads = _openblas_thread_calls()
-    before = get()
-    if before == 1:
-        yield
-        return
-    set_threads(1)
+    with _pins["lock"]:  # held for the count only, never across the body
+        if _pins["open"] == 0:
+            _pins["before"] = before = get()
+            if before != 1:
+                set_threads(1)
+                if (now := get()) != 1:
+                    set_threads(before)
+                    raise RuntimeError(f"OpenBLAS runs {now} threads after being set to 1")
+        _pins["open"] += 1
     try:
-        if get() != 1:
-            raise RuntimeError(f"OpenBLAS runs {get()} threads after being set to 1")
         yield
     finally:
-        set_threads(before)
+        with _pins["lock"]:
+            _pins["open"] -= 1
+            if _pins["open"] == 0 and _pins["before"] != 1:
+                set_threads(_pins["before"])
 
 
 # A pool worker's settings, set once as it starts: each worker is a process

@@ -10,6 +10,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlrank
+from mlrank import cli
 from mlrank.cli import (ExperimentConfig, config_from_text, config_hash,
                         config_to_text, main, render_runtime_svg,
                         render_summary_markdown)
@@ -556,11 +558,13 @@ def _main_in_process(argv):
 @settings(max_examples=50, deadline=None)
 @given(fmt=st.sampled_from(["sparse", "csv"]), command=st.sampled_from(["train", "cv"]),
        field=st.integers(min_value=0), value=st.sampled_from(
-           ["nan", "inf", "-inf", "1e400", "1.7e308", "-1.7e308", "2", "-2", "0.5"]))
+           ["nan", "inf", "-inf", "1e400", "1.7e308", "-1.7e308", "2", "-2", "0.5",
+            "zz", "", "1,5", "\n"]))
 def test_a_corrupt_number_exits_0_or_2_with_at_most_one_line(clean_files, fmt, command,
                                                               field, value):
     # one numeric field of a sparse or CSV file is replaced by a non-finite,
-    # overflowing or extreme value, or by a label outside {0, 1, -1}
+    # overflowing or extreme value, a label outside {0, 1, -1}, a cell the
+    # reader refuses, or a cell more or a line break (a ragged CSV row)
     ext = "txt" if fmt == "sparse" else "csv"
     path = clean_files / f"corrupt.{ext}"
     _corrupt(clean_files / f"clean.{ext}", field, value, path)
@@ -572,6 +576,20 @@ def test_a_corrupt_number_exits_0_or_2_with_at_most_one_line(clean_files, fmt, c
     code, err, lines = _main_in_process(argv)
     assert code in (0, 2), lines
     assert len(lines) <= 1 and "Traceback" not in err, lines
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# a header comment\n\n"],
+                         ids=["empty", "blank", "comment"])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_a_csv_without_rows_exits_2_with_one_line(tmp_path, command, text):
+    path = tmp_path / "none.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = {"train": ["train", "--lam", "1e-2", "--out", str(tmp_path / "m.txt")],
+            "cv": ["cv", "--grid", "1e-2"]}[command]
+    code, _, lines = _main_in_process(argv + ["--data", str(path), "--algo", "u1",
+                                              "--labels", "3"])
+    assert code == 2
+    assert lines == [f"error: {path}:0: no instances found"]
 
 
 @settings(max_examples=50, deadline=None)
@@ -718,7 +736,30 @@ def test_a_label_count_selects_the_csv_reader(tmp_path, dataset_file, capsys, ar
     assert run(csv) == 0
     capsys.readouterr()
     assert run(dataset_file) == 2
-    assert capsys.readouterr().err.startswith(f"error: {dataset_file}:0: not numeric CSV")
+    assert capsys.readouterr().err.startswith(f"error: {dataset_file}:1: not numeric CSV")
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"], ids=["comma", "newline", "return"])
+@pytest.mark.parametrize("argv", [
+    ["bench", "--algos", "u3", "--grid", "1e-2", "--smoke", "--outdir", "{tmp}/res"],
+    ["cv", "--algo", "u3", "--grid", "1e-2", "--epochs", "1", "--csv", "{tmp}/cv.csv"],
+], ids=["bench", "cv-csv"])
+def test_a_dataset_name_a_bench_csv_cannot_hold_exits_2_before_any_read(tmp_path, dataset_file,
+                                                                         name, argv):
+    # the name is the first cell of each row of the CSV that `report` reads
+    # back, so a comma or a line break in it would break that CSV
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(dataset_file.read_bytes())
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--data", str(path)]
+    with mock.patch.object(cli, "_load_dataset", side_effect=AssertionError("data was read")):
+        code, _, lines = _main_in_process(argv)
+    assert code == 2
+    assert lines == [f"error: dataset {str(path)!r}: its name {name!r} holds a comma or a "
+                     "line break, which a bench CSV cell cannot hold"]
+    assert not (tmp_path / "res").exists() and not (tmp_path / "cv.csv").exists()
+    # without --csv, cv writes no CSV and runs
+    if argv[0] == "cv":
+        assert main(argv[:argv.index("--csv")] + ["--data", str(path)]) == 0
 
 
 def test_report_names_the_line_of_a_non_numeric_cell(tmp_path, capsys):

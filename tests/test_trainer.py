@@ -1,6 +1,7 @@
 """Training pipeline: preparation, fitting, evaluation, cross-validation."""
 
 import gc
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -378,6 +379,82 @@ def test_fits_run_at_one_blas_thread_bit_for_bit(monkeypatch):
     finally:
         set_threads(before)
     assert model.weights.tobytes() == pinned.weights.tobytes()
+
+
+def test_overlapping_pins_in_two_threads_hold_one_blas_thread_until_the_last_closes():
+    # the thread count is per process: the first pin to close must not
+    # restore it while the other thread's pin is still open
+    get_threads, set_threads = trainer._openblas_thread_calls()
+    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+    seen, errors = [], []
+
+    def first():
+        try:
+            with trainer._one_blas_thread():
+                first_in.set()
+                assert second_in.wait(timeout=60)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+        finally:
+            first_out.set()
+
+    def second():
+        try:
+            assert first_in.wait(timeout=60)
+            with trainer._one_blas_thread():
+                second_in.set()
+                assert first_out.wait(timeout=60)
+                seen.append(get_threads())
+        except Exception as exc:  # reported below
+            errors.append(exc)
+        finally:
+            second_in.set()
+
+    before = get_threads()
+    set_threads(2)
+    try:
+        threads = [threading.Thread(target=f, daemon=True) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert seen == [1]  # the second pin held after the first closed
+        assert get_threads() == 2  # and the last to close restored the count
+    finally:
+        set_threads(before)
+
+
+def test_many_threads_pinning_at_once_never_run_unpinned():
+    # more threads than cores, switching often: a pin that lost an update
+    # of the open count would run its body at 2 threads or leave 1 behind
+    get_threads, set_threads = trainer._openblas_thread_calls()
+    seen, errors = set(), []
+
+    def pin_often():
+        try:
+            for _ in range(200):
+                with trainer._one_blas_thread():
+                    seen.add(get_threads())
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    before, interval = get_threads(), sys.getswitchinterval()
+    set_threads(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=pin_often, daemon=True) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and seen == {1}
+        assert trainer._pins["open"] == 0 and get_threads() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_threads(before)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
