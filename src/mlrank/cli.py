@@ -488,7 +488,8 @@ def cmd_train(args) -> int:
         trace.to_csv(args.trace)
     report = evaluate(model, prepared)
     print(f"saved model to {args.out}")
-    print(f"epochs run: {len(trace.records)}  stop: {trace.stop_reason}")
+    print(f"epochs run: {len(trace.records)}  stop: {trace.stop_reason}  "
+          f"certified gap: {trace.certified_gap:.3g}")
     print(f"training ranking loss: {report.ranking_loss:.6f}  "
           f"partial: {report.partial_ranking_loss:.6f}")
     return EXIT_OK

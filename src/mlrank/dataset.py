@@ -39,8 +39,9 @@ Two on-disk formats are supported:
 
 * **Dense CSV**: each row holds ``d`` feature values followed by ``c`` label
   columns, labels in ``{0, 1}`` or ``{-1, +1}`` (the former is remapped).
-  The first row numpy's reader refuses names its line, and so do a feature
-  value that is not finite and the first label cell outside the encoding.
+  The first row numpy's reader refuses names its line, and so do a byte
+  that is not UTF-8 (in a row or a comment), a feature value that is not
+  finite and the first label cell outside the encoding.
 
 Instances whose label vector is all-positive or all-negative carry no
 ranking information; loaders drop them by default and report the count.
@@ -151,12 +152,14 @@ def _lines(path: str):
                 # the bad byte's line is the last of the text before it plus
                 # one more character
                 head = piece[:exc.start].decode("utf-8") + "?"
-                bad = " ".join(f"0x{b:02x}" for b in piece[exc.start:exc.end])
-                raise DatasetFormatError(
-                    path, lineno + len(head.splitlines()),
-                    f"not UTF-8 text: cannot decode {bad} ({exc.reason})") from None
+                raise _not_utf8(path, lineno + len(head.splitlines()), exc) from None
             lineno += len(lines)
             yield from lines
+
+
+def _not_utf8(path: str, lineno: int, exc: UnicodeDecodeError) -> DatasetFormatError:
+    bad = " ".join(f"0x{b:02x}" for b in exc.object[exc.start:exc.end])
+    return DatasetFormatError(path, lineno, f"not UTF-8 text: cannot decode {bad} ({exc.reason})")
 
 
 def load_sparse(path: str, keep_trivial: bool = False) -> MultiLabelDataset:
@@ -364,7 +367,7 @@ def load_csv(path: str, label_count: int, keep_trivial: bool = False) -> MultiLa
     """Load a dense CSV whose last ``label_count`` columns are labels."""
     if label_count is None or label_count < 1:
         raise ValueError(f"a CSV dataset needs a positive label count, not {label_count!r}")
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         if next(_csv_rows(fh), None) is None:  # the reader warns on no data
             raise DatasetFormatError(str(path), 0, "no instances found")
     try:
@@ -397,16 +400,24 @@ def load_csv(path: str, label_count: int, keep_trivial: bool = False) -> MultiLa
 def _csv_rows(fh):
     """``(line number, line)`` of each data row of the text file ``fh``, as
     numpy's reader counts rows: a line is a row unless nothing is left of it
-    before ``#`` and its line break."""
-    return ((lineno, line) for lineno, line in enumerate(fh, start=1)
-            if line.split("#", 1)[0].rstrip("\n"))
+    before ``#`` and its line break.  ``fh`` is read with
+    ``errors="surrogateescape"``, so a byte that is not UTF-8, in a row or a
+    comment, raises :class:`DatasetFormatError` naming its line."""
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(fh.name, lineno, exc) from None
+        if line.split("#", 1)[0].rstrip("\n"):
+            yield lineno, line
 
 
 def _csv_fault(path: str, exc: ValueError) -> DatasetFormatError:
     """The first row the reader refuses, read alone, or whose cell count is
-    not the first row's, named by its line; or else (a byte that is not
-    UTF-8 in a comment) the reader's error ``exc`` on the whole file."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    not the first row's, named by its line; or else the reader's error
+    ``exc`` on the whole file.  A byte that is not UTF-8 before that row
+    raises from :func:`_csv_rows`."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         width = None
         for lineno, line in _csv_rows(fh):
             try:
@@ -425,7 +436,7 @@ def _csv_fault(path: str, exc: ValueError) -> DatasetFormatError:
 def _csv_field(path: str, row: int, col: int) -> tuple[int, str]:
     """Line number and text of field ``col`` of data row ``row``, counting
     rows as :func:`_csv_rows` does."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lineno, line = next(islice(_csv_rows(fh), row, None))
     return lineno, line.split("#", 1)[0].split(",")[col].strip()
 

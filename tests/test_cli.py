@@ -149,7 +149,9 @@ def test_train_and_bounds(tmp_path, dataset_file, capsys):
                  "--lam", "1e-4", "--out", str(model), "--trace", str(trace),
                  "--epochs", "4", "--base", "logistic_calibrated"])
     assert code == 0 and model.exists() and trace.exists()
-    capsys.readouterr()
+    # the stop line carries the fit's certificate, finite at lambda > 0
+    stop = re.search(r"stop: .+  certified gap: (\S+)\n", capsys.readouterr().out)
+    assert 0.0 < float(stop.group(1)) < np.inf
     assert main(["bounds", "--model", str(model), "--data",
                  str(dataset_file)]) == 0
     out = capsys.readouterr().out
@@ -504,7 +506,7 @@ def test_a_diverging_fit_exits_1_with_one_line(tmp_path, argv):
     # SVRG-BB diverges on the exponential base at a small lambda: the
     # objective overflows, the optimizer reports it, and numpy prints no warning
     path = tmp_path / "syn.txt"
-    save_sparse(synthetic_linear(60, 5, 3, seed=1, noise=0.05, name="syn"), str(path))
+    save_sparse(synthetic_linear(60, 5, 3, seed=9, noise=0.05, name="syn"), str(path))
     env = dict(os.environ, PYTHONPATH=str(Path(mlrank.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "mlrank.cli", *(a.format(tmp=tmp_path)
                                                                  for a in argv),

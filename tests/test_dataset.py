@@ -514,8 +514,14 @@ def test_csv_rejects_a_non_finite_feature_naming_its_line(tmp_path, value):
     ("1 2 3\n0 1:1.0\n", 1, "'1 2 3' to float64 at column 1."),
     ("", 0, "no instances found"),
     ("\n\n# only comments\n\r\n", 0, "no instances found"),
+    # a byte that is not UTF-8 names its line, in a row or in a comment, on
+    # lines counted as _csv_rows counts them
+    (b"1.0,2.0,1,0\n3,\xff,0,1\n", 2, "not UTF-8 text: cannot decode 0xff (invalid start byte)"),
+    (b"1.0,2.0,1,0\r# caf\xe9\r0.5,1.5,0,1\r", 2,
+     "not UTF-8 text: cannot decode 0xe9 (invalid continuation byte)"),
 ], ids=["bad-cell", "ragged", "ragged-before-bad-cell", "empty-cell", "underscore",
-        "blank-row", "blank-before-comment", "sparse-text", "empty", "blank-only"])
+        "blank-row", "blank-before-comment", "sparse-text", "empty", "blank-only",
+        "not-utf8-row", "not-utf8-comment"])
 def test_csv_faults_name_their_line(tmp_path, text, line, message):
     path = write(tmp_path, text, name="d.csv")
     with warnings.catch_warnings():

@@ -195,19 +195,20 @@ def test_svrg_direction_identities():
                                    full_gradient(obj, W), rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("lam, eta, steps", [
-    (0.0, 0.1, 50),    # no ridge: a = 1, only the shift and the block terms act
-    (0.02, 0.1, 50),
-    (1.0, 0.45, 400),  # a = 1 - 2 eta lambda = 0.1 over 400 steps: a^400 underflows
-    (0.25, 2.0, 60),   # a = 0 exactly: eta = 1 / (2 lambda), each step forgets W
-])
-def test_svrg_epoch_matches_dense_recursion(lam, eta, steps):
+@pytest.mark.parametrize("lam, eta, steps, b", [
+    (0.0, 0.1, 50, 4),    # no ridge: a = 1, only the shift and the block terms act
+    (0.02, 0.1, 50, 4),
+    (1.0, 0.45, 400, 4),  # a = 1 - 2 eta lambda = 0.1 over 400 steps: a^400 underflows
+    (0.25, 2.0, 60, 4),   # a = 0 exactly: eta = 1 / (2 lambda), each step forgets W
+    (0.02, 0.1, 20, 64),  # blocks wider than the 25 rows: every block repeats rows
+], ids=["0.0-0.1-50", "0.02-0.1-50", "1.0-0.45-400", "0.25-2.0-60", "block-wider-than-n"])
+def test_svrg_epoch_matches_dense_recursion(lam, eta, steps, b):
     rng = np.random.default_rng(11)
     for algo in ALGOS:
         obj = make_objective(algo, lam=lam)
         snap = obj.svrg_snapshot(rng.normal(size=(obj.d, obj.c)))
-        rows = rng.integers(obj.n, size=(steps, 4))
-        rows[1] = [6, 2, 6, 9]  # one row drawn twice in a block
+        rows = rng.integers(obj.n, size=(steps, b))
+        rows[1, :4] = [6, 2, 6, 9]  # one row drawn twice in a block
         W = snap["W"].copy()
         for R in rows:
             W -= eta * block_direction(obj, W, R, snap)

@@ -80,6 +80,8 @@ def test_quadratic_converges_to_mean():
     target = np.mean(oracle.targets, axis=0)
     assert np.abs(W - target).max() < 1e-6
     assert len(trace.records) <= 50
+    # no strong convexity at lambda = 0, so nothing is certified
+    assert trace.certified_gap == np.inf
 
 
 def test_svrg_bb_reads_only_the_oracle_protocol():
@@ -206,6 +208,31 @@ def test_inner_steps_default_is_two_n():
     assert rows_per_epoch(6) == _BLOCK_ROWS
 
 
+@pytest.mark.parametrize("n", [_BLOCK_ROWS // 4, _BLOCK_ROWS // 2])
+def test_an_epoch_of_one_block_is_full_gradient_bb_descent(n):
+    # when 2n <= b an epoch is one step from the snapshot, whose deltas are
+    # exactly zero: the fit is full-gradient descent with BB steps, and no
+    # seed enters it
+    data, _ = prepare_data(synthetic_linear(n, 4, 3, seed=2, noise=0.3))
+    for algo in ("pa", "u3"):
+        obj = Objective(data.features, data.labels, ObjectiveSpec(algo, LOGISTIC, 1e-2))
+        deltas = []
+        direction = obj.svrg_direction
+
+        def recording(scores, block, snap_grads):
+            deltas.append(direction(scores, block, snap_grads))
+            return deltas[-1]
+
+        obj.svrg_direction = recording
+        fits = [minimize_svrg_bb(obj, np.zeros((obj.d, obj.c)), OptimizerConfig(seed=seed))
+                for seed in (0, 1, 7)]
+        assert len(deltas) == sum(len(trace.records) for _, trace in fits)
+        assert not any(np.any(delta) for delta in deltas)
+        for W, trace in fits[1:]:
+            assert W.tobytes() == fits[0][0].tobytes()
+            assert trace.objectives == fits[0][1].objectives
+
+
 def test_small_lambda_fit_reports_unfinished():
     # scene-shaped: 2407 x 294, 6 labels, about 1.07 relevant per row
     rng = np.random.default_rng(12)
@@ -251,6 +278,9 @@ def test_default_fit_reaches_lbfgs_optimum(base, lam):
                        options={"maxiter": 5000, "ftol": 1e-14, "gtol": 1e-11})
         assert res.success, res.message
         optimum = obj.value(res.x.reshape(shape))
-        model, _ = train_with_trace(data, algo, lam, BaseLoss(base))
-        gap = (obj.value(model.weights) - optimum) / abs(optimum)
+        model, trace = train_with_trace(data, algo, lam, BaseLoss(base))
+        value = obj.value(model.weights)
+        gap = (value - optimum) / abs(optimum)
         assert -1e-12 <= gap <= 1e-6, (algo, gap)
+        # the trace's certificate bounds the true gap, both taken over |F|
+        assert trace.certified_gap >= (value - optimum) / abs(value), (algo, trace.certified_gap)
