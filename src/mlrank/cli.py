@@ -510,7 +510,8 @@ def cmd_cv(args) -> int:
           f"{result.std_partial_ranking_loss:.4f}")
     print(f"grid seconds: {result.selection_seconds:.2f}  final seconds: "
           f"{result.total_seconds:.2f}")
-    print(f"unconverged: {result.unconverged_fits} of {len(result.fits)} fits")
+    print(f"unconverged: {result.unconverged_fits} of {len(result.fits)} fits  "
+          f"largest certified gap: {result.largest_certified_gap:.3g}")
     if args.csv:
         _write_bench_csv(args.csv, [result])
     return EXIT_OK
@@ -534,7 +535,8 @@ def cmd_bench(args) -> int:
             results.append(result)
             print(f"{data.name} {algo}: ranking loss {result.mean_ranking_loss:.4f} "
                   f"± {result.std_ranking_loss:.4f} (lambda {result.best_lambda:g}; "
-                  f"unconverged: {result.unconverged_fits} of {len(result.fits)} fits)")
+                  f"unconverged: {result.unconverged_fits} of {len(result.fits)} fits; "
+                  f"largest certified gap: {result.largest_certified_gap:.3g})")
         csv_paths.append(outdir / f"bench_{data.name}_{tag}.csv")
         _write_bench_csv(csv_paths[-1], results)
 

@@ -15,11 +15,12 @@ functions of its label split sizes, all stated once by :func:`scheme_betas`.
 
 Each has one implementation, on a label matrix: a :class:`BatchSurrogate`
 holds one surrogate's per-row structure and has two kernels on scores, one
-giving every row's loss and gradient in one pass and one giving the
-gradients of a block of rows, and :func:`ranking_loss_batch` gives every
-row's ranking loss and partial ranking loss.  A single instance is a
-one-row matrix.  The per-row formulas the kernels are checked against live
-with the tests, in ``tests/loss_reference.py``.
+giving the loss and gradient of each of a range of consecutive rows in one
+pass and one giving the gradients of a block of rows, and
+:func:`ranking_loss_batch` gives every row's ranking loss and partial
+ranking loss.  A single instance is a one-row matrix.  The per-row formulas
+the kernels are checked against live with the tests, in
+``tests/loss_reference.py``.
 
 All gradients are analytic, using fixed one-sided derivatives at the hinge
 kinks so that stochastic optimizers see deterministic subgradients.
@@ -207,10 +208,11 @@ def scheme_betas(kind: str, a, b):
 # structure on a label matrix, built once and O(n c) in size: for ``pa``
 # each row's relevant and irrelevant labels (:class:`_LabelLists`), for
 # u1-u4 the penalty weights.  Two kernels on scores serve training, the
-# model bounds and the bounds probe: every row's losses and gradients from
-# one array of margins, and the gradients of one SVRG block.
+# model bounds and the bounds probe: the losses and gradients of a range of
+# consecutive rows from one array of margins, and the gradients of one SVRG
+# block.
 # No list of all (relevant, irrelevant) label pairs is ever held: every
-# all-rows pair kernel, the ranking losses' included, takes the one walk of
+# row-range pair kernel, the ranking losses' included, takes the one walk of
 # ``_LabelLists.chunks``, which checks the scores' shape and builds the pairs
 # of one chunk of at most ``_BLOCK_BUDGET`` pairs at a time.  A chunk holds
 # whole rows, so each per-row sum adds the same values in the same order as
@@ -273,16 +275,17 @@ def _check_scores(F: np.ndarray, shape: tuple[int, int]) -> None:
         raise ValueError(f"scores shape {F.shape} does not match labels shape {shape}")
 
 
-def _spans(ends: np.ndarray):
-    """Yield ``(start, stop)`` spans of consecutive units, whose sizes have
-    the running totals ``ends``, each holding at most ``_BLOCK_BUDGET`` in
-    total; a larger unit makes a span alone."""
-    start = 0
-    while start < len(ends):
+def _spans(ends: np.ndarray, start: int = 0, stop: int | None = None):
+    """Yield ``(start, stop)`` spans of consecutive units from ``start`` to
+    ``stop`` (default: all), whose sizes have the running totals ``ends``,
+    each holding at most ``_BLOCK_BUDGET`` in total; a larger unit makes a
+    span alone."""
+    stop = len(ends) if stop is None else stop
+    while start < stop:
         budget = _BLOCK_BUDGET + (ends[start - 1] if start else 0)
-        stop = max(start + 1, int(ends.searchsorted(budget, side="right")))
-        yield start, stop
-        start = stop
+        end = min(stop, max(start + 1, int(ends.searchsorted(budget, side="right"))))
+        yield start, end
+        start = end
 
 
 class _LabelLists:
@@ -313,17 +316,21 @@ class _LabelLists:
         # rows before row i hold i * c - pos_ptr[i] irrelevant entries
         self.neg_start = row * c - self.pos_ptr[row]
 
-    def chunks(self, F: np.ndarray):
-        """The one walk over all rows' pairs at scores ``F`` ``(n, c)``: per
-        chunk of consecutive rows (a slice holding at most ``_BLOCK_BUDGET``
-        pairs, a row with more alone) ``rows``, its :meth:`pairs` ``ip, iq``
-        and their scores ``f_p``, ``f_q`` in fresh arrays."""
-        _check_scores(F, (len(self.count), self.c))
-        for start, stop in _spans(self.ends):
-            rows = slice(start, stop)
-            ip, iq = self.pairs(rows)
-            f = F[rows].ravel()
-            yield rows, ip, iq, f.take(ip), f.take(iq)
+    def chunks(self, F: np.ndarray, rows: slice = slice(None)):
+        """The one walk over the pairs of the consecutive ``rows`` (default:
+        all) at their scores ``F`` ``(len(rows), c)``: per chunk of those
+        rows (a slice holding at most ``_BLOCK_BUDGET`` pairs, a row with
+        more alone) ``chunk``, its :meth:`pairs` ``ip, iq`` and their scores
+        ``f_p``, ``f_q`` in fresh arrays.  The walk over all rows from one
+        of its chunk starts yields the same chunks as the walk over all
+        rows."""
+        start, stop, _ = rows.indices(len(self.count))
+        _check_scores(F, (stop - start, self.c))
+        for lo, hi in _spans(self.ends, start, stop):
+            chunk = slice(lo, hi)
+            ip, iq = self.pairs(chunk)
+            f = F[lo - start:hi - start].ravel()
+            yield chunk, ip, iq, f.take(ip), f.take(iq)
 
     def pairs(self, rows, at=None) -> tuple[np.ndarray, np.ndarray]:
         """The pairs of ``rows``, row by row, and in a row each relevant
@@ -361,9 +368,10 @@ class BatchSurrogate:
     :class:`_LabelLists` and each row's pair scale ``1/|pairs|``; every row
     must then be nontrivial.  For a scheme it holds the penalty ``weights``
     of :func:`penalty_weight_matrix` and the signed weights ``w_ij y_ij``.
-    It has two kernels on scores: :meth:`losses_and_gradients` of all rows,
-    at scores shaped like the labels, and :meth:`gradients` of one block
-    that :meth:`blocks` yields, at scores shaped like the block.
+    It has two kernels on scores: :meth:`losses_and_gradients` of a range
+    of consecutive rows, at scores shaped like those rows' labels, and
+    :meth:`gradients` of one block that :meth:`blocks` yields, at scores
+    shaped like the block.
     """
 
     def __init__(self, labels, kind: str, base: BaseLoss):
@@ -380,32 +388,39 @@ class BatchSurrogate:
             self.weights = penalty_weight_matrix(kind, self.Y)
             self._signed_weights = self.weights * self.Y
 
-    def losses_and_gradients(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's loss ``(n,)`` and loss gradient ``(n, c)`` at scores
-        ``F`` ``(n, c)``, both from one pass of margins: the losses go into
-        a buffer of their own, then the derivative and its scaling run in
+    def losses_and_gradients(self, F: np.ndarray,
+                             rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The loss ``(m,)`` and loss gradient ``(m, c)`` of each of the
+        ``m`` consecutive ``rows`` (default: all) at their scores ``F``
+        ``(m, c)``, both from one pass of margins: the losses go into a
+        buffer of their own, then the derivative and its scaling run in
         place on the margins.  For ``pa`` the pass walks one chunk of rows'
-        pairs at a time."""
+        pairs at a time.  At the same scores a row's loss and gradient have
+        the same bits whatever ``rows`` holds it."""
         base = self.base
         if self.weights is not None:
-            _check_scores(F, self.Y.shape)
-            z = self.Y * F
+            Y = self.Y[rows]
+            _check_scores(F, Y.shape)
+            z = Y * F
             ell = base.value(z, out=np.empty_like(z))
-            ell *= self.weights
+            ell *= self.weights[rows]
             values = ell.sum(axis=1)
             base.derivative(z, out=z)
-            z *= self._signed_weights
+            z *= self._signed_weights[rows]
             return values, z
         g = np.empty(F.shape)
-        values = np.empty(self.n)
-        for rows, ip, iq, z, fq in self._lists.chunks(F):
+        values = np.empty(F.shape[0])
+        start = rows.indices(self.n)[0]
+        for chunk, ip, iq, z, fq in self._lists.chunks(F, rows):
             z -= fq
             ell = base.value(z, out=np.empty_like(z))
             # every row owns pairs, so each row's first pair starts a nonempty segment
-            count = self._lists.count[rows]
-            values[rows] = np.add.reduceat(ell, count.cumsum() - count) * self._row_scale[rows]
-            scale = self._row_scale[rows].repeat(count)
-            g[rows] = self._pair_gradients(z, (ip, iq, scale), g[rows].size).reshape(-1, self.c)
+            count = self._lists.count[chunk]
+            scale = self._row_scale[chunk]
+            local = slice(chunk.start - start, chunk.stop - start)
+            values[local] = np.add.reduceat(ell, count.cumsum() - count) * scale
+            g[local] = self._pair_gradients(z, (ip, iq, scale.repeat(count)),
+                                            g[local].size).reshape(-1, self.c)
         return values, g
 
     def gradients(self, F: np.ndarray, block) -> np.ndarray:

@@ -25,14 +25,15 @@ gradients of its rows, gathered once per epoch.  Then it updates one dense
 block's rank-``b`` term ``eta X_R^T Delta_R / b``.  A step gathers ``X_R``
 with ``take``, multiplies with ``dot`` and scales the deltas in place: on
 the solver's 64-row blocks the fixed cost of a step's numpy calls is still
-most of its time.  A snapshot forms each loss margin once, for both its
-loss gradients and its value.
+most of its time.  A snapshot takes one pass over ``X`` in blocks of
+consecutive rows, each read twice while it is in cache, and forms each loss
+margin once, for both its loss gradients and its value.
 
 Outside the protocol, ``value`` gives the snapshot's value at ``W``, for
 checks against an independent solver.  Every entry point reaches the loss
 through one :class:`mlrank.losses.BatchSurrogate` and its two kernels on
-scores: every row's losses and loss gradients, for the snapshot, and the
-loss gradients of one block, for the inner steps.
+scores: the losses and loss gradients of a range of rows, for each block
+of the snapshot, and the loss gradients of one block, for the inner steps.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ from . import losses
 from .losses import BaseLoss
 
 SURROGATES = ("pa", "u1", "u2", "u3", "u4")
+# feature values per block of a snapshot's pass over X (2^17 values, 1 MiB).
+# Chosen by tools/snapshot_sweep.py over 2^15-2^18 at one BLAS thread: on
+# scene-shaped folds (1604 x 295, 3.8 MB) a pa snapshot took 1.36 ms as one
+# block, 1.07 at 2^15, 0.87 at 2^16, 0.81 at 2^17 and 1.35 at 2^18 (u3:
+# 1.21, 0.69, 0.62, 0.62, 1.24); of the tied 2^16 and 2^17 the larger is
+# kept.  Data of at most this many values, as the emotions- and
+# labels100-shaped folds are, is one block: the unblocked pass
+_SNAPSHOT_VALUES = 1 << 17
 
 
 @dataclass
@@ -140,10 +149,31 @@ class Objective:
 
     def svrg_snapshot(self, W: np.ndarray) -> dict[str, Any]:
         """Cache the snapshot's value, full gradient ``mu`` and per-sample loss
-        gradients, the losses and their gradients from one array of margins."""
-        values, grads = self.loss.losses_and_gradients(self.X @ W)
-        return {"W": W.copy(), "mu": self.X.T @ grads / self.n + 2.0 * self.lam * W,
-                "loss_grads": grads,
+        gradients, the losses and their gradients from one array of margins.
+
+        One pass over ``X`` in blocks of consecutive rows, each holding at
+        most ``_SNAPSHOT_VALUES`` feature values: a block's scores
+        ``X_B W``, its rows' losses and loss gradients ``G_B``, then
+        ``X_B^T G_B`` added to ``mu``, so each block of ``X`` is read twice
+        while it is in cache.  The first block's product sets ``mu``, and
+        the losses and loss gradients of one block are the kernel's own
+        arrays, so data of one block runs the unblocked pass's calls.
+        """
+        X, n = self.X, self.n
+        step = max(1, _SNAPSHOT_VALUES // self.d)
+        values, grads, mu = [], [], None
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            XB = X[rows]
+            v, G = self.loss.losses_and_gradients(XB @ W, rows)
+            values.append(v)
+            grads.append(G)
+            part = XB.T @ G
+            mu = part if mu is None else np.add(mu, part, out=mu)
+        mu /= n
+        mu += 2.0 * self.lam * W
+        values, grads = (p[0] if len(p) == 1 else np.concatenate(p) for p in (values, grads))
+        return {"W": W.copy(), "mu": mu, "loss_grads": grads,
                 "value": float(values.mean()) + self.lam * float(np.sum(W * W))}
 
     def svrg_direction(self, scores: np.ndarray, block, snap_grads: np.ndarray) -> np.ndarray:

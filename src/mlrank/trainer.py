@@ -185,8 +185,8 @@ def _run_task(task: _TaskSpec, data: MultiLabelDataset, algo: str, base: BaseLos
     seconds = time.perf_counter() - t0
     report = evaluate(model, eval_set)
     return FitRecord(task.phase, task.fold, task.lam_index, len(trace.records),
-                     trace.converged, trace.stop_reason, report.ranking_loss,
-                     report.partial_ranking_loss, seconds)
+                     trace.converged, trace.stop_reason, trace.certified_gap,
+                     report.ranking_loss, report.partial_ranking_loss, seconds)
 
 
 @functools.cache
@@ -286,8 +286,9 @@ def _task_runner(workers: int, **settings):
 
 @dataclass(frozen=True)
 class FitRecord:
-    """One cross-validation task: how its fit ended, how the model scored on
-    the task's evaluation rows, and the fit's wall time."""
+    """One cross-validation task: how its fit ended, with the trace's
+    ``certified_gap``, how the model scored on the task's evaluation rows,
+    and the fit's wall time."""
 
     phase: str  # "select" or "final"
     fold: int
@@ -295,6 +296,7 @@ class FitRecord:
     epochs: int
     converged: bool
     stop_reason: str
+    certified_gap: float
     ranking_loss: float
     partial_ranking_loss: float
     seconds: float = field(compare=False)  # varies run to run; the rest does not
@@ -328,6 +330,10 @@ class CvResult:
     @property
     def unconverged_fits(self) -> int:
         return sum(not f.converged for f in self.fits)
+
+    @property
+    def largest_certified_gap(self) -> float:
+        return max(f.certified_gap for f in self.fits)
 
     @property
     def mean_ranking_loss(self) -> float:

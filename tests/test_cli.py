@@ -829,6 +829,21 @@ def test_cv_reports_unconverged_fits(dataset_file, capsys):
         assert f"unconverged: {unconverged} of 9 fits" in capsys.readouterr().out
 
 
+def test_cv_and_bench_print_the_largest_certified_gap(tmp_path, dataset_file, capsys):
+    # cv: 3 folds x 1 lambda of selection plus 3 final refits is 6 fits; at
+    # lambda > 0 each fit's certificate is finite, as in bench's smoke grid
+    fit = ["--algo", "u3", "--grid", "1e-2", "--epochs", "3"]
+    assert main(["cv", "--data", str(dataset_file), *fit]) == 0
+    cv = re.search(r"unconverged: \d of 6 fits  largest certified gap: (\S+)\n",
+                   capsys.readouterr().out)
+    assert 0.0 < float(cv.group(1)) < np.inf
+    assert main(["bench", "--data", str(dataset_file), "--algos", "u3", "--smoke",
+                 "--outdir", str(tmp_path)]) == 0
+    bench = re.search(r"unconverged: \d+ of \d+ fits; largest certified gap: (\S+)\)\n",
+                      capsys.readouterr().out)
+    assert 0.0 < float(bench.group(1)) < np.inf
+
+
 def test_exit_codes(tmp_path, dataset_file):
     assert main(["train", "--data", str(dataset_file), "--algo", "zz",
                  "--lam", "1", "--out", str(tmp_path / "m.txt")]) == 2

@@ -581,6 +581,55 @@ def test_pair_kernels_are_chunk_invariant(monkeypatch, budget):
             assert got_losses.tobytes() == row_losses.tobytes(), base.kind
 
 
+def test_chunk_walk_over_a_row_range_is_that_part_of_the_full_walk(monkeypatch):
+    # from one of the full walk's chunk starts, a walk over rows yields the
+    # full walk's chunks, the last cut at the range's end; from any start it
+    # yields each row's pairs and scores as the full walk does
+    monkeypatch.setattr(losses, "_BLOCK_BUDGET", 300)
+    F, Y = _large_label_batch(np.random.default_rng(21))
+    lists = losses._LabelLists(Y)
+    c = Y.shape[1]
+    full = list(lists.chunks(F))
+    assert len(full) > 6
+
+    def flat(walk):  # pairs as flat indices into all rows' scores, and their scores
+        parts = [(ip + rows.start * c, iq + rows.start * c, fp, fq)
+                 for rows, ip, iq, fp, fq in walk]
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    start, stop = full[2][0].start, full[5][0].stop
+    part = list(lists.chunks(F[start:stop], slice(start, stop)))
+    assert [p[0] for p in part] == [f[0] for f in full[2:6]]
+    for got, want in zip(part, full[2:6]):
+        for a, b in zip(got[1:], want[1:]):
+            assert a.tobytes() == b.tobytes()
+    ends = np.concatenate(([0], lists.ends))
+    whole = flat(full)
+    for start, stop in ((0, 60), (1, 24), (23, 24), (7, 41), (24, 60)):
+        part = list(lists.chunks(F[start:stop], slice(start, stop)))
+        assert part[0][0].start == start and part[-1][0].stop == stop
+        for a, b in zip(flat(part), whole):
+            assert a.tobytes() == b[ends[start]:ends[stop]].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["pa", "u1", "u2", "u3", "u4"])
+def test_all_rows_kernels_over_a_row_range_keep_each_rows_bits(kind):
+    rng = np.random.default_rng(22)
+    F, Y = _large_label_batch(rng)
+    keep = nontrivial_mask(Y)
+    F, Y = F[keep], Y[keep]
+    for base in ALL_BASES:
+        batch = BatchSurrogate(Y, kind, base)
+        with np.errstate(over="ignore"):
+            values, grads = batch.losses_and_gradients(F)
+            for start, stop in ((0, 1), (3, 19), (19, 20), (20, len(Y))):
+                v, g = batch.losses_and_gradients(F[start:stop], slice(start, stop))
+                assert v.tobytes() == values[start:stop].tobytes(), (kind, base.kind)
+                assert g.tobytes() == grads[start:stop].tobytes(), (kind, base.kind)
+    with pytest.raises(ValueError, match="does not match labels shape"):
+        batch.losses_and_gradients(F[:5], slice(0, 6))
+
+
 @pytest.mark.parametrize("kind", ["pa", "u3"])
 def test_all_rows_kernels_reject_scores_not_shaped_like_the_labels(kind):
     # a wider, a narrower and a one-column score matrix; the last would

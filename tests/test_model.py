@@ -263,6 +263,69 @@ def test_svrg_snapshot_is_bitwise_the_separate_kernels(base):
         assert snap["mu"].tobytes() == mu.tobytes(), algo
 
 
+def blocked_snapshot_mu(obj, W, grads, step):
+    """``mu`` from the per-block products ``X_B^T G_B`` added in block order."""
+    mu = None
+    for start in range(0, obj.n, step):
+        XB, GB = obj.X[start:start + step], grads[start:start + step]
+        mu = XB.T @ GB if mu is None else mu + XB.T @ GB
+    return mu / obj.n + 2.0 * obj.lam * W
+
+
+@pytest.mark.parametrize("base", BASE_KINDS)
+@pytest.mark.parametrize("n", [4, 5, 6, 14, 15, 16])
+def test_blocked_snapshot_keeps_each_rows_bits(monkeypatch, base, n):
+    # five rows per block: one block less a row, one block, one block and a
+    # row, and the same about three blocks.  At the blocks' scores each
+    # row's loss and gradient keep the one-pass kernel's bits, and so does
+    # the value; mu sums the blocks' products in block order.  (BLAS picks
+    # its kernel by shape, so a block's X_B W may differ from the rows of
+    # X W in the last bit.)
+    monkeypatch.setattr("mlrank.model._SNAPSHOT_VALUES", 5 * 4)
+    rng = np.random.default_rng(19)
+    for algo in ALGOS:
+        obj = make_objective(algo, lam=0.02, n=n, d=4, c=5, base=BaseLoss(base))
+        W = rng.normal(size=(obj.d, obj.c))
+        snap = obj.svrg_snapshot(W)
+        F = np.concatenate([obj.X[start:start + 5] @ W for start in range(0, n, 5)])
+        np.testing.assert_allclose(F, obj.X @ W, rtol=1e-14, atol=1e-15)
+        values, grads = obj.loss.losses_and_gradients(F)
+        assert snap["loss_grads"].tobytes() == grads.tobytes(), algo
+        assert snap["value"] == float(values.mean()) + obj.lam * float(np.sum(W * W)), algo
+        assert snap["mu"].tobytes() == blocked_snapshot_mu(obj, W, grads, 5).tobytes(), algo
+        whole = obj.X.T @ grads / obj.n + 2.0 * obj.lam * W
+        assert np.linalg.norm(snap["mu"] - whole) <= 1e-14 * np.linalg.norm(whole), algo
+
+
+def test_blocked_snapshot_cuts_pa_chunks_at_block_edges(monkeypatch):
+    # chunks of at most 20 pairs and blocks of 5 rows.  Rows 4 and 5, with
+    # 25 pairs each, end block 0 and start block 1; row 6 (21 pairs) is
+    # alone too, so the one-pass walk's chunk of rows 9 and 10 (9 pairs
+    # each) straddles the edge of blocks 1 and 2, where the blocked walk
+    # cuts it
+    monkeypatch.setattr(losses, "_BLOCK_BUDGET", 20)
+    monkeypatch.setattr("mlrank.model._SNAPSHOT_VALUES", 5 * 4)
+    rng = np.random.default_rng(20)
+    n, c = 12, 10
+    Y = -np.ones((n, c))
+    Y[np.arange(n), np.arange(n) % c] = 1.0
+    Y[4, :5] = Y[5, 5:] = Y[6, 2:5] = 1.0
+    obj = Objective(rng.normal(size=(n, 4)), Y, ObjectiveSpec("pa", LOGISTIC, 1e-3))
+    W = rng.normal(size=(obj.d, obj.c))
+    walk = [rows for rows, *_ in obj.loss._lists.chunks(obj.X @ W)]
+    assert slice(4, 5) in walk and slice(5, 6) in walk and slice(9, 11) in walk
+    snap = obj.svrg_snapshot(W)
+    F = np.concatenate([obj.X[start:start + 5] @ W for start in range(0, n, 5)])
+    values, grads = obj.loss.losses_and_gradients(F)
+    assert snap["loss_grads"].tobytes() == grads.tobytes()
+    assert snap["value"] == float(values.mean()) + obj.lam * float(np.sum(W * W))
+    assert snap["mu"].tobytes() == blocked_snapshot_mu(obj, W, grads, 5).tobytes()
+    for i in range(n):
+        ev = pairwise_surrogate(obj.X[i] @ W, Y[i], LOGISTIC)
+        np.testing.assert_allclose(grads[i], ev.gradient, rtol=1e-12, atol=0.0)
+        assert values[i] == pytest.approx(ev.value, rel=1e-12, abs=0.0)
+
+
 def test_objective_rejects_trivial_rows():
     data = synthetic_linear(10, 3, 2, seed=5)
     labels = data.labels.copy()

@@ -263,6 +263,17 @@ def test_default_fit_reaches_lbfgs_optimum(base, lam):
     convergence guarantees, so neither run gives an optimum to compare at
     1e-6.
     """
+    check_fit_reaches_lbfgs_optimum(base, lam)
+
+
+def test_blocked_snapshot_fit_reaches_lbfgs_optimum(monkeypatch):
+    # the same gates with every snapshot, the reference's evaluations
+    # included, taking X in five blocks of 16 rows
+    monkeypatch.setattr("mlrank.model._SNAPSHOT_VALUES", 16 * 6)
+    check_fit_reaches_lbfgs_optimum("logistic", 1e-3)
+
+
+def check_fit_reaches_lbfgs_optimum(base, lam):
     data, _ = prepare_data(synthetic_linear(80, 5, 4, seed=0, noise=0.3))
     shape = (data.d, data.c)
     for algo in ("pa", "u1", "u2", "u3", "u4"):

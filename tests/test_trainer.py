@@ -285,6 +285,28 @@ def test_cross_validate_worker_pool_is_deterministic():
         assert r1.fits == r2.fits
 
 
+def test_fit_records_carry_the_serial_fits_certificates():
+    # a record is what a serial train_with_trace of its task gives, the
+    # certificate included, at one worker and at two
+    data = synthetic_linear(60, 5, 3, seed=12, noise=0.1)
+    kwargs = dict(k=3, seed=4, optimizer_cfg=CV_CFG)
+    r1 = cross_validate(data, "pa", [1e-3, 1e-1], workers=1, **kwargs)
+    r2 = cross_validate(data, "pa", [1e-3, 1e-1], workers=2, **kwargs)
+    assert r1.fits == r2.fits
+    fold_of = trainer.kfold_split(data.n, 3, 4)
+    for record in r1.fits[-3:]:  # the final refits, on each fold's training rows
+        train, params = prepare_data(data, rows=np.flatnonzero(fold_of != record.fold))
+        test, _ = prepare_data(data, params=params, rows=np.flatnonzero(fold_of == record.fold))
+        cfg = OptimizerConfig(outer_epochs=3, seed=task_seed(4, record.fold, record.lam_index,
+                                                             "pa", "final"))
+        model, trace = train_with_trace(train, "pa", r1.best_lambda, cfg=cfg)
+        assert 0.0 < trace.certified_gap < np.inf
+        assert (record.epochs, record.converged, record.stop_reason, record.certified_gap) == \
+            (len(trace.records), trace.converged, trace.stop_reason, trace.certified_gap)
+        assert record.ranking_loss == evaluate(model, test).ranking_loss
+    assert r1.largest_certified_gap == max(f.certified_gap for f in r1.fits)
+
+
 @pytest.fixture()
 def pool_sizes(monkeypatch):
     """The size of each process pool ``trainer`` asks for; the pools run
